@@ -10,9 +10,9 @@ Modules
 spin_model
     Zero-field splitting Hamiltonian, eigensystem, transition frequencies.
 photokinetics
-    Five-level rate equations, optical pumping, readout contrast.
+    Five-level rate equations, optical pumping, population propagation.
 pulse_engine
-    Hybrid classical/quantum pulse sequencing and canned experiments.
+    Hybrid classical/quantum pulse sequencing, readout and canned experiments.
 coherence
     Echo envelopes, dynamical decoupling scaling, AC sensing, dark spins.
 fitting
@@ -58,11 +58,8 @@ from .fitting import FitResult, fit, get_model, model_eval
 from .photokinetics import (
     KineticRates,
     LevelPopulations,
-    ReadoutWindow,
     evolve_populations,
-    evolve_with_emission,
     isc_branching_from_steady_state,
-    readout_contrast,
     steady_state,
     t1_relaxation_curve,
 )
@@ -130,7 +127,6 @@ __all__ = [
     "PulseSequence",
     "QubitSystem",
     "ReadoutPulse",
-    "ReadoutWindow",
     "SequenceResult",
     "SimulationError",
     "TraceRecord",
@@ -149,7 +145,6 @@ __all__ = [
     "emit",
     "eseem_minimum_times",
     "evolve_populations",
-    "evolve_with_emission",
     "field_sweep_spectrum",
     "fit",
     "get_model",
@@ -161,7 +156,6 @@ __all__ = [
     "parse_trace",
     "pi_pulse",
     "read_trace",
-    "readout_contrast",
     "run_sequence",
     "simulate_field_odmr",
     "simulate_pulsed_odmr",

@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import DegenerateReadoutError, InvalidParameterError
+from .errors import InvalidParameterError
 
 #: Level ordering used by every array in this module.
 LEVELS = ("s0", "s1", "tx", "ty", "tz")
@@ -197,15 +197,6 @@ def rate_matrix(rates: KineticRates, laser_on: bool, intensity: float = 1.0) -> 
 def _propagator(
     rates: KineticRates, duration: float, laser_on: bool, intensity: float
 ) -> np.ndarray:
-    p = expm(rate_matrix(rates, laser_on, intensity) * duration)
-    p.setflags(write=False)
-    return p
-
-
-@lru_cache(maxsize=512)
-def _propagator_with_emission(
-    rates: KineticRates, duration: float, laser_on: bool, intensity: float
-) -> np.ndarray:
     # Augmented generator: row 5 accumulates the time integral of p_S1.
     a = np.zeros((6, 6))
     a[:5, :5] = rate_matrix(rates, laser_on, intensity)
@@ -215,53 +206,29 @@ def _propagator_with_emission(
     return p
 
 
-def _sanitize(p: np.ndarray) -> np.ndarray:
-    """Strip float drift from a propagated population vector.
-
-    The generator conserves total population exactly, so any deviation of
-    the sum from 1 is roundoff; it is removed here, but only within a
-    1e-6 guard so real errors still surface.
-    """
-    total = float(p.sum())
-    if abs(total - 1.0) > 1e-6 or np.any(p < -1e-6):
-        raise InvalidParameterError(f"propagation lost population conservation: {p}")
-    return np.clip(p, 0.0, None) / max(float(np.clip(p, 0.0, None).sum()), 1e-300)
-
-
 def evolve_populations(
     rates: KineticRates,
-    initial: LevelPopulations,
+    p: np.ndarray,
     duration: float,
     laser_on: bool,
     intensity: float = 1.0,
-) -> LevelPopulations:
-    """Propagate populations for `duration` seconds via the matrix exponential."""
-    if duration < 0.0:
-        raise InvalidParameterError(f"duration must be >= 0, got {duration!r}")
-    p = _propagator(rates, float(duration), laser_on, float(intensity))
-    return LevelPopulations.from_array(_sanitize(p @ initial.as_array()))
+) -> tuple[np.ndarray, float]:
+    """Propagate (S0, S1, Tx, Ty, Tz) populations for `duration` seconds.
 
-
-def evolve_with_emission(
-    rates: KineticRates,
-    initial: LevelPopulations,
-    duration: float,
-    laser_on: bool,
-    intensity: float = 1.0,
-) -> tuple[LevelPopulations, float]:
-    """Propagate populations and return the integrated S1 occupancy.
-
-    The integral of p_S1 over the window is proportional to the collected
+    Returns the propagated length-5 array and the integrated S1 occupancy
+    over the interval. That integral is proportional to the collected
     fluorescence; the constant radiative rate cancels from any contrast
-    ratio, so it is left out.
+    ratio, so it is left out. The generator conserves total population
+    exactly, so a sum off 1 by more than 1e-6 (or a population below
+    -1e-6) is a real error and raises InvalidParameterError.
     """
     if duration < 0.0:
         raise InvalidParameterError(f"duration must be >= 0, got {duration!r}")
-    p = _propagator_with_emission(rates, float(duration), laser_on, float(intensity))
-    x = np.zeros(6)
-    x[:5] = initial.as_array()
-    out = p @ x
-    return LevelPopulations.from_array(_sanitize(out[:5])), float(out[5])
+    out = _propagator(rates, float(duration), laser_on, float(intensity)) @ np.append(p, 0.0)
+    pops = out[:5]
+    if abs(float(pops.sum()) - 1.0) > 1e-6 or np.any(pops < -1e-6):
+        raise InvalidParameterError(f"propagation lost population conservation: {pops}")
+    return pops, float(out[5])
 
 
 def steady_state(rates: KineticRates, intensity: float = 1.0) -> LevelPopulations:
@@ -319,42 +286,6 @@ def t1_relaxation_curve(
     tau = np.asarray(rates.triplet_lifetimes)
     surviving = start.triplet[None, :] * np.exp(-delays[..., None] / tau[None, :])
     return 1.0 - surviving.sum(axis=-1)
-
-
-@dataclass(frozen=True)
-class ReadoutWindow:
-    """Laser readout window: duration in seconds, relative intensity."""
-
-    duration: float = 1.0e-6
-    intensity: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.duration < 0.0 or not math.isfinite(self.duration):
-            raise InvalidParameterError(f"readout duration must be >= 0, got {self.duration!r}")
-        if self.intensity < 0.0 or not math.isfinite(self.intensity):
-            raise InvalidParameterError(f"readout intensity must be >= 0, got {self.intensity!r}")
-
-
-def readout_contrast(
-    rates: KineticRates,
-    pop_signal: LevelPopulations,
-    pop_reference: LevelPopulations,
-    window: ReadoutWindow = ReadoutWindow(),
-) -> float:
-    """Fluorescence contrast between two prepared population states.
-
-    Both states are read with an identical laser window; the contrast is
-    the ratio of integrated S1 occupancies, C = I_signal / I_reference.
-    Identical states give exactly 1. A vanishing reference integral
-    raises DegenerateReadoutError.
-    """
-    _, i_sig = evolve_with_emission(rates, pop_signal, window.duration, True, window.intensity)
-    _, i_ref = evolve_with_emission(rates, pop_reference, window.duration, True, window.intensity)
-    if i_ref <= 0.0:
-        raise DegenerateReadoutError(
-            "reference readout collected no emission; check window duration and pump rate"
-        )
-    return i_sig / i_ref
 
 
 def polarization_response(

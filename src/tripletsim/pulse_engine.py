@@ -26,21 +26,13 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import expm
 
-from .coherence import CoherenceModel, echo_envelope
+from .coherence import CoherenceModel, _gauss_nodes, echo_envelope
 from .errors import (
     DegenerateReadoutError,
     InvalidParameterError,
     ProtocolViolationError,
 )
-from .photokinetics import (
-    KineticRates,
-    LevelPopulations,
-    ReadoutWindow,
-    _propagator,
-    _propagator_with_emission,
-    evolve_populations,
-    readout_contrast,
-)
+from .photokinetics import KineticRates, LevelPopulations, evolve_populations
 from .spin_model import (
     TRANSITION_PAIRS,
     FieldVector,
@@ -51,6 +43,7 @@ from .spin_model import (
     build_hamiltonian,
     eigensystem,
     field_sweep_spectrum,
+    transition_frequencies,
 )
 
 _LABEL_INDEX = {"x": 0, "y": 1, "z": 2}
@@ -59,6 +52,11 @@ _LABEL_INDEX = {"x": 0, "y": 1, "z": 2}
 def _check_duration(duration: float) -> None:
     if duration < 0.0 or not math.isfinite(duration):
         raise InvalidParameterError(f"duration must be >= 0, got {duration!r}")
+
+
+def _check_intensity(intensity: float) -> None:
+    if intensity < 0.0 or not math.isfinite(intensity):
+        raise InvalidParameterError(f"intensity must be >= 0, got {intensity!r}")
 
 
 @dataclass(frozen=True)
@@ -70,8 +68,7 @@ class LaserPulse:
 
     def __post_init__(self) -> None:
         _check_duration(self.duration)
-        if self.intensity < 0.0:
-            raise InvalidParameterError(f"intensity must be >= 0, got {self.intensity!r}")
+        _check_intensity(self.intensity)
 
 
 @dataclass(frozen=True)
@@ -93,8 +90,7 @@ class ReadoutPulse:
 
     def __post_init__(self) -> None:
         _check_duration(self.duration)
-        if self.intensity < 0.0:
-            raise InvalidParameterError(f"intensity must be >= 0, got {self.intensity!r}")
+        _check_intensity(self.intensity)
 
 
 @dataclass(frozen=True)
@@ -247,9 +243,7 @@ class QubitSystem:
 
     @cached_property
     def transitions(self) -> dict[tuple[str, str], float]:
-        eig = self.eigen
-        by_label = {lab: float(eig.energies[k]) for k, lab in enumerate(eig.labels)}
-        return {(a, b): abs(by_label[a] - by_label[b]) for a, b in TRANSITION_PAIRS}
+        return transition_frequencies(self.eigen)
 
     @cached_property
     def effective_rates(self) -> KineticRates:
@@ -361,27 +355,21 @@ def _evolve_free(
     duration: float,
     laser_on: bool,
     intensity: float,
-    collect_emission: bool,
     is_wait: bool,
 ) -> float:
     """Advance the state through an illumination or dark interval.
 
-    Returns the integrated S1 occupancy over the interval (zero unless
-    `collect_emission`). Populations follow the five-level rate model;
-    triplet coherences damp at the pairwise mean decay rate, plus the
-    phenomenological dephasing envelope during waits.
+    Returns the integrated S1 occupancy over the interval. Populations
+    follow the five-level rate model; triplet coherences damp at the
+    pairwise mean decay rate, plus the phenomenological dephasing
+    envelope during waits.
     """
     if duration == 0.0:
         return 0.0
-    rates = system.effective_rates
-    pops = state.populations().as_array()
-    if collect_emission:
-        prop = _propagator_with_emission(rates, duration, laser_on, intensity)
-        out = prop @ np.append(pops, 0.0)
-        new_pops, emission = out[:5], float(out[5])
-    else:
-        prop = _propagator(rates, duration, laser_on, intensity)
-        new_pops, emission = prop @ pops, 0.0
+    pops = np.concatenate(([state.p_s0, state.p_s1], np.real(np.diag(state.rho))))
+    new_pops, emission = evolve_populations(
+        system.effective_rates, pops, duration, laser_on, intensity
+    )
     g = system.decay_rates
     rho = state.rho.copy()
     for a in range(3):
@@ -416,12 +404,12 @@ def apply_elements(
     emissions: list[float] = []
     for element in elements:
         if isinstance(element, LaserPulse):
-            _evolve_free(out, system, element.duration, True, element.intensity, False, False)
+            _evolve_free(out, system, element.duration, True, element.intensity, False)
         elif isinstance(element, Wait):
-            _evolve_free(out, system, element.duration, False, 1.0, False, True)
+            _evolve_free(out, system, element.duration, False, 1.0, True)
         elif isinstance(element, ReadoutPulse):
             emissions.append(
-                _evolve_free(out, system, element.duration, True, element.intensity, True, False)
+                _evolve_free(out, system, element.duration, True, element.intensity, False)
             )
         elif isinstance(element, MwPulse):
             _apply_mw(out, element, system)
@@ -520,12 +508,7 @@ def simulate_rabi(
             raise InvalidParameterError(f"T2* must be > 0, got {t2_star!r}")
         sigma = math.sqrt(2.0) / (2.0 * math.pi * t2_star)
         envelope = np.exp(-((durations / t2_star) ** 2))
-    if sigma == 0.0 or ensemble_size == 1:
-        deltas, weights = np.array([detuning]), np.array([1.0])
-    else:
-        xk, wk = np.polynomial.hermite.hermgauss(ensemble_size)
-        deltas = detuning + math.sqrt(2.0) * sigma * xk
-        weights = wk / math.sqrt(math.pi)
+    deltas, weights = _gauss_nodes(detuning, sigma, ensemble_size)
     omega_g = np.hypot(rabi_freq, deltas)
     amp = weights * (rabi_freq / omega_g) ** 2
     osc = np.cos(2.0 * np.pi * omega_g[None, :] * durations[:, None]) * envelope[:, None]
@@ -598,18 +581,19 @@ def simulate_field_odmr(
     linewidth: float = 20.0e6,
     init_duration: float = DEFAULT_INIT_DURATION,
     readout_delay: float | None = None,
-    readout: ReadoutWindow = ReadoutWindow(),
+    readout: ReadoutPulse = ReadoutPulse(),
 ) -> FieldOdmrMap:
     """ODMR contrast map versus field magnitude along one molecular axis.
 
     Line positions come from the eigenvector-tracked transition branches.
-    Line amplitudes use an incoherent swap protocol: at each field the
-    sublevel kinetics are mixed into the eigenbasis, the system is
-    initialized by a laser pulse, the addressed pair's populations are
-    swapped (ideal pi pulse), and the readout contrast against the
-    unswapped state after the relaxation delay gives the line's contrast
-    amplitude. Each line is painted with a unit-peak Lorentzian of HWHM
-    `linewidth`; amplitudes from the three lines add.
+    Line amplitudes use an incoherent swap protocol run through the
+    engine: at each field the system is initialized by a laser pulse,
+    the addressed pair's populations are swapped (ideal pi pulse), and
+    the readout after the relaxation delay, over the readout of the
+    unswapped state, gives the line's contrast amplitude. Each line is
+    painted with a unit-peak Lorentzian of HWHM `linewidth`; amplitudes
+    from the three lines add. A vanishing reference readout raises
+    DegenerateReadoutError.
     """
     b_values = np.atleast_1d(np.asarray(b_values, dtype=float))
     f_grid = np.asarray(f_grid, dtype=float)
@@ -619,16 +603,18 @@ def simulate_field_odmr(
     contrast = np.ones((b_values.size, f_grid.size))
     for n, b in enumerate(b_values):
         system = QubitSystem(zfs=zfs, rates=rates, field=FieldVector.along(axis, b), gamma=gamma)
-        eff = system.effective_rates
-        delay = 3.0 * rates.triplet_lifetimes[1] if readout_delay is None else readout_delay
-        init = evolve_populations(eff, LevelPopulations.ground(), init_duration, True)
-        rested = evolve_populations(eff, init, delay, False)
+        delay = default_readout_delay(system) if readout_delay is None else readout_delay
+        relax_and_read = (Wait(delay), readout)
+        init, _ = apply_elements((LaserPulse(init_duration),), system)
+        _, (reference,) = apply_elements(relax_and_read, system, init)
+        if reference <= 0.0:
+            raise DegenerateReadoutError("reference emission vanished in field-ODMR protocol")
         for pair in TRANSITION_PAIRS:
             i, j = (_LABEL_INDEX[t] for t in pair)
-            arr = init.as_array().copy()
-            arr[2 + i], arr[2 + j] = arr[2 + j], arr[2 + i]
-            swapped = evolve_populations(eff, LevelPopulations.from_array(arr), delay, False)
-            amplitude = readout_contrast(eff, swapped, rested, readout) - 1.0
+            swapped = init.copy()
+            swapped.rho[[i, j], [i, j]] = init.rho[[j, i], [j, i]]
+            _, (signal,) = apply_elements(relax_and_read, system, swapped)
+            amplitude = signal / reference - 1.0
             x = (f_grid - spectrum.branches[pair][n]) / linewidth
             contrast[n] += amplitude / (1.0 + x**2)
     return FieldOdmrMap(field=b_values, frequency=f_grid, contrast=contrast, spectrum=spectrum)

@@ -32,7 +32,7 @@ from .coherence import (
 from .config import ExperimentConfig
 from .errors import ConfigError
 from .fitting import estimate_initial_guess, fit, get_model
-from .photokinetics import KineticRates, ReadoutWindow, t1_relaxation_curve
+from .photokinetics import KineticRates, t1_relaxation_curve
 from .pulse_engine import (
     QubitSystem,
     ReadoutPulse,
@@ -116,11 +116,6 @@ def _transition(cfg: ExperimentConfig) -> tuple[str, str]:
     return (code[0], code[1])
 
 
-def _readout_window(cfg: ExperimentConfig) -> ReadoutWindow:
-    section = cfg["readout"]
-    return ReadoutWindow(duration=section["duration"] * US, intensity=section["intensity"])
-
-
 def _readout_pulse(cfg: ExperimentConfig) -> ReadoutPulse:
     section = cfg["readout"]
     return ReadoutPulse(duration=section["duration"] * US, intensity=section["intensity"])
@@ -184,14 +179,13 @@ def _run_field_odmr(cfg: ExperimentConfig):
         linewidth=cfg["odmr"]["linewidth"] * MHZ,
         init_duration=cfg["init"]["duration"] * US,
         readout_delay=_readout_delay(cfg),
-        readout=_readout_window(cfg),
+        readout=_readout_pulse(cfg),
     )
-    rows = []
-    for i, b in enumerate(b_grid):
-        for j, f in enumerate(f_grid):
-            rows.append([b, f, result.contrast[i, j]])
+    rows = np.column_stack(
+        [np.repeat(b_grid, f_grid.size), np.tile(f_grid, b_grid.size), result.contrast.ravel()]
+    )
     columns = (Column("field", "mT"), Column("frequency", "MHz"), Column("contrast", "1"))
-    return columns, np.asarray(rows), {}
+    return columns, rows, {}
 
 
 def _run_odmr(cfg: ExperimentConfig):

@@ -3,16 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from oracles import two_level_rotation
+from oracles import rate_ode_emission, rate_ode_solution, two_level_rotation
 from tripletsim.errors import (
+    DegenerateReadoutError,
     InvalidParameterError,
     ProtocolViolationError,
 )
 from tripletsim.photokinetics import (
     KineticRates,
-    LevelPopulations,
     evolve_populations,
     isc_branching_from_steady_state,
+    rate_matrix,
 )
 from tripletsim.pulse_engine import (
     DEFAULT_INIT_DURATION,
@@ -31,6 +32,7 @@ from tripletsim.pulse_engine import (
     mw_unitary,
     pi_pulse,
     run_sequence,
+    simulate_field_odmr,
     simulate_pulsed_odmr,
     simulate_rabi,
     simulate_shelf_and_probe,
@@ -162,6 +164,14 @@ def test_mw_pulse_validation():
         pi_pulse(("x", "y"), 0.0)
 
 
+def test_optical_element_validation():
+    for element in (LaserPulse, ReadoutPulse):
+        for duration, intensity in ((-1e-6, 1.0), (math.inf, 1.0), (1e-6, -0.5),
+                                    (1e-6, math.nan), (1e-6, math.inf)):
+            with pytest.raises(InvalidParameterError):
+                element(duration, intensity)
+
+
 def test_rwa_warning_on_strong_drive():
     state = HybridState.ground()
     state.rho = np.diag([0.3, 0.3, 0.3]).astype(complex)
@@ -201,11 +211,11 @@ def test_population_conservation_through_random_sequences():
 
 def test_wait_populations_match_rate_model():
     state, _ = apply_elements([LaserPulse(15e-6)], SYSTEM)
-    pops_before = state.populations()
+    pops_before = state.populations().as_array()
     duration = 40e-6
     after, _ = apply_elements([Wait(duration)], SYSTEM, state)
-    expected = evolve_populations(SYSTEM.effective_rates, pops_before, duration, False)
-    assert np.max(np.abs(after.populations().as_array() - expected.as_array())) < 1e-12
+    expected, _ = evolve_populations(SYSTEM.effective_rates, pops_before, duration, False)
+    assert np.max(np.abs(after.populations().as_array() - expected)) < 1e-12
 
 
 def test_wait_damps_coherence_at_mean_decay_rate():
@@ -394,6 +404,39 @@ def test_multilevel_gate_cancels_off_resonance():
     single = simulate_pulsed_odmr(SYSTEM, np.array([f]), multilevel=False)[0]
     # the two prep pulses cancel exactly when the probe is off every line
     assert gated == pytest.approx(single, abs=5e-3)
+
+
+def test_field_odmr_matches_ode_oracle():
+    # every step of the swap protocol through the independent solve_ivp
+    # route; line positions are the tracked branches, tested in spin_model
+    b_values = np.array([0.0, 40e-3, 110e-3])
+    f_grid = np.linspace(0.6e9, 3.0e9, 97)
+    result = simulate_field_odmr(ZFS, RATES_4K, "x", b_values, f_grid)
+    delay = 3.0 * LIFETIMES_4K[1]
+    for n, b in enumerate(b_values):
+        rates = QubitSystem(zfs=ZFS, rates=RATES_4K, field=FieldVector.along("x", b)).effective_rates
+        on, off = rate_matrix(rates, True), rate_matrix(rates, False)
+
+        def readout(p):
+            return rate_ode_emission(on, rate_ode_solution(off, p, delay), 1e-6)[1]
+
+        init = rate_ode_solution(on, np.eye(5)[0], DEFAULT_INIT_DURATION)
+        reference = readout(init)
+        row = np.ones_like(f_grid)
+        for pair, (i, j) in zip(PAIRS, ((2, 3), (2, 4), (3, 4))):
+            swapped = init.copy()
+            swapped[[i, j]] = init[[j, i]]
+            x = (f_grid - result.spectrum.branches[pair][n]) / 20e6
+            row += (readout(swapped) / reference - 1.0) / (1.0 + x**2)
+        assert np.allclose(result.contrast[n], row, rtol=1e-7, atol=0.0)
+
+
+def test_field_odmr_zero_duration_readout_is_degenerate():
+    with pytest.raises(DegenerateReadoutError):
+        simulate_field_odmr(
+            ZFS, RATES_4K, "z", np.array([50e-3]), np.array([1.0e9]),
+            readout=ReadoutPulse(duration=0.0),
+        )
 
 
 # --- composite protocols ------------------------------------------------------
