@@ -3,9 +3,10 @@
     sim <experiment> [--config FILE] [--set key=value ...]
                      [--out PATH] [--format csv|json] [--seed N]
 
-Exit codes: 0 success, 1 configuration error, 2 runtime/physics error.
-Errors are emitted as one JSON object on stderr. Log verbosity comes
-from the TRIPLETSIM_LOG environment variable (debug, info, warning).
+Exit codes: 0 success, 1 configuration error, 2 runtime/physics error
+or any other unexpected failure. Errors are emitted as one JSON object
+on stderr. Log verbosity comes from the TRIPLETSIM_LOG environment
+variable (debug, info, warning).
 """
 
 from __future__ import annotations
@@ -93,6 +94,11 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except SimulationError as exc:
         _report_error("runtime", exc)
+        return 2
+    except Exception as exc:
+        # still one JSON line and no traceback; TRIPLETSIM_LOG=debug logs it
+        log.debug("unexpected error", exc_info=True)
+        _report_error("internal", exc)
         return 2
     return 0
 

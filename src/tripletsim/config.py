@@ -11,10 +11,13 @@ Precedence is defaults < config file < --set overrides < direct flags.
 from __future__ import annotations
 
 import json
+import math
+import os
 from dataclasses import dataclass
 from typing import Any
 
 from .errors import ConfigError
+from .fitting import MODELS
 
 EXPERIMENTS: dict[str, str] = {
     "spectrum": "Transition frequencies of the triplet at given static fields",
@@ -220,6 +223,16 @@ def _type_name(t: Any) -> str:
     return t.__name__
 
 
+def _finite_float(value: int | float, path: str) -> float:
+    try:
+        value = float(value)
+    except OverflowError:
+        raise ConfigError(f"{path}: number is out of the floating-point range") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{path}: must be a finite number, got {value}")
+    return value
+
+
 def _coerce_scalar(value: Any, spec: dict, path: str) -> Any:
     expected = spec.get("type", float)
     if value is None:
@@ -230,7 +243,7 @@ def _coerce_scalar(value: Any, spec: dict, path: str) -> Any:
         if isinstance(value, bool):
             raise ConfigError(f"{path}: expected a number, got a boolean")
         if isinstance(value, (int, float)):
-            value = float(value) if expected is float else value
+            value = _finite_float(value, path) if expected is float else value
         elif not isinstance(value, expected if isinstance(expected, tuple) else (expected,)):
             raise ConfigError(f"{path}: expected {_type_name(expected)}, got {type(value).__name__}")
     elif expected is int:
@@ -248,7 +261,7 @@ def _coerce_scalar(value: Any, spec: dict, path: str) -> Any:
             if elem_type is float:
                 if isinstance(item, bool) or not isinstance(item, (int, float)):
                     raise ConfigError(f"{path}[{k}]: expected a number, got {type(item).__name__}")
-                coerced.append(float(item))
+                coerced.append(_finite_float(item, f"{path}[{k}]"))
             else:
                 coerced.append(item)
         value = coerced
@@ -316,7 +329,7 @@ def _expand_preset(section: Any, presets: dict, default_preset: Any, path: str) 
     name = section.get("preset", default_preset)
     if name is None:
         return section
-    if name not in presets:
+    if not isinstance(name, str) or name not in presets:
         raise ConfigError(f"{path}.preset: {name!r} is not one of {sorted(presets)}")
     merged = {k: list(v) if isinstance(v, list) else v for k, v in presets[name].items()}
     merged.update({k: v for k, v in section.items() if k != "preset"})
@@ -336,7 +349,7 @@ def apply_overrides(raw: dict, assignments: list[str]) -> dict:
             raise ConfigError(f"--set expects a nonempty key, got {assignment!r}")
         try:
             value = json.loads(text)
-        except json.JSONDecodeError:
+        except ValueError:  # not JSON (or an integer past the conversion limit)
             value = text
         node = out
         parts = key.split(".")
@@ -358,7 +371,7 @@ def load_config_file(path: str) -> dict:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or undecodable bytes
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path} must contain a JSON object")
@@ -391,12 +404,27 @@ def _check_physics(sections: dict) -> None:
         raise ConfigError(
             f"coherence.eseem: a >= b >= 0 is required, got a={eseem['a']}, b={eseem['b']}"
         )
-    grid = sections["grid"]
-    if grid["values"] is None and grid["start"] is not None:
-        if grid["stop"] is None or grid["count"] is None:
-            raise ConfigError("grid: start, stop and count must be given together")
+    for key in ("grid", "field_grid"):
+        grid = sections[key]
+        if grid["values"] is not None:
+            if not grid["values"]:
+                raise ConfigError(f"{key}.values: must not be empty")
+            continue
+        bounds = (grid["start"], grid["stop"], grid["count"])
+        if all(b is None for b in bounds):
+            continue
+        if any(b is None for b in bounds):
+            raise ConfigError(f"{key}: start, stop and count must be given together")
         if grid["spacing"] == "log" and (grid["start"] <= 0.0 or grid["stop"] <= 0.0):
-            raise ConfigError("grid: log spacing needs start > 0 and stop > 0")
+            raise ConfigError(f"{key}: log spacing needs start > 0 and stop > 0")
+
+
+def _check_out(path: str) -> None:
+    if os.path.isdir(path):
+        raise ConfigError(f"out: {path!r} is a directory")
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        raise ConfigError(f"out: directory {parent!r} does not exist")
 
 
 def parse_config(
@@ -429,11 +457,17 @@ def parse_config(
         sections["seed"] = _coerce_scalar(seed, _SCHEMA["seed"], "seed")
     if out is not None:
         sections["out"] = out
+    if sections["out"] is not None:
+        _check_out(sections["out"])
     if fmt is not None:
         sections["format"] = _coerce_scalar(fmt, _SCHEMA["format"], "format")
     _check_physics(sections)
+    fit = sections["fit"]
+    if fit["model"] is not None and fit["model"] not in MODELS:
+        raise ConfigError(
+            f"fit.model: unknown model {fit['model']!r}; available: {sorted(MODELS)}"
+        )
     if sections["experiment"] == "fit":
-        fit = sections["fit"]
         if not fit["model"]:
             raise ConfigError("fit.model: required for the fit experiment")
         if not fit["input"]:

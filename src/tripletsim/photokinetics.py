@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import InvalidParameterError
 
@@ -191,6 +190,58 @@ def rate_matrix(rates: KineticRates, laser_on: bool, intensity: float = 1.0) -> 
     scale = max(1.0, float(np.max(np.abs(m))))
     assert float(col_sums.max()) <= 1e-12 * scale, "generator columns must sum to zero"
     return m
+
+
+#: Coefficients b_0..b_13 of the degree-13 Padé approximant (Higham 2005).
+_PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+#: Rows hold the coefficients of (I, A^2, A^4, A^6) in the four even
+#: polynomials W0..W3 with U = A (A^6 W0 + W1) and V = A^6 W2 + W3.
+_PADE13_TERMS = np.array(
+    [
+        [0.0, *_PADE13[9::2]],  # b9, b11, b13
+        _PADE13[1:9:2],  # b1, b3, b5, b7
+        [0.0, *_PADE13[8::2]],  # b8, b10, b12
+        _PADE13[0:8:2],  # b0, b2, b4, b6
+    ]
+)
+#: Largest 1-norm for which r_13 meets double-precision unit roundoff.
+_THETA13 = 5.371920351148152
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential by Padé-13 scaling and squaring.
+
+    Follows Higham, SIAM J. Matrix Anal. Appl. 26 (2005) 1179, but
+    carries the squaring phase as E = exp(A) - I, using
+    exp(2A) - I = 2E + E @ E. For a rate generator E stays small where
+    exp(A) is close to I, so the many squarings of a stiff window do
+    not wash out the exact zero column sums the way R <- R @ R does.
+    Like any backward-stable method it is accurate to about
+    eps * ||A||_1 in absolute terms.
+    """
+    a = np.asarray(a, dtype=float)
+    n = a.shape[0]
+    norm = float(np.abs(a).sum(axis=0).max(initial=0.0))
+    if not math.isfinite(norm):
+        raise InvalidParameterError("matrix exponential of a non-finite matrix")
+    s = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
+    a = a / 2.0**s
+    ident = np.eye(n)
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    w = (_PADE13_TERMS @ np.array((ident, a2, a4, a6)).reshape(4, n * n)).reshape(4, n, n)
+    u = a @ (a6 @ w[0] + w[1])
+    v = a6 @ w[2] + w[3]
+    # r_13 - I = (V - U)^-1 (V + U) - I = (V - U)^-1 (2U)
+    e = np.linalg.solve(v - u, 2.0 * u)
+    for _ in range(s):
+        e = 2.0 * e + e @ e
+    return e + ident
 
 
 @lru_cache(maxsize=512)

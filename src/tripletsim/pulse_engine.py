@@ -18,13 +18,13 @@ to strain the rotating-wave approximation.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import expm
 
 from .coherence import CoherenceModel, _gauss_nodes, echo_envelope
 from .errors import (
@@ -281,20 +281,20 @@ def mw_unitary(
     """3x3 rotation with the driven two-level block U = expm(-i*2*pi*H2*t).
 
     H2 = 0.5*[[-detuning, rabi*exp(-i*phase)], [rabi*exp(i*phase), detuning]]
-    in Hz, acting on the (lower, upper) labels of `transition`.
+    in Hz, acting on the (lower, upper) labels of `transition`. U is the
+    closed-form SU(2) rotation by theta = pi*W*t about the axis of H2,
+    with W = hypot(rabi, detuning) the generalized Rabi frequency.
     """
     i, j = sorted(_LABEL_INDEX[t] for t in transition)
-    h2 = 0.5 * np.array(
-        [
-            [-detuning, rabi_freq * np.exp(-1j * phase)],
-            [rabi_freq * np.exp(1j * phase), detuning],
-        ],
-        dtype=complex,
-    )
-    u2 = expm(-2j * np.pi * h2 * duration)
+    w = math.hypot(rabi_freq, detuning)
+    theta = math.pi * w * duration
+    sn = math.sin(theta) / w if w > 0.0 else 0.0
+    cs = math.cos(theta)
+    off = -1j * rabi_freq * sn
+    rot = cmath.exp(1j * phase)
     u = np.eye(3, dtype=complex)
-    u[i, i], u[i, j] = u2[0, 0], u2[0, 1]
-    u[j, i], u[j, j] = u2[1, 0], u2[1, 1]
+    u[i, i], u[i, j] = cs + 1j * detuning * sn, off * rot.conjugate()
+    u[j, i], u[j, j] = off * rot, cs - 1j * detuning * sn
     return u
 
 

@@ -1,12 +1,22 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from tripletsim import cli
+from tripletsim.config import _SCHEMA
 from tripletsim.trace import parse_trace
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(*args, env_extra=None, cwd=None):
@@ -198,3 +208,163 @@ def test_out_with_json_round_trips(tmp_path):
     assert sorted(record.column("frequency")) == pytest.approx(
         [950.0, 1430.0, 2380.0], rel=1e-9
     )
+
+
+def test_no_sim_command_imports_scipy(tmp_path):
+    # every simulation experiment plus a fit, in one fresh interpreter
+    script = textwrap.dedent(
+        """
+        import json, sys
+        from tripletsim import cli
+        from tripletsim.config import EXPERIMENTS
+
+        out = sys.argv[1]
+        codes = {}
+        for name in EXPERIMENTS:
+            if name != "fit":
+                field = ("nmr-correlation", "deer")
+                extra = ["--set", "field.magnitude=190"] if name in field else []
+                codes[name] = cli.main([name, *extra, "--out", f"{out}/{name}.csv"])
+        codes["fit"] = cli.main([
+            "fit", "--set", "fit.model=triple_exponential", "--set", f"fit.input={out}/t1.csv",
+            "--set", "fit.y_column=triplet", "--out", f"{out}/fit.csv",
+        ])
+        scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        print(json.dumps({"codes": codes, "scipy": scipy}))
+        """
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert len(result["codes"]) == 12
+    assert set(result["codes"].values()) == {0}, result["codes"]
+    assert result["scipy"] == []
+
+
+def assert_one_json_error(proc, code, kind):
+    assert proc.returncode == code
+    assert proc.stdout == b""
+    assert b"Traceback" not in proc.stderr
+    lines = proc.stderr.decode().splitlines()
+    assert len(lines) == 1, lines
+    assert json.loads(lines[0])["error"] == kind
+    return json.loads(lines[0])
+
+
+@pytest.mark.parametrize(
+    "args, needle",
+    [
+        (("field-odmr", "--set", "field_grid.start=0"), "given together"),
+        (
+            (
+                "field-odmr",
+                "--set", "field_grid.start=0",
+                "--set", "field_grid.stop=100",
+                "--set", "field_grid.count=11",
+                "--set", "field_grid.spacing=log",
+            ),
+            "log spacing",
+        ),
+        (("odmr", "--set", "grid.values=[]"), "must not be empty"),
+        (("field-odmr", "--set", "field_grid.values=[]"), "must not be empty"),
+        (("spectrum", "--set", "field.magnitude=NaN"), "finite"),
+        (("t1", "--set", "kinetics.pump_rate=NaN"), "finite"),
+        (("t1", "--set", "kinetics.pump_rate=-Infinity"), "finite"),
+        (("echo", "--set", "coherence.t2=Infinity"), "finite"),
+        (("t1", "--out", "/nonexistent-dir/x.csv"), "does not exist"),
+        (("fit", "--set", "fit.model=bogus", "--set", "fit.input=x.csv"), "available:"),
+    ],
+)
+def test_boundary_inputs_are_config_errors(args, needle):
+    err = assert_one_json_error(run_cli(*args), 1, "config")
+    assert needle in err["message"]
+
+
+def test_non_finite_number_in_config_file(tmp_path):
+    conf = tmp_path / "conf.json"
+    conf.write_text('{"field": {"magnitude": NaN}}')
+    err = assert_one_json_error(run_cli("spectrum", "--config", str(conf)), 1, "config")
+    assert "field.magnitude" in err["message"]
+
+
+def run_main(argv):
+    """cli.main in-process: (exit code, stdout bytes, stderr text)."""
+    out, err = io.TextIOWrapper(io.BytesIO()), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    out.flush()
+    return code, out.buffer.getvalue(), err.getvalue()
+
+
+def test_unexpected_error_is_one_internal_json_line(monkeypatch):
+    def boom(config):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "run_experiment", boom)
+    code, out, err = run_main(["t1"])
+    assert code == 2
+    assert out == b""
+    assert json.loads(err) == {"error": "internal", "type": "RuntimeError", "message": "boom"}
+    assert len(err.splitlines()) == 1
+
+
+def _schema_paths(schema, prefix=""):
+    for key, spec in schema.items():
+        yield prefix + key
+        if "nested" in spec:
+            yield from _schema_paths(spec["nested"], f"{prefix}{key}.")
+
+
+# JSON texts and bare strings: plausible values, edge values and hostile
+# ones, with every integer small so that no draw can ask for a huge grid
+_FUZZ_VALUES = (
+    "0", "1", "-1", "2", "3", "0.001", "0.5", "10", "190", "-2.5", "1e300", "-1e-300",
+    "1e999", "NaN", "Infinity", "-Infinity", "null", "true", "false", "abc", '"log"',
+    "4K", "295K", "[]", "[1]", "[0, 2.5, 3]", '["a"]', "[NaN]", "{}", '{"a": 1}',
+    '{"preset": null}',
+)
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    experiment=st.sampled_from(("spectrum", "t1", "echo", "dd-scaling")),
+    assignments=st.lists(
+        st.tuples(
+            st.sampled_from(sorted(_schema_paths(_SCHEMA)) + ["zfs.q", "grid.start.x"]),
+            st.sampled_from(_FUZZ_VALUES),
+        ),
+        min_size=1,
+        max_size=2,
+    ),
+)
+@example(experiment="t1", assignments=[("kinetics.preset", "[]")])
+@example(experiment="spectrum", assignments=[("dd.preset", '{"a": 1}')])
+@example(experiment="spectrum", assignments=[("gamma", "1e300"), ("field.magnitude", "1")])
+def test_fuzz_overrides_keep_the_error_contract(experiment, assignments, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # a fuzzed `out` writes here
+    argv = [experiment]
+    for path, value in assignments:
+        argv += ["--set", f"{path}={value}"]
+    code, out, err = run_main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err and b"Traceback" not in out
+    if code == 0:
+        if out:
+            parse_trace(out)
+    else:
+        assert out == b""
+        lines = err.splitlines()
+        assert len(lines) == 1, lines
+        # "internal" would mean an input slipped past both validation layers
+        assert json.loads(lines[0])["error"] in ("config", "runtime"), lines[0]

@@ -230,3 +230,46 @@ def test_load_config_file(tmp_path):
         load_config_file(str(arr))
     with pytest.raises(ConfigError, match="cannot read"):
         load_config_file(str(tmp_path / "missing.json"))
+
+
+@pytest.mark.parametrize("key", ["grid", "field_grid"])
+def test_grid_sections_share_their_checks(key):
+    with pytest.raises(ConfigError, match=f"{key}: start, stop and count"):
+        parse({key: {"start": 0.0}})
+    with pytest.raises(ConfigError, match=f"{key}: start, stop and count"):
+        parse({key: {"stop": 10.0, "count": 5}})
+    with pytest.raises(ConfigError, match=f"{key}: log spacing"):
+        parse({key: {"start": 0.0, "stop": 10.0, "count": 5, "spacing": "log"}})
+    with pytest.raises(ConfigError, match=rf"{key}\.values: must not be empty"):
+        parse({key: {"values": []}})
+    cfg = parse({key: {"start": 1.0, "stop": 10.0, "count": 5, "spacing": "log"}})
+    assert cfg[key]["count"] == 5
+
+
+def test_non_finite_numbers_are_rejected():
+    for text in ("NaN", "Infinity", "-Infinity", "1e999"):
+        raw = apply_overrides({}, [f"field.magnitude={text}"])
+        with pytest.raises(ConfigError, match="field.magnitude: must be a finite number"):
+            parse(raw)
+    with pytest.raises(ConfigError, match=r"kinetics\.lifetimes\[1\]: must be a finite"):
+        parse({"kinetics": {"lifetimes": [1.0, float("nan"), 2.0]}})
+    with pytest.raises(ConfigError, match="out of the floating-point range"):
+        parse({"gamma": 10**400})
+
+
+def test_unknown_fit_model_lists_the_registered_ones():
+    with pytest.raises(ConfigError, match=r"fit.model: unknown model 'bogus'; available: \["):
+        parse_config({"fit": {"model": "bogus", "input": "trace.csv"}}, experiment="fit")
+
+
+def test_out_must_name_a_file_in_an_existing_directory(tmp_path):
+    with pytest.raises(ConfigError, match="does not exist"):
+        parse(out=str(tmp_path / "absent" / "x.csv"))
+    with pytest.raises(ConfigError, match="is a directory"):
+        parse({"out": str(tmp_path)})
+    assert parse(out=str(tmp_path / "x.csv")).out == str(tmp_path / "x.csv")
+
+
+def test_preset_must_be_a_name():
+    with pytest.raises(ConfigError, match="kinetics.preset"):
+        parse({"kinetics": {"preset": ["4K"]}})

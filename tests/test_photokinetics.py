@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from oracles import rate_ode_emission, rate_ode_solution
 from tripletsim.errors import InvalidParameterError
@@ -8,6 +9,7 @@ from tripletsim.photokinetics import (
     LevelPopulations,
     dark_initial_state,
     evolve_populations,
+    expm,
     isc_branching_from_steady_state,
     polarization_response,
     rate_matrix,
@@ -149,6 +151,47 @@ def test_t1_curve_matches_full_rate_model():
         full, _ = evolve_populations(rates, d0.as_array(), t, laser_on=False)
         closed = t1_relaxation_curve(rates, np.array([t]))[0]
         assert closed == pytest.approx(full[0] + full[1], abs=1e-12)
+
+
+def _augmented(rates, laser_on, duration):
+    a = np.zeros((6, 6))
+    a[:5, :5] = rate_matrix(rates, laser_on)
+    a[5, 1] = 1.0
+    return a * duration
+
+
+WINDOWS = (0.0, 1e-9, 1e-7, 1e-6, 1e-5, 1e-4, 4e-4, 1e-3, 2e-3)
+
+
+@pytest.mark.parametrize("laser_on", [False, True])
+def test_expm_matches_scipy_on_augmented_generators(laser_on):
+    # A backward-stable expm is accurate to about eps * ||A||_1 and no
+    # better. With the laser on (pump and S1 decay 1e8/s) ||A t||_1
+    # reaches 4e5 at 2 ms, where scipy and this expm both sit ~1e-12 from
+    # a 60-digit reference and miss exact conservation by up to 4e-12.
+    # Dark windows have the same stiff S1 decay, yet there this expm stays
+    # within 1e-15 of the reference (scipy within 2.2e-13), so they keep
+    # the fixed bounds: 1e-12 against scipy and 1e-14 on conservation.
+    eps = np.finfo(float).eps
+    for rates in (rates_4k(), rates_rt()):
+        for t in WINDOWS:
+            a = _augmented(rates, laser_on, t)
+            ours = expm(a)
+            norm = float(np.abs(a).sum(axis=0).max())
+            gap = np.max(np.abs(ours - scipy.linalg.expm(a)))
+            assert gap <= (max(1e-12, eps * norm) if laser_on else 1e-12), (t, gap)
+            conservation = np.max(np.abs(ours[:5, :5].sum(axis=0) - 1.0))
+            limit = max(1e-14, eps * norm) if laser_on else 1e-14
+            assert conservation <= limit, (t, conservation)
+            assert np.all(ours[5, :5] >= 0.0)
+    assert np.array_equal(expm(np.zeros((6, 6))), np.eye(6))
+
+
+def test_expm_rejects_non_finite_input():
+    a = _augmented(rates_4k(), True, 1e-6)
+    a[0, 0] = np.nan
+    with pytest.raises(InvalidParameterError, match="non-finite"):
+        expm(a)
 
 
 def test_level_populations_validation():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from oracles import rate_ode_emission, rate_ode_solution, two_level_rotation
 from tripletsim.errors import (
@@ -93,6 +94,33 @@ def test_mw_unitary_is_unitary():
             rng.normal(scale=1e6),
         )
         assert np.max(np.abs(u @ u.conj().T - np.eye(3))) < 1e-12
+
+
+def test_mw_unitary_matches_scipy_expm():
+    # the closed form against expm(-2*pi*i*H2*t), rotation angles up to 2*pi,
+    # including zero drive, zero detuning and zero duration
+    rng = np.random.default_rng(10)
+    cases = [
+        (0.0, 1e-6, 0.3, 2e6),
+        (5e6, 1e-7, 1.1, 0.0),
+        (5e6, 0.0, 0.2, 1e6),
+        (0.0, 0.0, 0.0, 0.0),
+    ]
+    for _ in range(300):
+        rabi, detuning = rng.uniform(0.0, 2e7), rng.uniform(-2e7, 2e7)
+        duration = rng.uniform(0.0, 2.0 / np.hypot(rabi, detuning))
+        cases.append((rabi, duration, rng.uniform(-np.pi, np.pi), detuning))
+    for k, (rabi, duration, phase, detuning) in enumerate(cases):
+        pair = PAIRS[k % 3]
+        h2 = 0.5 * np.array(
+            [[-detuning, rabi * np.exp(-1j * phase)], [rabi * np.exp(1j * phase), detuning]]
+        )
+        ref = embedded(scipy.linalg.expm(-2j * np.pi * h2 * duration), pair)
+        u = mw_unitary(pair, rabi, duration, phase, detuning)
+        assert np.max(np.abs(u - ref)) <= 1e-14, (rabi, duration, phase, detuning)
+        assert np.max(np.abs(u @ u.conj().T - np.eye(3))) <= 1e-14
+    assert np.array_equal(mw_unitary(("x", "y"), 5e6, 0.0, 0.4, 1e6), np.eye(3))
+    assert np.array_equal(mw_unitary(("x", "y"), 0.0, 1e-6, 0.4, 0.0), np.eye(3))
 
 
 def test_rotation_composition_is_exact():
