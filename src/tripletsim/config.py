@@ -56,13 +56,29 @@ COHERENCE_PRESETS: dict[str, dict[str, Any]] = {
     },
 }
 
-_GRID_SPEC = {
-    "start": {"type": float, "nullable": True, "default": None},
-    "stop": {"type": float, "nullable": True, "default": None},
-    "count": {"type": int, "nullable": True, "default": None, "min": 2},
-    "spacing": {"type": str, "default": "linear", "choices": ("linear", "log")},
-    "values": {"type": list, "nullable": True, "default": None, "element": float},
-}
+#: Upper bounds on grid sizes, phase samples and fields (mT). They stop a
+#: single value from asking for an array beyond memory or a frequency
+#: beyond the float range; sizes that multiply (the two grids of a field
+#: map, a phase average over a grid) are not bounded jointly.
+MAX_GRID_COUNT = 10**6
+MAX_FIELD_GRID_COUNT = 10**4
+MAX_PHASE_SAMPLES = 10**4
+MAX_FIELD_MT = 1.0e5
+
+_FIELD_RANGE = {"min": -MAX_FIELD_MT, "max": MAX_FIELD_MT}
+
+
+def _grid_spec(max_count: int) -> dict[str, Any]:
+    # spacing stays None when unset, so the runner can tell an explicit
+    # setting from the experiment's default
+    return {
+        "start": {"type": float, "nullable": True, "default": None},
+        "stop": {"type": float, "nullable": True, "default": None},
+        "count": {"type": int, "nullable": True, "default": None, "min": 2, "max": max_count},
+        "spacing": {"type": str, "nullable": True, "default": None, "choices": ("linear", "log")},
+        "values": {"type": list, "nullable": True, "default": None, "element": float},
+    }
+
 
 _SCHEMA: dict[str, Any] = {
     "experiment": {"type": str, "nullable": True, "default": None, "choices": tuple(EXPERIMENTS)},
@@ -79,10 +95,10 @@ _SCHEMA: dict[str, Any] = {
     "field": {
         "nested": {
             "axis": {"type": str, "default": "z", "choices": ("x", "y", "z")},
-            "magnitude": {"type": float, "default": 0.0},
-            "bx": {"type": float, "nullable": True, "default": None},
-            "by": {"type": float, "nullable": True, "default": None},
-            "bz": {"type": float, "nullable": True, "default": None},
+            "magnitude": {"type": float, "default": 0.0, **_FIELD_RANGE},
+            "bx": {"type": float, "nullable": True, "default": None, **_FIELD_RANGE},
+            "by": {"type": float, "nullable": True, "default": None, **_FIELD_RANGE},
+            "bz": {"type": float, "nullable": True, "default": None, **_FIELD_RANGE},
         }
     },
     "kinetics": {
@@ -153,7 +169,7 @@ _SCHEMA: dict[str, Any] = {
             "amplitude": {"type": float, "default": 1.34e-3, "min": 0.0},
             "frequency": {"type": float, "default": 0.1, "min_exclusive": 0.0},
             "phase": {"type": float, "nullable": True, "default": None},
-            "phase_samples": {"type": int, "default": 64, "min": 1},
+            "phase_samples": {"type": int, "default": 64, "min": 1, "max": MAX_PHASE_SAMPLES},
             "sampling": {"type": str, "default": "grid", "choices": ("grid", "random")},
         }
     },
@@ -188,8 +204,8 @@ _SCHEMA: dict[str, Any] = {
             "linewidth": {"type": float, "default": 20.0, "min_exclusive": 0.0},
         }
     },
-    "grid": {"nested": _GRID_SPEC},
-    "field_grid": {"nested": _GRID_SPEC},
+    "grid": {"nested": _grid_spec(MAX_GRID_COUNT)},
+    "field_grid": {"nested": _grid_spec(MAX_FIELD_GRID_COUNT)},
     "fit": {
         "nested": {
             "model": {"type": str, "nullable": True, "default": None},
@@ -417,6 +433,12 @@ def _check_physics(sections: dict) -> None:
             raise ConfigError(f"{key}: start, stop and count must be given together")
         if grid["spacing"] == "log" and (grid["start"] <= 0.0 or grid["stop"] <= 0.0):
             raise ConfigError(f"{key}: log spacing needs start > 0 and stop > 0")
+    field_grid = sections["field_grid"]
+    fields = [("start", field_grid["start"]), ("stop", field_grid["stop"])]
+    fields += [(f"values[{k}]", b) for k, b in enumerate(field_grid["values"] or ())]
+    for name, b in fields:
+        if b is not None and abs(b) > MAX_FIELD_MT:
+            raise ConfigError(f"field_grid.{name}: must lie within +-{MAX_FIELD_MT:g} mT, got {b}")
 
 
 def _check_out(path: str) -> None:

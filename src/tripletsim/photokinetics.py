@@ -13,6 +13,7 @@ Rates are 1/s throughout. Populations are occupation probabilities.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -166,30 +167,44 @@ def isc_branching_from_steady_state(
     return (float(b[0]), float(b[1]), float(b[2]))
 
 
-def rate_matrix(rates: KineticRates, laser_on: bool, intensity: float = 1.0) -> np.ndarray:
-    """Generator M of dp/dt = M p, with columns summing to zero."""
+def _generators(
+    rates: Sequence[KineticRates], laser_on: bool, intensity: float
+) -> np.ndarray:
+    """Augmented (N, 6, 6) generators, one per rate set.
+
+    The top-left 5x5 block is the generator M of dp/dt = M p; row 5
+    accumulates the time integral of p_S1.
+    """
     if intensity < 0.0 or not math.isfinite(intensity):
         raise InvalidParameterError(f"intensity must be >= 0, got {intensity!r}")
-    pump = rates.pump_rate * intensity if laser_on else 0.0
-    k_s1 = rates.s1_decay_rate
-    y = rates.isc_yield
-    m = np.zeros((5, 5))
+    pump = np.array([r.pump_rate * intensity if laser_on else 0.0 for r in rates])
+    k_s1 = np.array([r.s1_decay_rate for r in rates])
+    y = np.array([r.isc_yield for r in rates])
+    decay = 1.0 / np.array([r.triplet_lifetimes for r in rates]).reshape(-1, 3)
+    branching = np.array([r.isc_branching for r in rates]).reshape(-1, 3)
+    a = np.zeros((len(rates), 6, 6))
     # S0 -> S1 pumping
-    m[0, 0] -= pump
-    m[1, 0] += pump
+    a[:, 0, 0] -= pump
+    a[:, 1, 0] += pump
     # S1 decay: fluorescence back to S0 plus ISC into the sublevels
-    m[1, 1] -= k_s1
-    m[0, 1] += (1.0 - y) * k_s1
-    for i in range(3):
-        m[2 + i, 1] += y * k_s1 * rates.isc_branching[i]
+    a[:, 1, 1] -= k_s1
+    a[:, 0, 1] += (1.0 - y) * k_s1
+    a[:, 2:5, 1] += (y * k_s1)[:, None] * branching
     # sublevel-selective triplet decay to S0
-    for i, tau in enumerate(rates.triplet_lifetimes):
-        m[2 + i, 2 + i] -= 1.0 / tau
-        m[0, 2 + i] += 1.0 / tau
-    col_sums = np.abs(m.sum(axis=0))
-    scale = max(1.0, float(np.max(np.abs(m))))
-    assert float(col_sums.max()) <= 1e-12 * scale, "generator columns must sum to zero"
-    return m
+    sub = np.arange(2, 5)
+    a[:, sub, sub] -= decay
+    a[:, 0, 2:5] += decay
+    a[:, 5, _S1] = 1.0
+    m = a[:, :5, :5]
+    col_sums = np.abs(m.sum(axis=-2)).max(axis=-1, initial=0.0)
+    scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1), initial=0.0))
+    assert np.all(col_sums <= 1e-12 * scale), "generator columns must sum to zero"
+    return a
+
+
+def rate_matrix(rates: KineticRates, laser_on: bool, intensity: float = 1.0) -> np.ndarray:
+    """Generator M of dp/dt = M p, with columns summing to zero."""
+    return _generators((rates,), laser_on, intensity)[0, :5, :5].copy()
 
 
 #: Coefficients b_0..b_13 of the degree-13 Padé approximant (Higham 2005).
@@ -222,39 +237,77 @@ def expm(a: np.ndarray) -> np.ndarray:
     not wash out the exact zero column sums the way R <- R @ R does.
     Like any backward-stable method it is accurate to about
     eps * ||A||_1 in absolute terms.
+
+    `a` may be a single (n, n) matrix or a (..., n, n) stack; each matrix
+    of a stack gets its own scaling exponent, so it comes out exactly as
+    it would alone.
     """
     a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    norm = float(np.abs(a).sum(axis=0).max(initial=0.0))
-    if not math.isfinite(norm):
+    shape, n = a.shape, a.shape[-1]
+    a = a.reshape(-1, n, n)
+    norm = np.abs(a).sum(axis=-2).max(axis=-1, initial=0.0)
+    if not np.all(np.isfinite(norm)):
         raise InvalidParameterError("matrix exponential of a non-finite matrix")
-    s = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
-    a = a / 2.0**s
+    # s = ceil(log2(norm / theta)) where norm > theta, else 0; frexp is exact
+    mantissa, exponent = np.frexp(norm / _THETA13)
+    s = np.where(norm > _THETA13, exponent - (mantissa == 0.5), 0)
+    a = a / np.ldexp(1.0, s)[:, None, None]
     ident = np.eye(n)
     a2 = a @ a
     a4 = a2 @ a2
     a6 = a4 @ a2
-    w = (_PADE13_TERMS @ np.array((ident, a2, a4, a6)).reshape(4, n * n)).reshape(4, n, n)
-    u = a @ (a6 @ w[0] + w[1])
-    v = a6 @ w[2] + w[3]
+    powers = np.stack((np.broadcast_to(ident, a.shape), a2, a4, a6), axis=1)
+    w = (_PADE13_TERMS @ powers.reshape(-1, 4, n * n)).reshape(-1, 4, n, n)
+    u = a @ (a6 @ w[:, 0] + w[:, 1])
+    v = a6 @ w[:, 2] + w[:, 3]
     # r_13 - I = (V - U)^-1 (V + U) - I = (V - U)^-1 (2U)
     e = np.linalg.solve(v - u, 2.0 * u)
-    for _ in range(s):
-        e = 2.0 * e + e @ e
-    return e + ident
+    for k in range(int(s.max(initial=0))):
+        sq = s > k
+        e[sq] = 2.0 * e[sq] + e[sq] @ e[sq]
+    return (e + ident).reshape(shape)
+
+
+def propagators(
+    rates: Sequence[KineticRates], duration: float, laser_on: bool, intensity: float = 1.0
+) -> np.ndarray:
+    """Augmented (N, 6, 6) propagators over `duration`, one per rate set.
+
+    Row 5 of each maps the (S0, S1, Tx, Ty, Tz, 0) state to the integral
+    of p_S1 over the interval; see :func:`propagate`.
+    """
+    if duration < 0.0:
+        raise InvalidParameterError(f"duration must be >= 0, got {duration!r}")
+    return expm(_generators(rates, laser_on, intensity) * duration)
 
 
 @lru_cache(maxsize=512)
 def _propagator(
     rates: KineticRates, duration: float, laser_on: bool, intensity: float
 ) -> np.ndarray:
-    # Augmented generator: row 5 accumulates the time integral of p_S1.
-    a = np.zeros((6, 6))
-    a[:5, :5] = rate_matrix(rates, laser_on, intensity)
-    a[5, _S1] = 1.0
-    p = expm(a * duration)
+    p = propagators((rates,), duration, laser_on, intensity)[0]
     p.setflags(write=False)
     return p
+
+
+def propagate(prop: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Apply augmented propagators (..., 6, 6) to populations (..., 5).
+
+    The two shapes broadcast against each other. Returns the propagated
+    populations and the integrated S1 occupancy over the interval. That
+    integral is proportional to the collected fluorescence; the constant
+    radiative rate cancels from any contrast ratio, so it is left out.
+    The generator conserves total population exactly, so a sum off 1 by
+    more than 1e-6 (or a population below -1e-6) is a real error and
+    raises InvalidParameterError.
+    """
+    p = np.asarray(p, dtype=float)
+    augmented = np.concatenate((p, np.zeros(p.shape[:-1] + (1,))), axis=-1)
+    out = (prop @ augmented[..., None])[..., 0]
+    pops = out[..., :5]
+    if np.any(np.abs(pops.sum(axis=-1) - 1.0) > 1e-6) or np.any(pops < -1e-6):
+        raise InvalidParameterError(f"propagation lost population conservation: {pops}")
+    return pops, out[..., 5]
 
 
 def evolve_populations(
@@ -267,19 +320,10 @@ def evolve_populations(
     """Propagate (S0, S1, Tx, Ty, Tz) populations for `duration` seconds.
 
     Returns the propagated length-5 array and the integrated S1 occupancy
-    over the interval. That integral is proportional to the collected
-    fluorescence; the constant radiative rate cancels from any contrast
-    ratio, so it is left out. The generator conserves total population
-    exactly, so a sum off 1 by more than 1e-6 (or a population below
-    -1e-6) is a real error and raises InvalidParameterError.
+    over the interval, with the conservation check of :func:`propagate`.
     """
-    if duration < 0.0:
-        raise InvalidParameterError(f"duration must be >= 0, got {duration!r}")
-    out = _propagator(rates, float(duration), laser_on, float(intensity)) @ np.append(p, 0.0)
-    pops = out[:5]
-    if abs(float(pops.sum()) - 1.0) > 1e-6 or np.any(pops < -1e-6):
-        raise InvalidParameterError(f"propagation lost population conservation: {pops}")
-    return pops, float(out[5])
+    pops, emission = propagate(_propagator(rates, float(duration), laser_on, float(intensity)), p)
+    return pops, float(emission)
 
 
 def steady_state(rates: KineticRates, intensity: float = 1.0) -> LevelPopulations:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -32,9 +33,16 @@ from .errors import (
     InvalidParameterError,
     ProtocolViolationError,
 )
-from .photokinetics import KineticRates, LevelPopulations, evolve_populations
+from .photokinetics import (
+    KineticRates,
+    LevelPopulations,
+    evolve_populations,
+    propagate,
+    propagators,
+)
 from .spin_model import (
     TRANSITION_PAIRS,
+    ZERO_FIELD_LABELS,
     FieldVector,
     GyroRatio,
     SweepSpectrum,
@@ -248,27 +256,32 @@ class QubitSystem:
     @cached_property
     def effective_rates(self) -> KineticRates:
         """Sublevel kinetics mixed into the labeled eigenbasis."""
-        eig = self.eigen
-        tau0 = np.asarray(self.rates.triplet_lifetimes)
-        b0 = np.asarray(self.rates.isc_branching)
-        lifetimes = []
-        branching = []
-        for label in ("x", "y", "z"):
-            w = np.abs(eig.state_of(label)) ** 2
-            lifetimes.append(1.0 / float(np.sum(w / tau0)))
-            branching.append(float(np.sum(w * b0)))
-        total = sum(branching)
-        branching = tuple(b / total for b in branching)
-        return replace(
-            self.rates,
-            triplet_lifetimes=tuple(lifetimes),
-            isc_branching=branching,
-        )
+        return _mix_into_eigenbasis(self.rates, (self.eigen,))[0]
 
     @cached_property
     def decay_rates(self) -> np.ndarray:
         """Per-label triplet decay rates 1/tau, ordered (x, y, z)."""
         return 1.0 / np.asarray(self.effective_rates.triplet_lifetimes)
+
+
+def _mix_into_eigenbasis(
+    rates: KineticRates, eigs: Sequence[TripletEigensystem]
+) -> list[KineticRates]:
+    """Sublevel kinetics mixed into each labeled eigenbasis.
+
+    With w the squared overlaps of an eigenstate with the zero-field
+    sublevels, its lifetime is 1/sum(w/tau) and its ISC branching is
+    sum(w*b), renormalized over the three eigenstates.
+    """
+    states = np.array([[e.state_of(lab) for lab in ZERO_FIELD_LABELS] for e in eigs])
+    w = np.abs(states.reshape(-1, 3, 3)) ** 2
+    lifetimes = 1.0 / (w / np.asarray(rates.triplet_lifetimes)).sum(axis=-1)
+    branching = (w * np.asarray(rates.isc_branching)).sum(axis=-1)
+    branching = branching / branching.sum(axis=-1, keepdims=True)
+    return [
+        replace(rates, triplet_lifetimes=tuple(t), isc_branching=tuple(b))
+        for t, b in zip(lifetimes.tolist(), branching.tolist())
+    ]
 
 
 def mw_unitary(
@@ -586,37 +599,48 @@ def simulate_field_odmr(
     """ODMR contrast map versus field magnitude along one molecular axis.
 
     Line positions come from the eigenvector-tracked transition branches.
-    Line amplitudes use an incoherent swap protocol run through the
-    engine: at each field the system is initialized by a laser pulse,
-    the addressed pair's populations are swapped (ideal pi pulse), and
-    the readout after the relaxation delay, over the readout of the
-    unswapped state, gives the line's contrast amplitude. Each line is
-    painted with a unit-peak Lorentzian of HWHM `linewidth`; amplitudes
-    from the three lines add. A vanishing reference readout raises
-    DegenerateReadoutError.
+    Line amplitudes use an incoherent swap protocol, run for all fields
+    at once: each field's system is initialized by a laser pulse, the
+    addressed pair's populations are swapped (ideal pi pulse), and the
+    readout after the relaxation delay, over the readout of the
+    unswapped state, gives the line's contrast amplitude. The kinetics at
+    each field are the sublevel rates mixed into its eigenstates, labeled
+    by zero-field character as in :attr:`QubitSystem.effective_rates`.
+    Each line is painted with a unit-peak Lorentzian of HWHM `linewidth`;
+    amplitudes from the three lines add. A vanishing reference readout
+    raises DegenerateReadoutError.
     """
     b_values = np.atleast_1d(np.asarray(b_values, dtype=float))
     f_grid = np.asarray(f_grid, dtype=float)
     if linewidth <= 0.0:
         raise InvalidParameterError(f"linewidth must be > 0, got {linewidth!r}")
     spectrum = field_sweep_spectrum(zfs, axis, b_values, gamma)
+    mixed = _mix_into_eigenbasis(rates, spectrum.eigensystems)
+    init = LaserPulse(init_duration)
+    wait = Wait(
+        default_readout_delay(QubitSystem(zfs=zfs, rates=rates))
+        if readout_delay is None
+        else readout_delay
+    )
+    laser = propagators(mixed, init.duration, True, init.intensity)
+    dark = propagators(mixed, wait.duration, False)
+    read = propagators(mixed, readout.duration, True, readout.intensity)
+    initialized, _ = propagate(laser, np.eye(5)[0])
+    # per field: the unswapped reference, then one state per swapped pair
+    states = np.repeat(initialized[:, None, :], 1 + len(TRANSITION_PAIRS), axis=1)
+    for k, pair in enumerate(TRANSITION_PAIRS, start=1):
+        i, j = (2 + _LABEL_INDEX[t] for t in pair)
+        states[:, k, [i, j]] = initialized[:, [j, i]]
+    relaxed, _ = propagate(dark[:, None], states)
+    _, emission = propagate(read[:, None], relaxed)
+    reference = emission[:, :1]
+    if np.any(reference <= 0.0):
+        raise DegenerateReadoutError("reference emission vanished in field-ODMR protocol")
+    amplitude = emission[:, 1:] / reference - 1.0
     contrast = np.ones((b_values.size, f_grid.size))
-    for n, b in enumerate(b_values):
-        system = QubitSystem(zfs=zfs, rates=rates, field=FieldVector.along(axis, b), gamma=gamma)
-        delay = default_readout_delay(system) if readout_delay is None else readout_delay
-        relax_and_read = (Wait(delay), readout)
-        init, _ = apply_elements((LaserPulse(init_duration),), system)
-        _, (reference,) = apply_elements(relax_and_read, system, init)
-        if reference <= 0.0:
-            raise DegenerateReadoutError("reference emission vanished in field-ODMR protocol")
-        for pair in TRANSITION_PAIRS:
-            i, j = (_LABEL_INDEX[t] for t in pair)
-            swapped = init.copy()
-            swapped.rho[[i, j], [i, j]] = init.rho[[j, i], [j, i]]
-            _, (signal,) = apply_elements(relax_and_read, system, swapped)
-            amplitude = signal / reference - 1.0
-            x = (f_grid - spectrum.branches[pair][n]) / linewidth
-            contrast[n] += amplitude / (1.0 + x**2)
+    for k, pair in enumerate(TRANSITION_PAIRS):
+        x = (f_grid - spectrum.branches[pair][:, None]) / linewidth
+        contrast += amplitude[:, k, None] / (1.0 + x**2)
     return FieldOdmrMap(field=b_values, frequency=f_grid, contrast=contrast, spectrum=spectrum)
 
 

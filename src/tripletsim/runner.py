@@ -95,17 +95,34 @@ def _grid(
     spacing: str = "linear",
     values: list[float] | None = None,
 ) -> np.ndarray:
-    """Resolve a grid section against experiment-specific defaults (CLI units)."""
+    """Resolve a grid section against experiment-specific defaults (CLI units).
+
+    An explicit `spacing` always applies; left unset it is linear for a
+    grid given by start, stop and count, and the experiment's `spacing`
+    for the experiment's own range.
+    """
     section = cfg[key]
     if section["values"] is not None:
         return np.asarray(section["values"], dtype=float)
+    how = section["spacing"]
     if section["start"] is not None:
         lo, hi, n = section["start"], section["stop"], section["count"]
-        how = section["spacing"]
+        how = how or "linear"
     elif values is not None:
+        if how is not None:
+            raise ConfigError(
+                f"{key}.spacing: {cfg.experiment} has a default list of values; "
+                f"give {key}.start, {key}.stop and {key}.count with it"
+            )
         return np.asarray(values, dtype=float)
     else:
-        lo, hi, n, how = start, stop, count, spacing
+        lo, hi, n = start, stop, count
+        how = how or spacing
+        if how == "log" and (lo <= 0.0 or hi <= 0.0):
+            raise ConfigError(
+                f"{key}.spacing: log spacing needs start > 0 and stop > 0, and the default "
+                f"range of {cfg.experiment} is {lo:g} to {hi:g}; give {key}.start and {key}.stop"
+            )
     if how == "log":
         return np.geomspace(lo, hi, n)
     return np.linspace(lo, hi, n)

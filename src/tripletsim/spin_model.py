@@ -134,10 +134,16 @@ class TripletEigensystem:
 
 @dataclass(frozen=True)
 class SweepSpectrum:
-    """Transition frequencies along a field sweep, one branch per pair."""
+    """Transition frequencies along a field sweep, one branch per pair.
+
+    `eigensystems` holds the eigensystem at each field, labeled by
+    zero-field character as :func:`eigensystem` labels it; near an
+    avoided crossing those labels can differ from the tracked branches.
+    """
 
     field: np.ndarray
     branches: dict[tuple[str, str], np.ndarray]
+    eigensystems: tuple[TripletEigensystem, ...]
 
 
 def build_hamiltonian(
@@ -163,15 +169,15 @@ def build_hamiltonian(
 
 
 def _fix_phases(vecs: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-|.| component is real positive."""
-    out = vecs.copy()
-    for k in range(out.shape[1]):
-        idx = int(np.argmax(np.abs(out[:, k])))
-        pivot = out[idx, k]
-        mag = abs(pivot)
-        if mag > 0.0:
-            out[:, k] *= np.conj(pivot) / mag
-    return out
+    """Rotate each column so its largest-|.| component is real positive.
+
+    Works on a single (3, 3) matrix of column vectors or a (..., 3, 3) stack.
+    """
+    idx = np.argmax(np.abs(vecs), axis=-2)[..., None, :]
+    pivot = np.take_along_axis(vecs, idx, axis=-2)
+    mag = np.abs(pivot)
+    nonzero = mag > 0.0
+    return vecs * np.where(nonzero, np.conj(pivot) / np.where(nonzero, mag, 1.0), 1.0)
 
 
 def _assign_labels(
@@ -196,6 +202,19 @@ def _assign_labels(
     return (assigned[0], assigned[1], assigned[2])
 
 
+def _diagonalize(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[tuple[str, str, str]]]:
+    """Diagonalize a (N, 3, 3) stack of Hermitian Hamiltonians with one eigh call.
+
+    Returns energies (N, 3), phase-fixed eigenvectors (N, 3, 3) and the
+    zero-field labels of each matrix's columns.
+    """
+    energies, vecs = np.linalg.eigh(h)
+    vecs = _fix_phases(vecs)
+    # reference states are the basis vectors
+    labels = [_assign_labels(o, ZERO_FIELD_LABELS) for o in np.abs(vecs) ** 2]
+    return energies, vecs, labels
+
+
 def eigensystem(h: np.ndarray) -> TripletEigensystem:
     """Diagonalize a 3x3 triplet Hamiltonian.
 
@@ -209,11 +228,8 @@ def eigensystem(h: np.ndarray) -> TripletEigensystem:
     scale = max(1.0, float(np.max(np.abs(h))))
     if float(np.max(np.abs(h - h.conj().T))) > 1e-9 * scale:
         raise InvalidParameterError("Hamiltonian is not Hermitian within tolerance")
-    energies, vecs = np.linalg.eigh(h)
-    vecs = _fix_phases(vecs)
-    overlap_sq = np.abs(vecs) ** 2  # reference states are the basis vectors
-    labels = _assign_labels(overlap_sq, ZERO_FIELD_LABELS)
-    return TripletEigensystem(energies=energies, states=vecs, labels=labels)
+    energies, vecs, labels = _diagonalize(h[None])
+    return TripletEigensystem(energies=energies[0], states=vecs[0], labels=labels[0])
 
 
 def transition_frequencies(eig: TripletEigensystem) -> dict[tuple[str, str], float]:
@@ -235,6 +251,7 @@ def field_sweep_spectrum(
 ) -> SweepSpectrum:
     """Track the three transition branches along a field sweep.
 
+    All Hamiltonians of the sweep are diagonalized in one stacked call.
     Branch identity is carried from point to point by maximum squared
     eigenvector overlap with the previous point, so labels stay attached
     to adiabatic branches through avoided crossings. The first point is
@@ -252,21 +269,29 @@ def field_sweep_spectrum(
     Returns
     -------
     SweepSpectrum
-        Fields and, for each canonical pair, the branch frequencies in Hz.
+        Fields, for each canonical pair the branch frequencies in Hz, and
+        the eigensystem at each field labeled by zero-field character.
     """
     b_values = np.atleast_1d(np.asarray(b_values, dtype=float))
-    branches = {pair: np.empty(b_values.shape) for pair in TRANSITION_PAIRS}
-    prev_states: np.ndarray | None = None
-    prev_labels: tuple[str, str, str] | None = None
-    for n, b in enumerate(b_values):
-        eig = eigensystem(build_hamiltonian(zfs, FieldVector.along(axis, b), gamma))
-        if prev_states is None:
-            labels = eig.labels
-        else:
-            overlap_sq = np.abs(prev_states.conj().T @ eig.states) ** 2
-            labels = _assign_labels(overlap_sq, prev_labels)
-        by_label = {lab: float(eig.energies[k]) for k, lab in enumerate(labels)}
-        for a, c in TRANSITION_PAIRS:
-            branches[(a, c)][n] = abs(by_label[a] - by_label[c])
-        prev_states, prev_labels = eig.states, labels
-    return SweepSpectrum(field=b_values, branches=branches)
+    if axis not in ZERO_FIELD_LABELS:
+        raise InvalidParameterError(f"axis must be one of {ZERO_FIELD_LABELS}, got {axis!r}")
+    _require_finite("field component", *b_values.tolist())
+    spin = (SPIN_X, SPIN_Y, SPIN_Z)[ZERO_FIELD_LABELS.index(axis)]
+    h = build_hamiltonian(zfs) + (gamma.gamma * b_values)[:, None, None] * spin
+    energies, states, zero_field_labels = _diagonalize(h)
+    overlaps_sq = np.abs(np.conj(states[:-1]).swapaxes(-1, -2) @ states[1:]) ** 2
+    # column holding each tracked branch label (x, y, z) at each field
+    columns = np.empty((b_values.size, 3), dtype=int)
+    for n in range(b_values.size):
+        labels = zero_field_labels[0] if n == 0 else _assign_labels(overlaps_sq[n - 1], labels)
+        columns[n] = [labels.index(lab) for lab in ZERO_FIELD_LABELS]
+    by_label = np.take_along_axis(energies, columns, axis=1)
+    index = {lab: k for k, lab in enumerate(ZERO_FIELD_LABELS)}
+    branches = {
+        (a, c): np.abs(by_label[:, index[a]] - by_label[:, index[c]]) for a, c in TRANSITION_PAIRS
+    }
+    eigs = tuple(
+        TripletEigensystem(energies=e, states=v, labels=lab)
+        for e, v, lab in zip(energies, states, zero_field_labels)
+    )
+    return SweepSpectrum(field=b_values, branches=branches, eigensystems=eigs)

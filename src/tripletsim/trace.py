@@ -73,29 +73,69 @@ class TraceRecord:
         )
 
 
-def _format_number(value: float) -> str:
-    return repr(float(value))
+#: Rows formatted per block; only one block's cell strings are alive at a time.
+_BLOCK_ROWS = 4096
+
+
+def _formatted_blocks(data: np.ndarray):
+    """Yield the rows of `data`, block by block, as tuples of cell strings.
+
+    Cells get the shortest round-trip text. Within a block, each distinct
+    float64 bit pattern of a column is formatted once; grouping by bits
+    rather than by value keeps -0.0 apart from 0.0.
+    """
+    for start in range(0, data.shape[0], _BLOCK_ROWS):
+        block = data[start : start + _BLOCK_ROWS]
+        cells = []
+        for column in block.T:
+            bits, inverse = np.unique(
+                np.ascontiguousarray(column).view(np.int64), return_inverse=True
+            )
+            text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+            cells.append(text[inverse].tolist())
+        yield zip(*cells) if cells else [()] * block.shape[0]
+
+
+def _json_row(row: tuple[str, ...]) -> str:
+    return "  [\n   " + ",\n   ".join(row) + "\n  ]" if row else "  []"
+
+
+def _json_member(key: str, value) -> str:
+    """One top-level member of the indent=1 JSON document.
+
+    The value is dumped on its own and shifted one level in; encoded
+    strings never hold a raw newline, so every newline is indentation.
+    """
+    return f" {json.dumps(key)}: " + json.dumps(value, sort_keys=True, indent=1).replace(
+        "\n", "\n "
+    )
 
 
 def emit(record: TraceRecord, fmt: str = "csv") -> bytes:
-    """Serialize a trace record to CSV or JSON bytes (LF line endings)."""
+    """Serialize a trace record to CSV or JSON bytes (LF line endings).
+
+    The JSON form is exactly ``json.dumps(doc, sort_keys=True, indent=1)``
+    of the document; its data block is written directly, since the
+    encoder's pure-Python path is slow for long tables.
+    """
+    if fmt not in ("csv", "json"):
+        raise ConfigError(f"unknown output format {fmt!r}; use 'csv' or 'json'")
+    blocks = _formatted_blocks(record.data)
     if fmt == "csv":
         lines = [f"# {_MAGIC} {_FORMAT_VERSION}"]
         lines.append("# " + json.dumps(record.metadata, sort_keys=True, separators=(",", ":")))
         lines.append(",".join(col.header for col in record.columns))
-        for row in record.data:
-            lines.append(",".join(_format_number(v) for v in row))
+        lines.extend("\n".join(map(",".join, rows)) for rows in blocks)
         return ("\n".join(lines) + "\n").encode("utf-8")
-    if fmt == "json":
-        doc = {
-            "format": _MAGIC,
-            "version": _FORMAT_VERSION,
-            "metadata": record.metadata,
-            "columns": [{"name": c.name, "unit": c.unit} for c in record.columns],
-            "data": [[float(v) for v in row] for row in record.data],
-        }
-        return (json.dumps(doc, sort_keys=True, indent=1) + "\n").encode("utf-8")
-    raise ConfigError(f"unknown output format {fmt!r}; use 'csv' or 'json'")
+    data = ",\n".join(",\n".join(map(_json_row, rows)) for rows in blocks)
+    members = (
+        _json_member("columns", [{"name": c.name, "unit": c.unit} for c in record.columns]),
+        f' "data": [\n{data}\n ]' if data else ' "data": []',
+        _json_member("format", _MAGIC),
+        _json_member("metadata", record.metadata),
+        _json_member("version", _FORMAT_VERSION),
+    )
+    return ("{\n" + ",\n".join(members) + "\n}\n").encode("utf-8")
 
 
 def parse_trace(payload: bytes | str) -> TraceRecord:
@@ -117,13 +157,33 @@ def _parse_json(text: str) -> TraceRecord:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"trace is not valid JSON: {exc}") from exc
-    if doc.get("format") != _MAGIC:
+    if not isinstance(doc, dict) or doc.get("format") != _MAGIC:
         raise ConfigError("not a trace document (missing format marker)")
-    columns = tuple(Column(c["name"], c.get("unit", "1")) for c in doc["columns"])
-    data = np.asarray(doc["data"], dtype=float)
-    if data.size == 0:
-        data = data.reshape(0, len(columns))
-    return TraceRecord(columns=columns, data=data, metadata=doc.get("metadata", {}))
+    if not isinstance(doc.get("columns"), list):
+        raise ConfigError("trace document has no 'columns' list")
+    if not all(
+        isinstance(c, dict) and isinstance(c.get("name"), str) and isinstance(c.get("unit", ""), str)
+        for c in doc["columns"]
+    ):
+        raise ConfigError("every trace column needs a 'name' string and a string 'unit', if any")
+    try:
+        columns = tuple(Column(c["name"], c.get("unit", "1")) for c in doc["columns"])
+    except InvalidParameterError as exc:
+        raise ConfigError(f"trace column: {exc}") from exc
+    rows = doc.get("data")
+    if not isinstance(rows, list):
+        raise ConfigError("trace document has no 'data' list")
+    for k, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != len(columns):
+            raise ConfigError(f"data row {k} is not a list of {len(columns)} numbers: {row!r}")
+    metadata = doc.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise ConfigError("trace metadata must be a JSON object")
+    try:
+        data = np.asarray(rows, dtype=float) if rows else np.empty((0, len(columns)))
+        return TraceRecord(columns=columns, data=data, metadata=metadata)
+    except (TypeError, ValueError) as exc:  # InvalidParameterError is a ValueError
+        raise ConfigError(f"trace data: {exc}") from exc
 
 
 def _parse_csv(text: str) -> TraceRecord:
@@ -166,7 +226,10 @@ def _parse_csv(text: str) -> TraceRecord:
         except ValueError as exc:
             raise ConfigError(f"non-numeric cell in row {line!r}") from exc
     data = np.asarray(rows, dtype=float) if rows else np.empty((0, len(columns)))
-    return TraceRecord(columns=tuple(columns), data=data, metadata=metadata)
+    try:
+        return TraceRecord(columns=tuple(columns), data=data, metadata=metadata)
+    except InvalidParameterError as exc:
+        raise ConfigError(f"trace data: {exc}") from exc
 
 
 def write_atomic(path: str, payload: bytes) -> None:

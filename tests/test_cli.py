@@ -121,6 +121,14 @@ def test_missing_fit_input_is_a_config_error(tmp_path):
     assert json.loads(proc.stderr)["error"] == "config"
 
 
+def test_malformed_json_fit_input_is_a_config_error(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"format": "tripletsim-trace"}')
+    args = ("fit", "--set", "fit.model=linear", "--set", f"fit.input={bad}")
+    err = assert_one_json_error(run_cli(*args), 1, "config")
+    assert "columns" in err["message"]
+
+
 def test_unknown_subcommand_fails():
     proc = run_cli("teleport")
     assert proc.returncode != 0
@@ -278,6 +286,14 @@ def assert_one_json_error(proc, code, kind):
         (("echo", "--set", "coherence.t2=Infinity"), "finite"),
         (("t1", "--out", "/nonexistent-dir/x.csv"), "does not exist"),
         (("fit", "--set", "fit.model=bogus", "--set", "fit.input=x.csv"), "available:"),
+        (("nmr-correlation", "--set", "field.magnitude=1e300"), "field.magnitude: must be <="),
+        (("spectrum", "--set", "field.bz=-100001"), "field.bz: must be >="),
+        (("t1", "--set", "grid.count=1000001"), "grid.count: must be <="),
+        (("field-odmr", "--set", "field_grid.count=10001"), "field_grid.count: must be <="),
+        (("field-odmr", "--set", "field_grid.values=[0, 1e300]"), "field_grid.values[1]"),
+        (("ac-sense", "--set", "ac.phase_samples=10001"), "ac.phase_samples: must be <="),
+        (("rabi", "--set", "grid.spacing=log"), "log spacing"),
+        (("dd-scaling", "--set", "grid.spacing=linear"), "default list of values"),
     ],
 )
 def test_boundary_inputs_are_config_errors(args, needle):
@@ -290,6 +306,21 @@ def test_non_finite_number_in_config_file(tmp_path):
     conf.write_text('{"field": {"magnitude": NaN}}')
     err = assert_one_json_error(run_cli("spectrum", "--config", str(conf)), 1, "config")
     assert "field.magnitude" in err["message"]
+
+
+def test_explicit_grid_spacing_applies_to_the_default_range():
+    def delays(*args):
+        code, out, err = run_main(["t1", *args])
+        assert code == 0, err
+        return parse_trace(out).column("delay")
+
+    assert np.array_equal(delays(), np.geomspace(0.5, 2000.0, 200))
+    assert np.array_equal(delays("--set", "grid.spacing=linear"), np.linspace(0.5, 2000.0, 200))
+    assert np.array_equal(delays("--set", "grid.spacing=log"), delays())
+    # a grid given by its bounds stays linear unless told otherwise
+    bounds = ("--set", "grid.start=1", "--set", "grid.stop=9", "--set", "grid.count=5")
+    assert np.array_equal(delays(*bounds), np.linspace(1.0, 9.0, 5))
+    assert np.array_equal(delays(*bounds, "--set", "grid.spacing=log"), np.geomspace(1.0, 9.0, 5))
 
 
 def run_main(argv):
@@ -321,12 +352,13 @@ def _schema_paths(schema, prefix=""):
 
 
 # JSON texts and bare strings: plausible values, edge values and hostile
-# ones, with every integer small so that no draw can ask for a huge grid
+# ones; the large integers sit just past the caps on counts and fields, and
+# every other integer is small so that no draw can ask for a huge grid
 _FUZZ_VALUES = (
     "0", "1", "-1", "2", "3", "0.001", "0.5", "10", "190", "-2.5", "1e300", "-1e-300",
     "1e999", "NaN", "Infinity", "-Infinity", "null", "true", "false", "abc", '"log"',
     "4K", "295K", "[]", "[1]", "[0, 2.5, 3]", '["a"]', "[NaN]", "{}", '{"a": 1}',
-    '{"preset": null}',
+    '{"preset": null}', "100001", "1000001",
 )
 
 
@@ -338,7 +370,9 @@ _FUZZ_VALUES = (
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(
-    experiment=st.sampled_from(("spectrum", "t1", "echo", "dd-scaling")),
+    experiment=st.sampled_from(
+        ("spectrum", "t1", "echo", "dd-scaling", "nmr-correlation", "ac-sense", "field-odmr")
+    ),
     assignments=st.lists(
         st.tuples(
             st.sampled_from(sorted(_schema_paths(_SCHEMA)) + ["zfs.q", "grid.start.x"]),
@@ -351,6 +385,8 @@ _FUZZ_VALUES = (
 @example(experiment="t1", assignments=[("kinetics.preset", "[]")])
 @example(experiment="spectrum", assignments=[("dd.preset", '{"a": 1}')])
 @example(experiment="spectrum", assignments=[("gamma", "1e300"), ("field.magnitude", "1")])
+@example(experiment="nmr-correlation", assignments=[("field.magnitude", "1e300")])
+@example(experiment="ac-sense", assignments=[("ac.phase_samples", "1000001")])
 def test_fuzz_overrides_keep_the_error_contract(experiment, assignments, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # a fuzzed `out` writes here
     argv = [experiment]

@@ -12,6 +12,8 @@ from tripletsim.photokinetics import (
     expm,
     isc_branching_from_steady_state,
     polarization_response,
+    propagate,
+    propagators,
     rate_matrix,
     steady_state,
     t1_relaxation_curve,
@@ -185,6 +187,35 @@ def test_expm_matches_scipy_on_augmented_generators(laser_on):
             assert conservation <= limit, (t, conservation)
             assert np.all(ours[5, :5] >= 0.0)
     assert np.array_equal(expm(np.zeros((6, 6))), np.eye(6))
+
+
+def test_expm_of_a_stack_equals_expm_of_each_matrix():
+    # norms from 0 to ~4e5 need 0 to 17 squarings: each matrix must be
+    # scaled and squared as it would be alone, bit for bit
+    stack = np.array(
+        [_augmented(r, on, t) for r in (rates_4k(), rates_rt()) for on in (False, True) for t in WINDOWS]
+    )
+    batched = expm(stack)
+    assert batched.shape == stack.shape
+    for a, b in zip(stack, batched):
+        assert np.array_equal(expm(a), b)
+    assert np.array_equal(expm(stack.reshape(4, 9, 6, 6)), batched.reshape(4, 9, 6, 6))
+
+
+def test_propagators_match_evolve_populations_per_rate_set():
+    rates = (rates_4k(), rates_rt())
+    p0 = np.array([[0.2, 0.1, 0.3, 0.2, 0.2], [1.0, 0.0, 0.0, 0.0, 0.0]])
+    for t, on in ((3e-6, True), (60e-6, False)):
+        pops, emission = propagate(propagators(rates, t, on), p0)
+        for k, r in enumerate(rates):
+            single, single_emission = evolve_populations(r, p0[k], t, laser_on=on)
+            assert np.array_equal(pops[k], single)
+            assert emission[k] == single_emission
+    # one non-conserving row in a stack is refused like a single state
+    with pytest.raises(InvalidParameterError):
+        propagate(propagators(rates, 1e-6, True), np.array([p0[0], [0.5, 0.0, 0.0, 0.0, 0.0]]))
+    with pytest.raises(InvalidParameterError):
+        propagators(rates, -1e-6, True)
 
 
 def test_expm_rejects_non_finite_input():

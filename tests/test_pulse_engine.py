@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 from oracles import rate_ode_emission, rate_ode_solution, two_level_rotation
+from tripletsim import photokinetics
 from tripletsim.errors import (
     DegenerateReadoutError,
     InvalidParameterError,
@@ -46,6 +47,11 @@ ZFS = ZfsParams(d=1.905e9, e=-0.475e9)
 LIFETIMES_4K = (514.0e-6, 21.2e-6, 111.0e-6)
 BRANCHING_4K = isc_branching_from_steady_state((0.263, 0.538, 0.199), LIFETIMES_4K)
 RATES_4K = KineticRates(triplet_lifetimes=LIFETIMES_4K, isc_branching=BRANCHING_4K)
+LIFETIMES_295K = (73.0e-6, 18.9e-6, 61.0e-6)
+RATES_295K = KineticRates(
+    triplet_lifetimes=LIFETIMES_295K,
+    isc_branching=isc_branching_from_steady_state((0.305, 0.416, 0.279), LIFETIMES_295K),
+)
 SYSTEM = QubitSystem(zfs=ZFS, rates=RATES_4K)
 
 PAIRS = (("x", "y"), ("x", "z"), ("y", "z"))
@@ -459,12 +465,65 @@ def test_field_odmr_matches_ode_oracle():
         assert np.allclose(result.contrast[n], row, rtol=1e-7, atol=0.0)
 
 
+def field_odmr_per_field(rates, axis, b_values, f_grid, spectrum):
+    """The swap protocol run field by field through apply_elements."""
+    contrast = np.ones((b_values.size, f_grid.size))
+    for n, b in enumerate(b_values):
+        system = QubitSystem(zfs=ZFS, rates=rates, field=FieldVector.along(axis, b))
+        relax_and_read = (Wait(default_readout_delay(system)), ReadoutPulse())
+        init, _ = apply_elements((LaserPulse(DEFAULT_INIT_DURATION),), system)
+        _, (reference,) = apply_elements(relax_and_read, system, init)
+        for pair, (i, j) in zip(PAIRS, ((0, 1), (0, 2), (1, 2))):
+            swapped = init.copy()
+            swapped.rho[[i, j], [i, j]] = init.rho[[j, i], [j, i]]
+            _, (signal,) = apply_elements(relax_and_read, system, swapped)
+            x = (f_grid - spectrum.branches[pair][n]) / 20e6
+            contrast[n] += (signal / reference - 1.0) / (1.0 + x**2)
+    return contrast
+
+
+@pytest.mark.parametrize("rates", [RATES_4K, RATES_295K], ids=["4K", "295K"])
+@pytest.mark.parametrize("axis", ["x", "y", "z"])
+def test_batched_field_odmr_matches_per_field_engine_runs(axis, rates):
+    # 0-120 mT takes the x and z maps through a level crossing, where the
+    # energy order of the eigenstates changes under their labels
+    b_values = np.linspace(0.0, 120e-3, 61)
+    f_grid = np.linspace(0.6e9, 3.0e9, 241)
+    result = simulate_field_odmr(ZFS, rates, axis, b_values, f_grid)
+    expected = field_odmr_per_field(rates, axis, b_values, f_grid, result.spectrum)
+    for row, want in zip(result.contrast, expected):
+        assert np.allclose(row, want, rtol=1e-12, atol=0.0)
+
+
+def test_field_odmr_calls_expm_a_fixed_number_of_times(monkeypatch):
+    calls = []
+    original = photokinetics.expm
+
+    def counting(a):
+        calls.append(np.shape(a))
+        return original(a)
+
+    monkeypatch.setattr(photokinetics, "expm", counting)
+    f_grid = np.linspace(0.6e9, 3.0e9, 11)
+    for n_fields in (61, 5):
+        calls.clear()
+        simulate_field_odmr(ZFS, RATES_4K, "x", np.linspace(0.0, 120e-3, n_fields), f_grid)
+        # laser, dark and readout propagators, each one stacked call
+        assert calls == [(n_fields, 6, 6)] * 3
+
+
+def test_field_odmr_without_fields_is_an_empty_map():
+    result = simulate_field_odmr(ZFS, RATES_4K, "x", np.array([]), np.linspace(0.6e9, 3.0e9, 5))
+    assert result.contrast.shape == (0, 5)
+
+
 def test_field_odmr_zero_duration_readout_is_degenerate():
-    with pytest.raises(DegenerateReadoutError):
-        simulate_field_odmr(
-            ZFS, RATES_4K, "z", np.array([50e-3]), np.array([1.0e9]),
-            readout=ReadoutPulse(duration=0.0),
-        )
+    for b_values in (np.array([50e-3]), np.linspace(0.0, 120e-3, 61)):
+        with pytest.raises(DegenerateReadoutError):
+            simulate_field_odmr(
+                ZFS, RATES_4K, "z", b_values, np.array([1.0e9]),
+                readout=ReadoutPulse(duration=0.0),
+            )
 
 
 # --- composite protocols ------------------------------------------------------

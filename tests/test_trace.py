@@ -1,9 +1,13 @@
 import json
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tripletsim import trace
 from tripletsim.errors import ConfigError, InvalidParameterError
 from tripletsim.trace import (
     Column,
@@ -105,6 +109,36 @@ def test_column_lookup():
         record.column("missing")
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"format": "tripletsim-trace"},  # no columns
+        {"format": "tripletsim-trace", "columns": {"name": "a"}, "data": []},
+        {"format": "tripletsim-trace", "columns": [{"name": "a"}]},  # no data
+        {"format": "tripletsim-trace", "columns": [{"name": "a"}], "data": 1.0},
+        {"format": "tripletsim-trace", "columns": [{"name": "a"}], "data": [1.0, 2.0]},
+        {"format": "tripletsim-trace", "columns": [{"name": "a"}, {"name": "b"}], "data": [[1, 2], [3]]},
+        {"format": "tripletsim-trace", "columns": [{"unit": "us"}], "data": []},  # nameless
+        {"format": "tripletsim-trace", "columns": [{"name": 3}], "data": []},
+        {"format": "tripletsim-trace", "columns": [{"name": "a", "unit": 1}], "data": []},
+        {"format": "tripletsim-trace", "columns": [{"name": "a[b"}], "data": []},
+        {"format": "tripletsim-trace", "columns": [{"name": "a"}], "data": [["x"]]},
+        {"format": "tripletsim-trace", "columns": [{"name": "a"}], "data": [[None]]},
+        {"format": "tripletsim-trace", "columns": [{"name": "a"}], "data": [[[1.0]]]},
+        {"format": "tripletsim-trace", "columns": [{"name": "a"}], "data": [[1e999]]},
+        {"format": "tripletsim-trace", "columns": [], "data": [], "metadata": []},
+    ],
+)
+def test_parse_json_rejects_malformed_structure(doc):
+    with pytest.raises(ConfigError):
+        parse_trace(json.dumps(doc))
+
+
+def test_parse_csv_rejects_non_finite_cells():
+    with pytest.raises(ConfigError):
+        parse_trace("a[1]\nnan\n")
+
+
 def test_parse_rejects_malformed_inputs():
     with pytest.raises(ConfigError):
         parse_trace("")
@@ -152,3 +186,95 @@ def test_atomic_write_replaces_existing(tmp_path):
 def test_write_atomic_propagates_bad_directory():
     with pytest.raises(OSError):
         write_atomic(os.path.join("/nonexistent-dir", "x.csv"), b"data")
+
+
+# --- emit byte identity --------------------------------------------------------
+
+def emit_oracle(record, fmt):
+    """The straightforward emit: one repr per cell, json.dumps for the whole document."""
+    if fmt == "csv":
+        lines = ["# tripletsim-trace 1"]
+        lines.append("# " + json.dumps(record.metadata, sort_keys=True, separators=(",", ":")))
+        lines.append(",".join(col.header for col in record.columns))
+        for row in record.data:
+            lines.append(",".join(repr(float(v)) for v in row))
+        return ("\n".join(lines) + "\n").encode("utf-8")
+    doc = {
+        "format": "tripletsim-trace",
+        "version": 1,
+        "metadata": record.metadata,
+        "columns": [{"name": c.name, "unit": c.unit} for c in record.columns],
+        "data": [[float(v) for v in row] for row in record.data],
+    }
+    return (json.dumps(doc, sort_keys=True, indent=1) + "\n").encode("utf-8")
+
+
+# zeros of both signs, subnormals, the neighbours of repr's switch to
+# exponent notation at 1e16 and 1e-4, and arbitrary finite values
+_EDGE_VALUES = (
+    0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e16, -1e16,
+    np.nextafter(1e16, 0.0), np.nextafter(1e16, np.inf), 1e-4, -1e-4,
+    np.nextafter(1e-4, 0.0), np.nextafter(1e-4, 1.0), 1.7976931348623157e308,
+)
+_values = st.one_of(st.sampled_from(_EDGE_VALUES), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _records(draw):
+    n_cols = draw(st.integers(0, 4))
+    n_rows = draw(st.integers(0, 40))
+    columns = []
+    for k in range(n_cols):
+        # a small pool per column gives long runs of repeated values
+        pool = draw(st.lists(_values, min_size=1, max_size=3))
+        cells = draw(st.lists(st.sampled_from(pool) | _values, min_size=n_rows, max_size=n_rows))
+        columns.append(cells)
+    data = np.array(columns, dtype=float).T.reshape(n_rows, n_cols)
+    metadata = draw(
+        st.dictionaries(
+            st.sampled_from(["data", "columns", "version", "z", "\u00e9"]) | st.text(max_size=5),
+            st.one_of(
+                st.sampled_from(['"data": []', '"data": [\n', "\n ]", "[[1.0]]", ""]),
+                st.text(max_size=8),
+                st.integers(),
+                st.floats(allow_nan=False),
+                st.lists(st.integers(), max_size=3),
+                st.dictionaries(st.sampled_from(["data", "b"]), st.sampled_from([[], [1.5], "x"])),
+            ),
+            max_size=4,
+        )
+    )
+    names = [f"c{k}" for k in range(n_cols)]
+    return TraceRecord(columns=tuple(Column(n) for n in names), data=data, metadata=metadata)
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        TraceRecord(columns=(Column("a"), Column("b")), data=np.empty((0, 2)), metadata={}),
+        TraceRecord(columns=(Column("a"),), data=np.array([[-0.0]]), metadata={"data": []}),
+        TraceRecord(columns=(), data=np.empty((3, 0)), metadata={"data": '"data": []'}),
+        TraceRecord(columns=(Column("a"),), data=np.array([[0.0], [-0.0], [0.0]]), metadata={}),
+        TraceRecord(  # crosses two block boundaries
+            columns=(Column("a"), Column("b")),
+            data=np.column_stack(
+                [np.repeat([0.0, -0.0, 1e16], 3000), np.tile([1e-4, 0.1, 5e-324], 3000)]
+            ),
+            metadata={},
+        ),
+        sample_record(),
+    ],
+)
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_emit_matches_oracle_on_edge_records(record, fmt):
+    assert emit(record, fmt) == emit_oracle(record, fmt)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(record=_records())
+def test_emit_is_byte_identical_to_oracle(record):
+    # small blocks put block boundaries inside the drawn tables too
+    for block_rows in (trace._BLOCK_ROWS, 7):
+        with mock.patch.object(trace, "_BLOCK_ROWS", block_rows):
+            for fmt in ("csv", "json"):
+                assert emit(record, fmt) == emit_oracle(record, fmt)
