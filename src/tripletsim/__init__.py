@@ -67,20 +67,13 @@ from .pulse_engine import (
     HybridState,
     LaserPulse,
     MwPulse,
-    PulseSequence,
     QubitSystem,
     ReadoutPulse,
-    SequenceResult,
     Wait,
-    half_pi_pulse,
-    hahn_echo_elements,
     pi_pulse,
-    run_sequence,
     simulate_field_odmr,
     simulate_pulsed_odmr,
     simulate_rabi,
-    simulate_shelf_and_probe,
-    xy8_elements,
 )
 from .spin_model import (
     GAMMA_ELECTRON_HZ_PER_T,
@@ -124,10 +117,8 @@ __all__ = [
     "NuclearSpecies",
     "PROTON",
     "ProtocolViolationError",
-    "PulseSequence",
     "QubitSystem",
     "ReadoutPulse",
-    "SequenceResult",
     "SimulationError",
     "TraceRecord",
     "TripletEigensystem",
@@ -148,22 +139,17 @@ __all__ = [
     "field_sweep_spectrum",
     "fit",
     "get_model",
-    "half_pi_pulse",
-    "hahn_echo_elements",
     "isc_branching_from_steady_state",
     "model_eval",
     "nmr_frequency",
     "parse_trace",
     "pi_pulse",
     "read_trace",
-    "run_sequence",
     "simulate_field_odmr",
     "simulate_pulsed_odmr",
     "simulate_rabi",
-    "simulate_shelf_and_probe",
     "spin_operators",
     "steady_state",
     "t1_relaxation_curve",
     "transition_frequencies",
-    "xy8_elements",
 ]

@@ -58,9 +58,11 @@ COHERENCE_PRESETS: dict[str, dict[str, Any]] = {
 
 #: Upper bounds on grid sizes, phase samples and fields (mT). They stop a
 #: single value from asking for an array beyond memory or a frequency
-#: beyond the float range; sizes that multiply (the two grids of a field
-#: map, a phase average over a grid) are not bounded jointly.
+#: beyond the float range. MAX_GRID_CELLS bounds sizes that multiply (the
+#: two grids of a field map, a phase average over a grid); the runner
+#: checks it on the resolved grids.
 MAX_GRID_COUNT = 10**6
+MAX_GRID_CELLS = 10**7
 MAX_FIELD_GRID_COUNT = 10**4
 MAX_PHASE_SAMPLES = 10**4
 MAX_FIELD_MT = 1.0e5
@@ -129,7 +131,6 @@ _SCHEMA: dict[str, Any] = {
         "nested": {
             "rabi": {"type": float, "default": 5.0, "min_exclusive": 0.0},
             "t2_star": {"type": float, "nullable": True, "default": 0.195, "min_exclusive": 0.0},
-            "transition": {"type": str, "default": "yz", "choices": ("xy", "xz", "yz")},
             "detuning": {"type": float, "default": 0.0},
         }
     },
@@ -441,6 +442,25 @@ def _check_physics(sections: dict) -> None:
             raise ConfigError(f"field_grid.{name}: must lie within +-{MAX_FIELD_MT:g} mT, got {b}")
 
 
+#: Experiments that sweep the field magnitude along `field.axis` over a grid.
+_SWEPT_FIELD_GRIDS = {"spectrum": "grid", "field-odmr": "field_grid"}
+
+
+def _check_swept_field(experiment: str, field: dict) -> None:
+    grid = _SWEPT_FIELD_GRIDS.get(experiment)
+    if grid is None:
+        return
+    given = [f"field.{k}" for k in ("bx", "by", "bz") if field[k] is not None]
+    if field["magnitude"] != 0.0:
+        given.insert(0, "field.magnitude")
+    if given:
+        raise ConfigError(
+            f"{given[0]}: {experiment} sweeps the field along field.axis over {grid} (mT) "
+            f"and takes no static field; give the fields as {grid}.values or "
+            f"{grid}.start, {grid}.stop and {grid}.count"
+        )
+
+
 def _check_out(path: str) -> None:
     if os.path.isdir(path):
         raise ConfigError(f"out: {path!r} is a directory")
@@ -484,6 +504,7 @@ def parse_config(
     if fmt is not None:
         sections["format"] = _coerce_scalar(fmt, _SCHEMA["format"], "format")
     _check_physics(sections)
+    _check_swept_field(sections["experiment"], sections["field"])
     fit = sections["fit"]
     if fit["model"] is not None and fit["model"] not in MODELS:
         raise ConfigError(

@@ -382,15 +382,3 @@ def t1_relaxation_curve(
     surviving = start.triplet[None, :] * np.exp(-delays[..., None] / tau[None, :])
     return 1.0 - surviving.sum(axis=-1)
 
-
-def polarization_response(
-    theta: np.ndarray | float,
-    theta0: float,
-    amplitude: float,
-    offset: float,
-) -> np.ndarray | float:
-    """Malus-law excitation polarization dependence.
-
-    I(theta) = offset + amplitude * cos^2(theta - theta0), angles in radians.
-    """
-    return offset + amplitude * np.cos(np.asarray(theta, dtype=float) - theta0) ** 2

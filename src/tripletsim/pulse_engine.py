@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .coherence import CoherenceModel, _gauss_nodes, echo_envelope
+from .coherence import _gauss_nodes
 from .errors import (
     DegenerateReadoutError,
     InvalidParameterError,
@@ -145,66 +145,21 @@ def pi_pulse(transition: tuple[str, str], rabi_freq: float, phase: float = 0.0) 
     return MwPulse(rabi_freq=rabi_freq, duration=0.5 / rabi_freq, transition=transition, phase=phase)
 
 
-def half_pi_pulse(transition: tuple[str, str], rabi_freq: float, phase: float = 0.0) -> MwPulse:
-    """Resonant pi/2 pulse: duration 1/(4*rabi_freq)."""
-    if rabi_freq <= 0.0:
-        raise InvalidParameterError("pi/2 pulse needs rabi_freq > 0")
-    return MwPulse(rabi_freq=rabi_freq, duration=0.25 / rabi_freq, transition=transition, phase=phase)
-
-
-@dataclass(frozen=True)
-class PulseSequence:
-    """An ordered pulse program ending in (at least) one readout.
-
-    `signal_readout` indexes which readout window carries the signal
-    (default: the last). `reference_readout` may name a second window for
-    in-sequence normalization; when None, the reference is the identical
-    sequence rerun with every microwave amplitude set to zero.
-    """
-
-    elements: tuple[PulseElement, ...]
-    repetitions: int = 1
-    signal_readout: int = -1
-    reference_readout: int | None = None
-
-    def __post_init__(self) -> None:
-        if not self.elements:
-            raise ProtocolViolationError("pulse sequence has no elements")
-        if self.repetitions < 1:
-            raise ProtocolViolationError(f"repetitions must be >= 1, got {self.repetitions!r}")
-        n_read = sum(isinstance(e, ReadoutPulse) for e in self.elements) * self.repetitions
-        if n_read == 0:
-            raise ProtocolViolationError("pulse sequence must contain a readout window")
-        for idx in (self.signal_readout, self.reference_readout):
-            if idx is not None and not (-n_read <= idx < n_read):
-                raise ProtocolViolationError(
-                    f"readout index {idx} out of range for {n_read} readout window(s)"
-                )
-
-
 @dataclass
 class HybridState:
     """Classical (S0, S1) occupations plus the triplet density matrix.
 
     `rho` is written in the labeled eigenbasis, rows/columns ordered
-    (x, y, z); its trace is the total triplet population. `wait_clock`
-    accumulates dark free-evolution time for the (non-Markovian)
-    phenomenological dephasing envelope, making sequence composition
-    exact.
+    (x, y, z); its trace is the total triplet population.
     """
 
     p_s0: float
     p_s1: float
     rho: np.ndarray
-    wait_clock: float = 0.0
 
     @classmethod
     def ground(cls) -> "HybridState":
         return cls(p_s0=1.0, p_s1=0.0, rho=np.zeros((3, 3), dtype=complex))
-
-    @classmethod
-    def from_populations(cls, pops: LevelPopulations) -> "HybridState":
-        return cls(p_s0=pops.p_s0, p_s1=pops.p_s1, rho=np.diag(pops.triplet).astype(complex))
 
     def populations(self) -> LevelPopulations:
         d = np.real(np.diag(self.rho))
@@ -213,20 +168,8 @@ class HybridState:
     def total(self) -> float:
         return self.p_s0 + self.p_s1 + float(np.real(np.trace(self.rho)))
 
-    def validate(self) -> None:
-        if self.rho.shape != (3, 3):
-            raise InvalidParameterError(f"rho must be 3x3, got {self.rho.shape}")
-        if float(np.max(np.abs(self.rho - self.rho.conj().T))) > 1e-10:
-            raise InvalidParameterError("triplet density matrix is not Hermitian within 1e-10")
-        if float(np.min(np.linalg.eigvalsh(self.rho))) < -1e-10:
-            raise InvalidParameterError("triplet density matrix has a negative eigenvalue")
-        if self.p_s0 < -1e-10 or self.p_s1 < -1e-10:
-            raise InvalidParameterError("singlet populations must be nonnegative")
-        if abs(self.total() - 1.0) > 1e-9:
-            raise InvalidParameterError(f"total population must be 1 within 1e-9, got {self.total()!r}")
-
     def copy(self) -> "HybridState":
-        return HybridState(self.p_s0, self.p_s1, self.rho.copy(), self.wait_clock)
+        return HybridState(self.p_s0, self.p_s1, self.rho.copy())
 
 
 @dataclass(frozen=True)
@@ -243,7 +186,6 @@ class QubitSystem:
     rates: KineticRates
     field: FieldVector = FieldVector()
     gamma: GyroRatio = GyroRatio()
-    wait_dephasing: CoherenceModel | None = None
 
     @cached_property
     def eigen(self) -> TripletEigensystem:
@@ -353,29 +295,18 @@ def _apply_mw(state: HybridState, pulse: MwPulse, system: QubitSystem) -> None:
     )
 
 
-def _wait_dephasing_factor(system: QubitSystem, clock: float, duration: float) -> float:
-    if system.wait_dephasing is None:
-        return 1.0
-    model = CoherenceModel(t2=system.wait_dephasing.t2, nu=system.wait_dephasing.nu)
-    start = float(echo_envelope(model, clock))
-    stop = float(echo_envelope(model, clock + duration))
-    return stop / start if start > 0.0 else 0.0
-
-
 def _evolve_free(
     state: HybridState,
     system: QubitSystem,
     duration: float,
     laser_on: bool,
     intensity: float,
-    is_wait: bool,
 ) -> float:
     """Advance the state through an illumination or dark interval.
 
     Returns the integrated S1 occupancy over the interval. Populations
     follow the five-level rate model; triplet coherences damp at the
-    pairwise mean decay rate, plus the phenomenological dephasing
-    envelope during waits.
+    pairwise mean decay rate.
     """
     if duration == 0.0:
         return 0.0
@@ -390,11 +321,6 @@ def _evolve_free(
             damp = math.exp(-0.5 * (g[a] + g[b]) * duration)
             rho[a, b] *= damp
             rho[b, a] *= damp
-    if is_wait:
-        factor = _wait_dephasing_factor(system, state.wait_clock, duration)
-        mask = ~np.eye(3, dtype=bool)
-        rho[mask] *= factor
-        state.wait_clock += duration
     for a in range(3):
         rho[a, a] = new_pops[2 + a]
     state.p_s0 = float(new_pops[0])
@@ -417,12 +343,12 @@ def apply_elements(
     emissions: list[float] = []
     for element in elements:
         if isinstance(element, LaserPulse):
-            _evolve_free(out, system, element.duration, True, element.intensity, False)
+            _evolve_free(out, system, element.duration, True, element.intensity)
         elif isinstance(element, Wait):
-            _evolve_free(out, system, element.duration, False, 1.0, True)
+            _evolve_free(out, system, element.duration, False, 1.0)
         elif isinstance(element, ReadoutPulse):
             emissions.append(
-                _evolve_free(out, system, element.duration, True, element.intensity, False)
+                _evolve_free(out, system, element.duration, True, element.intensity)
             )
         elif isinstance(element, MwPulse):
             _apply_mw(out, element, system)
@@ -435,49 +361,6 @@ def _mw_silenced(elements: tuple[PulseElement, ...]) -> tuple[PulseElement, ...]
     """The same timing with every microwave amplitude set to zero."""
     return tuple(
         replace(e, rabi_freq=0.0) if isinstance(e, MwPulse) else e for e in elements
-    )
-
-
-@dataclass(frozen=True)
-class SequenceResult:
-    """Outcome of a pulse sequence run.
-
-    `signal` is the contrast: the selected readout emission divided by
-    its reference (in-sequence window or microwave-silenced rerun).
-    """
-
-    signal: float
-    readouts: tuple[float, ...]
-    reference_readouts: tuple[float, ...]
-    final_state: HybridState
-
-
-def run_sequence(
-    sequence: PulseSequence,
-    system: QubitSystem,
-    initial_state: HybridState | None = None,
-) -> SequenceResult:
-    """Execute a pulse sequence and form its readout contrast."""
-    elements = sequence.elements * sequence.repetitions
-    final_state, emissions = apply_elements(elements, system, initial_state)
-    final_state.validate()
-    signal_emission = emissions[sequence.signal_readout]
-    if sequence.reference_readout is not None:
-        reference = emissions[sequence.reference_readout]
-        reference_readouts = tuple(emissions)
-    else:
-        _, ref_emissions = apply_elements(_mw_silenced(elements), system, initial_state)
-        reference = ref_emissions[sequence.signal_readout]
-        reference_readouts = tuple(ref_emissions)
-    if reference <= 0.0:
-        raise DegenerateReadoutError(
-            "reference emission vanished; check readout windows and pump rate"
-        )
-    return SequenceResult(
-        signal=signal_emission / reference,
-        readouts=tuple(emissions),
-        reference_readouts=reference_readouts,
-        final_state=final_state,
     )
 
 
@@ -643,84 +526,3 @@ def simulate_field_odmr(
         contrast += amplitude[:, k, None] / (1.0 + x**2)
     return FieldOdmrMap(field=b_values, frequency=f_grid, contrast=contrast, spectrum=spectrum)
 
-
-def hahn_echo_elements(
-    transition: tuple[str, str], tau: float, rabi_freq: float
-) -> list[PulseElement]:
-    """pi/2 - tau - pi - tau - pi/2 echo block on one transition."""
-    return [
-        half_pi_pulse(transition, rabi_freq),
-        Wait(tau),
-        pi_pulse(transition, rabi_freq, phase=np.pi / 2.0),
-        Wait(tau),
-        half_pi_pulse(transition, rabi_freq),
-    ]
-
-
-_XY8_PHASES = (0.0, np.pi / 2.0, 0.0, np.pi / 2.0, np.pi / 2.0, 0.0, np.pi / 2.0, 0.0)
-
-
-def xy8_elements(
-    transition: tuple[str, str], tau: float, rabi_freq: float, blocks: int = 1
-) -> list[PulseElement]:
-    """XY8-N decoupling train with inter-pulse spacing tau, pi/2 bookends."""
-    if blocks < 1:
-        raise InvalidParameterError(f"blocks must be >= 1, got {blocks!r}")
-    elements: list[PulseElement] = [half_pi_pulse(transition, rabi_freq)]
-    for n in range(blocks):
-        for k, phase in enumerate(_XY8_PHASES):
-            first = n == 0 and k == 0
-            elements.append(Wait(tau / 2.0 if first else tau))
-            elements.append(pi_pulse(transition, rabi_freq, phase=phase))
-        last_block = n == blocks - 1
-        if last_block:
-            elements.append(Wait(tau / 2.0))
-    elements.append(half_pi_pulse(transition, rabi_freq))
-    return elements
-
-
-def simulate_shelf_and_probe(
-    system: QubitSystem,
-    inner: list[PulseElement] | tuple[PulseElement, ...],
-    rabi_freq: float = 5.0e6,
-    probe_pair: tuple[str, str] = ("x", "z"),
-    shelf_pair: tuple[str, str] = ("y", "z"),
-    readout_branch: str = "z",
-    init_duration: float = DEFAULT_INIT_DURATION,
-    readout_delay: float | None = None,
-    readout: ReadoutPulse = ReadoutPulse(),
-) -> SequenceResult:
-    """Multi-level sequence: shelf, manipulate long-lived pair, map back.
-
-    A preparatory pi pulse on `shelf_pair` moves population between the
-    short-lived Ty and a long-lived partner; the `inner` block may then
-    address only the long-lived `probe_pair` (microwave pulses on any
-    other pair, or optical elements, raise ProtocolViolationError); a
-    final pi pulse maps the `readout_branch` population back onto Ty for
-    high-contrast readout after the relaxation delay.
-    """
-    probe_pair = tuple(sorted(probe_pair))
-    for element in inner:
-        if isinstance(element, MwPulse):
-            if element.frequency is not None or tuple(sorted(element.transition)) != probe_pair:
-                raise ProtocolViolationError(
-                    f"inner block may only drive the {probe_pair} transition, got {element!r}"
-                )
-        elif isinstance(element, (LaserPulse, ReadoutPulse)):
-            raise ProtocolViolationError(
-                "inner block must stay in the dark (no laser or readout elements)"
-            )
-        elif not isinstance(element, Wait):
-            raise ProtocolViolationError(f"unknown inner element {element!r}")
-    if readout_branch not in ("x", "z"):
-        raise InvalidParameterError(f"readout branch must be 'x' or 'z', got {readout_branch!r}")
-    delay = default_readout_delay(system) if readout_delay is None else readout_delay
-    elements: tuple[PulseElement, ...] = (
-        LaserPulse(init_duration),
-        pi_pulse(tuple(sorted(shelf_pair)), rabi_freq),
-        *inner,
-        pi_pulse(tuple(sorted((readout_branch, "y"))), rabi_freq),
-        Wait(delay),
-        readout,
-    )
-    return run_sequence(PulseSequence(elements=elements), system)

@@ -29,7 +29,7 @@ from .coherence import (
     deer_spectrum,
     echo_envelope,
 )
-from .config import ExperimentConfig
+from .config import MAX_GRID_CELLS, ExperimentConfig
 from .errors import ConfigError
 from .fitting import estimate_initial_guess, fit, get_model
 from .photokinetics import KineticRates, t1_relaxation_curve
@@ -128,9 +128,13 @@ def _grid(
     return np.linspace(lo, hi, n)
 
 
-def _transition(cfg: ExperimentConfig) -> tuple[str, str]:
-    code = cfg["pulse"]["transition"]
-    return (code[0], code[1])
+def _check_cells(cfg: ExperimentConfig, keys: str, n_rows: int, n_cols: int) -> None:
+    """Reject two resolved sizes whose product exceeds MAX_GRID_CELLS."""
+    if n_rows * n_cols > MAX_GRID_CELLS:
+        raise ConfigError(
+            f"{keys}: {cfg.experiment} would compute {n_rows} x {n_cols} cells, "
+            f"more than the {MAX_GRID_CELLS} allowed; reduce one of them"
+        )
 
 
 def _readout_pulse(cfg: ExperimentConfig) -> ReadoutPulse:
@@ -186,6 +190,7 @@ def _run_spectrum(cfg: ExperimentConfig):
 def _run_field_odmr(cfg: ExperimentConfig):
     b_grid = _grid(cfg, key="field_grid", start=0.0, stop=120.0, count=61)
     f_grid = _grid(cfg, start=600.0, stop=3000.0, count=241)
+    _check_cells(cfg, "field_grid x grid", b_grid.size, f_grid.size)
     result = simulate_field_odmr(
         _zfs(cfg),
         _rates(cfg),
@@ -280,6 +285,8 @@ def _run_ac_sense(cfg: ExperimentConfig):
     ac = AcSignal(
         amplitude=section["amplitude"] * MT, frequency=section["frequency"] * MHZ, phase=phase
     )
+    if phase is None:
+        _check_cells(cfg, "grid x ac.phase_samples", taus.size, section["phase_samples"])
     seed = cfg.seed if section["sampling"] == "random" else None
     contrast = ac_echo_response(
         ac,
@@ -300,6 +307,7 @@ def _run_nmr_correlation(cfg: ExperimentConfig):
     tau = section["tau"] * US if section["tau"] is not None else 0.5 / f_n
     stop_us = 30.0 / f_n / US
     t_corr = _grid(cfg, start=0.0, stop=stop_us, count=1501)
+    _check_cells(cfg, "grid x ac.phase_samples", t_corr.size, cfg["ac"]["phase_samples"])
     signal = correlation_spectroscopy(
         species,
         b,

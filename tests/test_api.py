@@ -1,4 +1,10 @@
+import ast
+from collections import Counter
+from pathlib import Path
+
 import tripletsim
+
+PACKAGE = Path(tripletsim.__file__).resolve().parent
 
 
 def test_every_exported_name_resolves():
@@ -6,3 +12,46 @@ def test_every_exported_name_resolves():
     # package no longer defines, so a removed export must leave __all__ too
     missing = [name for name in tripletsim.__all__ if not hasattr(tripletsim, name)]
     assert missing == []
+
+
+def _names_used(node):
+    """Every name a subtree reads, writes, imports or takes as an attribute."""
+    counts = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            counts[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            counts[sub.attr] += 1
+        elif isinstance(sub, ast.alias):
+            counts[sub.name] += 1
+    return counts
+
+
+def _private_definitions(tree):
+    """Module-level `_name` functions, classes and constants with their statements."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def test_no_private_module_level_name_is_dead():
+    # a private helper, class or constant that nothing in the package reads
+    # outside its own definition is dead code; public names are API
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    used = sum((_names_used(tree) for tree in trees.values()), Counter())
+    dead = [
+        f"{module}:{name}"
+        for module, tree in trees.items()
+        for name, node in _private_definitions(tree)
+        if used[name] - _names_used(node)[name] == 0
+    ]
+    assert dead == []

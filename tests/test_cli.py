@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from tripletsim import cli
+from tripletsim import cli, runner
 from tripletsim.config import _SCHEMA
 from tripletsim.trace import parse_trace
 
@@ -294,6 +294,10 @@ def assert_one_json_error(proc, code, kind):
         (("ac-sense", "--set", "ac.phase_samples=10001"), "ac.phase_samples: must be <="),
         (("rabi", "--set", "grid.spacing=log"), "log spacing"),
         (("dd-scaling", "--set", "grid.spacing=linear"), "default list of values"),
+        (("spectrum", "--set", "field.magnitude=190"), "field.magnitude: spectrum sweeps"),
+        (("spectrum", "--set", "field.bz=50"), "field.bz: spectrum sweeps"),
+        (("field-odmr", "--set", "field.magnitude=190"), "field.magnitude: field-odmr sweeps"),
+        (("field-odmr", "--set", "field.bz=50"), "field.bz: field-odmr sweeps"),
     ],
 )
 def test_boundary_inputs_are_config_errors(args, needle):
@@ -342,6 +346,43 @@ def test_unexpected_error_is_one_internal_json_line(monkeypatch):
     assert out == b""
     assert json.loads(err) == {"error": "internal", "type": "RuntimeError", "message": "boom"}
     assert len(err.splitlines()) == 1
+
+
+def _cell_args(experiment, n_rows, n_grid):
+    """Overrides for n_rows (field_grid or phase samples) x n_grid (grid) cells."""
+    args = ["--set", "grid.start=1", "--set", "grid.stop=2", "--set", f"grid.count={n_grid}"]
+    if experiment == "field-odmr":
+        return args + ["--set", "field_grid.start=0", "--set", "field_grid.stop=100",
+                       "--set", f"field_grid.count={n_rows}"]
+    args += ["--set", f"ac.phase_samples={n_rows}"]
+    if experiment == "nmr-correlation":
+        args += ["--set", "field.magnitude=190"]
+    return args
+
+
+@pytest.mark.parametrize(
+    "experiment, target",
+    [
+        ("field-odmr", "simulate_field_odmr"),
+        ("ac-sense", "ac_echo_response"),
+        ("nmr-correlation", "correlation_spectroscopy"),
+    ],
+)
+def test_joint_cell_cap_is_checked_before_any_simulation(experiment, target, monkeypatch):
+    class Reached(Exception):
+        pass
+
+    def reached(*args, **kwargs):
+        raise Reached
+
+    # a regression past the cap meets this stub instead of allocating the array
+    monkeypatch.setattr(runner, target, reached)
+    code, out, err = run_main([experiment, *_cell_args(experiment, 10_000, 1_001)])
+    assert (code, out) == (1, b"")
+    assert json.loads(err)["error"] == "config"
+    assert "cells, more than the 10000000 allowed" in err
+    code, _, err = run_main([experiment, *_cell_args(experiment, 10_000, 1_000)])
+    assert code == 2 and json.loads(err)["type"] == "Reached"
 
 
 def _schema_paths(schema, prefix=""):

@@ -11,7 +11,6 @@ from tripletsim.photokinetics import (
     evolve_populations,
     expm,
     isc_branching_from_steady_state,
-    polarization_response,
     propagate,
     propagators,
     rate_matrix,
@@ -260,9 +259,3 @@ def test_shelving_time_scale_with_defaults():
     assert before[2:].sum() < 0.2
     assert after[2:].sum() > 0.6
 
-
-def test_polarization_response_is_malus_law():
-    theta = np.linspace(0.0, np.pi, 7)
-    out = polarization_response(theta, theta0=0.3, amplitude=2.0, offset=0.5)
-    assert np.allclose(out, 0.5 + 2.0 * np.cos(theta - 0.3) ** 2)
-    assert polarization_response(0.3, 0.3, 1.0, 0.0) == pytest.approx(1.0)
