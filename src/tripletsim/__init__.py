@@ -58,7 +58,6 @@ from .fitting import FitResult, fit, get_model, model_eval
 from .photokinetics import (
     KineticRates,
     LevelPopulations,
-    evolve_populations,
     isc_branching_from_steady_state,
     steady_state,
     t1_relaxation_curve,
@@ -135,7 +134,6 @@ __all__ = [
     "eigensystem",
     "emit",
     "eseem_minimum_times",
-    "evolve_populations",
     "field_sweep_spectrum",
     "fit",
     "get_model",

@@ -3,8 +3,8 @@
     sim <experiment> [--config FILE] [--set key=value ...]
                      [--out PATH] [--format csv|json] [--seed N]
 
-Exit codes: 0 success, 1 configuration error, 2 runtime/physics error
-or any other unexpected failure. Errors are emitted as one JSON object
+Exit codes: 0 success, 1 configuration error (a bad command line
+included), 2 runtime/physics error or any other unexpected failure. Errors are emitted as one JSON object
 on stderr. Log verbosity comes from the TRIPLETSIM_LOG environment
 variable (debug, info, warning).
 """
@@ -16,6 +16,7 @@ import json
 import logging
 import os
 import sys
+from typing import NoReturn
 
 from ._version import __version__
 from .config import EXPERIMENTS, apply_overrides, load_config_file, parse_config
@@ -26,8 +27,15 @@ from .trace import emit, write_atomic
 log = logging.getLogger("tripletsim")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a ConfigError instead of exiting."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sim",
         description="Simulate and fit optically addressed triplet spin-qubit experiments.",
     )
@@ -65,12 +73,10 @@ def _report_error(kind: str, exc: Exception) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     _configure_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.experiment is None:
-        parser.print_help()
-        return 1
     try:
+        args = build_parser().parse_args(argv)
+        if args.experiment is None:
+            raise ConfigError(f"experiment: required; choose one of {list(EXPERIMENTS)}")
         raw = load_config_file(args.config) if args.config else {}
         raw = apply_overrides(raw, args.overrides)
         cfg = parse_config(

@@ -505,6 +505,13 @@ def parse_config(
         sections["format"] = _coerce_scalar(fmt, _SCHEMA["format"], "format")
     _check_physics(sections)
     _check_swept_field(sections["experiment"], sections["field"])
+    if sections["experiment"] == "ac-sense" and sections["ac"]["phase"] is not None:
+        for key in ("phase_samples", "sampling"):
+            if key in raw.get("ac", {}):
+                raise ConfigError(
+                    f"ac.{key}: ac-sense takes no phase average with ac.phase set; "
+                    f"give ac.{key} or ac.phase, not both"
+                )
     fit = sections["fit"]
     if fit["model"] is not None and fit["model"] not in MODELS:
         raise ConfigError(

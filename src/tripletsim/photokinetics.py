@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -281,15 +280,6 @@ def propagators(
     return expm(_generators(rates, laser_on, intensity) * duration)
 
 
-@lru_cache(maxsize=512)
-def _propagator(
-    rates: KineticRates, duration: float, laser_on: bool, intensity: float
-) -> np.ndarray:
-    p = propagators((rates,), duration, laser_on, intensity)[0]
-    p.setflags(write=False)
-    return p
-
-
 def propagate(prop: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Apply augmented propagators (..., 6, 6) to populations (..., 5).
 
@@ -308,22 +298,6 @@ def propagate(prop: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if np.any(np.abs(pops.sum(axis=-1) - 1.0) > 1e-6) or np.any(pops < -1e-6):
         raise InvalidParameterError(f"propagation lost population conservation: {pops}")
     return pops, out[..., 5]
-
-
-def evolve_populations(
-    rates: KineticRates,
-    p: np.ndarray,
-    duration: float,
-    laser_on: bool,
-    intensity: float = 1.0,
-) -> tuple[np.ndarray, float]:
-    """Propagate (S0, S1, Tx, Ty, Tz) populations for `duration` seconds.
-
-    Returns the propagated length-5 array and the integrated S1 occupancy
-    over the interval, with the conservation check of :func:`propagate`.
-    """
-    pops, emission = propagate(_propagator(rates, float(duration), laser_on, float(intensity)), p)
-    return pops, float(emission)
 
 
 def steady_state(rates: KineticRates, intensity: float = 1.0) -> LevelPopulations:

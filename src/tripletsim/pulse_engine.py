@@ -7,6 +7,9 @@ Hamiltonian and tracked in its interaction picture. Free evolution
 the photokinetic rate model while off-diagonal triplet elements damp at
 the mean of the connected decay rates; microwave pulses are detuned
 rotating-wave rotations embedded in the addressed two-level subspace.
+The state may carry leading batch axes: a carrier-swept pulse turns it
+into one state per carrier, so a whole ODMR sweep is one pass through
+the sequence.
 
 Rotations on different transitions of the same three-level system are
 applied sequentially; this is accurate when at most one transition is
@@ -33,13 +36,7 @@ from .errors import (
     InvalidParameterError,
     ProtocolViolationError,
 )
-from .photokinetics import (
-    KineticRates,
-    LevelPopulations,
-    evolve_populations,
-    propagate,
-    propagators,
-)
+from .photokinetics import KineticRates, propagate, propagators
 from .spin_model import (
     TRANSITION_PAIRS,
     ZERO_FIELD_LABELS,
@@ -108,8 +105,9 @@ class MwPulse:
     Either `transition` names the addressed pair (with an explicit
     `detuning` from its resonance, Hz) or `frequency` gives the carrier
     in Hz and the engine works out the detuning per transition, applying
-    the drive to all three pairs. `rabi_freq` is the on-resonance Rabi
-    frequency in Hz, `phase` the drive phase in radians.
+    the drive to all three pairs. A 1-D array of carriers gives one
+    state per carrier. `rabi_freq` is the on-resonance Rabi frequency in
+    Hz, `phase` the drive phase in radians.
     """
 
     rabi_freq: float
@@ -117,7 +115,7 @@ class MwPulse:
     transition: tuple[str, str] | None = None
     phase: float = 0.0
     detuning: float = 0.0
-    frequency: float | None = None
+    frequency: float | np.ndarray | None = None
 
     def __post_init__(self) -> None:
         _check_duration(self.duration)
@@ -131,8 +129,9 @@ class MwPulse:
                 raise InvalidParameterError(
                     f"transition must be one of {TRANSITION_PAIRS}, got {self.transition!r}"
                 )
-        if self.frequency is not None and self.frequency <= 0.0:
-            raise InvalidParameterError(f"carrier frequency must be > 0, got {self.frequency!r}")
+        if self.frequency is not None and np.any(np.asarray(self.frequency) <= 0.0):
+            lowest = float(np.min(self.frequency))
+            raise InvalidParameterError(f"carrier frequency must be > 0, got {lowest!r}")
 
 
 PulseElement = LaserPulse | Wait | ReadoutPulse | MwPulse
@@ -149,27 +148,34 @@ def pi_pulse(transition: tuple[str, str], rabi_freq: float, phase: float = 0.0) 
 class HybridState:
     """Classical (S0, S1) occupations plus the triplet density matrix.
 
-    `rho` is written in the labeled eigenbasis, rows/columns ordered
-    (x, y, z); its trace is the total triplet population.
+    `singlet` holds (p_S0, p_S1) with shape (..., 2) and `rho` the
+    triplet density matrix with shape (..., 3, 3), written in the
+    labeled eigenbasis with rows/columns ordered (x, y, z); its trace is
+    the total triplet population. The leading batch axes of the two
+    arrays broadcast against each other.
     """
 
-    p_s0: float
-    p_s1: float
+    singlet: np.ndarray
     rho: np.ndarray
 
     @classmethod
     def ground(cls) -> "HybridState":
-        return cls(p_s0=1.0, p_s1=0.0, rho=np.zeros((3, 3), dtype=complex))
+        return cls(singlet=np.array([1.0, 0.0]), rho=np.zeros((3, 3), dtype=complex))
 
-    def populations(self) -> LevelPopulations:
-        d = np.real(np.diag(self.rho))
-        return LevelPopulations(self.p_s0, self.p_s1, float(d[0]), float(d[1]), float(d[2]))
+    def populations(self) -> np.ndarray:
+        """(S0, S1, Tx, Ty, Tz) occupations, shape (..., 5)."""
+        triplet = np.real(np.diagonal(self.rho, axis1=-2, axis2=-1))
+        batch = np.broadcast_shapes(self.singlet.shape[:-1], triplet.shape[:-1])
+        return np.concatenate(
+            (np.broadcast_to(self.singlet, batch + (2,)), np.broadcast_to(triplet, batch + (3,))),
+            axis=-1,
+        )
 
-    def total(self) -> float:
-        return self.p_s0 + self.p_s1 + float(np.real(np.trace(self.rho)))
+    def total(self) -> np.ndarray:
+        return self.populations().sum(axis=-1)
 
     def copy(self) -> "HybridState":
-        return HybridState(self.p_s0, self.p_s1, self.rho.copy())
+        return HybridState(self.singlet.copy(), self.rho.copy())
 
 
 @dataclass(frozen=True)
@@ -231,39 +237,28 @@ def mw_unitary(
     rabi_freq: float,
     duration: float,
     phase: float = 0.0,
-    detuning: float = 0.0,
+    detuning: float | np.ndarray = 0.0,
 ) -> np.ndarray:
     """3x3 rotation with the driven two-level block U = expm(-i*2*pi*H2*t).
 
     H2 = 0.5*[[-detuning, rabi*exp(-i*phase)], [rabi*exp(i*phase), detuning]]
     in Hz, acting on the (lower, upper) labels of `transition`. U is the
     closed-form SU(2) rotation by theta = pi*W*t about the axis of H2,
-    with W = hypot(rabi, detuning) the generalized Rabi frequency.
+    with W = hypot(rabi, detuning) the generalized Rabi frequency. An
+    array of detunings gives a (..., 3, 3) stack, one rotation each.
     """
     i, j = sorted(_LABEL_INDEX[t] for t in transition)
-    w = math.hypot(rabi_freq, detuning)
+    detuning = np.asarray(detuning, dtype=float)
+    w = np.hypot(rabi_freq, detuning)
     theta = math.pi * w * duration
-    sn = math.sin(theta) / w if w > 0.0 else 0.0
-    cs = math.cos(theta)
+    sn = np.divide(np.sin(theta), w, out=np.zeros_like(w), where=w > 0.0)
+    cs = np.cos(theta)
     off = -1j * rabi_freq * sn
     rot = cmath.exp(1j * phase)
-    u = np.eye(3, dtype=complex)
-    u[i, i], u[i, j] = cs + 1j * detuning * sn, off * rot.conjugate()
-    u[j, i], u[j, j] = off * rot, cs - 1j * detuning * sn
+    u = np.broadcast_to(np.eye(3, dtype=complex), detuning.shape + (3, 3)).copy()
+    u[..., i, i], u[..., i, j] = cs + 1j * detuning * sn, off * rot.conjugate()
+    u[..., j, i], u[..., j, j] = off * rot, cs - 1j * detuning * sn
     return u
-
-
-def apply_mw_rotation(
-    rho: np.ndarray,
-    transition: tuple[str, str],
-    rabi_freq: float,
-    duration: float,
-    phase: float = 0.0,
-    detuning: float = 0.0,
-) -> np.ndarray:
-    """Conjugate the triplet density matrix with a two-level rotation."""
-    u = mw_unitary(transition, rabi_freq, duration, phase, detuning)
-    return u @ rho @ u.conj().T
 
 
 def _rwa_check(rabi_freq: float, transition_freq: float) -> None:
@@ -278,21 +273,17 @@ def _rwa_check(rabi_freq: float, transition_freq: float) -> None:
 def _apply_mw(state: HybridState, pulse: MwPulse, system: QubitSystem) -> None:
     if pulse.rabi_freq == 0.0 or pulse.duration == 0.0:
         return
-    if pulse.frequency is not None:
+    if pulse.frequency is None:
+        drives = ((tuple(sorted(pulse.transition)), pulse.detuning),)
+    else:
         # swept-carrier mode: every pair sees the drive at its own detuning
-        for pair in TRANSITION_PAIRS:
-            f0 = system.transitions[pair]
-            _rwa_check(pulse.rabi_freq, f0)
-            state.rho = apply_mw_rotation(
-                state.rho, pair, pulse.rabi_freq, pulse.duration, pulse.phase,
-                detuning=pulse.frequency - f0,
-            )
-        return
-    pair = tuple(sorted(pulse.transition))
-    _rwa_check(pulse.rabi_freq, system.transitions[pair])
-    state.rho = apply_mw_rotation(
-        state.rho, pair, pulse.rabi_freq, pulse.duration, pulse.phase, pulse.detuning
-    )
+        drives = tuple(
+            (pair, pulse.frequency - system.transitions[pair]) for pair in TRANSITION_PAIRS
+        )
+    for pair, detuning in drives:
+        _rwa_check(pulse.rabi_freq, system.transitions[pair])
+        u = mw_unitary(pair, pulse.rabi_freq, pulse.duration, pulse.phase, detuning)
+        state.rho = u @ state.rho @ np.swapaxes(u, -1, -2).conj()
 
 
 def _evolve_free(
@@ -301,31 +292,23 @@ def _evolve_free(
     duration: float,
     laser_on: bool,
     intensity: float,
-) -> float:
+) -> np.ndarray:
     """Advance the state through an illumination or dark interval.
 
-    Returns the integrated S1 occupancy over the interval. Populations
-    follow the five-level rate model; triplet coherences damp at the
-    pairwise mean decay rate.
+    Returns the integrated S1 occupancy over the interval, one per batch
+    element. Populations follow the five-level rate model; triplet
+    coherences damp at the pairwise mean decay rate.
     """
-    if duration == 0.0:
-        return 0.0
-    pops = np.concatenate(([state.p_s0, state.p_s1], np.real(np.diag(state.rho))))
-    new_pops, emission = evolve_populations(
-        system.effective_rates, pops, duration, laser_on, intensity
+    pops, emission = propagate(
+        propagators((system.effective_rates,), duration, laser_on, intensity)[0],
+        state.populations(),
     )
     g = system.decay_rates
-    rho = state.rho.copy()
-    for a in range(3):
-        for b in range(a + 1, 3):
-            damp = math.exp(-0.5 * (g[a] + g[b]) * duration)
-            rho[a, b] *= damp
-            rho[b, a] *= damp
-    for a in range(3):
-        rho[a, a] = new_pops[2 + a]
-    state.p_s0 = float(new_pops[0])
-    state.p_s1 = float(new_pops[1])
-    state.rho = rho
+    eye = np.eye(3)
+    # zero on the diagonal, which takes the propagated populations instead
+    damp = np.exp(-0.5 * (g[:, None] + g[None, :]) * duration) * (1.0 - eye)
+    state.singlet = pops[..., :2]
+    state.rho = state.rho * damp + pops[..., 2:, None] * eye
     return emission
 
 
@@ -333,14 +316,15 @@ def apply_elements(
     elements: tuple[PulseElement, ...] | list[PulseElement],
     system: QubitSystem,
     state: HybridState | None = None,
-) -> tuple[HybridState, list[float]]:
+) -> tuple[HybridState, list[np.ndarray]]:
     """Run elements in order from `state` (ground by default).
 
     Returns the final state and the list of integrated readout emissions,
-    one entry per ReadoutPulse encountered.
+    one entry per ReadoutPulse encountered, each shaped like the state's
+    batch axes.
     """
     out = state.copy() if state is not None else HybridState.ground()
-    emissions: list[float] = []
+    emissions: list[np.ndarray] = []
     for element in elements:
         if isinstance(element, LaserPulse):
             _evolve_free(out, system, element.duration, True, element.intensity)
@@ -429,32 +413,22 @@ def simulate_pulsed_odmr(
     The multilevel variant swaps the prep pair's populations before the
     probe and swaps them back after, which converts an otherwise
     low-contrast line into a strong one while leaving off-resonant
-    carriers with exactly cancelling pulses.
+    carriers with exactly cancelling pulses. The whole grid is one batch:
+    the sequence and its reference each run once.
     """
     if rabi_freq <= 0.0:
         raise InvalidParameterError("probe needs rabi_freq > 0")
     f_grid = np.asarray(f_grid, dtype=float)
     delay = default_readout_delay(system) if readout_delay is None else readout_delay
     prep = pi_pulse(tuple(sorted(prep_pair)), rabi_freq)
-    contrast = np.empty(f_grid.shape)
-    reference: float | None = None
-    for n, f in enumerate(f_grid):
-        probe = MwPulse(rabi_freq=rabi_freq, duration=0.5 / rabi_freq, frequency=float(f))
-        elements: list[PulseElement] = [LaserPulse(init_duration)]
-        if multilevel:
-            elements.append(prep)
-        elements.append(probe)
-        if multilevel:
-            elements.append(prep)
-        elements += [Wait(delay), readout]
-        _, emissions = apply_elements(elements, system)
-        if reference is None:
-            _, ref_emissions = apply_elements(_mw_silenced(tuple(elements)), system)
-            reference = ref_emissions[-1]
-            if reference <= 0.0:
-                raise DegenerateReadoutError("reference emission vanished in ODMR protocol")
-        contrast[n] = emissions[-1] / reference
-    return contrast
+    probe = MwPulse(rabi_freq=rabi_freq, duration=0.5 / rabi_freq, frequency=f_grid)
+    gate = (prep, probe, prep) if multilevel else (probe,)
+    elements = (LaserPulse(init_duration), *gate, Wait(delay), readout)
+    _, (signal,) = apply_elements(elements, system)
+    _, (reference,) = apply_elements(_mw_silenced(elements), system)
+    if reference <= 0.0:
+        raise DegenerateReadoutError("reference emission vanished in ODMR protocol")
+    return signal / reference
 
 
 @dataclass(frozen=True)

@@ -38,12 +38,6 @@ def test_version_flag():
     assert proc.stdout.strip()
 
 
-def test_no_subcommand_prints_help_and_fails():
-    proc = run_cli()
-    assert proc.returncode == 1
-    assert b"spectrum" in proc.stdout or b"spectrum" in proc.stderr
-
-
 def test_spectrum_to_stdout_contains_zero_field_lines():
     proc = run_cli("spectrum")
     assert proc.returncode == 0, proc.stderr
@@ -127,11 +121,6 @@ def test_malformed_json_fit_input_is_a_config_error(tmp_path):
     args = ("fit", "--set", "fit.model=linear", "--set", f"fit.input={bad}")
     err = assert_one_json_error(run_cli(*args), 1, "config")
     assert "columns" in err["message"]
-
-
-def test_unknown_subcommand_fails():
-    proc = run_cli("teleport")
-    assert proc.returncode != 0
 
 
 RABI_ARGS = (
@@ -298,11 +287,36 @@ def assert_one_json_error(proc, code, kind):
         (("spectrum", "--set", "field.bz=50"), "field.bz: spectrum sweeps"),
         (("field-odmr", "--set", "field.magnitude=190"), "field.magnitude: field-odmr sweeps"),
         (("field-odmr", "--set", "field.bz=50"), "field.bz: field-odmr sweeps"),
+        ((), "experiment: required; choose one of"),
+        (("teleport",), "invalid choice: 'teleport'"),
+        (("rabi", "--bogus"), "unrecognized arguments: --bogus"),
+        (("rabi", "--seed", "abc"), "--seed: invalid int value: 'abc'"),
+        (("rabi", "--format", "xml"), "--format: invalid choice: 'xml'"),
+        (("ac-sense", "--set", "ac.phase=30", "--set", "ac.phase_samples=7"), "with ac.phase set"),
+        (("ac-sense", "--set", "ac.phase=30", "--set", "ac.sampling=random"), "with ac.phase set"),
+        (("ac-sense", "--set", "ac.phase=30", "--set", "ac.sampling=grid"), "with ac.phase set"),
     ],
 )
 def test_boundary_inputs_are_config_errors(args, needle):
     err = assert_one_json_error(run_cli(*args), 1, "config")
     assert needle in err["message"]
+
+
+def test_help_exits_zero():
+    for args in (("--help",), ("rabi", "--help")):
+        proc = run_cli(*args)
+        assert proc.returncode == 0
+        assert proc.stdout.startswith(b"usage: sim") and proc.stderr == b""
+
+
+def test_ac_phase_samples_still_drive_nmr_correlation_with_ac_phase_set():
+    args = ["nmr-correlation", "--set", "field.magnitude=190", "--set", "ac.phase=30",
+            "--set", "grid.start=0", "--set", "grid.stop=1", "--set", "grid.count=5"]
+    code, few, err = run_main([*args, "--set", "ac.phase_samples=3"])
+    assert code == 0, err
+    code, many, err = run_main([*args, "--set", "ac.phase_samples=9"])
+    assert code == 0, err
+    assert parse_trace(few).column("signal").tolist() != parse_trace(many).column("signal").tolist()
 
 
 def test_non_finite_number_in_config_file(tmp_path):

@@ -8,7 +8,6 @@ from tripletsim.photokinetics import (
     KineticRates,
     LevelPopulations,
     dark_initial_state,
-    evolve_populations,
     expm,
     isc_branching_from_steady_state,
     propagate,
@@ -80,7 +79,7 @@ def test_evolution_matches_adaptive_ode():
     m = rate_matrix(rates, laser_on=True)
     p0 = LevelPopulations.ground().as_array()
     for t in (1e-7, 1e-6, 1e-5, 1e-4):
-        ours, _ = evolve_populations(rates, p0, t, laser_on=True)
+        ours, _ = propagate(propagators((rates,), t, True)[0], p0)
         ref = rate_ode_solution(m, p0, t)
         assert np.allclose(ours, ref, atol=1e-9)
 
@@ -89,7 +88,7 @@ def test_emission_integral_matches_adaptive_ode():
     rates = rates_rt()
     m = rate_matrix(rates, laser_on=True)
     p0 = LevelPopulations.ground().as_array()
-    pops, emission = evolve_populations(rates, p0, 2e-6, laser_on=True)
+    pops, emission = propagate(propagators((rates,), 2e-6, True)[0], p0)
     ref_p, ref_em = rate_ode_emission(m, p0, 2e-6)
     assert np.allclose(pops, ref_p, atol=1e-9)
     assert emission == pytest.approx(ref_em, rel=1e-8)
@@ -99,18 +98,18 @@ def test_population_conservation_along_evolution():
     rates = rates_4k()
     state = LevelPopulations.ground().as_array()
     for t, on in ((5e-6, True), (40e-6, False), (1e-6, True), (300e-6, False)):
-        state, _ = evolve_populations(rates, state, t, laser_on=on)
+        state, _ = propagate(propagators((rates,), t, on)[0], state)
         assert state.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.all(state >= -1e-9)
     # an input that does not conserve population is refused, not renormalised
     with pytest.raises(InvalidParameterError):
-        evolve_populations(rates, np.array([0.5, 0.0, 0.0, 0.0, 0.0]), 1e-6, laser_on=True)
+        propagate(propagators((rates,), 1e-6, True)[0], np.array([0.5, 0.0, 0.0, 0.0, 0.0]))
 
 
 def test_long_time_evolution_reaches_steady_state():
     rates = rates_4k()
     ss = steady_state(rates)
-    final, _ = evolve_populations(rates, LevelPopulations.ground().as_array(), 1.0, laser_on=True)
+    final, _ = propagate(propagators((rates,), 1.0, True)[0], LevelPopulations.ground().as_array())
     assert np.allclose(final, ss.as_array(), atol=1e-9)
 
 
@@ -149,7 +148,7 @@ def test_t1_curve_matches_full_rate_model():
     rates = rates_rt()
     d0 = dark_initial_state(rates)
     for t in (5e-6, 50e-6, 400e-6):
-        full, _ = evolve_populations(rates, d0.as_array(), t, laser_on=False)
+        full, _ = propagate(propagators((rates,), t, False)[0], d0.as_array())
         closed = t1_relaxation_curve(rates, np.array([t]))[0]
         assert closed == pytest.approx(full[0] + full[1], abs=1e-12)
 
@@ -201,13 +200,13 @@ def test_expm_of_a_stack_equals_expm_of_each_matrix():
     assert np.array_equal(expm(stack.reshape(4, 9, 6, 6)), batched.reshape(4, 9, 6, 6))
 
 
-def test_propagators_match_evolve_populations_per_rate_set():
+def test_stacked_propagators_match_single_rate_set_calls():
     rates = (rates_4k(), rates_rt())
     p0 = np.array([[0.2, 0.1, 0.3, 0.2, 0.2], [1.0, 0.0, 0.0, 0.0, 0.0]])
     for t, on in ((3e-6, True), (60e-6, False)):
         pops, emission = propagate(propagators(rates, t, on), p0)
         for k, r in enumerate(rates):
-            single, single_emission = evolve_populations(r, p0[k], t, laser_on=on)
+            single, single_emission = propagate(propagators((r,), t, on)[0], p0[k])
             assert np.array_equal(pops[k], single)
             assert emission[k] == single_emission
     # one non-conserving row in a stack is refused like a single state
@@ -246,7 +245,7 @@ def test_kinetic_rates_validation():
 
 def test_negative_duration_rejected():
     with pytest.raises(InvalidParameterError):
-        evolve_populations(rates_4k(), LevelPopulations.ground().as_array(), -1e-6, True)
+        propagate(propagators((rates_4k(),), -1e-6, True)[0], LevelPopulations.ground().as_array())
 
 
 def test_shelving_time_scale_with_defaults():
@@ -254,8 +253,8 @@ def test_shelving_time_scale_with_defaults():
     # into the triplet on a ~10 us time scale
     rates = rates_4k()
     ground = LevelPopulations.ground().as_array()
-    before, _ = evolve_populations(rates, ground, 1e-6, laser_on=True)
-    after, _ = evolve_populations(rates, ground, 30e-6, laser_on=True)
+    before, _ = propagate(propagators((rates,), 1e-6, True)[0], ground)
+    after, _ = propagate(propagators((rates,), 30e-6, True)[0], ground)
     assert before[2:].sum() < 0.2
     assert after[2:].sum() > 0.6
 

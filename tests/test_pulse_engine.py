@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from oracles import rate_ode_emission, rate_ode_solution, two_level_rotation
-from tripletsim import photokinetics
+from tripletsim import photokinetics, pulse_engine
 from tripletsim.errors import (
     DegenerateReadoutError,
     InvalidParameterError,
@@ -13,8 +13,9 @@ from tripletsim.errors import (
 )
 from tripletsim.photokinetics import (
     KineticRates,
-    evolve_populations,
     isc_branching_from_steady_state,
+    propagate,
+    propagators,
     rate_matrix,
 )
 from tripletsim.pulse_engine import (
@@ -26,7 +27,6 @@ from tripletsim.pulse_engine import (
     ReadoutPulse,
     Wait,
     apply_elements,
-    apply_mw_rotation,
     default_readout_delay,
     mw_unitary,
     pi_pulse,
@@ -55,6 +55,10 @@ def random_density_matrix(rng, triplet_weight=0.6):
     rho = a @ a.conj().T
     rho *= triplet_weight / np.real(np.trace(rho))
     return rho
+
+
+def rotated(rho, u):
+    return u @ rho @ u.conj().T
 
 
 def embedded(u2, pair):
@@ -122,6 +126,18 @@ def test_mw_unitary_matches_scipy_expm():
     assert np.array_equal(mw_unitary(("x", "y"), 0.0, 1e-6, 0.4, 0.0), np.eye(3))
 
 
+def test_mw_unitary_stack_equals_scalar_calls():
+    rng = np.random.default_rng(12)
+    detunings = np.concatenate(([0.0], rng.normal(scale=2e7, size=40)))
+    for pair in PAIRS:
+        for rabi in (0.0, 5e6):
+            stack = mw_unitary(pair, rabi, 1e-7, 0.7, detunings)
+            assert stack.shape == (detunings.size, 3, 3)
+            for u, detuning in zip(stack, detunings):
+                assert np.array_equal(u, mw_unitary(pair, rabi, 1e-7, 0.7, float(detuning)))
+    assert mw_unitary(("x", "y"), 5e6, 1e-7, 0.0, np.zeros((2, 4))).shape == (2, 4, 3, 3)
+
+
 def test_rotation_composition_is_exact():
     # two back-to-back drive intervals equal one of the summed duration
     rng = np.random.default_rng(9)
@@ -147,20 +163,20 @@ def test_pi_pulse_swaps_and_squares_to_identity():
     rho[1, 2] = 0.05 + 0.02j
     rho[2, 1] = np.conj(rho[1, 2])
     pulse = pi_pulse(("y", "z"), 5.0e6)
-    once = apply_mw_rotation(rho, ("y", "z"), pulse.rabi_freq, pulse.duration)
+    u = mw_unitary(("y", "z"), pulse.rabi_freq, pulse.duration)
+    once = rotated(rho, u)
     assert abs(once[1, 1] - rho[2, 2]) < 1e-10
     assert abs(once[2, 2] - rho[1, 1]) < 1e-10
     assert abs(once[0, 0] - rho[0, 0]) < 1e-12
-    twice = apply_mw_rotation(once, ("y", "z"), pulse.rabi_freq, pulse.duration)
+    twice = rotated(once, u)
     assert np.max(np.abs(twice - rho)) < 1e-10
-    u = mw_unitary(("y", "z"), pulse.rabi_freq, pulse.duration)
     assert np.max(np.abs(u @ u - np.diag([1.0, -1.0, -1.0]))) < 1e-10
 
 
 def test_resonant_pi_transfer_is_complete():
     rho = np.diag([0.0, 1.0, 0.0]).astype(complex)
     pulse = pi_pulse(("y", "z"), 1.0e6)
-    out = apply_mw_rotation(rho, ("y", "z"), pulse.rabi_freq, pulse.duration)
+    out = rotated(rho, mw_unitary(("y", "z"), pulse.rabi_freq, pulse.duration))
     assert abs(out[2, 2] - 1.0) < 1e-12
     assert abs(out[1, 1]) < 1e-12
 
@@ -171,7 +187,7 @@ def test_detuned_transfer_follows_generalized_rabi():
         omega_g = math.hypot(rabi, detuning)
         duration = 0.5 / omega_g  # half a generalized-Rabi period
         rho = np.diag([0.0, 1.0, 0.0]).astype(complex)
-        out = apply_mw_rotation(rho, ("y", "z"), rabi, duration, detuning=detuning)
+        out = rotated(rho, mw_unitary(("y", "z"), rabi, duration, detuning=detuning))
         expected = (rabi / omega_g) ** 2
         assert abs(float(np.real(out[2, 2])) - expected) < 1e-12
 
@@ -202,10 +218,7 @@ def test_optical_element_validation():
 
 
 def test_rwa_warning_on_strong_drive():
-    state = HybridState.ground()
-    state.rho = np.diag([0.3, 0.3, 0.3]).astype(complex)
-    state.p_s0 = 0.1
-    state.p_s1 = 0.0
+    state = HybridState(singlet=np.array([0.1, 0.0]), rho=np.diag([0.3, 0.3, 0.3]).astype(complex))
     strong = MwPulse(rabi_freq=0.5e9, duration=1e-9, transition=("y", "z"))
     with pytest.warns(UserWarning, match="rotating-wave"):
         apply_elements([strong, ReadoutPulse()], SYSTEM, state)
@@ -242,20 +255,18 @@ def test_population_conservation_through_random_sequences():
 
 def test_wait_populations_match_rate_model():
     state, _ = apply_elements([LaserPulse(15e-6)], SYSTEM)
-    pops_before = state.populations().as_array()
+    pops_before = state.populations()
     duration = 40e-6
     after, _ = apply_elements([Wait(duration)], SYSTEM, state)
-    expected, _ = evolve_populations(SYSTEM.effective_rates, pops_before, duration, False)
-    assert np.max(np.abs(after.populations().as_array() - expected)) < 1e-12
+    expected, _ = propagate(propagators((SYSTEM.effective_rates,), duration, False)[0], pops_before)
+    assert np.max(np.abs(after.populations() - expected)) < 1e-12
 
 
 def test_wait_damps_coherence_at_mean_decay_rate():
-    state = HybridState.ground()
     rho = np.zeros((3, 3), dtype=complex)
     rho[1, 1] = rho[2, 2] = 0.25
     rho[1, 2] = rho[2, 1] = 0.25
-    state.rho = rho
-    state.p_s0 = 0.5
+    state = HybridState(singlet=np.array([0.5, 0.0]), rho=rho)
     duration = 30e-6
     out, _ = apply_elements([Wait(duration)], SYSTEM, state)
     g = SYSTEM.decay_rates
@@ -360,6 +371,23 @@ def test_multilevel_gate_cancels_off_resonance():
     assert gated == pytest.approx(single, abs=5e-3)
 
 
+@pytest.mark.parametrize("multilevel", [False, True], ids=["plain", "multilevel"])
+@pytest.mark.parametrize("b", [0.0, 50e-3], ids=["0mT", "50mT-z"])
+def test_swept_pulsed_odmr_equals_carriers_run_one_at_a_time(b, multilevel):
+    system = QubitSystem(zfs=ZFS, rates=RATES_4K, field=FieldVector.along("z", b))
+    lines = list(system.transitions.values())
+    f_grid = np.sort(np.concatenate((np.linspace(0.8e9, 2.6e9, 358), lines)))
+    swept = simulate_pulsed_odmr(system, f_grid, multilevel=multilevel)
+    one_at_a_time = [
+        simulate_pulsed_odmr(system, np.array([f]), multilevel=multilevel)[0] for f in f_grid
+    ]
+    assert swept.shape == (361,)
+    assert np.array_equal(swept, one_at_a_time)
+    # every line sits on the grid and shows in the sweep
+    assert np.all(np.abs(swept[np.isin(f_grid, lines)] - 1.0) > 1e-3)
+    assert simulate_pulsed_odmr(system, np.array([]), multilevel=multilevel).shape == (0,)
+
+
 def test_field_odmr_matches_ode_oracle():
     # every step of the swap protocol through the independent solve_ivp
     # route; line positions are the tracked branches, tested in spin_model
@@ -430,6 +458,32 @@ def test_field_odmr_calls_expm_a_fixed_number_of_times(monkeypatch):
         simulate_field_odmr(ZFS, RATES_4K, "x", np.linspace(0.0, 120e-3, n_fields), f_grid)
         # laser, dark and readout propagators, each one stacked call
         assert calls == [(n_fields, 6, 6)] * 3
+
+
+def test_pulsed_odmr_calls_expm_and_mw_unitary_a_fixed_number_of_times(monkeypatch):
+    propagator_shapes, rotated_pairs = [], []
+    original_expm, original_mw_unitary = photokinetics.expm, pulse_engine.mw_unitary
+
+    def counting_expm(a):
+        propagator_shapes.append(np.shape(a))
+        return original_expm(a)
+
+    def counting_mw_unitary(pair, *args):
+        rotated_pairs.append(pair)
+        return original_mw_unitary(pair, *args)
+
+    monkeypatch.setattr(photokinetics, "expm", counting_expm)
+    monkeypatch.setattr(pulse_engine, "mw_unitary", counting_mw_unitary)
+    for multilevel, rotations in ((False, 3), (True, 5)):
+        for n_carriers in (11, 361):
+            propagator_shapes.clear()
+            rotated_pairs.clear()
+            f_grid = np.linspace(0.8e9, 2.6e9, n_carriers)
+            simulate_pulsed_odmr(SYSTEM, f_grid, multilevel=multilevel)
+            # laser, dark and readout propagators for the sweep and its reference
+            assert propagator_shapes == [(1, 6, 6)] * 6
+            # three swept-carrier pairs, plus the two prep pulses when gated
+            assert len(rotated_pairs) == rotations
 
 
 def test_field_odmr_without_fields_is_an_empty_map():
