@@ -23,131 +23,86 @@ config, runner, cli
     Configuration schema, experiment dispatch, command line front end.
 """
 
-from ._version import __version__
-from .coherence import (
-    DEUTERON,
-    FREE_ELECTRON_HZ_PER_T,
-    PROTON,
-    AcSignal,
-    CoherenceModel,
-    CouplingDistribution,
-    DarkSpin,
-    DdScalingParams,
-    EseemParams,
-    NuclearSpecies,
-    ac_collapse_taus,
-    ac_echo_response,
-    correlation_spectroscopy,
-    dd_t2_scaling,
-    deer_rabi,
-    deer_spectrum,
-    echo_envelope,
-    eseem_minimum_times,
-    nmr_frequency,
-)
-from .errors import (
-    ConfigError,
-    DegenerateFitError,
-    DegenerateReadoutError,
-    FlatDataError,
-    InvalidParameterError,
-    ProtocolViolationError,
-    SimulationError,
-)
-from .fitting import FitResult, fit, get_model, model_eval
-from .photokinetics import (
-    KineticRates,
-    LevelPopulations,
-    isc_branching_from_steady_state,
-    steady_state,
-    t1_relaxation_curve,
-)
-from .pulse_engine import (
-    HybridState,
-    LaserPulse,
-    MwPulse,
-    QubitSystem,
-    ReadoutPulse,
-    Wait,
-    pi_pulse,
-    simulate_field_odmr,
-    simulate_pulsed_odmr,
-    simulate_rabi,
-)
-from .spin_model import (
-    GAMMA_ELECTRON_HZ_PER_T,
-    FieldVector,
-    GyroRatio,
-    TripletEigensystem,
-    ZfsParams,
-    build_hamiltonian,
-    eigensystem,
-    field_sweep_spectrum,
-    spin_operators,
-    transition_frequencies,
-)
-from .trace import Column, TraceRecord, emit, parse_trace, read_trace
+import importlib
 
-__all__ = [
-    "__version__",
-    "AcSignal",
-    "CoherenceModel",
-    "Column",
-    "ConfigError",
-    "CouplingDistribution",
-    "DarkSpin",
-    "DdScalingParams",
-    "DegenerateFitError",
-    "DegenerateReadoutError",
-    "DEUTERON",
-    "EseemParams",
-    "FieldVector",
-    "FitResult",
-    "FlatDataError",
-    "FREE_ELECTRON_HZ_PER_T",
-    "GAMMA_ELECTRON_HZ_PER_T",
-    "GyroRatio",
-    "HybridState",
-    "InvalidParameterError",
-    "KineticRates",
-    "LaserPulse",
-    "LevelPopulations",
-    "MwPulse",
-    "NuclearSpecies",
-    "PROTON",
-    "ProtocolViolationError",
-    "QubitSystem",
-    "ReadoutPulse",
-    "SimulationError",
-    "TraceRecord",
-    "TripletEigensystem",
-    "Wait",
-    "ZfsParams",
-    "ac_collapse_taus",
-    "ac_echo_response",
-    "build_hamiltonian",
-    "correlation_spectroscopy",
-    "dd_t2_scaling",
-    "deer_rabi",
-    "deer_spectrum",
-    "echo_envelope",
-    "eigensystem",
-    "emit",
-    "eseem_minimum_times",
-    "field_sweep_spectrum",
-    "fit",
-    "get_model",
-    "isc_branching_from_steady_state",
-    "model_eval",
-    "nmr_frequency",
-    "parse_trace",
-    "pi_pulse",
-    "read_trace",
-    "simulate_field_odmr",
-    "simulate_pulsed_odmr",
-    "simulate_rabi",
-    "spin_operators",
-    "steady_state",
-    "t1_relaxation_curve",
-    "transition_frequencies",
-]
+from ._version import __version__
+
+# Each export is imported from its module on first access (PEP 562), so
+# `import tripletsim` loads no physics and `sim <experiment>` loads only
+# the modules that experiment runs.
+_EXPORTS = {
+    "AcSignal": "coherence",
+    "CoherenceModel": "coherence",
+    "Column": "trace",
+    "ConfigError": "errors",
+    "CouplingDistribution": "coherence",
+    "DarkSpin": "coherence",
+    "DdScalingParams": "coherence",
+    "DegenerateFitError": "errors",
+    "DegenerateReadoutError": "errors",
+    "DEUTERON": "coherence",
+    "EseemParams": "coherence",
+    "FieldVector": "spin_model",
+    "FitResult": "fitting",
+    "FlatDataError": "errors",
+    "FREE_ELECTRON_HZ_PER_T": "coherence",
+    "GAMMA_ELECTRON_HZ_PER_T": "spin_model",
+    "GyroRatio": "spin_model",
+    "HybridState": "pulse_engine",
+    "InvalidParameterError": "errors",
+    "KineticRates": "photokinetics",
+    "LaserPulse": "pulse_engine",
+    "LevelPopulations": "photokinetics",
+    "MwPulse": "pulse_engine",
+    "NuclearSpecies": "coherence",
+    "PROTON": "coherence",
+    "ProtocolViolationError": "errors",
+    "QubitSystem": "pulse_engine",
+    "ReadoutPulse": "pulse_engine",
+    "SimulationError": "errors",
+    "TraceRecord": "trace",
+    "TripletEigensystem": "spin_model",
+    "Wait": "pulse_engine",
+    "ZfsParams": "spin_model",
+    "ac_collapse_taus": "coherence",
+    "ac_echo_response": "coherence",
+    "build_hamiltonian": "spin_model",
+    "correlation_spectroscopy": "coherence",
+    "dd_t2_scaling": "coherence",
+    "deer_rabi": "coherence",
+    "deer_spectrum": "coherence",
+    "echo_envelope": "coherence",
+    "eigensystem": "spin_model",
+    "emit": "trace",
+    "eseem_minimum_times": "coherence",
+    "field_sweep_spectrum": "spin_model",
+    "fit": "fitting",
+    "get_model": "fitting",
+    "isc_branching_from_steady_state": "photokinetics",
+    "model_eval": "fitting",
+    "nmr_frequency": "coherence",
+    "parse_trace": "trace",
+    "pi_pulse": "pulse_engine",
+    "read_trace": "trace",
+    "simulate_field_odmr": "pulse_engine",
+    "simulate_pulsed_odmr": "pulse_engine",
+    "simulate_rabi": "pulse_engine",
+    "spin_operators": "spin_model",
+    "steady_state": "photokinetics",
+    "t1_relaxation_curve": "photokinetics",
+    "transition_frequencies": "spin_model",
+}
+
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

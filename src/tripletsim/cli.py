@@ -5,8 +5,9 @@
 
 Exit codes: 0 success, 1 configuration error (a bad command line
 included), 2 runtime/physics error or any other unexpected failure. Errors are emitted as one JSON object
-on stderr. Log verbosity comes from the TRIPLETSIM_LOG environment
-variable (debug, info, warning).
+on stderr. Warnings, such as a drive strong enough to strain the
+rotating-wave treatment, are logged as one line each. Log verbosity
+comes from the TRIPLETSIM_LOG environment variable (debug, info, warning).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import json
 import logging
 import os
 import sys
+import warnings
 from typing import NoReturn
 
 from ._version import __version__
@@ -66,6 +68,11 @@ def _configure_logging() -> None:
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
+def _log_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """`warnings.showwarning` for the CLI: the message alone, without source location."""
+    log.warning("%s", message)
+
+
 def _report_error(kind: str, exc: Exception) -> None:
     doc = {"error": kind, "type": type(exc).__name__, "message": str(exc)}
     print(json.dumps(doc, sort_keys=True), file=sys.stderr)
@@ -73,6 +80,12 @@ def _report_error(kind: str, exc: Exception) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     _configure_logging()
+    with warnings.catch_warnings():
+        warnings.showwarning = _log_warning
+        return _main(argv)
+
+
+def _main(argv: list[str] | None) -> int:
     try:
         args = build_parser().parse_args(argv)
         if args.experiment is None:

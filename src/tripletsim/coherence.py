@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
 
 from .errors import InvalidParameterError
 from .spin_model import GAMMA_ELECTRON_HZ_PER_T
@@ -305,6 +304,8 @@ def _gauss_nodes(mean: float, sigma: float, n: int) -> tuple[np.ndarray, np.ndar
     """Gauss-Hermite nodes and weights for a N(mean, sigma^2) average."""
     if sigma == 0.0 or n == 1:
         return np.array([mean]), np.array([1.0])
+    from numpy.polynomial.hermite import hermgauss
+
     x, w = hermgauss(n)
     return mean + math.sqrt(2.0) * sigma * x, w / math.sqrt(math.pi)
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Any
 
 from .errors import ConfigError
-from .fitting import MODELS
 
 EXPERIMENTS: dict[str, str] = {
     "spectrum": "Transition frequencies of the triplet at given static fields",
@@ -513,10 +512,13 @@ def parse_config(
                     f"give ac.{key} or ac.phase, not both"
                 )
     fit = sections["fit"]
-    if fit["model"] is not None and fit["model"] not in MODELS:
-        raise ConfigError(
-            f"fit.model: unknown model {fit['model']!r}; available: {sorted(MODELS)}"
-        )
+    if fit["model"] is not None:
+        from .fitting import MODELS
+
+        if fit["model"] not in MODELS:
+            raise ConfigError(
+                f"fit.model: unknown model {fit['model']!r}; available: {sorted(MODELS)}"
+            )
     if sections["experiment"] == "fit":
         if not fit["model"]:
             raise ConfigError("fit.model: required for the fit experiment")

@@ -30,7 +30,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .coherence import _gauss_nodes
 from .errors import (
     DegenerateReadoutError,
     InvalidParameterError,
@@ -375,6 +374,8 @@ def simulate_rabi(
     exp[-(t/T2*)^2]. t2_star=inf gives the undamped on-resonance
     oscillation sin^2(pi*rabi*t).
     """
+    from .coherence import _gauss_nodes
+
     if rabi_freq <= 0.0 or not math.isfinite(rabi_freq):
         raise InvalidParameterError(f"Rabi frequency must be > 0, got {rabi_freq!r}")
     durations = np.asarray(durations, dtype=float)

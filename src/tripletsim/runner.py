@@ -3,70 +3,50 @@
 This is the single place where CLI units (MHz, us, mT, degrees, MHz/mT)
 are converted to the SI units (Hz, s, T, radians, Hz/T) the physics
 modules speak.
+
+Each runner imports the physics it calls inside its own body, so a
+`sim` process loads only the modules of the experiment it runs.
 """
 
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ._version import __version__
-from .coherence import (
-    DEUTERON,
-    PROTON,
-    AcSignal,
-    CoherenceModel,
-    CouplingDistribution,
-    DarkSpin,
-    DdScalingParams,
-    EseemParams,
-    NuclearSpecies,
-    ac_echo_response,
-    correlation_spectroscopy,
-    dd_t2_scaling,
-    deer_rabi,
-    deer_spectrum,
-    echo_envelope,
-)
 from .config import MAX_GRID_CELLS, ExperimentConfig
 from .errors import ConfigError
-from .fitting import estimate_initial_guess, fit, get_model
-from .photokinetics import KineticRates, t1_relaxation_curve
-from .pulse_engine import (
-    QubitSystem,
-    ReadoutPulse,
-    simulate_field_odmr,
-    simulate_pulsed_odmr,
-    simulate_rabi,
-)
-from .spin_model import (
-    TRANSITION_PAIRS,
-    FieldVector,
-    GyroRatio,
-    ZfsParams,
-    field_sweep_spectrum,
-)
 from .trace import Column, TraceRecord, read_trace
+
+if TYPE_CHECKING:
+    from .coherence import CoherenceModel, DarkSpin, NuclearSpecies
+    from .photokinetics import KineticRates
+    from .pulse_engine import ReadoutPulse
+    from .spin_model import FieldVector, GyroRatio, ZfsParams
 
 MHZ = 1.0e6
 US = 1.0e-6
 MT = 1.0e-3
 MHZ_PER_MT = 1.0e9  # to Hz/T
 
-_BRANCH_CODES = {pair: float(k + 1) for k, pair in enumerate(TRANSITION_PAIRS)}
-_BRANCH_NAMES = {str(k + 1): "-".join(pair) for k, pair in enumerate(TRANSITION_PAIRS)}
-
 
 def _zfs(cfg: ExperimentConfig) -> ZfsParams:
+    from .spin_model import ZfsParams
+
     return ZfsParams(d=cfg["zfs"]["d"] * MHZ, e=cfg["zfs"]["e"] * MHZ)
 
 
 def _gamma(cfg: ExperimentConfig) -> GyroRatio:
+    from .spin_model import GyroRatio
+
     return GyroRatio(gamma=cfg["gamma"] * MHZ_PER_MT)
 
 
 def _field(cfg: ExperimentConfig) -> FieldVector:
+    from .spin_model import FieldVector
+
     section = cfg["field"]
     components = (section["bx"], section["by"], section["bz"])
     if any(c is not None for c in components):
@@ -76,6 +56,8 @@ def _field(cfg: ExperimentConfig) -> FieldVector:
 
 
 def _rates(cfg: ExperimentConfig) -> KineticRates:
+    from .photokinetics import KineticRates
+
     kin = cfg["kinetics"]
     return KineticRates.from_steady_state(
         populations=tuple(kin["populations"]),
@@ -137,7 +119,15 @@ def _check_cells(cfg: ExperimentConfig, keys: str, n_rows: int, n_cols: int) -> 
         )
 
 
+def _check_domain(cfg: ExperimentConfig, values: np.ndarray, ok: np.ndarray, rule: str) -> None:
+    """Reject grid values outside the experiment's domain before anything is simulated."""
+    if not np.all(ok):
+        raise ConfigError(f"grid: {cfg.experiment} needs {rule}; got {values[~ok][0]:g}")
+
+
 def _readout_pulse(cfg: ExperimentConfig) -> ReadoutPulse:
+    from .pulse_engine import ReadoutPulse
+
     section = cfg["readout"]
     return ReadoutPulse(duration=section["duration"] * US, intensity=section["intensity"])
 
@@ -148,6 +138,8 @@ def _readout_delay(cfg: ExperimentConfig) -> float | None:
 
 
 def _nuclear_species(cfg: ExperimentConfig) -> NuclearSpecies:
+    from .coherence import DEUTERON, PROTON, NuclearSpecies
+
     section = cfg["nuclear"]
     if section["gamma"] is not None:
         return NuclearSpecies("custom", section["gamma"] * MHZ_PER_MT)
@@ -157,6 +149,8 @@ def _nuclear_species(cfg: ExperimentConfig) -> NuclearSpecies:
 
 
 def _dark_spin(cfg: ExperimentConfig) -> DarkSpin:
+    from .coherence import CouplingDistribution, DarkSpin
+
     section = cfg["dark"]
     return DarkSpin(
         g_factor=section["g_factor"],
@@ -177,17 +171,22 @@ def _require_field_magnitude(cfg: ExperimentConfig, kind: str) -> float:
 
 
 def _run_spectrum(cfg: ExperimentConfig):
+    from .spin_model import TRANSITION_PAIRS, field_sweep_spectrum
+
     b_values = _grid(cfg, values=[0.0]) * MT
     sweep = field_sweep_spectrum(_zfs(cfg), cfg["field"]["axis"], b_values, _gamma(cfg))
     rows = []
     for n, b in enumerate(sweep.field):
-        for pair in TRANSITION_PAIRS:
-            rows.append([b / MT, _BRANCH_CODES[pair], sweep.branches[pair][n] / MHZ])
+        for k, pair in enumerate(TRANSITION_PAIRS):
+            rows.append([b / MT, float(k + 1), sweep.branches[pair][n] / MHZ])
     columns = (Column("field", "mT"), Column("branch", "1"), Column("frequency", "MHz"))
-    return columns, np.asarray(rows), {"branches": _BRANCH_NAMES}
+    names = {str(k + 1): "-".join(pair) for k, pair in enumerate(TRANSITION_PAIRS)}
+    return columns, np.asarray(rows), {"branches": names}
 
 
 def _run_field_odmr(cfg: ExperimentConfig):
+    from .pulse_engine import simulate_field_odmr
+
     b_grid = _grid(cfg, key="field_grid", start=0.0, stop=120.0, count=61)
     f_grid = _grid(cfg, start=600.0, stop=3000.0, count=241)
     _check_cells(cfg, "field_grid x grid", b_grid.size, f_grid.size)
@@ -211,7 +210,10 @@ def _run_field_odmr(cfg: ExperimentConfig):
 
 
 def _run_odmr(cfg: ExperimentConfig):
+    from .pulse_engine import QubitSystem, simulate_pulsed_odmr
+
     f_grid = _grid(cfg, start=800.0, stop=2600.0, count=361)
+    _check_domain(cfg, f_grid, f_grid > 0.0, "carrier frequencies > 0 MHz")
     system = QubitSystem(zfs=_zfs(cfg), rates=_rates(cfg), field=_field(cfg), gamma=_gamma(cfg))
     contrast = simulate_pulsed_odmr(
         system,
@@ -227,7 +229,10 @@ def _run_odmr(cfg: ExperimentConfig):
 
 
 def _run_rabi(cfg: ExperimentConfig):
+    from .pulse_engine import simulate_rabi
+
     durations = _grid(cfg, start=0.0, stop=0.6, count=301)
+    _check_domain(cfg, durations, durations >= 0.0, "pulse durations >= 0 us")
     t2_star = cfg["pulse"]["t2_star"]
     trace = simulate_rabi(
         rabi_freq=cfg["pulse"]["rabi"] * MHZ,
@@ -240,13 +245,18 @@ def _run_rabi(cfg: ExperimentConfig):
 
 
 def _run_t1(cfg: ExperimentConfig):
+    from .photokinetics import t1_relaxation_curve
+
     delays = _grid(cfg, start=0.5, stop=2000.0, count=200, spacing="log")
+    _check_domain(cfg, delays, delays >= 0.0, "delays >= 0 us")
     signal = t1_relaxation_curve(_rates(cfg), delays * US, intensity=cfg["init"]["intensity"])
     columns = (Column("delay", "us"), Column("signal", "1"), Column("triplet", "1"))
     return columns, np.column_stack([delays, signal, 1.0 - signal]), {}
 
 
 def _coherence_model(cfg: ExperimentConfig) -> CoherenceModel:
+    from .coherence import CoherenceModel, EseemParams
+
     section = cfg["coherence"]
     eseem = section["eseem"]
     return CoherenceModel(
@@ -259,16 +269,20 @@ def _coherence_model(cfg: ExperimentConfig) -> CoherenceModel:
 
 
 def _run_echo(cfg: ExperimentConfig):
+    from .coherence import echo_envelope
+
     times = _grid(cfg, start=0.05, stop=70.0, count=400)
+    _check_domain(cfg, times, times >= 0.0, "echo times >= 0 us")
     envelope = echo_envelope(_coherence_model(cfg), times * US)
     columns = (Column("time", "us"), Column("echo", "1"))
     return columns, np.column_stack([times, envelope]), {}
 
 
 def _run_dd_scaling(cfg: ExperimentConfig):
+    from .coherence import DdScalingParams, dd_t2_scaling
+
     n_pulses = _grid(cfg, values=[float(2**k) for k in range(11)])
-    if np.any(n_pulses < 1.0):
-        raise ConfigError("dd-scaling: pulse numbers must be >= 1")
+    _check_domain(cfg, n_pulses, n_pulses >= 1.0, "pulse numbers >= 1")
     section = cfg["dd"]
     params = DdScalingParams(
         t2_1=section["t2_1"] * US, nu=section["nu"], t1_rho=section["t1_rho"] * US
@@ -279,7 +293,10 @@ def _run_dd_scaling(cfg: ExperimentConfig):
 
 
 def _run_ac_sense(cfg: ExperimentConfig):
+    from .coherence import AcSignal, ac_echo_response
+
     taus = _grid(cfg, start=0.2, stop=40.0, count=400)
+    _check_domain(cfg, taus, taus >= 0.0, "tau values >= 0 us")
     section = cfg["ac"]
     phase = None if section["phase"] is None else math.radians(section["phase"])
     ac = AcSignal(
@@ -300,6 +317,8 @@ def _run_ac_sense(cfg: ExperimentConfig):
 
 
 def _run_nmr_correlation(cfg: ExperimentConfig):
+    from .coherence import correlation_spectroscopy
+
     b = _require_field_magnitude(cfg, "nmr-correlation")
     species = _nuclear_species(cfg)
     section = cfg["nuclear"]
@@ -307,6 +326,7 @@ def _run_nmr_correlation(cfg: ExperimentConfig):
     tau = section["tau"] * US if section["tau"] is not None else 0.5 / f_n
     stop_us = 30.0 / f_n / US
     t_corr = _grid(cfg, start=0.0, stop=stop_us, count=1501)
+    _check_domain(cfg, t_corr, t_corr >= 0.0, "storage times >= 0 us")
     _check_cells(cfg, "grid x ac.phase_samples", t_corr.size, cfg["ac"]["phase_samples"])
     signal = correlation_spectroscopy(
         species,
@@ -324,6 +344,8 @@ def _run_nmr_correlation(cfg: ExperimentConfig):
 
 
 def _run_deer(cfg: ExperimentConfig):
+    from .coherence import deer_spectrum
+
     b = _require_field_magnitude(cfg, "deer")
     dark = _dark_spin(cfg)
     center = dark.resonance(b) / MHZ
@@ -334,8 +356,11 @@ def _run_deer(cfg: ExperimentConfig):
 
 
 def _run_deer_rabi(cfg: ExperimentConfig):
+    from .coherence import deer_rabi
+
     dark = _dark_spin(cfg)
     durations = _grid(cfg, start=0.0, stop=0.2, count=401)
+    _check_domain(cfg, durations, durations >= 0.0, "pulse durations >= 0 us")
     trace = deer_rabi(
         dark,
         drive_rabi=cfg["dark"]["drive_rabi"] * MHZ,
@@ -348,6 +373,8 @@ def _run_deer_rabi(cfg: ExperimentConfig):
 
 
 def _run_fit(cfg: ExperimentConfig):
+    from .fitting import estimate_initial_guess, fit, get_model
+
     section = cfg["fit"]
     try:
         record = read_trace(section["input"])

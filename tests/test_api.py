@@ -1,6 +1,12 @@
 import ast
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 import tripletsim
 
@@ -12,6 +18,30 @@ def test_every_exported_name_resolves():
     # package no longer defines, so a removed export must leave __all__ too
     missing = [name for name in tripletsim.__all__ if not hasattr(tripletsim, name)]
     assert missing == []
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        tripletsim.no_such_name
+
+
+def test_importing_the_package_loads_no_physics_and_no_numpy():
+    # a fresh interpreter, where no export has been resolved yet: `dir` must
+    # list every export without importing it
+    script = (
+        "import json, sys, tripletsim\n"
+        "missing = sorted(set(tripletsim.__all__) - set(dir(tripletsim)))\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] in ('tripletsim', 'numpy'))\n"
+        "print(json.dumps([loaded, missing]))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [["tripletsim", "tripletsim._version"], []]
 
 
 def _names_used(node):

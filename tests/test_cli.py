@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from tripletsim import cli, runner
+from tripletsim import cli, coherence, pulse_engine
 from tripletsim.config import _SCHEMA
 from tripletsim.trace import parse_trace
 
@@ -243,6 +243,63 @@ def test_no_sim_command_imports_scipy(tmp_path):
     assert result["scipy"] == []
 
 
+_ENGINE = {"spin_model", "photokinetics", "pulse_engine"}
+_COHERENCE = {"spin_model", "coherence"}
+
+
+@pytest.mark.parametrize(
+    "experiment, physics, polynomial",
+    [
+        (None, set(), False),  # `import tripletsim.cli` alone
+        ("spectrum", {"spin_model"}, False),
+        ("odmr", _ENGINE, False),
+        ("field-odmr", _ENGINE, False),
+        ("rabi", _ENGINE | {"coherence"}, True),
+        ("t1", {"photokinetics"}, False),
+        ("echo", _COHERENCE, False),
+        ("dd-scaling", _COHERENCE, False),
+        ("ac-sense", _COHERENCE, False),
+        ("nmr-correlation", _COHERENCE, False),
+        ("deer", _COHERENCE, True),
+        ("deer-rabi", _COHERENCE, True),
+        ("fit", {"fitting"}, False),
+    ],
+)
+def test_each_experiment_loads_only_the_modules_it_runs(experiment, physics, polynomial, tmp_path):
+    # one fresh interpreter per experiment: which physics modules, and whether
+    # numpy.polynomial (Gauss-Hermite nodes), a `sim` process pays to import
+    argv = []
+    if experiment == "fit":
+        code, _, err = run_main(["t1", "--out", str(tmp_path / "t1.csv")])
+        assert code == 0, err
+        argv = ["fit", "--set", "fit.model=triple_exponential", "--set",
+                f"fit.input={tmp_path / 't1.csv'}", "--set", "fit.y_column=triplet"]
+    elif experiment is not None:
+        argv = [experiment]
+        if experiment in ("nmr-correlation", "deer"):
+            argv += ["--set", "field.magnitude=190"]
+    script = textwrap.dedent(
+        """
+        import json, sys
+        from tripletsim import cli
+
+        argv = json.loads(sys.argv[1])
+        code = cli.main([*argv, "--out", sys.argv[2]]) if argv else 0
+        physics = {"spin_model", "photokinetics", "pulse_engine", "coherence", "fitting"}
+        loaded = sorted(m for m in physics if f"tripletsim.{m}" in sys.modules)
+        print(json.dumps([code, loaded, "numpy.polynomial" in sys.modules]))
+        """
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(argv), str(tmp_path / "out.csv")],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, sorted(physics), polynomial]
+
+
 def assert_one_json_error(proc, code, kind):
     assert proc.returncode == code
     assert proc.stdout == b""
@@ -295,11 +352,41 @@ def assert_one_json_error(proc, code, kind):
         (("ac-sense", "--set", "ac.phase=30", "--set", "ac.phase_samples=7"), "with ac.phase set"),
         (("ac-sense", "--set", "ac.phase=30", "--set", "ac.sampling=random"), "with ac.phase set"),
         (("ac-sense", "--set", "ac.phase=30", "--set", "ac.sampling=grid"), "with ac.phase set"),
+        # grid values outside the physics' domain, caught before any simulation
+        (("odmr", "--set", "grid.values=[100,-5,0]"), "grid: odmr needs carrier frequencies > 0"),
+        (
+            ("odmr", "--set", "grid.start=-10", "--set", "grid.stop=10", "--set", "grid.count=3"),
+            "grid: odmr needs carrier frequencies > 0",
+        ),
+        (("rabi", "--set", "grid.values=[0.1,-0.1]"), "grid: rabi needs pulse durations >= 0"),
+        (("t1", "--set", "grid.values=[1,-1]"), "grid: t1 needs delays >= 0"),
+        (("echo", "--set", "grid.values=[1,-1]"), "grid: echo needs echo times >= 0"),
+        (("ac-sense", "--set", "grid.values=[1,-1]"), "grid: ac-sense needs tau values >= 0"),
+        (("deer-rabi", "--set", "grid.values=[0.1,-0.1]"), "grid: deer-rabi needs pulse durations"),
+        (
+            ("nmr-correlation", "--set", "field.magnitude=190", "--set", "grid.values=[1,-1]"),
+            "grid: nmr-correlation needs storage times >= 0",
+        ),
+        (("dd-scaling", "--set", "grid.values=[1,0.5]"), "grid: dd-scaling needs pulse numbers >= 1"),
     ],
 )
 def test_boundary_inputs_are_config_errors(args, needle):
     err = assert_one_json_error(run_cli(*args), 1, "config")
     assert needle in err["message"]
+
+
+def test_rwa_warnings_are_one_log_line_each(tmp_path):
+    args = ("odmr", "--set", "pulse.rabi=400", "--out")
+    proc = run_cli(*args, str(tmp_path / "warned.csv"))
+    assert proc.returncode == 0
+    lines = proc.stderr.decode().splitlines()
+    assert len(lines) == 3, lines
+    for line in lines:
+        assert line.startswith("WARNING tripletsim") and "rotating-wave" in line, line
+        assert ".py" not in line
+    quiet = run_cli(*args, str(tmp_path / "quiet.csv"), env_extra={"PYTHONWARNINGS": "ignore"})
+    assert (quiet.returncode, quiet.stderr) == (0, b"")
+    assert (tmp_path / "warned.csv").read_bytes() == (tmp_path / "quiet.csv").read_bytes()
 
 
 def test_help_exits_zero():
@@ -389,8 +476,10 @@ def test_joint_cell_cap_is_checked_before_any_simulation(experiment, target, mon
     def reached(*args, **kwargs):
         raise Reached
 
-    # a regression past the cap meets this stub instead of allocating the array
-    monkeypatch.setattr(runner, target, reached)
+    # a regression past the cap meets this stub instead of allocating the array;
+    # the runner reads each physics function from its defining module at call time
+    module = pulse_engine if target == "simulate_field_odmr" else coherence
+    monkeypatch.setattr(module, target, reached)
     code, out, err = run_main([experiment, *_cell_args(experiment, 10_000, 1_001)])
     assert (code, out) == (1, b"")
     assert json.loads(err)["error"] == "config"
