@@ -14,7 +14,7 @@ photokinetics
 pulse_engine
     Hybrid classical/quantum pulse sequencing, readout and canned experiments.
 coherence
-    Echo envelopes, dynamical decoupling scaling, AC sensing, dark spins.
+    Echo envelopes, dynamical decoupling, AC sensing, dark spins, Rabi transfer.
 fitting
     Levenberg-Marquardt fits for the model zoo used by the experiments.
 trace
@@ -52,7 +52,6 @@ _EXPORTS = {
     "InvalidParameterError": "errors",
     "KineticRates": "photokinetics",
     "LaserPulse": "pulse_engine",
-    "LevelPopulations": "photokinetics",
     "MwPulse": "pulse_engine",
     "NuclearSpecies": "coherence",
     "PROTON": "coherence",
@@ -86,7 +85,7 @@ _EXPORTS = {
     "read_trace": "trace",
     "simulate_field_odmr": "pulse_engine",
     "simulate_pulsed_odmr": "pulse_engine",
-    "simulate_rabi": "pulse_engine",
+    "simulate_rabi": "coherence",
     "spin_operators": "spin_model",
     "steady_state": "photokinetics",
     "t1_relaxation_curve": "photokinetics",

@@ -3,7 +3,8 @@
 Phenomenological decay models live here together with the quasi-static
 sensing responses built on top of them: AC-field echo phase accumulation,
 nuclear-Larmor correlation spectroscopy, and double-resonance detection
-of a dark electron spin.
+of a dark electron spin. Driven Rabi transfer, of the triplet qubit and
+of a dark spin, averages over the same Gaussian detuning ensemble.
 
 Conventions: frequencies in Hz (cycles per second, no 2*pi), times in
 seconds, fields in Tesla, gyromagnetic ratios in Hz/T. Phase averages and
@@ -339,6 +340,53 @@ def deer_spectrum(
     return 1.0 - deficit / (1.0 + x**2)
 
 
+def _rabi_ensemble(
+    rabi: float, detuning: float, sigma: float, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Generalized Rabi frequencies and transfer amplitudes over N(detuning, sigma^2).
+
+    Each Gauss-Hermite node nutates at hypot(rabi, delta) with amplitude
+    (rabi / hypot(rabi, delta))^2, weighted by its quadrature weight.
+    """
+    delta, w = _gauss_nodes(detuning, sigma, n)
+    omega_g = np.hypot(rabi, delta)
+    return omega_g, w * (rabi / omega_g) ** 2
+
+
+def simulate_rabi(
+    rabi_freq: float,
+    durations: np.ndarray,
+    t2_star: float = math.inf,
+    detuning: float = 0.0,
+    ensemble_size: int = 201,
+) -> np.ndarray:
+    """Driven population transfer versus pulse duration.
+
+    The two-level transfer probability is averaged over a Gaussian
+    quasi-static detuning ensemble of width sigma = sqrt(2)/(2*pi*T2*)
+    (the width whose free-induction decay is exp[-(t/T2*)^2]), and the
+    oscillating part carries the matching inhomogeneous envelope
+    exp[-(t/T2*)^2]. t2_star=inf gives the undamped on-resonance
+    oscillation sin^2(pi*rabi*t).
+    """
+    if rabi_freq <= 0.0 or not math.isfinite(rabi_freq):
+        raise InvalidParameterError(f"Rabi frequency must be > 0, got {rabi_freq!r}")
+    durations = np.asarray(durations, dtype=float)
+    if np.any(durations < 0.0):
+        raise InvalidParameterError("durations must be >= 0")
+    if math.isinf(t2_star):
+        sigma = 0.0
+        envelope = np.ones_like(durations)
+    else:
+        if t2_star <= 0.0:
+            raise InvalidParameterError(f"T2* must be > 0, got {t2_star!r}")
+        sigma = math.sqrt(2.0) / (2.0 * math.pi * t2_star)
+        envelope = np.exp(-((durations / t2_star) ** 2))
+    omega_g, amp = _rabi_ensemble(rabi_freq, detuning, sigma, ensemble_size)
+    osc = np.cos(2.0 * np.pi * omega_g[None, :] * durations[:, None]) * envelope[:, None]
+    return 0.5 * np.sum(amp[None, :] * (1.0 - osc), axis=1)
+
+
 def deer_rabi(
     dark: DarkSpin,
     drive_rabi: float,
@@ -364,8 +412,6 @@ def deer_rabi(
     if drive_rabi == 0.0:
         return np.ones_like(durations)
     deficit = _coupling_deficit(dark.coupling, t_fix, coupling_samples)
-    delta, w = _gauss_nodes(detuning, dark.linewidth, detuning_samples)
-    omega_g = np.hypot(drive_rabi, delta)
-    weight = w * (drive_rabi / omega_g) ** 2
+    omega_g, weight = _rabi_ensemble(drive_rabi, detuning, dark.linewidth, detuning_samples)
     flip = weight[None, :] * np.sin(np.pi * omega_g[None, :] * durations[:, None]) ** 2
     return 1.0 - deficit * flip.sum(axis=1)

@@ -407,14 +407,13 @@ def _check_physics(sections: dict) -> None:
         raise ConfigError(
             "kinetics: lifetimes and populations are required when no preset is selected"
         )
-    if kin["lifetimes"] is not None and any(t <= 0.0 for t in kin["lifetimes"]):
+    if any(t <= 0.0 for t in kin["lifetimes"]):
         raise ConfigError(f"kinetics.lifetimes: lifetimes must be > 0, got {kin['lifetimes']}")
-    if kin["populations"] is not None:
-        if any(p < 0.0 for p in kin["populations"]) or sum(kin["populations"]) <= 0.0:
-            raise ConfigError(
-                "kinetics.populations: must be nonnegative with a positive sum, "
-                f"got {kin['populations']}"
-            )
+    if any(p < 0.0 for p in kin["populations"]) or sum(kin["populations"]) <= 0.0:
+        raise ConfigError(
+            "kinetics.populations: must be nonnegative with a positive sum, "
+            f"got {kin['populations']}"
+        )
     eseem = sections["coherence"]["eseem"]
     if eseem is not None and eseem["b"] > eseem["a"]:
         raise ConfigError(

@@ -108,41 +108,6 @@ class KineticRates:
         )
 
 
-@dataclass(frozen=True)
-class LevelPopulations:
-    """Populations of (S0, S1, Tx, Ty, Tz); each in [0, 1], sum 1."""
-
-    p_s0: float
-    p_s1: float
-    p_tx: float
-    p_ty: float
-    p_tz: float
-
-    def __post_init__(self) -> None:
-        vals = self.as_array()
-        if np.any(vals < -1e-9) or np.any(vals > 1.0 + 1e-9):
-            raise InvalidParameterError(f"populations must lie in [0, 1], got {vals}")
-        total = float(vals.sum())
-        if abs(total - 1.0) > 1e-9:
-            raise InvalidParameterError(f"populations must sum to 1 within 1e-9, got {total!r}")
-
-    @classmethod
-    def ground(cls) -> "LevelPopulations":
-        return cls(1.0, 0.0, 0.0, 0.0, 0.0)
-
-    @classmethod
-    def from_array(cls, p: np.ndarray) -> "LevelPopulations":
-        return cls(*(float(v) for v in p))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.p_s0, self.p_s1, self.p_tx, self.p_ty, self.p_tz])
-
-    @property
-    def triplet(self) -> np.ndarray:
-        """Triplet sublevel populations (Tx, Ty, Tz)."""
-        return np.array([self.p_tx, self.p_ty, self.p_tz])
-
-
 def isc_branching_from_steady_state(
     populations: tuple[float, float, float] | np.ndarray,
     lifetimes: tuple[float, float, float] | np.ndarray,
@@ -166,17 +131,16 @@ def isc_branching_from_steady_state(
     return (float(b[0]), float(b[1]), float(b[2]))
 
 
-def _generators(
-    rates: Sequence[KineticRates], laser_on: bool, intensity: float
-) -> np.ndarray:
+def _generators(rates: Sequence[KineticRates], intensity: float) -> np.ndarray:
     """Augmented (N, 6, 6) generators, one per rate set.
 
     The top-left 5x5 block is the generator M of dp/dt = M p; row 5
-    accumulates the time integral of p_S1.
+    accumulates the time integral of p_S1. A dark interval is
+    intensity 0.
     """
     if intensity < 0.0 or not math.isfinite(intensity):
         raise InvalidParameterError(f"intensity must be >= 0, got {intensity!r}")
-    pump = np.array([r.pump_rate * intensity if laser_on else 0.0 for r in rates])
+    pump = np.array([r.pump_rate * intensity for r in rates])
     k_s1 = np.array([r.s1_decay_rate for r in rates])
     y = np.array([r.isc_yield for r in rates])
     decay = 1.0 / np.array([r.triplet_lifetimes for r in rates]).reshape(-1, 3)
@@ -201,9 +165,9 @@ def _generators(
     return a
 
 
-def rate_matrix(rates: KineticRates, laser_on: bool, intensity: float = 1.0) -> np.ndarray:
+def rate_matrix(rates: KineticRates, intensity: float) -> np.ndarray:
     """Generator M of dp/dt = M p, with columns summing to zero."""
-    return _generators((rates,), laser_on, intensity)[0, :5, :5].copy()
+    return _generators((rates,), intensity)[0, :5, :5].copy()
 
 
 #: Coefficients b_0..b_13 of the degree-13 Padé approximant (Higham 2005).
@@ -267,17 +231,15 @@ def expm(a: np.ndarray) -> np.ndarray:
     return (e + ident).reshape(shape)
 
 
-def propagators(
-    rates: Sequence[KineticRates], duration: float, laser_on: bool, intensity: float = 1.0
-) -> np.ndarray:
+def propagators(rates: Sequence[KineticRates], duration: float, intensity: float) -> np.ndarray:
     """Augmented (N, 6, 6) propagators over `duration`, one per rate set.
 
     Row 5 of each maps the (S0, S1, Tx, Ty, Tz, 0) state to the integral
     of p_S1 over the interval; see :func:`propagate`.
     """
-    if duration < 0.0:
+    if duration < 0.0 or not math.isfinite(duration):
         raise InvalidParameterError(f"duration must be >= 0, got {duration!r}")
-    return expm(_generators(rates, laser_on, intensity) * duration)
+    return expm(_generators(rates, intensity) * duration)
 
 
 def propagate(prop: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -300,16 +262,17 @@ def propagate(prop: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pops, out[..., 5]
 
 
-def steady_state(rates: KineticRates, intensity: float = 1.0) -> LevelPopulations:
+def steady_state(rates: KineticRates, intensity: float = 1.0) -> np.ndarray:
     """Continuous-illumination steady state of the rate equation.
 
-    Solves M p = 0 with the normalization sum(p) = 1 by replacing one row
-    of the (rank-4) generator with the normalization constraint. With the
-    pump off, all population sits in S0.
+    Returns the (5,) populations in `LEVELS` order. Solves M p = 0 with
+    the normalization sum(p) = 1 by replacing one row of the (rank-4)
+    generator with the normalization constraint. With the pump off, all
+    population sits in S0.
     """
     if rates.pump_rate * intensity == 0.0:
-        return LevelPopulations.ground()
-    m = rate_matrix(rates, laser_on=True, intensity=intensity)
+        return np.eye(5)[0]
+    m = rate_matrix(rates, intensity)
     a = m.copy()
     a[0, :] = 1.0
     b = np.zeros(5)
@@ -320,20 +283,23 @@ def steady_state(rates: KineticRates, intensity: float = 1.0) -> LevelPopulation
     scale = float(np.max(np.abs(m))) * float(np.max(np.abs(p)))
     if residual > 1e-9 * scale:
         raise InvalidParameterError("steady-state solve failed to converge")
-    return LevelPopulations.from_array(p)
+    if np.any(p < -1e-9) or np.any(p > 1.0 + 1e-9):
+        raise InvalidParameterError(f"populations must lie in [0, 1], got {p}")
+    total = float(p.sum())
+    if abs(total - 1.0) > 1e-9:
+        raise InvalidParameterError(f"populations must sum to 1 within 1e-9, got {total!r}")
+    return p
 
 
-def dark_initial_state(rates: KineticRates, intensity: float = 1.0) -> LevelPopulations:
+def dark_initial_state(rates: KineticRates, intensity: float = 1.0) -> np.ndarray:
     """State right after switching the laser off from steady state.
 
     The residual S1 population decays orders of magnitude faster than any
     triplet sublevel, so it is folded into S0 for the closed-form decay
     curve below.
     """
-    ss = steady_state(rates, intensity)
-    return LevelPopulations(
-        ss.p_s0 + ss.p_s1, 0.0, ss.p_tx, ss.p_ty, ss.p_tz
-    )
+    p = steady_state(rates, intensity)
+    return np.array([p[0] + p[1], 0.0, *p[2:]])
 
 
 def t1_relaxation_curve(
@@ -353,6 +319,6 @@ def t1_relaxation_curve(
         raise InvalidParameterError("delays must be >= 0")
     start = dark_initial_state(rates, intensity)
     tau = np.asarray(rates.triplet_lifetimes)
-    surviving = start.triplet[None, :] * np.exp(-delays[..., None] / tau[None, :])
+    surviving = start[None, 2:] * np.exp(-delays[..., None] / tau[None, :])
     return 1.0 - surviving.sum(axis=-1)
 

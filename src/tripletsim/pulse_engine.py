@@ -4,9 +4,10 @@ The state is classical populations for (S0, S1) plus a 3x3 density matrix
 for the triplet manifold, expressed in the eigenbasis of the static
 Hamiltonian and tracked in its interaction picture. Free evolution
 (laser, wait, readout) propagates the five diagonal occupations through
-the photokinetic rate model while off-diagonal triplet elements damp at
-the mean of the connected decay rates; microwave pulses are detuned
-rotating-wave rotations embedded in the addressed two-level subspace.
+the photokinetic rate model at the element's light intensity, 0 for a
+wait, while off-diagonal triplet elements damp at the mean of the
+connected decay rates; microwave pulses are detuned rotating-wave
+rotations embedded in the addressed two-level subspace.
 The state may carry leading batch axes: a carrier-swept pulse turns it
 into one state per carrier, so a whole ODMR sweep is one pass through
 the sequence.
@@ -27,6 +28,7 @@ import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -77,9 +79,10 @@ class LaserPulse:
 
 @dataclass(frozen=True)
 class Wait:
-    """Dark free evolution for `duration` seconds."""
+    """Dark free evolution for `duration` seconds: light intensity 0."""
 
     duration: float
+    intensity: ClassVar[float] = 0.0
 
     def __post_init__(self) -> None:
         _check_duration(self.duration)
@@ -286,20 +289,16 @@ def _apply_mw(state: HybridState, pulse: MwPulse, system: QubitSystem) -> None:
 
 
 def _evolve_free(
-    state: HybridState,
-    system: QubitSystem,
-    duration: float,
-    laser_on: bool,
-    intensity: float,
+    state: HybridState, system: QubitSystem, duration: float, intensity: float
 ) -> np.ndarray:
-    """Advance the state through an illumination or dark interval.
+    """Advance the state through an interval at a light intensity (0 is dark).
 
     Returns the integrated S1 occupancy over the interval, one per batch
     element. Populations follow the five-level rate model; triplet
     coherences damp at the pairwise mean decay rate.
     """
     pops, emission = propagate(
-        propagators((system.effective_rates,), duration, laser_on, intensity)[0],
+        propagators((system.effective_rates,), duration, intensity)[0],
         state.populations(),
     )
     g = system.decay_rates
@@ -325,14 +324,10 @@ def apply_elements(
     out = state.copy() if state is not None else HybridState.ground()
     emissions: list[np.ndarray] = []
     for element in elements:
-        if isinstance(element, LaserPulse):
-            _evolve_free(out, system, element.duration, True, element.intensity)
-        elif isinstance(element, Wait):
-            _evolve_free(out, system, element.duration, False, 1.0)
-        elif isinstance(element, ReadoutPulse):
-            emissions.append(
-                _evolve_free(out, system, element.duration, True, element.intensity)
-            )
+        if isinstance(element, (LaserPulse, Wait, ReadoutPulse)):
+            emission = _evolve_free(out, system, element.duration, element.intensity)
+            if isinstance(element, ReadoutPulse):
+                emissions.append(emission)
         elif isinstance(element, MwPulse):
             _apply_mw(out, element, system)
         else:
@@ -353,47 +348,9 @@ def _mw_silenced(elements: tuple[PulseElement, ...]) -> tuple[PulseElement, ...]
 DEFAULT_INIT_DURATION = 15.0e-6
 
 
-def default_readout_delay(system: QubitSystem) -> float:
+def default_readout_delay(rates: KineticRates) -> float:
     """Relaxation delay before readout: three Ty lifetimes."""
-    return 3.0 * system.rates.triplet_lifetimes[1]
-
-
-def simulate_rabi(
-    rabi_freq: float,
-    durations: np.ndarray,
-    t2_star: float = math.inf,
-    detuning: float = 0.0,
-    ensemble_size: int = 201,
-) -> np.ndarray:
-    """Driven population transfer versus pulse duration.
-
-    The two-level transfer probability is averaged over a Gaussian
-    quasi-static detuning ensemble of width sigma = sqrt(2)/(2*pi*T2*)
-    (the width whose free-induction decay is exp[-(t/T2*)^2]), and the
-    oscillating part carries the matching inhomogeneous envelope
-    exp[-(t/T2*)^2]. t2_star=inf gives the undamped on-resonance
-    oscillation sin^2(pi*rabi*t).
-    """
-    from .coherence import _gauss_nodes
-
-    if rabi_freq <= 0.0 or not math.isfinite(rabi_freq):
-        raise InvalidParameterError(f"Rabi frequency must be > 0, got {rabi_freq!r}")
-    durations = np.asarray(durations, dtype=float)
-    if np.any(durations < 0.0):
-        raise InvalidParameterError("durations must be >= 0")
-    if math.isinf(t2_star):
-        sigma = 0.0
-        envelope = np.ones_like(durations)
-    else:
-        if t2_star <= 0.0:
-            raise InvalidParameterError(f"T2* must be > 0, got {t2_star!r}")
-        sigma = math.sqrt(2.0) / (2.0 * math.pi * t2_star)
-        envelope = np.exp(-((durations / t2_star) ** 2))
-    deltas, weights = _gauss_nodes(detuning, sigma, ensemble_size)
-    omega_g = np.hypot(rabi_freq, deltas)
-    amp = weights * (rabi_freq / omega_g) ** 2
-    osc = np.cos(2.0 * np.pi * omega_g[None, :] * durations[:, None]) * envelope[:, None]
-    return 0.5 * np.sum(amp[None, :] * (1.0 - osc), axis=1)
+    return 3.0 * rates.triplet_lifetimes[1]
 
 
 def simulate_pulsed_odmr(
@@ -402,7 +359,7 @@ def simulate_pulsed_odmr(
     rabi_freq: float = 5.0e6,
     multilevel: bool = False,
     prep_pair: tuple[str, str] = ("y", "z"),
-    init_duration: float = DEFAULT_INIT_DURATION,
+    init: LaserPulse = LaserPulse(DEFAULT_INIT_DURATION),
     readout_delay: float | None = None,
     readout: ReadoutPulse = ReadoutPulse(),
 ) -> np.ndarray:
@@ -420,11 +377,11 @@ def simulate_pulsed_odmr(
     if rabi_freq <= 0.0:
         raise InvalidParameterError("probe needs rabi_freq > 0")
     f_grid = np.asarray(f_grid, dtype=float)
-    delay = default_readout_delay(system) if readout_delay is None else readout_delay
+    delay = default_readout_delay(system.rates) if readout_delay is None else readout_delay
     prep = pi_pulse(tuple(sorted(prep_pair)), rabi_freq)
     probe = MwPulse(rabi_freq=rabi_freq, duration=0.5 / rabi_freq, frequency=f_grid)
     gate = (prep, probe, prep) if multilevel else (probe,)
-    elements = (LaserPulse(init_duration), *gate, Wait(delay), readout)
+    elements = (init, *gate, Wait(delay), readout)
     _, (signal,) = apply_elements(elements, system)
     _, (reference,) = apply_elements(_mw_silenced(elements), system)
     if reference <= 0.0:
@@ -450,7 +407,7 @@ def simulate_field_odmr(
     f_grid: np.ndarray,
     gamma: GyroRatio = GyroRatio(),
     linewidth: float = 20.0e6,
-    init_duration: float = DEFAULT_INIT_DURATION,
+    init: LaserPulse = LaserPulse(DEFAULT_INIT_DURATION),
     readout_delay: float | None = None,
     readout: ReadoutPulse = ReadoutPulse(),
 ) -> FieldOdmrMap:
@@ -474,15 +431,10 @@ def simulate_field_odmr(
         raise InvalidParameterError(f"linewidth must be > 0, got {linewidth!r}")
     spectrum = field_sweep_spectrum(zfs, axis, b_values, gamma)
     mixed = _mix_into_eigenbasis(rates, spectrum.eigensystems)
-    init = LaserPulse(init_duration)
-    wait = Wait(
-        default_readout_delay(QubitSystem(zfs=zfs, rates=rates))
-        if readout_delay is None
-        else readout_delay
-    )
-    laser = propagators(mixed, init.duration, True, init.intensity)
-    dark = propagators(mixed, wait.duration, False)
-    read = propagators(mixed, readout.duration, True, readout.intensity)
+    delay = default_readout_delay(rates) if readout_delay is None else readout_delay
+    laser = propagators(mixed, init.duration, init.intensity)
+    dark = propagators(mixed, delay, 0.0)
+    read = propagators(mixed, readout.duration, readout.intensity)
     initialized, _ = propagate(laser, np.eye(5)[0])
     # per field: the unswapped reference, then one state per swapped pair
     states = np.repeat(initialized[:, None, :], 1 + len(TRANSITION_PAIRS), axis=1)

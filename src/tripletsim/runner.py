@@ -23,7 +23,7 @@ from .trace import Column, TraceRecord, read_trace
 if TYPE_CHECKING:
     from .coherence import CoherenceModel, DarkSpin, NuclearSpecies
     from .photokinetics import KineticRates
-    from .pulse_engine import ReadoutPulse
+    from .pulse_engine import LaserPulse, ReadoutPulse
     from .spin_model import FieldVector, GyroRatio, ZfsParams
 
 MHZ = 1.0e6
@@ -125,6 +125,13 @@ def _check_domain(cfg: ExperimentConfig, values: np.ndarray, ok: np.ndarray, rul
         raise ConfigError(f"grid: {cfg.experiment} needs {rule}; got {values[~ok][0]:g}")
 
 
+def _init_pulse(cfg: ExperimentConfig) -> LaserPulse:
+    from .pulse_engine import LaserPulse
+
+    section = cfg["init"]
+    return LaserPulse(duration=section["duration"] * US, intensity=section["intensity"])
+
+
 def _readout_pulse(cfg: ExperimentConfig) -> ReadoutPulse:
     from .pulse_engine import ReadoutPulse
 
@@ -189,6 +196,7 @@ def _run_field_odmr(cfg: ExperimentConfig):
 
     b_grid = _grid(cfg, key="field_grid", start=0.0, stop=120.0, count=61)
     f_grid = _grid(cfg, start=600.0, stop=3000.0, count=241)
+    _check_domain(cfg, f_grid, f_grid > 0.0, "carrier frequencies > 0 MHz")
     _check_cells(cfg, "field_grid x grid", b_grid.size, f_grid.size)
     result = simulate_field_odmr(
         _zfs(cfg),
@@ -198,7 +206,7 @@ def _run_field_odmr(cfg: ExperimentConfig):
         f_grid * MHZ,
         gamma=_gamma(cfg),
         linewidth=cfg["odmr"]["linewidth"] * MHZ,
-        init_duration=cfg["init"]["duration"] * US,
+        init=_init_pulse(cfg),
         readout_delay=_readout_delay(cfg),
         readout=_readout_pulse(cfg),
     )
@@ -220,7 +228,7 @@ def _run_odmr(cfg: ExperimentConfig):
         f_grid * MHZ,
         rabi_freq=cfg["pulse"]["rabi"] * MHZ,
         multilevel=cfg["odmr"]["multilevel"],
-        init_duration=cfg["init"]["duration"] * US,
+        init=_init_pulse(cfg),
         readout_delay=_readout_delay(cfg),
         readout=_readout_pulse(cfg),
     )
@@ -229,7 +237,7 @@ def _run_odmr(cfg: ExperimentConfig):
 
 
 def _run_rabi(cfg: ExperimentConfig):
-    from .pulse_engine import simulate_rabi
+    from .coherence import simulate_rabi
 
     durations = _grid(cfg, start=0.0, stop=0.6, count=301)
     _check_domain(cfg, durations, durations >= 0.0, "pulse durations >= 0 us")

@@ -254,7 +254,7 @@ _COHERENCE = {"spin_model", "coherence"}
         ("spectrum", {"spin_model"}, False),
         ("odmr", _ENGINE, False),
         ("field-odmr", _ENGINE, False),
-        ("rabi", _ENGINE | {"coherence"}, True),
+        ("rabi", _COHERENCE, True),
         ("t1", {"photokinetics"}, False),
         ("echo", _COHERENCE, False),
         ("dd-scaling", _COHERENCE, False),
@@ -368,6 +368,10 @@ def assert_one_json_error(proc, code, kind):
             "grid: nmr-correlation needs storage times >= 0",
         ),
         (("dd-scaling", "--set", "grid.values=[1,0.5]"), "grid: dd-scaling needs pulse numbers >= 1"),
+        (
+            ("field-odmr", "--set", "grid.values=[1,-5,0]"),
+            "grid: field-odmr needs carrier frequencies > 0",
+        ),
     ],
 )
 def test_boundary_inputs_are_config_errors(args, needle):
@@ -404,6 +408,22 @@ def test_ac_phase_samples_still_drive_nmr_correlation_with_ac_phase_set():
     code, many, err = run_main([*args, "--set", "ac.phase_samples=9"])
     assert code == 0, err
     assert parse_trace(few).column("signal").tolist() != parse_trace(many).column("signal").tolist()
+
+
+@pytest.mark.parametrize("experiment", ["odmr", "field-odmr"])
+def test_init_intensity_changes_the_trace(experiment):
+    args = [experiment, "--set", "grid.values=[950,1430,2380]"]
+    if experiment == "field-odmr":
+        args += ["--set", "field_grid.values=[0,50]"]
+
+    def contrast(*extra):
+        code, out, err = run_main([*args, *extra])
+        assert code == 0, err
+        return parse_trace(out).column("contrast")
+
+    default = contrast()
+    assert np.array_equal(contrast("--set", "init.intensity=1"), default)
+    assert not np.array_equal(contrast("--set", "init.intensity=0.01"), default)
 
 
 def test_non_finite_number_in_config_file(tmp_path):

@@ -6,6 +6,7 @@ import scipy.linalg
 
 from oracles import rate_ode_emission, rate_ode_solution, two_level_rotation
 from tripletsim import photokinetics, pulse_engine
+from tripletsim.coherence import simulate_rabi
 from tripletsim.errors import (
     DegenerateReadoutError,
     InvalidParameterError,
@@ -32,7 +33,6 @@ from tripletsim.pulse_engine import (
     pi_pulse,
     simulate_field_odmr,
     simulate_pulsed_odmr,
-    simulate_rabi,
 )
 from tripletsim.spin_model import FieldVector, ZfsParams
 
@@ -258,7 +258,7 @@ def test_wait_populations_match_rate_model():
     pops_before = state.populations()
     duration = 40e-6
     after, _ = apply_elements([Wait(duration)], SYSTEM, state)
-    expected, _ = propagate(propagators((SYSTEM.effective_rates,), duration, False)[0], pops_before)
+    expected, _ = propagate(propagators((SYSTEM.effective_rates,), duration, 0.0)[0], pops_before)
     assert np.max(np.abs(after.populations() - expected)) < 1e-12
 
 
@@ -273,6 +273,17 @@ def test_wait_damps_coherence_at_mean_decay_rate():
     # populations decay at their own rates; the coherence at the pair mean
     expected = 0.25 * math.exp(-0.5 * (g[1] + g[2]) * duration)
     assert abs(float(np.abs(out.rho[1, 2])) - expected) < 1e-12
+
+
+def test_wait_is_a_laser_pulse_at_zero_intensity():
+    rng = np.random.default_rng(11)
+    start = HybridState(singlet=np.array([0.3, 0.1]), rho=random_density_matrix(rng))
+    assert np.abs(start.rho[0, 1]) > 0.0
+    for duration in (0.0, 63.6e-6, 2e-3):
+        dark, _ = apply_elements([Wait(duration)], SYSTEM, start)
+        unlit, _ = apply_elements([LaserPulse(duration, intensity=0.0)], SYSTEM, start)
+        assert np.array_equal(dark.singlet, unlit.singlet)
+        assert np.array_equal(dark.rho, unlit.rho)
 
 
 def test_effective_rates_reduce_to_bare_at_zero_field():
@@ -397,7 +408,7 @@ def test_field_odmr_matches_ode_oracle():
     delay = 3.0 * LIFETIMES_4K[1]
     for n, b in enumerate(b_values):
         rates = QubitSystem(zfs=ZFS, rates=RATES_4K, field=FieldVector.along("x", b)).effective_rates
-        on, off = rate_matrix(rates, True), rate_matrix(rates, False)
+        on, off = rate_matrix(rates, 1.0), rate_matrix(rates, 0.0)
 
         def readout(p):
             return rate_ode_emission(on, rate_ode_solution(off, p, delay), 1e-6)[1]
@@ -418,7 +429,7 @@ def field_odmr_per_field(rates, axis, b_values, f_grid, spectrum):
     contrast = np.ones((b_values.size, f_grid.size))
     for n, b in enumerate(b_values):
         system = QubitSystem(zfs=ZFS, rates=rates, field=FieldVector.along(axis, b))
-        relax_and_read = (Wait(default_readout_delay(system)), ReadoutPulse())
+        relax_and_read = (Wait(default_readout_delay(system.rates)), ReadoutPulse())
         init, _ = apply_elements((LaserPulse(DEFAULT_INIT_DURATION),), system)
         _, (reference,) = apply_elements(relax_and_read, system, init)
         for pair, (i, j) in zip(PAIRS, ((0, 1), (0, 2), (1, 2))):
@@ -503,7 +514,7 @@ def test_field_odmr_zero_duration_readout_is_degenerate():
 # --- protocol defaults --------------------------------------------------------
 
 def test_default_readout_delay_is_three_ty_lifetimes():
-    assert default_readout_delay(SYSTEM) == pytest.approx(3 * LIFETIMES_4K[1])
+    assert default_readout_delay(SYSTEM.rates) == pytest.approx(3 * LIFETIMES_4K[1])
 
 
 def test_init_duration_constant():
