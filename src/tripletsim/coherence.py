@@ -20,16 +20,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import (
+    InvalidParameterError,
+    check_exponent,
+    check_finite,
+    check_nonnegative,
+    check_positive,
+)
 from .spin_model import GAMMA_ELECTRON_HZ_PER_T
 
 #: Free-electron Zeeman conversion, Hz/T per unit g-factor.
 FREE_ELECTRON_HZ_PER_T = 13.996245e9
 
-
-def _positive(name: str, value: float) -> None:
-    if not (value > 0.0) or not math.isfinite(value):
-        raise InvalidParameterError(f"{name} must be > 0, got {value!r}")
+#: Gauss-Hermite nodes of the dipolar-coupling average (DEER traces).
+COUPLING_NODES = 129
+#: Gauss-Hermite nodes of the dark-spin detuning average (`deer_rabi`).
+DARK_DETUNING_NODES = 65
+#: Gauss-Hermite nodes of the qubit detuning average (`simulate_rabi`).
+RABI_DETUNING_NODES = 201
 
 
 @dataclass(frozen=True)
@@ -45,7 +53,7 @@ class EseemParams:
     frequency: float
 
     def __post_init__(self) -> None:
-        _positive("ESEEM modulation frequency", self.frequency)
+        check_positive("ESEEM modulation frequency", self.frequency)
         if not (0.0 <= self.b <= self.a) or not math.isfinite(self.a):
             raise InvalidParameterError(
                 f"need a >= b >= 0 for a nonnegative envelope, got a={self.a!r}, b={self.b!r}"
@@ -64,9 +72,8 @@ class CoherenceModel:
     eseem: EseemParams | None = None
 
     def __post_init__(self) -> None:
-        _positive("T2", self.t2)
-        if not (0.0 < self.nu <= 4.0):
-            raise InvalidParameterError(f"stretching exponent must lie in (0, 4], got {self.nu!r}")
+        check_positive("T2", self.t2)
+        check_exponent("stretching exponent", self.nu)
 
 
 def echo_envelope(model: CoherenceModel, t: np.ndarray | float) -> np.ndarray:
@@ -108,10 +115,9 @@ class DdScalingParams:
     t1_rho: float
 
     def __post_init__(self) -> None:
-        _positive("single-echo T2", self.t2_1)
-        _positive("T1rho", self.t1_rho)
-        if not (0.0 < self.nu <= 4.0):
-            raise InvalidParameterError(f"scaling exponent must lie in (0, 4], got {self.nu!r}")
+        check_positive("single-echo T2", self.t2_1)
+        check_positive("T1rho", self.t1_rho)
+        check_exponent("scaling exponent", self.nu)
 
 
 def dd_t2_scaling(params: DdScalingParams, n_pulses: np.ndarray | int) -> np.ndarray:
@@ -135,9 +141,8 @@ class AcSignal:
     phase: float | None = None
 
     def __post_init__(self) -> None:
-        _positive("AC frequency", self.frequency)
-        if self.amplitude < 0.0 or not math.isfinite(self.amplitude):
-            raise InvalidParameterError(f"AC amplitude must be >= 0, got {self.amplitude!r}")
+        check_positive("AC frequency", self.frequency)
+        check_nonnegative("AC amplitude", self.amplitude)
 
 
 def ac_echo_phase(
@@ -208,7 +213,7 @@ class NuclearSpecies:
     gamma: float
 
     def __post_init__(self) -> None:
-        _positive("nuclear gamma", abs(self.gamma))
+        check_positive("nuclear gamma", abs(self.gamma))
 
 
 PROTON = NuclearSpecies("proton", 42.58e6)
@@ -249,8 +254,8 @@ def correlation_spectroscopy(
     exp(-t_corr/nuclear_t1) decay, i.e. a Lorentzian spectral linewidth
     of 1/(pi*nuclear_t1) FWHM.
     """
-    _positive("nuclear T1", nuclear_t1)
-    _positive("echo half-time tau", tau)
+    check_positive("nuclear T1", nuclear_t1)
+    check_positive("echo half-time tau", tau)
     t_corr_grid = np.asarray(t_corr_grid, dtype=float)
     if np.any(t_corr_grid < 0.0):
         raise InvalidParameterError("storage times must be >= 0")
@@ -274,10 +279,8 @@ class CouplingDistribution:
     spread: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.mean):
-            raise InvalidParameterError(f"coupling mean must be finite, got {self.mean!r}")
-        if self.spread < 0.0 or not math.isfinite(self.spread):
-            raise InvalidParameterError(f"coupling spread must be >= 0, got {self.spread!r}")
+        check_finite("coupling mean", self.mean)
+        check_nonnegative("coupling spread", self.spread)
 
 
 @dataclass(frozen=True)
@@ -293,8 +296,8 @@ class DarkSpin:
     linewidth: float = 2.0e6
 
     def __post_init__(self) -> None:
-        _positive("g-factor", self.g_factor)
-        _positive("dark-spin linewidth", self.linewidth)
+        check_positive("g-factor", self.g_factor)
+        check_positive("dark-spin linewidth", self.linewidth)
 
     def resonance(self, b: float) -> float:
         """Dark-spin resonance frequency g*mu_B/h*B in Hz."""
@@ -311,9 +314,9 @@ def _gauss_nodes(mean: float, sigma: float, n: int) -> tuple[np.ndarray, np.ndar
     return mean + math.sqrt(2.0) * sigma * x, w / math.sqrt(math.pi)
 
 
-def _coupling_deficit(coupling: CouplingDistribution, t_fix: float, n_samples: int) -> float:
+def _coupling_deficit(coupling: CouplingDistribution, t_fix: float) -> float:
     """Ensemble average of (1 - cos(2*pi*d*t_fix))/2 over the couplings."""
-    d, w = _gauss_nodes(coupling.mean, coupling.spread, n_samples)
+    d, w = _gauss_nodes(coupling.mean, coupling.spread, COUPLING_NODES)
     return float(np.sum(w * (1.0 - np.cos(2.0 * np.pi * d * t_fix)) / 2.0))
 
 
@@ -322,7 +325,6 @@ def deer_spectrum(
     b: float,
     f2_grid: np.ndarray,
     t_fix: float = 500.0e-9,
-    coupling_samples: int = 129,
 ) -> np.ndarray:
     """Echo contrast versus second-tone frequency at fixed echo time.
 
@@ -333,9 +335,9 @@ def deer_spectrum(
     `dark.linewidth` centered at g*mu_B/h*B, so the trace is a single dip
     whose center moves linearly with field.
     """
-    _positive("fixed echo time", t_fix)
+    check_positive("fixed echo time", t_fix)
     f2_grid = np.asarray(f2_grid, dtype=float)
-    deficit = _coupling_deficit(dark.coupling, t_fix, coupling_samples)
+    deficit = _coupling_deficit(dark.coupling, t_fix)
     x = (f2_grid - dark.resonance(b)) / dark.linewidth
     return 1.0 - deficit / (1.0 + x**2)
 
@@ -358,7 +360,6 @@ def simulate_rabi(
     durations: np.ndarray,
     t2_star: float = math.inf,
     detuning: float = 0.0,
-    ensemble_size: int = 201,
 ) -> np.ndarray:
     """Driven population transfer versus pulse duration.
 
@@ -369,8 +370,7 @@ def simulate_rabi(
     exp[-(t/T2*)^2]. t2_star=inf gives the undamped on-resonance
     oscillation sin^2(pi*rabi*t).
     """
-    if rabi_freq <= 0.0 or not math.isfinite(rabi_freq):
-        raise InvalidParameterError(f"Rabi frequency must be > 0, got {rabi_freq!r}")
+    check_positive("Rabi frequency", rabi_freq)
     durations = np.asarray(durations, dtype=float)
     if np.any(durations < 0.0):
         raise InvalidParameterError("durations must be >= 0")
@@ -378,11 +378,10 @@ def simulate_rabi(
         sigma = 0.0
         envelope = np.ones_like(durations)
     else:
-        if t2_star <= 0.0:
-            raise InvalidParameterError(f"T2* must be > 0, got {t2_star!r}")
+        check_positive("T2*", t2_star)
         sigma = math.sqrt(2.0) / (2.0 * math.pi * t2_star)
         envelope = np.exp(-((durations / t2_star) ** 2))
-    omega_g, amp = _rabi_ensemble(rabi_freq, detuning, sigma, ensemble_size)
+    omega_g, amp = _rabi_ensemble(rabi_freq, detuning, sigma, RABI_DETUNING_NODES)
     osc = np.cos(2.0 * np.pi * omega_g[None, :] * durations[:, None]) * envelope[:, None]
     return 0.5 * np.sum(amp[None, :] * (1.0 - osc), axis=1)
 
@@ -393,8 +392,6 @@ def deer_rabi(
     durations: np.ndarray,
     detuning: float = 0.0,
     t_fix: float = 500.0e-9,
-    coupling_samples: int = 129,
-    detuning_samples: int = 65,
 ) -> np.ndarray:
     """Echo contrast versus second-tone pulse duration (dark-spin Rabi).
 
@@ -404,14 +401,13 @@ def deer_rabi(
     observed contrast is 1 - deficit * <flip probability>.
     drive_rabi = 0 leaves the trace flat at 1.
     """
-    if drive_rabi < 0.0 or not math.isfinite(drive_rabi):
-        raise InvalidParameterError(f"drive Rabi frequency must be >= 0, got {drive_rabi!r}")
+    check_nonnegative("drive Rabi frequency", drive_rabi)
     durations = np.asarray(durations, dtype=float)
     if np.any(durations < 0.0):
         raise InvalidParameterError("durations must be >= 0")
     if drive_rabi == 0.0:
         return np.ones_like(durations)
-    deficit = _coupling_deficit(dark.coupling, t_fix, coupling_samples)
-    omega_g, weight = _rabi_ensemble(drive_rabi, detuning, dark.linewidth, detuning_samples)
+    deficit = _coupling_deficit(dark.coupling, t_fix)
+    omega_g, weight = _rabi_ensemble(drive_rabi, detuning, dark.linewidth, DARK_DETUNING_NODES)
     flip = weight[None, :] * np.sin(np.pi * omega_g[None, :] * durations[:, None]) ** 2
     return 1.0 - deficit * flip.sum(axis=1)

@@ -5,6 +5,8 @@ exactly once, downstream in the runner: frequencies in MHz, times in
 microseconds, magnetic fields in mT, angles in degrees, gyromagnetic
 ratios in MHz/mT. Unknown keys are rejected with their full path;
 physical inconsistencies raise ConfigError naming the violated rule.
+The type and range of each key, and of each entry of a list, are
+stated once, in its schema entry; `_check_physics` holds the rest.
 Precedence is defaults < config file < --set overrides < direct flags.
 """
 
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass
 from typing import Any
@@ -67,17 +70,19 @@ MAX_PHASE_SAMPLES = 10**4
 MAX_FIELD_MT = 1.0e5
 
 _FIELD_RANGE = {"min": -MAX_FIELD_MT, "max": MAX_FIELD_MT}
+_TRIPLE = {"type": list, "nullable": True, "default": None, "length": 3}
 
 
-def _grid_spec(max_count: int) -> dict[str, Any]:
+def _grid_spec(max_count: int, **bounds: float) -> dict[str, Any]:
     # spacing stays None when unset, so the runner can tell an explicit
     # setting from the experiment's default
+    value = {"type": float, **bounds}
     return {
-        "start": {"type": float, "nullable": True, "default": None},
-        "stop": {"type": float, "nullable": True, "default": None},
+        "start": {**value, "nullable": True, "default": None},
+        "stop": {**value, "nullable": True, "default": None},
         "count": {"type": int, "nullable": True, "default": None, "min": 2, "max": max_count},
         "spacing": {"type": str, "nullable": True, "default": None, "choices": ("linear", "log")},
-        "values": {"type": list, "nullable": True, "default": None, "element": float},
+        "values": {"type": list, "nullable": True, "default": None, "element": value},
     }
 
 
@@ -106,8 +111,8 @@ _SCHEMA: dict[str, Any] = {
         "preset": KINETICS_PRESETS,
         "nested": {
             "preset": {"type": str, "nullable": True, "default": "4K", "choices": tuple(KINETICS_PRESETS)},
-            "lifetimes": {"type": list, "nullable": True, "default": None, "element": float, "length": 3},
-            "populations": {"type": list, "nullable": True, "default": None, "element": float, "length": 3},
+            "lifetimes": {**_TRIPLE, "element": {"type": float, "min_exclusive": 0.0}},
+            "populations": {**_TRIPLE, "element": {"type": float, "min": 0.0}},
             "pump_rate": {"type": float, "default": 100.0, "min": 0.0},
             "s1_lifetime": {"type": float, "default": 0.01, "min_exclusive": 0.0},
             "isc_yield": {"type": float, "default": 0.002, "min": 0.0, "max": 1.0},
@@ -121,8 +126,8 @@ _SCHEMA: dict[str, Any] = {
     },
     "readout": {
         "nested": {
-            "duration": {"type": float, "default": 1.0, "min": 0.0},
-            "intensity": {"type": float, "default": 1.0, "min": 0.0},
+            "duration": {"type": float, "default": 1.0, "min_exclusive": 0.0},
+            "intensity": {"type": float, "default": 1.0, "min_exclusive": 0.0},
             "delay": {"type": float, "nullable": True, "default": None, "min": 0.0},
         }
     },
@@ -205,14 +210,14 @@ _SCHEMA: dict[str, Any] = {
         }
     },
     "grid": {"nested": _grid_spec(MAX_GRID_COUNT)},
-    "field_grid": {"nested": _grid_spec(MAX_FIELD_GRID_COUNT)},
+    "field_grid": {"nested": _grid_spec(MAX_FIELD_GRID_COUNT, **_FIELD_RANGE)},
     "fit": {
         "nested": {
             "model": {"type": str, "nullable": True, "default": None},
             "input": {"type": str, "nullable": True, "default": None},
             "x_column": {"type": (int, str), "default": 0},
             "y_column": {"type": (int, str), "default": 1},
-            "initial_guess": {"type": list, "nullable": True, "default": None, "element": float},
+            "initial_guess": {"type": list, "nullable": True, "default": None, "element": {"type": float}},
             "max_iter": {"type": int, "default": 200, "min": 1},
         }
     },
@@ -233,20 +238,15 @@ class ExperimentConfig:
         return self.sections[key]
 
 
-def _type_name(t: Any) -> str:
-    if isinstance(t, tuple):
-        return " or ".join(x.__name__ for x in t)
-    return t.__name__
+#: How a type error names each expected type other than float.
+_EXPECTED = {
+    int: "an integer", bool: "a boolean", list: "a list", str: "str", (int, str): "int or str"
+}
 
-
-def _finite_float(value: int | float, path: str) -> float:
-    try:
-        value = float(value)
-    except OverflowError:
-        raise ConfigError(f"{path}: number is out of the floating-point range") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"{path}: must be a finite number, got {value}")
-    return value
+#: (schema key, test that fails a value, rule as the message states it)
+_BOUNDS = (
+    ("min", operator.lt, ">="), ("min_exclusive", operator.le, ">"), ("max", operator.gt, "<=")
+)
 
 
 def _coerce_scalar(value: Any, spec: dict, path: str) -> Any:
@@ -255,51 +255,32 @@ def _coerce_scalar(value: Any, spec: dict, path: str) -> Any:
         if spec.get("nullable", False):
             return None
         raise ConfigError(f"{path}: null is not allowed here")
-    if expected is float or (isinstance(expected, tuple) and float in expected):
+    if expected is float:
         if isinstance(value, bool):
             raise ConfigError(f"{path}: expected a number, got a boolean")
-        if isinstance(value, (int, float)):
-            value = _finite_float(value, path) if expected is float else value
-        elif not isinstance(value, expected if isinstance(expected, tuple) else (expected,)):
-            raise ConfigError(f"{path}: expected {_type_name(expected)}, got {type(value).__name__}")
-    elif expected is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{path}: expected an integer, got {type(value).__name__}")
-    elif expected is bool:
-        if not isinstance(value, bool):
-            raise ConfigError(f"{path}: expected a boolean, got {type(value).__name__}")
+        if not isinstance(value, (int, float)):
+            raise ConfigError(f"{path}: expected float, got {type(value).__name__}")
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ConfigError(f"{path}: number is out of the floating-point range") from None
+        if not math.isfinite(value):
+            raise ConfigError(f"{path}: must be a finite number, got {value}")
+    # a bool is an int to isinstance, so it passes only where bool is asked for
+    elif isinstance(value, bool) != (expected is bool) or not isinstance(value, expected):
+        raise ConfigError(f"{path}: expected {_EXPECTED[expected]}, got {type(value).__name__}")
     elif expected is list:
-        if not isinstance(value, list):
-            raise ConfigError(f"{path}: expected a list, got {type(value).__name__}")
-        elem_type = spec.get("element")
-        coerced = []
-        for k, item in enumerate(value):
-            if elem_type is float:
-                if isinstance(item, bool) or not isinstance(item, (int, float)):
-                    raise ConfigError(f"{path}[{k}]: expected a number, got {type(item).__name__}")
-                coerced.append(_finite_float(item, f"{path}[{k}]"))
-            else:
-                coerced.append(item)
-        value = coerced
+        value = [_coerce_scalar(v, spec["element"], f"{path}[{k}]") for k, v in enumerate(value)]
         length = spec.get("length")
         if length is not None and len(value) != length:
             raise ConfigError(f"{path}: expected {length} entries, got {len(value)}")
-    else:
-        if not isinstance(value, expected if isinstance(expected, tuple) else (expected,)):
-            raise ConfigError(f"{path}: expected {_type_name(expected)}, got {type(value).__name__}")
     choices = spec.get("choices")
-    if choices is not None and value is not None and value not in choices:
+    if choices is not None and value not in choices:
         raise ConfigError(f"{path}: {value!r} is not one of {list(choices)}")
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        lo = spec.get("min")
-        if lo is not None and value < lo:
-            raise ConfigError(f"{path}: must be >= {lo}, got {value}")
-        lo_x = spec.get("min_exclusive")
-        if lo_x is not None and value <= lo_x:
-            raise ConfigError(f"{path}: must be > {lo_x}, got {value}")
-        hi = spec.get("max")
-        if hi is not None and value > hi:
-            raise ConfigError(f"{path}: must be <= {hi}, got {value}")
+    for key, fails, rule in _BOUNDS:
+        bound = spec.get(key)
+        if bound is not None and fails(value, bound):
+            raise ConfigError(f"{path}: must be {rule} {bound}, got {value}")
     return value
 
 
@@ -407,9 +388,7 @@ def _check_physics(sections: dict) -> None:
         raise ConfigError(
             "kinetics: lifetimes and populations are required when no preset is selected"
         )
-    if any(t <= 0.0 for t in kin["lifetimes"]):
-        raise ConfigError(f"kinetics.lifetimes: lifetimes must be > 0, got {kin['lifetimes']}")
-    if any(p < 0.0 for p in kin["populations"]) or sum(kin["populations"]) <= 0.0:
+    if sum(kin["populations"]) <= 0.0:
         raise ConfigError(
             "kinetics.populations: must be nonnegative with a positive sum, "
             f"got {kin['populations']}"
@@ -432,12 +411,6 @@ def _check_physics(sections: dict) -> None:
             raise ConfigError(f"{key}: start, stop and count must be given together")
         if grid["spacing"] == "log" and (grid["start"] <= 0.0 or grid["stop"] <= 0.0):
             raise ConfigError(f"{key}: log spacing needs start > 0 and stop > 0")
-    field_grid = sections["field_grid"]
-    fields = [("start", field_grid["start"]), ("stop", field_grid["stop"])]
-    fields += [(f"values[{k}]", b) for k, b in enumerate(field_grid["values"] or ())]
-    for name, b in fields:
-        if b is not None and abs(b) > MAX_FIELD_MT:
-            raise ConfigError(f"field_grid.{name}: must lie within +-{MAX_FIELD_MT:g} mT, got {b}")
 
 
 #: Experiments that sweep the field magnitude along `field.axis` over a grid.
@@ -476,31 +449,23 @@ def parse_config(
 ) -> ExperimentConfig:
     """Validate a raw configuration mapping into an ExperimentConfig.
 
-    `experiment`, `seed`, `out` and `fmt` are direct-flag overrides that
-    take precedence over the mapping.
+    `experiment`, `seed`, `out` and `fmt` are direct flags: each one that
+    is given replaces the mapping's value before validation, as a --set
+    override replaces a config-file value.
     """
     if not isinstance(raw, dict):
         raise ConfigError(f"configuration must be a mapping, got {type(raw).__name__}")
-    raw = dict(raw)
+    flags = {"experiment": experiment, "seed": seed, "out": out, "format": fmt}
+    raw = {**raw, **{key: value for key, value in flags.items() if value is not None}}
     for key, spec in _SCHEMA.items():
         if "preset" in spec:
             default_preset = spec["nested"]["preset"].get("default")
             raw[key] = _expand_preset(raw.get(key, {}), spec["preset"], default_preset, key)
     sections = _validate_nested(raw, _SCHEMA, "")
-    if experiment is not None:
-        sections["experiment"] = _coerce_scalar(experiment, _SCHEMA["experiment"], "experiment")
     if sections["experiment"] is None:
-        raise ConfigError(
-            f"experiment: required; choose one of {list(EXPERIMENTS)}"
-        )
-    if seed is not None:
-        sections["seed"] = _coerce_scalar(seed, _SCHEMA["seed"], "seed")
-    if out is not None:
-        sections["out"] = out
+        raise ConfigError(f"experiment: required; choose one of {list(EXPERIMENTS)}")
     if sections["out"] is not None:
         _check_out(sections["out"])
-    if fmt is not None:
-        sections["format"] = _coerce_scalar(fmt, _SCHEMA["format"], "format")
     _check_physics(sections)
     _check_swept_field(sections["experiment"], sections["field"])
     if sections["experiment"] == "ac-sense" and sections["ac"]["phase"] is not None:

@@ -17,7 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateFitError, FlatDataError, InvalidParameterError
+from .errors import (
+    DegenerateFitError,
+    FlatDataError,
+    InvalidParameterError,
+    check_exponent,
+    check_finite,
+    check_positive,
+)
 
 # Parameter domain kinds.
 FREE = "free"
@@ -31,6 +38,9 @@ _LM_LAMBDA_GROW = 10.0
 _LM_LAMBDA_SHRINK = 10.0
 _LM_LAMBDA_MAX = 1.0e12
 _FD_REL_STEP = 1.0e-6
+#: Convergence thresholds of `fit`: relative RSS gain and normalized gradient.
+_REL_TOL = 1.0e-10
+_GRAD_TOL = 1.0e-8
 
 
 @dataclass(frozen=True)
@@ -78,14 +88,11 @@ class FitModel:
                 f"{self.param_names}, got shape {params.shape}"
             )
         for value, pname, kind in zip(params, self.param_names, self.kinds):
-            if not math.isfinite(value):
-                raise InvalidParameterError(f"{self.name}.{pname} must be finite, got {value!r}")
-            if kind == POSITIVE and value <= 0.0:
-                raise InvalidParameterError(f"{self.name}.{pname} must be > 0, got {value!r}")
-            if kind == STRETCH and not (0.0 < value <= STRETCH_CAP):
-                raise InvalidParameterError(
-                    f"{self.name}.{pname} must lie in (0, {STRETCH_CAP}], got {value!r}"
-                )
+            check_finite(f"{self.name}.{pname}", value)
+            if kind == POSITIVE:
+                check_positive(f"{self.name}.{pname}", value)
+            elif kind == STRETCH:
+                check_exponent(f"{self.name}.{pname}", value, STRETCH_CAP)
         return params
 
 
@@ -427,8 +434,6 @@ def fit(
     y: np.ndarray,
     initial_guess: np.ndarray | None = None,
     max_iter: int = 200,
-    rel_tol: float = 1.0e-10,
-    grad_tol: float = 1.0e-8,
 ) -> FitResult:
     """Least-squares fit of `model` to (x, y) by Levenberg-Marquardt.
 
@@ -437,8 +442,8 @@ def fit(
     sum of squares; the damping factor grows by 10 on rejection and
     shrinks by 10 on acceptance. Convergence is declared when the
     relative RSS improvement of an accepted step (or the improvement the
-    local linear model can still promise) falls below `rel_tol`, or the
-    normalized gradient falls below `grad_tol`. A fit that exhausts
+    local linear model can still promise) falls below 1e-10, or the
+    normalized gradient falls below 1e-8. A fit that exhausts
     `max_iter` or whose damping diverges while real improvement is still
     predicted comes back with converged=False rather than raising.
 
@@ -461,7 +466,7 @@ def fit(
             f"{model.name} has {k} parameters; need more than {k} points, got {x.size}"
         )
     if initial_guess is None:
-        start = model.validate(model.initial_guess(x, y))
+        start = estimate_initial_guess(model, x, y)
     else:
         start = model.validate(initial_guess)
 
@@ -490,7 +495,7 @@ def fit(
         col_norms = np.sqrt(np.sum(jac * jac, axis=0))
         r_norm = math.sqrt(rss)
         cosines = np.abs(grad) / np.maximum(col_norms * r_norm, tiny)
-        if float(np.max(cosines)) < grad_tol or rss <= rss_floor:
+        if float(np.max(cosines)) < _GRAD_TOL or rss <= rss_floor:
             converged = True
             break
         jtj = jac.T @ jac
@@ -511,15 +516,15 @@ def fit(
                 q, r, rss = q_try, r_try, rss_try
                 lam = max(lam / _LM_LAMBDA_SHRINK, 1e-15)
                 accepted = True
-                if rel_gain < rel_tol or rss <= rss_floor:
+                if rel_gain < _REL_TOL or rss <= rss_floor:
                     converged = True
                 break
             # rejected: if even the local linear model promises less than
-            # rel_tol relative improvement, no step at any damping can
+            # _REL_TOL relative improvement, no step at any damping can
             # help; that is convergence, not divergence
             r_lin = r + jac @ delta
             pred_gain = (rss - float(r_lin @ r_lin)) / max(rss, tiny)
-            if abs(pred_gain) < rel_tol:
+            if abs(pred_gain) < _REL_TOL:
                 converged = True
                 break
             lam *= _LM_LAMBDA_GROW

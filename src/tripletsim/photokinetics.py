@@ -12,13 +12,12 @@ Rates are 1/s throughout. Populations are occupation probabilities.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, check_nonnegative, check_positive, check_unit_interval
 
 #: Level ordering used by every array in this module.
 LEVELS = ("s0", "s1", "tx", "ty", "tz")
@@ -32,11 +31,6 @@ DEFAULT_ISC_YIELD = 2.0e-3
 #: Default saturating pump rate, 1/s. With the defaults above the net
 #: optical shelving time into the triplet is ~10 us.
 DEFAULT_PUMP_RATE = 1.0e8
-
-
-def _check_unit_interval(name: str, value: float) -> None:
-    if not (0.0 <= value <= 1.0) or not math.isfinite(value):
-        raise InvalidParameterError(f"{name} must lie in [0, 1], got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -67,22 +61,17 @@ class KineticRates:
         if len(self.triplet_lifetimes) != 3 or len(self.isc_branching) != 3:
             raise InvalidParameterError("need exactly three triplet sublevels")
         for tau in self.triplet_lifetimes:
-            if not (tau > 0.0) or not math.isfinite(tau):
-                raise InvalidParameterError(f"triplet lifetime must be > 0, got {tau!r}")
+            check_positive("triplet lifetime", tau)
         for b in self.isc_branching:
-            _check_unit_interval("ISC branching fraction", b)
+            check_unit_interval("ISC branching fraction", b)
         total = sum(self.isc_branching)
         if abs(total - 1.0) > 1e-9:
             raise InvalidParameterError(
                 f"ISC branching must sum to 1 within 1e-9, got {total!r}"
             )
-        if self.pump_rate < 0.0 or not math.isfinite(self.pump_rate):
-            raise InvalidParameterError(f"pump rate must be >= 0, got {self.pump_rate!r}")
-        if not (self.s1_decay_rate > 0.0) or not math.isfinite(self.s1_decay_rate):
-            raise InvalidParameterError(
-                f"S1 decay rate must be > 0, got {self.s1_decay_rate!r}"
-            )
-        _check_unit_interval("ISC yield", self.isc_yield)
+        check_nonnegative("pump rate", self.pump_rate)
+        check_positive("S1 decay rate", self.s1_decay_rate)
+        check_unit_interval("ISC yield", self.isc_yield)
 
     @classmethod
     def from_steady_state(
@@ -138,8 +127,7 @@ def _generators(rates: Sequence[KineticRates], intensity: float) -> np.ndarray:
     accumulates the time integral of p_S1. A dark interval is
     intensity 0.
     """
-    if intensity < 0.0 or not math.isfinite(intensity):
-        raise InvalidParameterError(f"intensity must be >= 0, got {intensity!r}")
+    check_nonnegative("intensity", intensity)
     pump = np.array([r.pump_rate * intensity for r in rates])
     k_s1 = np.array([r.s1_decay_rate for r in rates])
     y = np.array([r.isc_yield for r in rates])
@@ -237,8 +225,7 @@ def propagators(rates: Sequence[KineticRates], duration: float, intensity: float
     Row 5 of each maps the (S0, S1, Tx, Ty, Tz, 0) state to the integral
     of p_S1 over the interval; see :func:`propagate`.
     """
-    if duration < 0.0 or not math.isfinite(duration):
-        raise InvalidParameterError(f"duration must be >= 0, got {duration!r}")
+    check_nonnegative("duration", duration)
     return expm(_generators(rates, intensity) * duration)
 
 

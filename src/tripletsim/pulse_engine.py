@@ -36,6 +36,8 @@ from .errors import (
     DegenerateReadoutError,
     InvalidParameterError,
     ProtocolViolationError,
+    check_nonnegative,
+    check_positive,
 )
 from .photokinetics import KineticRates, propagate, propagators
 from .spin_model import (
@@ -55,16 +57,6 @@ from .spin_model import (
 _LABEL_INDEX = {"x": 0, "y": 1, "z": 2}
 
 
-def _check_duration(duration: float) -> None:
-    if duration < 0.0 or not math.isfinite(duration):
-        raise InvalidParameterError(f"duration must be >= 0, got {duration!r}")
-
-
-def _check_intensity(intensity: float) -> None:
-    if intensity < 0.0 or not math.isfinite(intensity):
-        raise InvalidParameterError(f"intensity must be >= 0, got {intensity!r}")
-
-
 @dataclass(frozen=True)
 class LaserPulse:
     """Illumination interval: duration in seconds, relative intensity."""
@@ -73,8 +65,8 @@ class LaserPulse:
     intensity: float = 1.0
 
     def __post_init__(self) -> None:
-        _check_duration(self.duration)
-        _check_intensity(self.intensity)
+        check_nonnegative("duration", self.duration)
+        check_nonnegative("intensity", self.intensity)
 
 
 @dataclass(frozen=True)
@@ -85,7 +77,7 @@ class Wait:
     intensity: ClassVar[float] = 0.0
 
     def __post_init__(self) -> None:
-        _check_duration(self.duration)
+        check_nonnegative("duration", self.duration)
 
 
 @dataclass(frozen=True)
@@ -96,8 +88,8 @@ class ReadoutPulse:
     intensity: float = 1.0
 
     def __post_init__(self) -> None:
-        _check_duration(self.duration)
-        _check_intensity(self.intensity)
+        check_nonnegative("duration", self.duration)
+        check_nonnegative("intensity", self.intensity)
 
 
 @dataclass(frozen=True)
@@ -120,9 +112,8 @@ class MwPulse:
     frequency: float | np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        _check_duration(self.duration)
-        if self.rabi_freq < 0.0 or not math.isfinite(self.rabi_freq):
-            raise InvalidParameterError(f"Rabi frequency must be >= 0, got {self.rabi_freq!r}")
+        check_nonnegative("duration", self.duration)
+        check_nonnegative("Rabi frequency", self.rabi_freq)
         if self.transition is None and self.frequency is None:
             raise InvalidParameterError("MwPulse needs a transition pair or a carrier frequency")
         if self.transition is not None:
@@ -139,11 +130,11 @@ class MwPulse:
 PulseElement = LaserPulse | Wait | ReadoutPulse | MwPulse
 
 
-def pi_pulse(transition: tuple[str, str], rabi_freq: float, phase: float = 0.0) -> MwPulse:
-    """Resonant pi pulse: duration 1/(2*rabi_freq)."""
+def pi_pulse(transition: tuple[str, str], rabi_freq: float) -> MwPulse:
+    """Resonant pi pulse at drive phase 0: duration 1/(2*rabi_freq)."""
     if rabi_freq <= 0.0:
         raise InvalidParameterError("pi pulse needs rabi_freq > 0")
-    return MwPulse(rabi_freq=rabi_freq, duration=0.5 / rabi_freq, transition=transition, phase=phase)
+    return MwPulse(rabi_freq=rabi_freq, duration=0.5 / rabi_freq, transition=transition)
 
 
 @dataclass
@@ -346,6 +337,8 @@ def _mw_silenced(elements: tuple[PulseElement, ...]) -> tuple[PulseElement, ...]
 
 #: Laser initialization time used by the canned protocols, seconds.
 DEFAULT_INIT_DURATION = 15.0e-6
+#: Pair whose populations the multilevel ODMR protocol swaps around its probe.
+ODMR_PREP_PAIR = ("y", "z")
 
 
 def default_readout_delay(rates: KineticRates) -> float:
@@ -358,7 +351,6 @@ def simulate_pulsed_odmr(
     f_grid: np.ndarray,
     rabi_freq: float = 5.0e6,
     multilevel: bool = False,
-    prep_pair: tuple[str, str] = ("y", "z"),
     init: LaserPulse = LaserPulse(DEFAULT_INIT_DURATION),
     readout_delay: float | None = None,
     readout: ReadoutPulse = ReadoutPulse(),
@@ -368,8 +360,8 @@ def simulate_pulsed_odmr(
     Protocol: laser initialization into the polarized triplet, a probe pi
     pulse swept in carrier frequency, a dark relaxation delay, and a
     short readout window, normalized by the microwave-silenced rerun.
-    The multilevel variant swaps the prep pair's populations before the
-    probe and swaps them back after, which converts an otherwise
+    The multilevel variant swaps the populations of `ODMR_PREP_PAIR`
+    before the probe and swaps them back after, which converts an otherwise
     low-contrast line into a strong one while leaving off-resonant
     carriers with exactly cancelling pulses. The whole grid is one batch:
     the sequence and its reference each run once.
@@ -378,7 +370,7 @@ def simulate_pulsed_odmr(
         raise InvalidParameterError("probe needs rabi_freq > 0")
     f_grid = np.asarray(f_grid, dtype=float)
     delay = default_readout_delay(system.rates) if readout_delay is None else readout_delay
-    prep = pi_pulse(tuple(sorted(prep_pair)), rabi_freq)
+    prep = pi_pulse(ODMR_PREP_PAIR, rabi_freq)
     probe = MwPulse(rabi_freq=rabi_freq, duration=0.5 / rabi_freq, frequency=f_grid)
     gate = (prep, probe, prep) if multilevel else (probe,)
     elements = (init, *gate, Wait(delay), readout)
@@ -427,8 +419,7 @@ def simulate_field_odmr(
     """
     b_values = np.atleast_1d(np.asarray(b_values, dtype=float))
     f_grid = np.asarray(f_grid, dtype=float)
-    if linewidth <= 0.0:
-        raise InvalidParameterError(f"linewidth must be > 0, got {linewidth!r}")
+    check_positive("linewidth", linewidth)
     spectrum = field_sweep_spectrum(zfs, axis, b_values, gamma)
     mixed = _mix_into_eigenbasis(rates, spectrum.eigensystems)
     delay = default_readout_delay(rates) if readout_delay is None else readout_delay

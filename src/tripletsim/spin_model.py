@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, check_finite
 
 #: Electron gyromagnetic ratio in Hz/T (negative: gamma = -g*mu_B/h).
 GAMMA_ELECTRON_HZ_PER_T = -28.0e9
@@ -41,12 +41,6 @@ def spin_operators() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return SPIN_X.copy(), SPIN_Y.copy(), SPIN_Z.copy()
 
 
-def _require_finite(name: str, *values: float) -> None:
-    for v in values:
-        if not math.isfinite(v):
-            raise InvalidParameterError(f"{name} must be finite, got {v!r}")
-
-
 @dataclass(frozen=True)
 class ZfsParams:
     """Zero-field-splitting parameters D and E, in Hz.
@@ -58,7 +52,7 @@ class ZfsParams:
     e: float
 
     def __post_init__(self) -> None:
-        _require_finite("zfs parameter", self.d, self.e)
+        check_finite("zfs parameter", self.d, self.e)
         if abs(self.e) > abs(self.d):
             raise InvalidParameterError(
                 f"|E| must not exceed |D|, got D={self.d!r}, E={self.e!r}"
@@ -74,7 +68,7 @@ class FieldVector:
     bz: float = 0.0
 
     def __post_init__(self) -> None:
-        _require_finite("field component", self.bx, self.by, self.bz)
+        check_finite("field component", self.bx, self.by, self.bz)
 
     @classmethod
     def along(cls, axis: str, magnitude: float) -> "FieldVector":
@@ -98,7 +92,7 @@ class GyroRatio:
     gamma: float = GAMMA_ELECTRON_HZ_PER_T
 
     def __post_init__(self) -> None:
-        _require_finite("gamma", self.gamma)
+        check_finite("gamma", self.gamma)
         if self.gamma == 0.0:
             raise InvalidParameterError("gamma must be nonzero")
 
@@ -275,7 +269,7 @@ def field_sweep_spectrum(
     b_values = np.atleast_1d(np.asarray(b_values, dtype=float))
     if axis not in ZERO_FIELD_LABELS:
         raise InvalidParameterError(f"axis must be one of {ZERO_FIELD_LABELS}, got {axis!r}")
-    _require_finite("field component", *b_values.tolist())
+    check_finite("field component", *b_values.tolist())
     spin = (SPIN_X, SPIN_Y, SPIN_Z)[ZERO_FIELD_LABELS.index(axis)]
     h = build_hamiltonian(zfs) + (gamma.gamma * b_values)[:, None, None] * spin
     energies, states, zero_field_labels = _diagonalize(h)

@@ -372,6 +372,18 @@ def assert_one_json_error(proc, code, kind):
             ("field-odmr", "--set", "grid.values=[1,-5,0]"),
             "grid: field-odmr needs carrier frequencies > 0",
         ),
+        # caught at parse time, not as an empty readout or a boolean column index
+        (("odmr", "--set", "readout.intensity=0"), "readout.intensity: must be > 0.0, got 0.0"),
+        (("field-odmr", "--set", "readout.duration=0"), "readout.duration: must be > 0.0, got 0.0"),
+        (
+            (
+                "fit",
+                "--set", "fit.model=linear",
+                "--set", "fit.input=t1.csv",
+                "--set", "fit.x_column=false",
+            ),
+            "fit.x_column: expected int or str, got bool",
+        ),
     ],
 )
 def test_boundary_inputs_are_config_errors(args, needle):

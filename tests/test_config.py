@@ -106,6 +106,8 @@ def test_type_errors():
         parse({"zfs": 5})
     with pytest.raises(ConfigError, match="mapping"):
         parse_config([], experiment="spectrum")
+    with pytest.raises(ConfigError, match="fit.x_column: expected int or str, got bool"):
+        parse({"fit": {"x_column": False}})
 
 
 def test_integers_coerce_to_floats():
@@ -146,6 +148,17 @@ def test_direct_flags_take_precedence():
     assert cfg.seed == 9
     assert cfg.out == "x.json"
     assert cfg.format == "json"
+
+
+def test_direct_flags_replace_raw_values_before_validation():
+    # as a --set override replaces a config-file value, a flag replaces the
+    # raw value, which is then never validated
+    cfg = parse_config({"seed": "x", "format": "yaml"}, experiment="t1", seed=3, fmt="csv")
+    assert (cfg.seed, cfg.format) == (3, "csv")
+    cfg = parse_config({"experiment": "teleport"}, experiment="t1")
+    assert cfg.experiment == "t1"
+    with pytest.raises(ConfigError, match="seed: expected an integer, got str"):
+        parse_config({"seed": "x"}, experiment="t1")
 
 
 def test_nullable_fields_accept_null():
@@ -273,3 +286,45 @@ def test_out_must_name_a_file_in_an_existing_directory(tmp_path):
 def test_preset_must_be_a_name():
     with pytest.raises(ConfigError, match="kinetics.preset"):
         parse({"kinetics": {"preset": ["4K"]}})
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        ({"kinetics": {"lifetimes": [1.0, -2.0, 3.0]}},
+         "kinetics.lifetimes[1]: must be > 0.0, got -2.0"),
+        ({"kinetics": {"lifetimes": [0.0, 2.0, 3.0]}},
+         "kinetics.lifetimes[0]: must be > 0.0, got 0.0"),
+        (
+            {"kinetics": {"populations": [1.0, 2.0, -3.0]}},
+            "kinetics.populations[2]: must be >= 0.0, got -3.0",
+        ),
+        (
+            {"field_grid": {"values": [0.0, 2e5]}},
+            "field_grid.values[1]: must be <= 100000.0, got 200000.0",
+        ),
+        (
+            {"field_grid": {"start": -2e5, "stop": 0.0, "count": 3}},
+            "field_grid.start: must be >= -100000.0, got -200000.0",
+        ),
+        ({"grid": {"values": [1.0, "a"]}}, "grid.values[1]: expected float, got str"),
+        (
+            {"fit": {"initial_guess": [1.0, True]}},
+            "fit.initial_guess[1]: expected a number, got a boolean",
+        ),
+    ],
+)
+def test_list_entries_are_checked_and_named_by_index(raw, message):
+    with pytest.raises(ConfigError) as info:
+        parse(raw)
+    assert str(info.value) == message
+
+
+def test_entry_rules_hold_for_their_key_only():
+    # the field bounds belong to field_grid, not to the frequency grid
+    assert parse({"grid": {"values": [2e5]}})["grid"]["values"] == [2e5]
+    # zero populations pass entry by entry; their sum is checked as a whole
+    cfg = parse({"kinetics": {"populations": [0.0, 1.0, 0.0]}})
+    assert cfg["kinetics"]["populations"] == [0.0, 1.0, 0.0]
+    with pytest.raises(ConfigError, match="kinetics.populations: must be nonnegative"):
+        parse({"kinetics": {"populations": [0.0, 0.0, 0.0]}})

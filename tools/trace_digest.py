@@ -1,0 +1,92 @@
+"""Print a digest of what a fixed list of `sim` commands produce.
+
+    python tools/trace_digest.py
+
+Each command runs as a fresh `python -m tripletsim` process against the
+`src/` tree next to this script, in a temporary working directory, with
+relative output and fit-input paths so the trace metadata does not
+depend on where it runs. For each command one line is printed: the exit
+code, then the SHA-256 of stdout, of stderr and of the output file
+("-" when none was written), then the command. Two checkouts give the
+same lines exactly when they give the same bytes, so comparing the
+output of two checkouts is a byte-identity check of everything the
+commands touch.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+FIT_INPUT = ("--set", "fit.input=t1.csv")
+
+COMMANDS: tuple[tuple[str, ...], ...] = (
+    # every experiment with its defaults, plus a fit of the t1 trace
+    ("spectrum",),
+    ("field-odmr",),
+    ("odmr",),
+    ("rabi",),
+    ("t1",),
+    ("echo",),
+    ("dd-scaling",),
+    ("ac-sense",),
+    ("nmr-correlation", "--set", "field.magnitude=190"),
+    ("deer", "--set", "field.magnitude=190"),
+    ("deer-rabi",),
+    ("fit", *FIT_INPUT, "--set", "fit.model=triple_exponential",
+     "--set", "fit.x_column=delay", "--set", "fit.y_column=triplet"),
+    # field maps in both formats
+    ("field-odmr", "--set", "field.axis=x", "--set", "kinetics.preset=4K",
+     "--set", "field_grid.start=0", "--set", "field_grid.stop=60.0",
+     "--set", "field_grid.count=61"),
+    ("field-odmr", "--format", "json", "--set", "field.axis=z", "--set", "kinetics.preset=295K",
+     "--set", "field_grid.start=0", "--set", "field_grid.stop=120.0",
+     "--set", "field_grid.count=61"),
+    # bad inputs
+    ("fit", *FIT_INPUT, "--set", "fit.model=linear", "--set", "fit.x_column=false"),
+    ("odmr", "--set", "readout.intensity=0"),
+    ("field-odmr", "--set", "readout.duration=0"),
+    ("t1", "--set", "kinetics.lifetimes=[1,-2,3]"),
+    ("t1", "--set", "kinetics.populations=[1,-2,3]"),
+    ("t1", "--set", "kinetics.populations=[0,0,0]"),
+    ("field-odmr", "--set", "field_grid.values=[0,2e5]"),
+    ("field-odmr", "--set", "field_grid.start=-2e5", "--set", "field_grid.stop=0",
+     "--set", "field_grid.count=3"),
+    ("odmr", "--set", 'grid.values=[1000,"a"]'),
+    ("t1", "--set", "seed=x", "--seed", "3"),
+)
+
+
+def _sha(data: bytes | None) -> str:
+    return "-" if data is None else hashlib.sha256(data).hexdigest()
+
+
+def main() -> int:
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    with tempfile.TemporaryDirectory() as workdir:
+        for argv in COMMANDS:
+            # the default t1 trace is kept: the fit commands read it
+            name = "t1.csv" if argv == ("t1",) else "out.json" if "json" in argv else "out.csv"
+            out = Path(workdir, name)
+            out.unlink(missing_ok=True)
+            proc = subprocess.run(
+                [sys.executable, "-m", "tripletsim", *argv, "--out", name],
+                cwd=workdir,
+                env=env,
+                stdin=subprocess.DEVNULL,
+                capture_output=True,
+                timeout=300,
+            )
+            written = out.read_bytes() if out.exists() else None
+            print(proc.returncode, _sha(proc.stdout), _sha(proc.stderr), _sha(written), *argv)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
