@@ -43,8 +43,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="experiment", metavar="experiment")
-    for name, description in EXPERIMENTS.items():
-        p = sub.add_parser(name, help=description, description=description)
+    for name, spec in EXPERIMENTS.items():
+        p = sub.add_parser(name, help=spec["description"], description=spec["description"])
         p.add_argument("--config", help="JSON configuration file")
         p.add_argument(
             "--set",

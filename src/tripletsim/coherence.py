@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import (
     InvalidParameterError,
+    check_entries_at_least,
     check_exponent,
     check_finite,
     check_nonnegative,
@@ -79,8 +80,7 @@ class CoherenceModel:
 def echo_envelope(model: CoherenceModel, t: np.ndarray | float) -> np.ndarray:
     """Evaluate the coherence envelope at times t >= 0 (seconds)."""
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0):
-        raise InvalidParameterError("times must be >= 0")
+    check_entries_at_least("times", t, 0.0)
     env = np.exp(-((t / model.t2) ** model.nu))
     if model.eseem is not None:
         mod = model.eseem
@@ -123,8 +123,7 @@ class DdScalingParams:
 def dd_t2_scaling(params: DdScalingParams, n_pulses: np.ndarray | int) -> np.ndarray:
     """T2(N) in seconds for pulse numbers N >= 1."""
     n = np.asarray(n_pulses, dtype=float)
-    if np.any(n < 1):
-        raise InvalidParameterError("pulse number must be >= 1")
+    check_entries_at_least("pulse number", n, 1.0)
     return 1.0 / (1.0 / (params.t2_1 * n**params.nu) + 1.0 / (2.0 * params.t1_rho))
 
 
@@ -181,8 +180,7 @@ def ac_echo_response(
     2*tau = (2k+1)/f.
     """
     tau_grid = np.asarray(tau_grid, dtype=float)
-    if np.any(tau_grid < 0.0):
-        raise InvalidParameterError("tau values must be >= 0")
+    check_entries_at_least("tau values", tau_grid, 0.0)
     if ac.phase is not None:
         return np.cos(ac_echo_phase(ac, tau_grid, ac.phase, probe_gamma))
     if n_phase_samples < 1:
@@ -223,8 +221,7 @@ DEUTERON = NuclearSpecies("deuteron", 6.54e6)
 def nmr_frequency(species: NuclearSpecies, b: np.ndarray | float) -> np.ndarray | float:
     """Larmor frequency |gamma_n|*B in Hz."""
     b = np.asarray(b, dtype=float)
-    if np.any(b < 0.0):
-        raise InvalidParameterError("field magnitude must be >= 0")
+    check_entries_at_least("field magnitude", b, 0.0)
     out = abs(species.gamma) * b
     return float(out) if out.ndim == 0 else out
 
@@ -257,8 +254,7 @@ def correlation_spectroscopy(
     check_positive("nuclear T1", nuclear_t1)
     check_positive("echo half-time tau", tau)
     t_corr_grid = np.asarray(t_corr_grid, dtype=float)
-    if np.any(t_corr_grid < 0.0):
-        raise InvalidParameterError("storage times must be >= 0")
+    check_entries_at_least("storage times", t_corr_grid, 0.0)
     f_n = nmr_frequency(species, b)
     if f_n <= 0.0:
         raise InvalidParameterError("correlation spectroscopy needs a nonzero field")
@@ -372,9 +368,8 @@ def simulate_rabi(
     """
     check_positive("Rabi frequency", rabi_freq)
     durations = np.asarray(durations, dtype=float)
-    if np.any(durations < 0.0):
-        raise InvalidParameterError("durations must be >= 0")
-    if math.isinf(t2_star):
+    check_entries_at_least("durations", durations, 0.0)
+    if t2_star == math.inf:
         sigma = 0.0
         envelope = np.ones_like(durations)
     else:
@@ -403,8 +398,7 @@ def deer_rabi(
     """
     check_nonnegative("drive Rabi frequency", drive_rabi)
     durations = np.asarray(durations, dtype=float)
-    if np.any(durations < 0.0):
-        raise InvalidParameterError("durations must be >= 0")
+    check_entries_at_least("durations", durations, 0.0)
     if drive_rabi == 0.0:
         return np.ones_like(durations)
     deficit = _coupling_deficit(dark.coupling, t_fix)

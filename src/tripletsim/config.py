@@ -6,12 +6,16 @@ microseconds, magnetic fields in mT, angles in degrees, gyromagnetic
 ratios in MHz/mT. Unknown keys are rejected with their full path;
 physical inconsistencies raise ConfigError naming the violated rule.
 The type and range of each key, and of each entry of a list, are
-stated once, in its schema entry; `_check_physics` holds the rest.
+stated once, in its schema entry; the keys each experiment reads and
+what it needs of them, in its EXPERIMENTS entry; `_check_physics`
+holds the rest. A key given to an experiment that does not read it is
+rejected.
 Precedence is defaults < config file < --set overrides < direct flags.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import operator
@@ -21,20 +25,109 @@ from typing import Any
 
 from .errors import ConfigError
 
-EXPERIMENTS: dict[str, str] = {
-    "spectrum": "Transition frequencies of the triplet at given static fields",
-    "field-odmr": "ODMR contrast map versus field magnitude and drive frequency",
-    "odmr": "Frequency-swept pulsed ODMR contrast at fixed field",
-    "rabi": "Driven population transfer versus pulse duration",
-    "t1": "Ground-state recovery versus dark delay after optical shelving",
-    "echo": "Coherence echo envelope versus total evolution time",
-    "dd-scaling": "Coherence time versus number of decoupling pulses",
-    "ac-sense": "Echo contrast versus echo half-time under an applied AC field",
-    "nmr-correlation": "Correlation signal oscillating at the nuclear Larmor frequency",
-    "deer": "Double-resonance spectrum of a dark electron spin at fixed echo time",
-    "deer-rabi": "Dark-spin driven nutation read through the probe echo",
-    "fit": "Fit a registered model to a previously emitted trace",
+#: One entry per experiment, the single statement of its contract:
+#: "reads" names the keys it reads (a section stands for all its keys);
+#: "grid" and "field_grid" give its default grid in CLI units (only the
+#: count where the physics sets the range); every grid value given must
+#: pass "domain" (test, bound, rule); "needs_field" asks for a nonzero
+#: static field, "cells" names the sizes MAX_GRID_CELLS bounds together,
+#: "sweeps" the grid of swept fields (mT), and "required" the keys it
+#: cannot run without.
+EXPERIMENTS: dict[str, dict[str, Any]] = {
+    "spectrum": {
+        "description": "Transition frequencies of the triplet at given static fields",
+        "reads": "gamma zfs field.axis grid",
+        "grid": {"values": [0.0]},
+        "sweeps": "grid",
+    },
+    "field-odmr": {
+        "description": "ODMR contrast map versus field magnitude and drive frequency",
+        "reads": "gamma zfs field.axis kinetics init readout odmr.linewidth grid field_grid",
+        "grid": {"start": 600.0, "stop": 3000.0, "count": 241},
+        "field_grid": {"start": 0.0, "stop": 120.0, "count": 61},
+        "domain": (operator.gt, 0.0, "carrier frequencies > 0 MHz"),
+        "cells": ("field_grid", "grid"),
+        "sweeps": "field_grid",
+    },
+    "odmr": {
+        "description": "Frequency-swept pulsed ODMR contrast at fixed field",
+        "reads": "gamma zfs field kinetics init readout pulse.rabi odmr.multilevel grid",
+        "grid": {"start": 800.0, "stop": 2600.0, "count": 361},
+        "domain": (operator.gt, 0.0, "carrier frequencies > 0 MHz"),
+    },
+    "rabi": {
+        "description": "Driven population transfer versus pulse duration",
+        "reads": "pulse grid",
+        "grid": {"start": 0.0, "stop": 0.6, "count": 301},
+        "domain": (operator.ge, 0.0, "pulse durations >= 0 us"),
+    },
+    "t1": {
+        "description": "Ground-state recovery versus dark delay after optical shelving",
+        "reads": "kinetics init.intensity grid",
+        "grid": {"start": 0.5, "stop": 2000.0, "count": 200, "spacing": "log"},
+        "domain": (operator.ge, 0.0, "delays >= 0 us"),
+    },
+    "echo": {
+        "description": "Coherence echo envelope versus total evolution time",
+        "reads": "coherence grid",
+        "grid": {"start": 0.05, "stop": 70.0, "count": 400},
+        "domain": (operator.ge, 0.0, "echo times >= 0 us"),
+    },
+    "dd-scaling": {
+        "description": "Coherence time versus number of decoupling pulses",
+        "reads": "dd grid",
+        "grid": {"values": [float(2**k) for k in range(11)]},
+        "domain": (operator.ge, 1.0, "pulse numbers >= 1"),
+    },
+    "ac-sense": {
+        "description": "Echo contrast versus echo half-time under an applied AC field",
+        "reads": "gamma ac grid",
+        "grid": {"start": 0.2, "stop": 40.0, "count": 400},
+        "domain": (operator.ge, 0.0, "tau values >= 0 us"),
+        "cells": ("grid", "ac.phase_samples"),
+    },
+    "nmr-correlation": {
+        "description": "Correlation signal oscillating at the nuclear Larmor frequency",
+        "reads": "gamma field nuclear ac.phase_samples grid",
+        "grid": {"count": 1501},
+        "domain": (operator.ge, 0.0, "storage times >= 0 us"),
+        "needs_field": True,
+        "cells": ("grid", "ac.phase_samples"),
+    },
+    "deer": {
+        "description": "Double-resonance spectrum of a dark electron spin at fixed echo time",
+        "reads": "field dark.g_factor dark.coupling_mean dark.coupling_spread dark.linewidth "
+        "dark.t_fix grid",
+        "grid": {"count": 501},
+        "domain": (operator.gt, 0.0, "carrier frequencies > 0 MHz"),
+        "needs_field": True,
+    },
+    "deer-rabi": {
+        "description": "Dark-spin driven nutation read through the probe echo",
+        "reads": "dark grid",
+        "grid": {"start": 0.0, "stop": 0.2, "count": 401},
+        "domain": (operator.ge, 0.0, "pulse durations >= 0 us"),
+    },
+    "fit": {
+        "description": "Fit a registered model to a previously emitted trace",
+        "reads": "fit",
+        "required": ("fit.model", "fit.input"),
+    },
 }
+
+_RANGE = ("start", "stop", "count", "spacing")
+
+#: (key, the keys it leaves unread once set): a grid given by its values
+#: has no range, field components replace the axis and magnitude, a
+#: custom gyromagnetic ratio replaces the species, and a fixed AC phase
+#: takes no phase average.
+_UNREAD_WHEN_SET = (
+    ("grid.values", tuple(f"grid.{k}" for k in _RANGE)),
+    ("field_grid.values", tuple(f"field_grid.{k}" for k in _RANGE)),
+    *((f"field.{b}", ("field.axis", "field.magnitude")) for b in ("bx", "by", "bz")),
+    ("nuclear.gamma", ("nuclear.species",)),
+    ("ac.phase", ("ac.phase_samples", "ac.sampling")),
+)
 
 #: Triplet kinetics presets: lifetimes in us, steady-state populations in %.
 KINETICS_PRESETS: dict[str, dict[str, list[float]]] = {
@@ -61,8 +154,7 @@ COHERENCE_PRESETS: dict[str, dict[str, Any]] = {
 #: Upper bounds on grid sizes, phase samples and fields (mT). They stop a
 #: single value from asking for an array beyond memory or a frequency
 #: beyond the float range. MAX_GRID_CELLS bounds sizes that multiply (the
-#: two grids of a field map, a phase average over a grid); the runner
-#: checks it on the resolved grids.
+#: two grids of a field map, a phase average over a grid).
 MAX_GRID_COUNT = 10**6
 MAX_GRID_CELLS = 10**7
 MAX_FIELD_GRID_COUNT = 10**4
@@ -224,6 +316,25 @@ _SCHEMA: dict[str, Any] = {
 }
 
 
+def _paths(schema: dict, prefix: str = ""):
+    for key, spec in schema.items():
+        yield prefix + key
+        yield from _paths(spec.get("nested", {}), f"{prefix}{key}.")
+
+
+_SCHEMA_PATHS = tuple(_paths(_SCHEMA))
+
+
+@functools.cache
+def _reads(name: str) -> frozenset[str]:
+    """The keys `name` reads, with the sections above them and the keys below them."""
+    reads = EXPERIMENTS[name]["reads"].split()
+    return frozenset(
+        p for p in _SCHEMA_PATHS
+        if any(p == r or p.startswith(f"{r}.") or r.startswith(f"{p}.") for r in reads)
+    )
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A fully validated configuration, still in CLI units."""
@@ -236,6 +347,11 @@ class ExperimentConfig:
 
     def __getitem__(self, key: str) -> Any:
         return self.sections[key]
+
+    def read_sections(self) -> dict[str, Any]:
+        """The sections cut down to the keys the experiment reads, as its trace echoes them."""
+        reads = _reads(self.experiment)
+        return _prune(self.sections, reads - _unread(self.sections, reads).keys(), "")
 
 
 #: How a type error names each expected type other than float.
@@ -413,23 +529,97 @@ def _check_physics(sections: dict) -> None:
             raise ConfigError(f"{key}: log spacing needs start > 0 and stop > 0")
 
 
-#: Experiments that sweep the field magnitude along `field.axis` over a grid.
-_SWEPT_FIELD_GRIDS = {"spectrum": "grid", "field-odmr": "field_grid"}
+def _lookup(sections: dict, path: str) -> Any:
+    for part in path.split("."):
+        sections = sections[part]
+    return sections
 
 
-def _check_swept_field(experiment: str, field: dict) -> None:
-    grid = _SWEPT_FIELD_GRIDS.get(experiment)
-    if grid is None:
-        return
-    given = [f"field.{k}" for k in ("bx", "by", "bz") if field[k] is not None]
-    if field["magnitude"] != 0.0:
-        given.insert(0, "field.magnitude")
-    if given:
+def _leaves(mapping: dict, prefix: str = ""):
+    """The dotted paths of a (validated) mapping's values, down to its leaves."""
+    for key, value in mapping.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key
+
+
+def _unread(sections: dict, reads: frozenset[str]) -> dict[str, str]:
+    """Each read key that a key set in `sections` leaves unread, mapped to that key."""
+    return {
+        key: setter
+        for setter, keys in _UNREAD_WHEN_SET
+        if setter in reads and _lookup(sections, setter) is not None
+        for key in keys
+    }
+
+
+def _prune(sections: dict, keep: frozenset[str], prefix: str) -> dict:
+    out = {}
+    for key, value in sections.items():
+        path = prefix + key
+        if path in keep:
+            out[key] = _prune(value, keep, f"{path}.") if isinstance(value, dict) else value
+    return out
+
+
+def _has_static_field(field: dict) -> bool:
+    components = [field[b] for b in ("bx", "by", "bz") if field[b] is not None]
+    # squared in tesla, as the physics squares them: a field whose square
+    # underflows there is no field
+    return any((b * 1.0e-3) ** 2 > 0.0 for b in components or [field["magnitude"]])
+
+
+def _size(name: str, sections: dict, key: str) -> int:
+    if "." in key:  # a count, such as ac.phase_samples
+        return _lookup(sections, key)
+    grid = sections[key]
+    if grid["values"] is not None:
+        return len(grid["values"])
+    return grid["count"] or EXPERIMENTS[name][key]["count"]
+
+
+def _check_contract(name: str, given: dict, sections: dict) -> None:
+    """Hold the experiment to its EXPERIMENTS entry; `given` holds the keys set explicitly."""
+    spec, reads = EXPERIMENTS[name], _reads(name)
+    unread = _unread(sections, reads)
+    for key in _leaves(given):
+        if key in unread:
+            raise ConfigError(
+                f"{key}: {name} does not read it with {unread[key]} set; "
+                f"give {key} or {unread[key]}, not both"
+            )
+        sweeps = spec.get("sweeps")
+        if key not in reads and sweeps is not None and key.startswith("field."):
+            raise ConfigError(
+                f"{key}: {name} sweeps the field along field.axis over {sweeps} (mT) "
+                f"and takes no static field; give the fields as {sweeps}.values or "
+                f"{sweeps}.start, {sweeps}.stop and {sweeps}.count"
+            )
+        if key not in reads:
+            raise ConfigError(f"{key}: {name} does not read it; it reads {spec['reads']}")
+    if spec.get("needs_field") and not _has_static_field(sections["field"]):
         raise ConfigError(
-            f"{given[0]}: {experiment} sweeps the field along field.axis over {grid} (mT) "
-            f"and takes no static field; give the fields as {grid}.values or "
-            f"{grid}.start, {grid}.stop and {grid}.count"
+            f"{name} needs a nonzero static field; set field.magnitude (mT), e.g. 190"
         )
+    if "domain" in spec:
+        passes, bound, rule = spec["domain"]
+        grid = sections["grid"]
+        # a range given by its bounds lies between them (and may lack one yet)
+        for value in grid["values"] or [v for v in (grid["start"], grid["stop"]) if v is not None]:
+            if not passes(value, bound):
+                raise ConfigError(f"grid: {name} needs {rule}; got {value:g}")
+    cells = spec.get("cells", ())
+    if cells and not unread.keys() & set(cells):
+        n_rows, n_cols = (_size(name, sections, key) for key in cells)
+        if n_rows * n_cols > MAX_GRID_CELLS:
+            raise ConfigError(
+                f"{' x '.join(cells)}: {name} would compute {n_rows} x {n_cols} cells, "
+                f"more than the {MAX_GRID_CELLS} allowed; reduce one of them"
+            )
+    for key in spec.get("required", ()):
+        if not _lookup(sections, key):
+            raise ConfigError(f"{key}: required for the {name} experiment")
 
 
 def _check_out(path: str) -> None:
@@ -456,38 +646,25 @@ def parse_config(
     if not isinstance(raw, dict):
         raise ConfigError(f"configuration must be a mapping, got {type(raw).__name__}")
     flags = {"experiment": experiment, "seed": seed, "out": out, "format": fmt}
-    raw = {**raw, **{key: value for key, value in flags.items() if value is not None}}
+    merged = {**raw, **{key: value for key, value in flags.items() if value is not None}}
     for key, spec in _SCHEMA.items():
         if "preset" in spec:
             default_preset = spec["nested"]["preset"].get("default")
-            raw[key] = _expand_preset(raw.get(key, {}), spec["preset"], default_preset, key)
-    sections = _validate_nested(raw, _SCHEMA, "")
+            merged[key] = _expand_preset(merged.get(key, {}), spec["preset"], default_preset, key)
+    sections = _validate_nested(merged, _SCHEMA, "")
     if sections["experiment"] is None:
         raise ConfigError(f"experiment: required; choose one of {list(EXPERIMENTS)}")
     if sections["out"] is not None:
         _check_out(sections["out"])
+    given = {key: value for key, value in raw.items() if key not in flags}
+    _check_contract(sections["experiment"], given, sections)
     _check_physics(sections)
-    _check_swept_field(sections["experiment"], sections["field"])
-    if sections["experiment"] == "ac-sense" and sections["ac"]["phase"] is not None:
-        for key in ("phase_samples", "sampling"):
-            if key in raw.get("ac", {}):
-                raise ConfigError(
-                    f"ac.{key}: ac-sense takes no phase average with ac.phase set; "
-                    f"give ac.{key} or ac.phase, not both"
-                )
-    fit = sections["fit"]
-    if fit["model"] is not None:
+    model = sections["fit"]["model"]
+    if model is not None:
         from .fitting import MODELS
 
-        if fit["model"] not in MODELS:
-            raise ConfigError(
-                f"fit.model: unknown model {fit['model']!r}; available: {sorted(MODELS)}"
-            )
-    if sections["experiment"] == "fit":
-        if not fit["model"]:
-            raise ConfigError("fit.model: required for the fit experiment")
-        if not fit["input"]:
-            raise ConfigError("fit.input: required for the fit experiment")
+        if model not in MODELS:
+            raise ConfigError(f"fit.model: unknown model {model!r}; available: {sorted(MODELS)}")
     return ExperimentConfig(
         experiment=sections.pop("experiment"),
         seed=sections.pop("seed"),

@@ -3,9 +3,9 @@
 Configuration problems raise :class:`ConfigError` (CLI exit code 1);
 everything that goes wrong while simulating or fitting derives from
 :class:`SimulationError` (CLI exit code 2). The ``check_*`` helpers
-state the scalar parameter rules of the physics modules once, each
-raising :class:`InvalidParameterError` worded "<name> must ..., got
-<value>".
+state the parameter rules of the physics modules once, each raising
+:class:`InvalidParameterError` worded "<name> must ..., got <value>"
+(an array rule names no value).
 """
 
 import math
@@ -53,6 +53,12 @@ def check_positive(name: str, value: float) -> None:
 def check_nonnegative(name: str, value: float) -> None:
     if not (value >= 0.0) or not math.isfinite(value):
         raise InvalidParameterError(f"{name} must be >= 0, got {value!r}")
+
+
+def check_entries_at_least(name: str, values, bound: float) -> None:
+    """Every entry of the float array `values` finite and >= bound."""
+    if not ((values >= bound) & (values < math.inf)).all():
+        raise InvalidParameterError(f"{name} must be >= {bound:g}")
 
 
 def check_unit_interval(name: str, value: float) -> None:

@@ -17,7 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, check_nonnegative, check_positive, check_unit_interval
+from .errors import (
+    InvalidParameterError,
+    check_entries_at_least,
+    check_nonnegative,
+    check_positive,
+    check_unit_interval,
+)
 
 #: Level ordering used by every array in this module.
 LEVELS = ("s0", "s1", "tx", "ty", "tz")
@@ -302,8 +308,7 @@ def t1_relaxation_curve(
     amplitudes are the steady-state sublevel populations.
     """
     delays = np.asarray(delays, dtype=float)
-    if np.any(delays < 0.0):
-        raise InvalidParameterError("delays must be >= 0")
+    check_entries_at_least("delays", delays, 0.0)
     start = dark_initial_state(rates, intensity)
     tau = np.asarray(rates.triplet_lifetimes)
     surviving = start[None, 2:] * np.exp(-delays[..., None] / tau[None, :])

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ._version import __version__
-from .config import MAX_GRID_CELLS, ExperimentConfig
+from .config import EXPERIMENTS, ExperimentConfig
 from .errors import ConfigError
 from .trace import Column, TraceRecord, read_trace
 
@@ -68,38 +68,29 @@ def _rates(cfg: ExperimentConfig) -> KineticRates:
     )
 
 
-def _grid(
-    cfg: ExperimentConfig,
-    key: str = "grid",
-    start: float = 0.0,
-    stop: float = 1.0,
-    count: int = 101,
-    spacing: str = "linear",
-    values: list[float] | None = None,
-) -> np.ndarray:
-    """Resolve a grid section against experiment-specific defaults (CLI units).
+def _grid(cfg: ExperimentConfig, key: str = "grid", **derived: float) -> np.ndarray:
+    """Resolve a grid section against the experiment's default grid (CLI units).
 
-    An explicit `spacing` always applies; left unset it is linear for a
-    grid given by start, stop and count, and the experiment's `spacing`
-    for the experiment's own range.
+    `derived` gives the start and stop of a default range that depends on
+    the physics. An explicit `spacing` always applies; left unset it is
+    linear for a grid given by start, stop and count, and the default's
+    spacing for the default range.
     """
     section = cfg[key]
     if section["values"] is not None:
         return np.asarray(section["values"], dtype=float)
-    how = section["spacing"]
-    if section["start"] is not None:
-        lo, hi, n = section["start"], section["stop"], section["count"]
-        how = how or "linear"
-    elif values is not None:
-        if how is not None:
-            raise ConfigError(
-                f"{key}.spacing: {cfg.experiment} has a default list of values; "
-                f"give {key}.start, {key}.stop and {key}.count with it"
-            )
-        return np.asarray(values, dtype=float)
-    else:
-        lo, hi, n = start, stop, count
-        how = how or spacing
+    lo, hi, n, how = (section[k] for k in ("start", "stop", "count", "spacing"))
+    if lo is None:
+        default = {**EXPERIMENTS[cfg.experiment][key], **derived}
+        if "values" in default:
+            if how is not None:
+                raise ConfigError(
+                    f"{key}.spacing: {cfg.experiment} has a default list of values; "
+                    f"give {key}.start, {key}.stop and {key}.count with it"
+                )
+            return np.asarray(default["values"], dtype=float)
+        lo, hi, n = default["start"], default["stop"], default["count"]
+        how = how or default.get("spacing")
         if how == "log" and (lo <= 0.0 or hi <= 0.0):
             raise ConfigError(
                 f"{key}.spacing: log spacing needs start > 0 and stop > 0, and the default "
@@ -108,21 +99,6 @@ def _grid(
     if how == "log":
         return np.geomspace(lo, hi, n)
     return np.linspace(lo, hi, n)
-
-
-def _check_cells(cfg: ExperimentConfig, keys: str, n_rows: int, n_cols: int) -> None:
-    """Reject two resolved sizes whose product exceeds MAX_GRID_CELLS."""
-    if n_rows * n_cols > MAX_GRID_CELLS:
-        raise ConfigError(
-            f"{keys}: {cfg.experiment} would compute {n_rows} x {n_cols} cells, "
-            f"more than the {MAX_GRID_CELLS} allowed; reduce one of them"
-        )
-
-
-def _check_domain(cfg: ExperimentConfig, values: np.ndarray, ok: np.ndarray, rule: str) -> None:
-    """Reject grid values outside the experiment's domain before anything is simulated."""
-    if not np.all(ok):
-        raise ConfigError(f"grid: {cfg.experiment} needs {rule}; got {values[~ok][0]:g}")
 
 
 def _init_pulse(cfg: ExperimentConfig) -> LaserPulse:
@@ -168,19 +144,10 @@ def _dark_spin(cfg: ExperimentConfig) -> DarkSpin:
     )
 
 
-def _require_field_magnitude(cfg: ExperimentConfig, kind: str) -> float:
-    b = _field(cfg).magnitude
-    if b <= 0.0:
-        raise ConfigError(
-            f"{kind} needs a nonzero static field; set field.magnitude (mT), e.g. 190"
-        )
-    return b
-
-
 def _run_spectrum(cfg: ExperimentConfig):
     from .spin_model import TRANSITION_PAIRS, field_sweep_spectrum
 
-    b_values = _grid(cfg, values=[0.0]) * MT
+    b_values = _grid(cfg) * MT
     sweep = field_sweep_spectrum(_zfs(cfg), cfg["field"]["axis"], b_values, _gamma(cfg))
     rows = []
     for n, b in enumerate(sweep.field):
@@ -194,10 +161,8 @@ def _run_spectrum(cfg: ExperimentConfig):
 def _run_field_odmr(cfg: ExperimentConfig):
     from .pulse_engine import simulate_field_odmr
 
-    b_grid = _grid(cfg, key="field_grid", start=0.0, stop=120.0, count=61)
-    f_grid = _grid(cfg, start=600.0, stop=3000.0, count=241)
-    _check_domain(cfg, f_grid, f_grid > 0.0, "carrier frequencies > 0 MHz")
-    _check_cells(cfg, "field_grid x grid", b_grid.size, f_grid.size)
+    b_grid = _grid(cfg, "field_grid")
+    f_grid = _grid(cfg)
     result = simulate_field_odmr(
         _zfs(cfg),
         _rates(cfg),
@@ -220,8 +185,7 @@ def _run_field_odmr(cfg: ExperimentConfig):
 def _run_odmr(cfg: ExperimentConfig):
     from .pulse_engine import QubitSystem, simulate_pulsed_odmr
 
-    f_grid = _grid(cfg, start=800.0, stop=2600.0, count=361)
-    _check_domain(cfg, f_grid, f_grid > 0.0, "carrier frequencies > 0 MHz")
+    f_grid = _grid(cfg)
     system = QubitSystem(zfs=_zfs(cfg), rates=_rates(cfg), field=_field(cfg), gamma=_gamma(cfg))
     contrast = simulate_pulsed_odmr(
         system,
@@ -239,8 +203,7 @@ def _run_odmr(cfg: ExperimentConfig):
 def _run_rabi(cfg: ExperimentConfig):
     from .coherence import simulate_rabi
 
-    durations = _grid(cfg, start=0.0, stop=0.6, count=301)
-    _check_domain(cfg, durations, durations >= 0.0, "pulse durations >= 0 us")
+    durations = _grid(cfg)
     t2_star = cfg["pulse"]["t2_star"]
     trace = simulate_rabi(
         rabi_freq=cfg["pulse"]["rabi"] * MHZ,
@@ -255,8 +218,7 @@ def _run_rabi(cfg: ExperimentConfig):
 def _run_t1(cfg: ExperimentConfig):
     from .photokinetics import t1_relaxation_curve
 
-    delays = _grid(cfg, start=0.5, stop=2000.0, count=200, spacing="log")
-    _check_domain(cfg, delays, delays >= 0.0, "delays >= 0 us")
+    delays = _grid(cfg)
     signal = t1_relaxation_curve(_rates(cfg), delays * US, intensity=cfg["init"]["intensity"])
     columns = (Column("delay", "us"), Column("signal", "1"), Column("triplet", "1"))
     return columns, np.column_stack([delays, signal, 1.0 - signal]), {}
@@ -279,8 +241,7 @@ def _coherence_model(cfg: ExperimentConfig) -> CoherenceModel:
 def _run_echo(cfg: ExperimentConfig):
     from .coherence import echo_envelope
 
-    times = _grid(cfg, start=0.05, stop=70.0, count=400)
-    _check_domain(cfg, times, times >= 0.0, "echo times >= 0 us")
+    times = _grid(cfg)
     envelope = echo_envelope(_coherence_model(cfg), times * US)
     columns = (Column("time", "us"), Column("echo", "1"))
     return columns, np.column_stack([times, envelope]), {}
@@ -289,8 +250,7 @@ def _run_echo(cfg: ExperimentConfig):
 def _run_dd_scaling(cfg: ExperimentConfig):
     from .coherence import DdScalingParams, dd_t2_scaling
 
-    n_pulses = _grid(cfg, values=[float(2**k) for k in range(11)])
-    _check_domain(cfg, n_pulses, n_pulses >= 1.0, "pulse numbers >= 1")
+    n_pulses = _grid(cfg)
     section = cfg["dd"]
     params = DdScalingParams(
         t2_1=section["t2_1"] * US, nu=section["nu"], t1_rho=section["t1_rho"] * US
@@ -303,22 +263,21 @@ def _run_dd_scaling(cfg: ExperimentConfig):
 def _run_ac_sense(cfg: ExperimentConfig):
     from .coherence import AcSignal, ac_echo_response
 
-    taus = _grid(cfg, start=0.2, stop=40.0, count=400)
-    _check_domain(cfg, taus, taus >= 0.0, "tau values >= 0 us")
+    taus = _grid(cfg)
     section = cfg["ac"]
-    phase = None if section["phase"] is None else math.radians(section["phase"])
+    phase = section["phase"]
     ac = AcSignal(
-        amplitude=section["amplitude"] * MT, frequency=section["frequency"] * MHZ, phase=phase
+        amplitude=section["amplitude"] * MT,
+        frequency=section["frequency"] * MHZ,
+        phase=None if phase is None else math.radians(phase),
     )
-    if phase is None:
-        _check_cells(cfg, "grid x ac.phase_samples", taus.size, section["phase_samples"])
-    seed = cfg.seed if section["sampling"] == "random" else None
+    # a fixed phase takes no phase average, so its samples go unread
+    average = {} if phase is not None else {
+        "n_phase_samples": section["phase_samples"],
+        "seed": cfg.seed if section["sampling"] == "random" else None,
+    }
     contrast = ac_echo_response(
-        ac,
-        taus * US,
-        probe_gamma=abs(cfg["gamma"]) * MHZ_PER_MT,
-        n_phase_samples=section["phase_samples"],
-        seed=seed,
+        ac, taus * US, probe_gamma=abs(cfg["gamma"]) * MHZ_PER_MT, **average
     )
     columns = (Column("tau", "us"), Column("contrast", "1"))
     return columns, np.column_stack([taus, contrast]), {}
@@ -327,15 +286,13 @@ def _run_ac_sense(cfg: ExperimentConfig):
 def _run_nmr_correlation(cfg: ExperimentConfig):
     from .coherence import correlation_spectroscopy
 
-    b = _require_field_magnitude(cfg, "nmr-correlation")
+    b = _field(cfg).magnitude
     species = _nuclear_species(cfg)
     section = cfg["nuclear"]
     f_n = abs(species.gamma) * b  # Hz
     tau = section["tau"] * US if section["tau"] is not None else 0.5 / f_n
     stop_us = 30.0 / f_n / US
-    t_corr = _grid(cfg, start=0.0, stop=stop_us, count=1501)
-    _check_domain(cfg, t_corr, t_corr >= 0.0, "storage times >= 0 us")
-    _check_cells(cfg, "grid x ac.phase_samples", t_corr.size, cfg["ac"]["phase_samples"])
+    t_corr = _grid(cfg, start=0.0, stop=stop_us)
     signal = correlation_spectroscopy(
         species,
         b,
@@ -354,10 +311,13 @@ def _run_nmr_correlation(cfg: ExperimentConfig):
 def _run_deer(cfg: ExperimentConfig):
     from .coherence import deer_spectrum
 
-    b = _require_field_magnitude(cfg, "deer")
+    b = _field(cfg).magnitude
     dark = _dark_spin(cfg)
     center = dark.resonance(b) / MHZ
-    f2 = _grid(cfg, start=center - 250.0, stop=center + 250.0, count=501)
+    # the resonance +- 250 MHz; nearer 0 MHz (below about 8.9 mT at g = 2)
+    # +- 99% of it, so that every frequency stays > 0
+    half = 250.0 if center > 250.0 else 0.99 * center
+    f2 = _grid(cfg, start=center - half, stop=center + half)
     trace = deer_spectrum(dark, b, f2 * MHZ, t_fix=cfg["dark"]["t_fix"] * US)
     columns = (Column("frequency", "MHz"), Column("contrast", "1"))
     return columns, np.column_stack([f2, trace]), {"resonance_mhz": center}
@@ -367,8 +327,7 @@ def _run_deer_rabi(cfg: ExperimentConfig):
     from .coherence import deer_rabi
 
     dark = _dark_spin(cfg)
-    durations = _grid(cfg, start=0.0, stop=0.2, count=401)
-    _check_domain(cfg, durations, durations >= 0.0, "pulse durations >= 0 us")
+    durations = _grid(cfg)
     trace = deer_rabi(
         dark,
         drive_rabi=cfg["dark"]["drive_rabi"] * MHZ,
@@ -381,7 +340,7 @@ def _run_deer_rabi(cfg: ExperimentConfig):
 
 
 def _run_fit(cfg: ExperimentConfig):
-    from .fitting import estimate_initial_guess, fit, get_model
+    from .fitting import fit
 
     section = cfg["fit"]
     try:
@@ -405,12 +364,9 @@ def _run_fit(cfg: ExperimentConfig):
     iy = pick(section["y_column"], "y_column")
     x = record.data[:, ix]
     y = record.data[:, iy]
-    model = get_model(section["model"])
-    if section["initial_guess"] is not None:
-        guess = np.asarray(section["initial_guess"], dtype=float)
-    else:
-        guess = estimate_initial_guess(model, x, y)
-    result = fit(model, x, y, initial_guess=guess, max_iter=section["max_iter"])
+    result = fit(
+        section["model"], x, y, initial_guess=section["initial_guess"], max_iter=section["max_iter"]
+    )
     columns = []
     row = []
     for name, value, err in zip(result.param_names, result.params, result.std_errors):
@@ -453,7 +409,7 @@ def run_experiment(config: ExperimentConfig) -> TraceRecord:
         "version": __version__,
         "experiment": config.experiment,
         "seed": config.seed,
-        "config": config.sections,
+        "config": config.read_sections(),
     }
     metadata.update(extra)
     return TraceRecord(columns=columns, data=np.atleast_2d(data), metadata=metadata)

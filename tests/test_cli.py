@@ -1,4 +1,6 @@
 import contextlib
+import dataclasses
+import importlib.util
 import io
 import json
 import os
@@ -12,8 +14,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from tripletsim import cli, coherence, pulse_engine
-from tripletsim.config import _SCHEMA
+from tripletsim import cli, coherence, config, pulse_engine, runner
+from tripletsim.config import _SCHEMA, _reads
+from tripletsim.errors import ConfigError
 from tripletsim.trace import parse_trace
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -384,6 +387,47 @@ def assert_one_json_error(proc, code, kind):
             ),
             "fit.x_column: expected int or str, got bool",
         ),
+        # keys the experiment does not read, named with the experiment
+        (
+            ("spectrum", "--set", "kinetics.preset=295K", "--set", "pulse.rabi=3",
+             "--set", "dark.g_factor=3"),
+            "kinetics.preset: spectrum does not read it",
+        ),
+        (
+            ("t1", "--set", "field.magnitude=50", "--set", "zfs.d=1000"),
+            "field.magnitude: t1 does not read it",
+        ),
+        (
+            ("nmr-correlation", "--set", "field.magnitude=190", "--set", "ac.phase=30"),
+            "ac.phase: nmr-correlation does not read it",
+        ),
+        (("fit", "--set", "grid.count=5"), "grid.count: fit does not read it"),
+        # keys that a key set beside them leaves unread
+        (
+            ("t1", "--set", "grid.values=[1,2]", "--set", "grid.start=0"),
+            "grid.start: t1 does not read it with grid.values set",
+        ),
+        (
+            ("field-odmr", "--set", "field_grid.values=[0,50]", "--set", "field_grid.count=3"),
+            "field_grid.count: field-odmr does not read it with field_grid.values set",
+        ),
+        (
+            ("deer", "--set", "field.bz=190", "--set", "field.magnitude=50"),
+            "field.magnitude: deer does not read it with field.bz set",
+        ),
+        (
+            ("odmr", "--set", "field.bx=10", "--set", "field.axis=x"),
+            "field.axis: odmr does not read it with field.bx set",
+        ),
+        (
+            ("nmr-correlation", "--set", "field.magnitude=190", "--set", "nuclear.gamma=10",
+             "--set", "nuclear.species=deuteron"),
+            "nuclear.species: nmr-correlation does not read it with nuclear.gamma set",
+        ),
+        (
+            ("deer", "--set", "field.magnitude=190", "--set", "grid.values=[100,-5]"),
+            "grid: deer needs carrier frequencies > 0 MHz; got -5",
+        ),
     ],
 )
 def test_boundary_inputs_are_config_errors(args, needle):
@@ -413,13 +457,88 @@ def test_help_exits_zero():
 
 
 def test_ac_phase_samples_still_drive_nmr_correlation_with_ac_phase_set():
-    args = ["nmr-correlation", "--set", "field.magnitude=190", "--set", "ac.phase=30",
+    args = ["nmr-correlation", "--set", "field.magnitude=190",
             "--set", "grid.start=0", "--set", "grid.stop=1", "--set", "grid.count=5"]
     code, few, err = run_main([*args, "--set", "ac.phase_samples=3"])
     assert code == 0, err
     code, many, err = run_main([*args, "--set", "ac.phase_samples=9"])
     assert code == 0, err
     assert parse_trace(few).column("signal").tolist() != parse_trace(many).column("signal").tolist()
+
+
+@pytest.mark.parametrize("field_mt", [0.01, 5.0, 8.9, 8.95])
+def test_deer_default_grid_stays_above_zero_around_the_resonance(field_mt):
+    code, out, err = run_main(["deer", "--set", f"field.magnitude={field_mt}"])
+    assert code == 0, err
+    record = parse_trace(out)
+    frequency = record.column("frequency")
+    center = record.metadata["resonance_mhz"]
+    assert frequency.size == 501 and frequency.min() > 0.0
+    assert frequency[250] == pytest.approx(center, rel=1e-12)
+    half = 250.0 if center > 250.0 else 0.99 * center
+    assert frequency[-1] - frequency[0] == pytest.approx(2.0 * half, rel=1e-12)
+
+
+def _digest_commands():
+    path = SRC.parent / "tools" / "trace_digest.py"
+    spec = importlib.util.spec_from_file_location("trace_digest", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.COMMANDS
+
+
+def _recorded_reads(cfg):
+    """Run `cfg`'s experiment and return the dotted keys of every value it read."""
+    seen = set()
+
+    class Recording(dict):
+        def __init__(self, section, prefix):
+            super().__init__(section)
+            self.prefix = prefix
+
+        def __getitem__(self, key):
+            value = super().__getitem__(key)
+            path = self.prefix + key
+            if isinstance(value, dict):
+                return Recording(value, f"{path}.")
+            seen.add(path)
+            return value
+
+    runner._RUNNERS[cfg.experiment](dataclasses.replace(cfg, sections=Recording(cfg.sections, "")))
+    return seen
+
+
+# each key that leaves others unread, set alone: the echo and the reads
+# must both go without the keys it leaves unread
+_PAIR_VARIANTS = (
+    ("t1", "--set", "grid.values=[1,2]"),
+    ("field-odmr", "--set", "field_grid.values=[0,50]"),
+    ("deer", "--set", "field.bz=190"),
+    ("odmr", "--set", "field.by=30"),
+    ("nmr-correlation", "--set", "field.magnitude=190", "--set", "nuclear.gamma=10"),
+    ("ac-sense", "--set", "ac.phase=30"),
+)
+
+
+def test_each_experiment_reads_exactly_the_keys_of_its_table_entry(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the digest's fit commands read t1.csv
+    code, _, err = run_main(["t1", "--out", "t1.csv"])
+    assert code == 0, err
+    covered = set()
+    for argv in (*_digest_commands(), *_PAIR_VARIANTS):
+        args = cli.build_parser().parse_args(list(argv))
+        raw = config.apply_overrides({}, args.overrides)
+        try:
+            cfg = config.parse_config(raw, args.experiment, seed=args.seed, fmt=args.format)
+        except ConfigError:
+            continue  # the digest's bad inputs
+        echoed = set(config._leaves(cfg.read_sections()))
+        assert echoed <= config._reads(cfg.experiment), argv
+        # a preset is read where it expands, at parse time, and never by the runner
+        expected = {key for key in echoed if not key.endswith(".preset")}
+        assert _recorded_reads(cfg) == expected, argv
+        covered.add(cfg.experiment)
+    assert covered == set(config.EXPERIMENTS)
 
 
 @pytest.mark.parametrize("experiment", ["odmr", "field-odmr"])
@@ -538,6 +657,24 @@ _FUZZ_VALUES = (
 )
 
 
+_FUZZ_EXPERIMENT = st.shared(
+    st.sampled_from(
+        ("spectrum", "t1", "echo", "dd-scaling", "nmr-correlation", "ac-sense", "field-odmr")
+    ),
+    key="experiment",
+)
+
+
+def _fuzz_assignments(experiment):
+    # paths from the experiment's own keys as well as the whole schema: a
+    # key the experiment does not read stops at parsing, short of the physics
+    paths = st.one_of(
+        st.sampled_from(sorted(_reads(experiment))),
+        st.sampled_from(sorted(_schema_paths(_SCHEMA)) + ["zfs.q", "grid.start.x"]),
+    )
+    return st.lists(st.tuples(paths, st.sampled_from(_FUZZ_VALUES)), min_size=1, max_size=2)
+
+
 @settings(
     max_examples=300,
     deadline=None,
@@ -546,17 +683,8 @@ _FUZZ_VALUES = (
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(
-    experiment=st.sampled_from(
-        ("spectrum", "t1", "echo", "dd-scaling", "nmr-correlation", "ac-sense", "field-odmr")
-    ),
-    assignments=st.lists(
-        st.tuples(
-            st.sampled_from(sorted(_schema_paths(_SCHEMA)) + ["zfs.q", "grid.start.x"]),
-            st.sampled_from(_FUZZ_VALUES),
-        ),
-        min_size=1,
-        max_size=2,
-    ),
+    experiment=_FUZZ_EXPERIMENT,
+    assignments=_FUZZ_EXPERIMENT.flatmap(_fuzz_assignments),
 )
 @example(experiment="t1", assignments=[("kinetics.preset", "[]")])
 @example(experiment="spectrum", assignments=[("dd.preset", '{"a": 1}')])

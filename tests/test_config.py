@@ -50,21 +50,21 @@ def test_experiment_catalog_is_closed():
         "deer-rabi",
         "fit",
     }
-    assert all(isinstance(v, str) and v for v in EXPERIMENTS.values())
+    assert all(isinstance(v["description"], str) and v["description"] for v in EXPERIMENTS.values())
 
 
 def test_preset_expansion_and_explicit_override():
-    cfg = parse({"kinetics": {"preset": "295K"}})
+    cfg = parse({"kinetics": {"preset": "295K"}}, experiment="t1")
     assert cfg["kinetics"]["lifetimes"] == [73.0, 18.9, 61.0]
     # explicit keys win over the preset they sit on top of
-    cfg = parse({"kinetics": {"preset": "295K", "lifetimes": [70.0, 20.0, 60.0]}})
+    cfg = parse({"kinetics": {"preset": "295K", "lifetimes": [70.0, 20.0, 60.0]}}, experiment="t1")
     assert cfg["kinetics"]["lifetimes"] == [70.0, 20.0, 60.0]
     assert cfg["kinetics"]["populations"] == [30.5, 41.6, 27.9]
 
 
 def test_preset_opt_out_requires_explicit_kinetics():
     with pytest.raises(ConfigError, match="required when no preset"):
-        parse({"kinetics": {"preset": None}})
+        parse({"kinetics": {"preset": None}}, experiment="t1")
     cfg = parse(
         {
             "kinetics": {
@@ -72,7 +72,8 @@ def test_preset_opt_out_requires_explicit_kinetics():
                 "lifetimes": [100.0, 10.0, 50.0],
                 "populations": [30.0, 50.0, 20.0],
             }
-        }
+        },
+        experiment="t1",
     )
     assert cfg["kinetics"]["preset"] is None
 
@@ -162,9 +163,8 @@ def test_direct_flags_replace_raw_values_before_validation():
 
 
 def test_nullable_fields_accept_null():
-    cfg = parse({"readout": {"delay": None}, "pulse": {"t2_star": None}})
-    assert cfg["readout"]["delay"] is None
-    assert cfg["pulse"]["t2_star"] is None
+    assert parse({"readout": {"delay": None}}, experiment="odmr")["readout"]["delay"] is None
+    assert parse({"pulse": {"t2_star": None}}, experiment="rabi")["pulse"]["t2_star"] is None
     with pytest.raises(ConfigError, match="null is not allowed"):
         parse({"zfs": {"d": None}})
 
@@ -175,7 +175,7 @@ def test_physics_consistency_checks():
     with pytest.raises(ConfigError, match="nonzero"):
         parse({"gamma": 0.0})
     with pytest.raises(ConfigError, match="a >= b"):
-        parse({"coherence": {"eseem": {"a": 0.2, "b": 0.5}}})
+        parse({"coherence": {"eseem": {"a": 0.2, "b": 0.5}}}, experiment="echo")
     with pytest.raises(ConfigError, match="given together"):
         parse({"grid": {"start": 0.0}})
     with pytest.raises(ConfigError, match="log spacing"):
@@ -247,15 +247,18 @@ def test_load_config_file(tmp_path):
 
 @pytest.mark.parametrize("key", ["grid", "field_grid"])
 def test_grid_sections_share_their_checks(key):
+    experiment = "spectrum" if key == "grid" else "field-odmr"
     with pytest.raises(ConfigError, match=f"{key}: start, stop and count"):
-        parse({key: {"start": 0.0}})
+        parse({key: {"start": 0.0}}, experiment=experiment)
     with pytest.raises(ConfigError, match=f"{key}: start, stop and count"):
-        parse({key: {"stop": 10.0, "count": 5}})
+        parse({key: {"stop": 10.0, "count": 5}}, experiment=experiment)
     with pytest.raises(ConfigError, match=f"{key}: log spacing"):
-        parse({key: {"start": 0.0, "stop": 10.0, "count": 5, "spacing": "log"}})
+        parse({key: {"start": 0.0, "stop": 10.0, "count": 5, "spacing": "log"}},
+              experiment=experiment)
     with pytest.raises(ConfigError, match=rf"{key}\.values: must not be empty"):
-        parse({key: {"values": []}})
-    cfg = parse({key: {"start": 1.0, "stop": 10.0, "count": 5, "spacing": "log"}})
+        parse({key: {"values": []}}, experiment=experiment)
+    cfg = parse({key: {"start": 1.0, "stop": 10.0, "count": 5, "spacing": "log"}},
+                experiment=experiment)
     assert cfg[key]["count"] == 5
 
 
@@ -324,7 +327,7 @@ def test_entry_rules_hold_for_their_key_only():
     # the field bounds belong to field_grid, not to the frequency grid
     assert parse({"grid": {"values": [2e5]}})["grid"]["values"] == [2e5]
     # zero populations pass entry by entry; their sum is checked as a whole
-    cfg = parse({"kinetics": {"populations": [0.0, 1.0, 0.0]}})
+    cfg = parse({"kinetics": {"populations": [0.0, 1.0, 0.0]}}, experiment="t1")
     assert cfg["kinetics"]["populations"] == [0.0, 1.0, 0.0]
     with pytest.raises(ConfigError, match="kinetics.populations: must be nonnegative"):
-        parse({"kinetics": {"populations": [0.0, 0.0, 0.0]}})
+        parse({"kinetics": {"populations": [0.0, 0.0, 0.0]}}, experiment="t1")

@@ -3,6 +3,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tripletsim.coherence import (
     PROTON,
@@ -13,14 +15,18 @@ from tripletsim.coherence import (
     DdScalingParams,
     EseemParams,
     NuclearSpecies,
+    ac_echo_response,
     correlation_spectroscopy,
+    dd_t2_scaling,
     deer_rabi,
     deer_spectrum,
+    echo_envelope,
+    nmr_frequency,
     simulate_rabi,
 )
 from tripletsim.errors import InvalidParameterError
 from tripletsim.fitting import model_eval
-from tripletsim.photokinetics import KineticRates, propagators, rate_matrix
+from tripletsim.photokinetics import KineticRates, propagators, rate_matrix, t1_relaxation_curve
 from tripletsim.pulse_engine import LaserPulse, MwPulse, ReadoutPulse, Wait, simulate_field_odmr
 from tripletsim.spin_model import FieldVector, GyroRatio, ZfsParams, field_sweep_spectrum
 
@@ -94,9 +100,44 @@ DARK = DarkSpin(g_factor=2.0, coupling=CouplingDistribution(mean=0.5e6, spread=0
          f"stretched_exp.t2 must be > 0, got {np.float64(-1.0)!r}"),
         (partial(model_eval, "stretched_exp", x=[0.0]), {"params": [1.0, 5.0, 1.0]},
          f"stretched_exp.nu must lie in (0, 4.0], got {np.float64(5.0)!r}"),
+        # coherence, the infinite T2* that is not "no dephasing"
+        (partial(simulate_rabi, 1e6, [0.0]), {"t2_star": -INF}, "T2* must be > 0, got -inf"),
     ],
 )
 def test_parameter_rules_have_one_wording(make, bad, message):
     with pytest.raises(InvalidParameterError) as info:
         make(**bad)
     assert str(info.value) == message
+
+
+#: (function of one array, lowest valid entry, scale of a typical entry, message)
+ARRAY_RULES = [
+    (partial(echo_envelope, CoherenceModel(1e-6)), 0.0, 1e-6, "times must be >= 0"),
+    (partial(ac_echo_response, AcSignal(1e-3, 1e5)), 0.0, 1e-6, "tau values must be >= 0"),
+    (partial(nmr_frequency, PROTON), 0.0, 1.0, "field magnitude must be >= 0"),
+    (partial(correlation_spectroscopy, PROTON, 0.19, tau=1e-6, nuclear_t1=1e-3), 0.0, 1e-6,
+     "storage times must be >= 0"),
+    (partial(simulate_rabi, 5e6), 0.0, 1e-6, "durations must be >= 0"),
+    (partial(deer_rabi, DARK, 1e6), 0.0, 1e-6, "durations must be >= 0"),
+    (partial(dd_t2_scaling, DdScalingParams(1e-6, 0.5, 1e-3)), 1.0, 1.0,
+     "pulse number must be >= 1"),
+    (partial(t1_relaxation_curve, RATES), 0.0, 1e-6, "delays must be >= 0"),
+]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    rule=st.sampled_from(ARRAY_RULES),
+    entries=st.lists(
+        st.one_of(st.floats(-2.0, 2.0), st.sampled_from([NAN, INF, -INF])), min_size=1, max_size=4
+    ),
+)
+def test_array_rules_let_no_non_finite_or_out_of_domain_entry_through(rule, entries):
+    function, lowest, scale, message = rule
+    values = np.asarray(entries) * scale
+    if np.all(np.isfinite(values) & (values >= lowest)):
+        assert np.all(np.isfinite(function(values)))
+    else:
+        with pytest.raises(InvalidParameterError) as info:
+            function(values)
+        assert str(info.value) == message

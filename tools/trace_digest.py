@@ -60,6 +60,19 @@ COMMANDS: tuple[tuple[str, ...], ...] = (
      "--set", "field_grid.count=3"),
     ("odmr", "--set", 'grid.values=[1000,"a"]'),
     ("t1", "--set", "seed=x", "--seed", "3"),
+    # keys the experiment does not read, or that a key set beside them leaves unread
+    ("spectrum", "--set", "kinetics.preset=295K", "--set", "pulse.rabi=3",
+     "--set", "dark.g_factor=3"),
+    ("t1", "--set", "field.magnitude=50", "--set", "zfs.d=1000"),
+    ("nmr-correlation", "--set", "field.magnitude=190", "--set", "ac.phase=30"),
+    ("t1", "--set", "grid.values=[1,2]", "--set", "grid.start=0"),
+    ("field-odmr", "--set", "field_grid.values=[0,50]", "--set", "field_grid.count=3"),
+    ("deer", "--set", "field.bz=190", "--set", "field.magnitude=50"),
+    ("nmr-correlation", "--set", "field.magnitude=190", "--set", "nuclear.gamma=10",
+     "--set", "nuclear.species=deuteron"),
+    # deer below about 8.9 mT: a default grid above 0 MHz, and the > 0 rule on given values
+    ("deer", "--set", "field.magnitude=5"),
+    ("deer", "--set", "field.magnitude=190", "--set", "grid.values=[100,-5]"),
 )
 
 
