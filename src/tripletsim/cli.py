@@ -8,6 +8,12 @@ included), 2 runtime/physics error or any other unexpected failure. Errors are e
 on stderr. Warnings, such as a drive strong enough to strain the
 rotating-wave treatment, are logged as one line each. Log verbosity
 comes from the TRIPLETSIM_LOG environment variable (debug, info, warning).
+
+A `sim` process runs numpy's BLAS on one thread: before numpy loads,
+`main` sets OMP_NUM_THREADS=1 unless it is already set. A thread count
+given in OMP_NUM_THREADS, OPENBLAS_NUM_THREADS or MKL_NUM_THREADS is
+kept. Importing this module loads no numpy, so `--help`, `--version`
+and a bad command line finish without it.
 """
 
 from __future__ import annotations
@@ -23,8 +29,6 @@ from typing import NoReturn
 from ._version import __version__
 from .config import EXPERIMENTS, apply_overrides, load_config_file, parse_config
 from .errors import ConfigError, SimulationError
-from .runner import run_experiment
-from .trace import emit, write_atomic
 
 log = logging.getLogger("tripletsim")
 
@@ -79,6 +83,9 @@ def _report_error(kind: str, exc: Exception) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if "numpy" not in sys.modules:
+        # tripletsim's arrays are too small for BLAS worker threads, which only spin idle
+        os.environ.setdefault("OMP_NUM_THREADS", "1")
     _configure_logging()
     with warnings.catch_warnings():
         warnings.showwarning = _log_warning
@@ -99,6 +106,9 @@ def _main(argv: list[str] | None) -> int:
             out=args.out,
             fmt=args.format,
         )
+        from .runner import run_experiment
+        from .trace import emit, write_atomic
+
         log.info("running %s (seed %d)", cfg.experiment, cfg.seed)
         record = run_experiment(cfg)
         payload = emit(record, cfg.format)

@@ -28,7 +28,6 @@ from .errors import (
     check_nonnegative,
     check_positive,
 )
-from .spin_model import GAMMA_ELECTRON_HZ_PER_T
 
 #: Free-electron Zeeman conversion, Hz/T per unit g-factor.
 FREE_ELECTRON_HZ_PER_T = 13.996245e9
@@ -166,7 +165,8 @@ def ac_echo_phase(
 def ac_echo_response(
     ac: AcSignal,
     tau_grid: np.ndarray,
-    probe_gamma: float = abs(GAMMA_ELECTRON_HZ_PER_T),
+    *,
+    probe_gamma: float,
     n_phase_samples: int = 64,
     seed: int | None = None,
 ) -> np.ndarray:
@@ -233,7 +233,8 @@ def correlation_spectroscopy(
     tau: float,
     nuclear_t1: float,
     ac_amplitude: float = 1.0e-9,
-    probe_gamma: float = abs(GAMMA_ELECTRON_HZ_PER_T),
+    *,
+    probe_gamma: float,
     n_phase_samples: int = 64,
 ) -> np.ndarray:
     """Correlation signal of two echo blocks separated by a storage time.

@@ -30,9 +30,10 @@ from .errors import ConfigError
 #: "grid" and "field_grid" give its default grid in CLI units (only the
 #: count where the physics sets the range); every grid value given must
 #: pass "domain" (test, bound, rule); "needs_field" asks for a nonzero
-#: static field, "cells" names the sizes MAX_GRID_CELLS bounds together,
-#: "sweeps" the grid of swept fields (mT), and "required" the keys it
-#: cannot run without.
+#: static field, "needs_larmor" for a nuclear Larmor frequency f_n whose
+#: derived times 0.5/f_n and 30/f_n are finite and > 0, "cells" names
+#: the sizes MAX_GRID_CELLS bounds together, "sweeps" the grid of swept
+#: fields (mT), and "required" the keys it cannot run without.
 EXPERIMENTS: dict[str, dict[str, Any]] = {
     "spectrum": {
         "description": "Transition frequencies of the triplet at given static fields",
@@ -92,6 +93,7 @@ EXPERIMENTS: dict[str, dict[str, Any]] = {
         "grid": {"count": 1501},
         "domain": (operator.ge, 0.0, "storage times >= 0 us"),
         "needs_field": True,
+        "needs_larmor": True,
         "cells": ("grid", "ac.phase_samples"),
     },
     "deer": {
@@ -563,11 +565,36 @@ def _prune(sections: dict, keep: frozenset[str], prefix: str) -> dict:
     return out
 
 
+def _field_components(field: dict) -> list[float]:
+    return [field[b] for b in ("bx", "by", "bz") if field[b] is not None] or [field["magnitude"]]
+
+
 def _has_static_field(field: dict) -> bool:
-    components = [field[b] for b in ("bx", "by", "bz") if field[b] is not None]
     # squared in tesla, as the physics squares them: a field whose square
     # underflows there is no field
-    return any((b * 1.0e-3) ** 2 > 0.0 for b in components or [field["magnitude"]])
+    return any((b * 1.0e-3) ** 2 > 0.0 for b in _field_components(field))
+
+
+def _check_larmor(sections: dict) -> None:
+    """f_n = |gamma_n|*B, the echo half-time 0.5/f_n and the range 30/f_n must be finite, > 0."""
+    from .coherence import DEUTERON, PROTON
+
+    nuclear = sections["nuclear"]
+    # in tesla and Hz/T, computed as the runner computes them
+    b = math.sqrt(sum((c * 1.0e-3) ** 2 for c in _field_components(sections["field"])))
+    if nuclear["gamma"] is not None:
+        gamma = nuclear["gamma"] * 1.0e9
+    else:
+        gamma = (DEUTERON if nuclear["species"] == "deuteron" else PROTON).gamma
+    f_n = abs(gamma) * b
+    # 30/f_n in us is the largest of the derived times and 0.5/f_n the smallest,
+    # which stays > 0 for any finite f_n
+    if not (0.0 < f_n < math.inf and 30.0 / f_n / 1.0e-6 < math.inf):
+        raise ConfigError(
+            f"field, nuclear: nmr-correlation derives its echo half-time 0.5/f_n and storage "
+            f"range 30/f_n from the Larmor frequency f_n = |gamma_n|*B, and needs all three "
+            f"finite and > 0; got f_n = {f_n:g} Hz at B = {b:g} T"
+        )
 
 
 def _size(name: str, sections: dict, key: str) -> int:
@@ -602,6 +629,8 @@ def _check_contract(name: str, given: dict, sections: dict) -> None:
         raise ConfigError(
             f"{name} needs a nonzero static field; set field.magnitude (mT), e.g. 190"
         )
+    if spec.get("needs_larmor"):
+        _check_larmor(sections)
     if "domain" in spec:
         passes, bound, rule = spec["domain"]
         grid = sections["grid"]

@@ -30,6 +30,7 @@ from tripletsim import (
     DarkSpin,
     DdScalingParams,
     EseemParams,
+    GAMMA_ELECTRON_HZ_PER_T,
     FieldVector,
     KineticRates,
     LaserPulse,
@@ -62,6 +63,7 @@ from tripletsim.fitting import get_model
 from tripletsim.pulse_engine import apply_elements, mw_unitary
 
 ZFS = ZfsParams(d=1.905e9, e=-0.475e9)
+PROBE_GAMMA = abs(GAMMA_ELECTRON_HZ_PER_T)
 
 # four-kelvin and room-temperature kinetics rows: sublevel lifetimes in
 # seconds (x, y, z) and relative steady populations summing to one
@@ -337,7 +339,7 @@ def test_criterion_07_ac_collapse_positions():
         ac = AcSignal(amplitude=1.34e-6, frequency=f_ac, phase=None)
         taus = np.linspace(0.05 / f_ac, 4.0 / f_ac, 1600)
         step = taus[1] - taus[0]
-        resp = ac_echo_response(ac, taus)
+        resp = ac_echo_response(ac, taus, probe_gamma=PROBE_GAMMA)
         interior = (resp[1:-1] < resp[:-2]) & (resp[1:-1] < resp[2:])
         minima = taus[1:-1][interior]
         for predicted in ac_collapse_taus(ac, 4):
@@ -360,7 +362,8 @@ def _correlation_peak_frequency(species, b: float) -> float:
     # keep the accumulated phase small so the trace stays a clean cosine
     amplitude = 0.1 * f_n / (4.0 * 28.0e9)
     signal = correlation_spectroscopy(
-        species, b, grid, tau=1.0 / (2.0 * f_n), nuclear_t1=10.0 / f_n, ac_amplitude=amplitude
+        species, b, grid, tau=1.0 / (2.0 * f_n), nuclear_t1=10.0 / f_n, ac_amplitude=amplitude,
+        probe_gamma=PROBE_GAMMA,
     )
     res = fit("damped_cosine", grid, signal)
     assert res.converged

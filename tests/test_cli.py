@@ -22,14 +22,17 @@ from tripletsim.trace import parse_trace
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
+def _env(extra=None):
+    """os.environ updated with `extra`, where a value of None unsets the variable."""
+    env = {**os.environ, **(extra or {})}
+    return {key: value for key, value in env.items() if value is not None}
+
+
 def run_cli(*args, env_extra=None, cwd=None):
-    env = os.environ.copy()
-    if env_extra:
-        env.update(env_extra)
     return subprocess.run(
         [sys.executable, "-m", "tripletsim", *args],
         capture_output=True,
-        env=env,
+        env=_env(env_extra),
         cwd=cwd,
         timeout=120,
     )
@@ -137,13 +140,18 @@ RABI_ARGS = (
 )
 
 
+#: the thread-count variables of the BLAS libraries numpy may be built on
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def test_byte_identical_across_runs_and_thread_counts():
     outputs = []
-    for threads in ("1", "2", "1"):
-        proc = run_cli(*RABI_ARGS, env_extra={"OMP_NUM_THREADS": threads})
+    for threads in (None, "1", "2", "1"):  # None: no thread variable set
+        env = {**dict.fromkeys(THREAD_VARS), "OMP_NUM_THREADS": threads}
+        proc = run_cli(*RABI_ARGS, env_extra=env)
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
-    assert outputs[0] == outputs[1] == outputs[2]
+    assert len(set(outputs)) == 1
 
 
 def test_seed_controls_random_sampling_modes():
@@ -247,7 +255,7 @@ def test_no_sim_command_imports_scipy(tmp_path):
 
 
 _ENGINE = {"spin_model", "photokinetics", "pulse_engine"}
-_COHERENCE = {"spin_model", "coherence"}
+_COHERENCE = {"coherence"}
 
 
 @pytest.mark.parametrize(
@@ -262,15 +270,16 @@ _COHERENCE = {"spin_model", "coherence"}
         ("echo", _COHERENCE, False),
         ("dd-scaling", _COHERENCE, False),
         ("ac-sense", _COHERENCE, False),
-        ("nmr-correlation", _COHERENCE, False),
-        ("deer", _COHERENCE, True),
+        ("nmr-correlation", {"spin_model", "coherence"}, False),  # the field, via runner._field
+        ("deer", {"spin_model", "coherence"}, True),
         ("deer-rabi", _COHERENCE, True),
         ("fit", {"fitting"}, False),
     ],
 )
 def test_each_experiment_loads_only_the_modules_it_runs(experiment, physics, polynomial, tmp_path):
     # one fresh interpreter per experiment: which physics modules, and whether
-    # numpy.polynomial (Gauss-Hermite nodes), a `sim` process pays to import
+    # numpy.polynomial (Gauss-Hermite nodes), a `sim` process pays to import;
+    # `import tripletsim.cli` alone loads no numpy
     argv = []
     if experiment == "fit":
         code, _, err = run_main(["t1", "--out", str(tmp_path / "t1.csv")])
@@ -290,7 +299,8 @@ def test_each_experiment_loads_only_the_modules_it_runs(experiment, physics, pol
         code = cli.main([*argv, "--out", sys.argv[2]]) if argv else 0
         physics = {"spin_model", "photokinetics", "pulse_engine", "coherence", "fitting"}
         loaded = sorted(m for m in physics if f"tripletsim.{m}" in sys.modules)
-        print(json.dumps([code, loaded, "numpy.polynomial" in sys.modules]))
+        numpy = [m in sys.modules for m in ("numpy", "numpy.polynomial")]
+        print(json.dumps([code, loaded, *numpy]))
         """
     )
     proc = subprocess.run(
@@ -300,7 +310,66 @@ def test_each_experiment_loads_only_the_modules_it_runs(experiment, physics, pol
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [0, sorted(physics), polynomial]
+    assert json.loads(proc.stdout) == [0, sorted(physics), experiment is not None, polynomial]
+
+
+def _fresh_main(argv, env_extra=None):
+    """cli.main(argv) in a fresh interpreter: its exit code, whether numpy was
+    loaded, the thread variables and the OS threads it ended with (None
+    without /proc/self/task)."""
+    script = textwrap.dedent(
+        """
+        import json, os, sys
+        from tripletsim import cli
+
+        try:
+            code = cli.main(json.loads(sys.argv[1]))
+        except SystemExit as exc:  # --help and --version
+            code = exc.code
+        task = "/proc/self/task"
+        threads = len(os.listdir(task)) if os.path.isdir(task) else None
+        env = {key: os.environ.get(key) for key in json.loads(sys.argv[2])}
+        print(json.dumps([code, "numpy" in sys.modules, env, threads]))
+        """
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(argv), json.dumps(THREAD_VARS)],
+        capture_output=True,
+        env=_env({"PYTHONPATH": str(SRC), **(env_extra or {})}),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["--version"], 0), (["--help"], 0), (["teleport"], 1), (["rabi", "--bogus"], 1), ([], 1)],
+)
+def test_command_lines_that_run_nothing_load_no_numpy(argv, code):
+    assert _fresh_main(argv)[:2] == [code, False]
+
+
+def test_sim_runs_blas_on_one_thread_unless_a_thread_count_is_set(tmp_path):
+    argv = ["rabi", "--out", str(tmp_path / "rabi.csv")]
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"):
+        code, _, env, _ = _fresh_main(argv, {**dict.fromkeys(THREAD_VARS), var: "2"})
+        assert code == 0 and env[var] == "2"
+    code, numpy, env, threads = _fresh_main(argv, dict.fromkeys(THREAD_VARS))
+    assert (code, numpy, env) == (0, True, {**dict.fromkeys(THREAD_VARS), "OMP_NUM_THREADS": "1"})
+    if threads is None:
+        pytest.skip("no /proc/self/task to count OS threads")
+    assert threads == 1
+
+
+def test_in_process_main_leaves_the_environment_alone(monkeypatch):
+    # numpy is loaded here, as in any caller that imported it first
+    for var in THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    before = dict(os.environ)
+    code, _, err = run_main(["rabi"])
+    assert code == 0, err
+    assert dict(os.environ) == before
 
 
 def assert_one_json_error(proc, code, kind):
@@ -427,6 +496,15 @@ def assert_one_json_error(proc, code, kind):
         (
             ("deer", "--set", "field.magnitude=190", "--set", "grid.values=[100,-5]"),
             "grid: deer needs carrier frequencies > 0 MHz; got -5",
+        ),
+        # a Larmor frequency that underflows to 0, or whose 0.5/f_n and 30/f_n overflow
+        (
+            ("nmr-correlation", "--set", "field.magnitude=1e-100", "--set", "nuclear.gamma=1e-300"),
+            "got f_n = 0 Hz",
+        ),
+        (
+            ("nmr-correlation", "--set", "field.magnitude=1e-30", "--set", "nuclear.gamma=1e-290"),
+            "got f_n = 1e-314 Hz",
         ),
     ],
 )
@@ -592,7 +670,7 @@ def test_unexpected_error_is_one_internal_json_line(monkeypatch):
     def boom(config):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(cli, "run_experiment", boom)
+    monkeypatch.setattr(runner, "run_experiment", boom)
     code, out, err = run_main(["t1"])
     assert code == 2
     assert out == b""

@@ -183,7 +183,7 @@ def test_ac_signal_validation():
     with pytest.raises(InvalidParameterError):
         AcSignal(amplitude=1e-6, frequency=0.0)
     with pytest.raises(InvalidParameterError):
-        ac_echo_response(AcSignal(1e-6, 1e5), np.array([-1e-6]))
+        ac_echo_response(AcSignal(1e-6, 1e5), np.array([-1e-6]), probe_gamma=GAMMA)
 
 
 def test_nuclear_species_constants():
@@ -210,7 +210,7 @@ def test_correlation_oscillates_at_larmor_frequency():
     t1n = 2e-3
     t_corr = np.linspace(0.0, 30.0 / f_n, 4096)
     sig = correlation_spectroscopy(PROTON, b, t_corr, tau=0.5 / f_n,
-                                   nuclear_t1=t1n, ac_amplitude=5e-8)
+                                   nuclear_t1=t1n, ac_amplitude=5e-8, probe_gamma=GAMMA)
     spec = np.abs(np.fft.rfft(sig * np.hanning(len(sig))))
     freqs = np.fft.rfftfreq(len(sig), t_corr[1] - t_corr[0])
     peak = freqs[np.argmax(spec[1:]) + 1]
@@ -224,7 +224,7 @@ def test_correlation_linewidth_from_nuclear_t1():
     t1n = 20e-6
     t_corr = np.linspace(0.0, 40 * t1n, 16384)
     sig = correlation_spectroscopy(PROTON, b, t_corr, tau=0.5 / f_n,
-                                   nuclear_t1=t1n, ac_amplitude=2e-7)
+                                   nuclear_t1=t1n, ac_amplitude=2e-7, probe_gamma=GAMMA)
     dt = t_corr[1] - t_corr[0]
     freqs = np.fft.rfftfreq(len(sig), dt)
     spec = np.abs(np.fft.rfft(sig)) ** 2
@@ -252,7 +252,7 @@ def test_correlation_decay_envelope():
     step = round(t1n * f_n) / f_n  # nearest whole number of periods to T1
     t_corr = np.array([0.0, step, 2 * step])
     sig = correlation_spectroscopy(PROTON, b, t_corr, tau=0.5 / f_n,
-                                   nuclear_t1=t1n, ac_amplitude=5e-8)
+                                   nuclear_t1=t1n, ac_amplitude=5e-8, probe_gamma=GAMMA)
     assert sig[0] > 0
     assert sig[1] / sig[0] == pytest.approx(math.exp(-step / t1n), rel=1e-9)
     assert sig[2] / sig[0] == pytest.approx(math.exp(-2 * step / t1n), rel=1e-9)
@@ -260,9 +260,9 @@ def test_correlation_decay_envelope():
 
 def test_correlation_validation():
     with pytest.raises(InvalidParameterError):
-        correlation_spectroscopy(PROTON, 0.0, np.array([0.0]), 1e-6, 1e-3)
+        correlation_spectroscopy(PROTON, 0.0, np.array([0.0]), 1e-6, 1e-3, probe_gamma=GAMMA)
     with pytest.raises(InvalidParameterError):
-        correlation_spectroscopy(PROTON, 0.1, np.array([-1.0]), 1e-6, 1e-3)
+        correlation_spectroscopy(PROTON, 0.1, np.array([-1.0]), 1e-6, 1e-3, probe_gamma=GAMMA)
 
 
 def test_deer_dip_center_and_linear_slope():

@@ -78,8 +78,8 @@ DARK = DarkSpin(g_factor=2.0, coupling=CouplingDistribution(mean=0.5e6, spread=0
          "AC amplitude must be >= 0, got -1.0"),
         (partial(AcSignal, 1.0), {"frequency": 0.0}, "AC frequency must be > 0, got 0.0"),
         (partial(NuclearSpecies, "x"), {"gamma": 0.0}, "nuclear gamma must be > 0, got 0.0"),
-        (partial(correlation_spectroscopy, PROTON, 1.0, [0.0], 1e-6), {"nuclear_t1": 0.0},
-         "nuclear T1 must be > 0, got 0.0"),
+        (partial(correlation_spectroscopy, PROTON, 1.0, [0.0], 1e-6, probe_gamma=28e9),
+         {"nuclear_t1": 0.0}, "nuclear T1 must be > 0, got 0.0"),
         (partial(CouplingDistribution, spread=1.0), {"mean": NAN},
          "coupling mean must be finite, got nan"),
         (partial(CouplingDistribution, 0.0), {"spread": -1.0},
@@ -113,10 +113,11 @@ def test_parameter_rules_have_one_wording(make, bad, message):
 #: (function of one array, lowest valid entry, scale of a typical entry, message)
 ARRAY_RULES = [
     (partial(echo_envelope, CoherenceModel(1e-6)), 0.0, 1e-6, "times must be >= 0"),
-    (partial(ac_echo_response, AcSignal(1e-3, 1e5)), 0.0, 1e-6, "tau values must be >= 0"),
+    (partial(ac_echo_response, AcSignal(1e-3, 1e5), probe_gamma=28e9), 0.0, 1e-6,
+     "tau values must be >= 0"),
     (partial(nmr_frequency, PROTON), 0.0, 1.0, "field magnitude must be >= 0"),
-    (partial(correlation_spectroscopy, PROTON, 0.19, tau=1e-6, nuclear_t1=1e-3), 0.0, 1e-6,
-     "storage times must be >= 0"),
+    (partial(correlation_spectroscopy, PROTON, 0.19, tau=1e-6, nuclear_t1=1e-3, probe_gamma=28e9),
+     0.0, 1e-6, "storage times must be >= 0"),
     (partial(simulate_rabi, 5e6), 0.0, 1e-6, "durations must be >= 0"),
     (partial(deer_rabi, DARK, 1e6), 0.0, 1e-6, "durations must be >= 0"),
     (partial(dd_t2_scaling, DdScalingParams(1e-6, 0.5, 1e-3)), 1.0, 1.0,

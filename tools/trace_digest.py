@@ -60,6 +60,8 @@ COMMANDS: tuple[tuple[str, ...], ...] = (
      "--set", "field_grid.count=3"),
     ("odmr", "--set", 'grid.values=[1000,"a"]'),
     ("t1", "--set", "seed=x", "--seed", "3"),
+    ("nmr-correlation", "--set", "field.magnitude=1e-100", "--set", "nuclear.gamma=1e-300"),
+    ("nmr-correlation", "--set", "field.magnitude=1e-30", "--set", "nuclear.gamma=1e-290"),
     # keys the experiment does not read, or that a key set beside them leaves unread
     ("spectrum", "--set", "kinetics.preset=295K", "--set", "pulse.rabi=3",
      "--set", "dark.g_factor=3"),
