@@ -31,7 +31,8 @@ from .errors import ConfigError
 #: count where the physics sets the range); every grid value given must
 #: pass "domain" (test, bound, rule); "needs_field" asks for a nonzero
 #: static field, "needs_larmor" for a nuclear Larmor frequency f_n whose
-#: derived times 0.5/f_n and 30/f_n are finite and > 0, "cells" names
+#: derived times 0.5/f_n and 30/f_n are finite and > 0, and whose phases
+#: over the echo and the storage times are finite, "cells" names
 #: the sizes MAX_GRID_CELLS bounds together, "sweeps" the grid of swept
 #: fields (mT), and "required" the keys it cannot run without.
 EXPERIMENTS: dict[str, dict[str, Any]] = {
@@ -153,15 +154,17 @@ COHERENCE_PRESETS: dict[str, dict[str, Any]] = {
     },
 }
 
-#: Upper bounds on grid sizes, phase samples and fields (mT). They stop a
-#: single value from asking for an array beyond memory or a frequency
-#: beyond the float range. MAX_GRID_CELLS bounds sizes that multiply (the
-#: two grids of a field map, a phase average over a grid).
+#: Upper bounds on grid sizes, phase samples, fields (mT) and the electron
+#: gyromagnetic ratio (MHz/mT). They stop a single value from asking for
+#: an array beyond memory or a frequency beyond the float range.
+#: MAX_GRID_CELLS bounds sizes that multiply (the two grids of a field
+#: map, a phase average over a grid).
 MAX_GRID_COUNT = 10**6
 MAX_GRID_CELLS = 10**7
 MAX_FIELD_GRID_COUNT = 10**4
 MAX_PHASE_SAMPLES = 10**4
 MAX_FIELD_MT = 1.0e5
+MAX_GAMMA = 1.0e6
 
 _FIELD_RANGE = {"min": -MAX_FIELD_MT, "max": MAX_FIELD_MT}
 _TRIPLE = {"type": list, "nullable": True, "default": None, "length": 3}
@@ -185,7 +188,7 @@ _SCHEMA: dict[str, Any] = {
     "seed": {"type": int, "default": 0, "min": 0},
     "out": {"type": str, "nullable": True, "default": None},
     "format": {"type": str, "default": "csv", "choices": ("csv", "json")},
-    "gamma": {"type": float, "default": -28.0},
+    "gamma": {"type": float, "default": -28.0, "min": -MAX_GAMMA, "max": MAX_GAMMA},
     "zfs": {
         "nested": {
             "d": {"type": float, "default": 1905.0},
@@ -576,7 +579,7 @@ def _has_static_field(field: dict) -> bool:
 
 
 def _check_larmor(sections: dict) -> None:
-    """f_n = |gamma_n|*B, the echo half-time 0.5/f_n and the range 30/f_n must be finite, > 0."""
+    """f_n = |gamma_n|*B, 0.5/f_n and 30/f_n must be finite and > 0, and the phases finite."""
     from .coherence import DEUTERON, PROTON
 
     nuclear = sections["nuclear"]
@@ -594,6 +597,20 @@ def _check_larmor(sections: dict) -> None:
             f"field, nuclear: nmr-correlation derives its echo half-time 0.5/f_n and storage "
             f"range 30/f_n from the Larmor frequency f_n = |gamma_n|*B, and needs all three "
             f"finite and > 0; got f_n = {f_n:g} Hz at B = {b:g} T"
+        )
+    # the phases correlation_spectroscopy computes from f_n, in its order so that they
+    # overflow alike: the echo phase amplitude, pi*f_n*tau, and the storage phase at the
+    # longest storage time (s), taken as 0 for the default range (60*pi at most)
+    tau = 0.5 / f_n if nuclear["tau"] is None else nuclear["tau"] * 1.0e-6
+    grid = sections["grid"]
+    t_max = max(grid["values"] or [v or 0.0 for v in (grid["start"], grid["stop"])]) * 1.0e-6
+    echo = 4.0 * (abs(sections["gamma"]) * 1.0e9) * (nuclear["amplitude"] * 1.0e-3) / f_n
+    phases = (echo, math.pi * f_n * tau, 2.0 * math.pi * f_n * t_max)
+    if not all(map(math.isfinite, phases)):
+        raise ConfigError(
+            f"gamma, nuclear, grid: nmr-correlation needs finite phases; got echo amplitude "
+            f"4*|gamma|*A/f_n = {echo:g}, pi*f_n*tau = {phases[1]:g} and storage phase "
+            f"2*pi*f_n*t_corr up to {phases[2]:g}"
         )
 
 
@@ -629,8 +646,6 @@ def _check_contract(name: str, given: dict, sections: dict) -> None:
         raise ConfigError(
             f"{name} needs a nonzero static field; set field.magnitude (mT), e.g. 190"
         )
-    if spec.get("needs_larmor"):
-        _check_larmor(sections)
     if "domain" in spec:
         passes, bound, rule = spec["domain"]
         grid = sections["grid"]
@@ -638,6 +653,8 @@ def _check_contract(name: str, given: dict, sections: dict) -> None:
         for value in grid["values"] or [v for v in (grid["start"], grid["stop"]) if v is not None]:
             if not passes(value, bound):
                 raise ConfigError(f"grid: {name} needs {rule}; got {value:g}")
+    if spec.get("needs_larmor"):
+        _check_larmor(sections)
     cells = spec.get("cells", ())
     if cells and not unread.keys() & set(cells):
         n_rows, n_cols = (_size(name, sections, key) for key in cells)

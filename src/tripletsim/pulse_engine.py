@@ -199,11 +199,6 @@ class QubitSystem:
         """Sublevel kinetics mixed into the labeled eigenbasis."""
         return _mix_into_eigenbasis(self.rates, (self.eigen,))[0]
 
-    @cached_property
-    def decay_rates(self) -> np.ndarray:
-        """Per-label triplet decay rates 1/tau, ordered (x, y, z)."""
-        return 1.0 / np.asarray(self.effective_rates.triplet_lifetimes)
-
 
 def _mix_into_eigenbasis(
     rates: KineticRates, eigs: Sequence[TripletEigensystem]
@@ -280,22 +275,28 @@ def _apply_mw(state: HybridState, pulse: MwPulse, system: QubitSystem) -> None:
 
 
 def _evolve_free(
-    state: HybridState, system: QubitSystem, duration: float, intensity: float
+    state: HybridState,
+    rates: KineticRates | Sequence[KineticRates],
+    duration: float,
+    intensity: float,
 ) -> np.ndarray:
     """Advance the state through an interval at a light intensity (0 is dark).
 
-    Returns the integrated S1 occupancy over the interval, one per batch
-    element. Populations follow the five-level rate model; triplet
-    coherences damp at the pairwise mean decay rate.
+    `rates` is one rate set, or a sequence with one per entry of the
+    state's last batch axis. Returns the integrated S1 occupancy over the
+    interval, one per batch element. Populations follow the five-level
+    rate model; triplet coherences damp at the pairwise mean decay rate.
     """
-    pops, emission = propagate(
-        propagators((system.effective_rates,), duration, intensity)[0],
-        state.populations(),
-    )
-    g = system.decay_rates
+    single = isinstance(rates, KineticRates)
+    rate_sets = (rates,) if single else rates
+    props = propagators(rate_sets, duration, intensity)
+    g = 1.0 / np.array([r.triplet_lifetimes for r in rate_sets]).reshape(-1, 3)
+    if single:
+        props, g = props[0], g[0]
+    pops, emission = propagate(props, state.populations())
     eye = np.eye(3)
     # zero on the diagonal, which takes the propagated populations instead
-    damp = np.exp(-0.5 * (g[:, None] + g[None, :]) * duration) * (1.0 - eye)
+    damp = np.exp(-0.5 * (g[..., :, None] + g[..., None, :]) * duration) * (1.0 - eye)
     state.singlet = pops[..., :2]
     state.rho = state.rho * damp + pops[..., 2:, None] * eye
     return emission
@@ -316,7 +317,7 @@ def apply_elements(
     emissions: list[np.ndarray] = []
     for element in elements:
         if isinstance(element, (LaserPulse, Wait, ReadoutPulse)):
-            emission = _evolve_free(out, system, element.duration, element.intensity)
+            emission = _evolve_free(out, system.effective_rates, element.duration, element.intensity)
             if isinstance(element, ReadoutPulse):
                 emissions.append(emission)
         elif isinstance(element, MwPulse):
@@ -326,11 +327,11 @@ def apply_elements(
     return out, emissions
 
 
-def _mw_silenced(elements: tuple[PulseElement, ...]) -> tuple[PulseElement, ...]:
-    """The same timing with every microwave amplitude set to zero."""
-    return tuple(
-        replace(e, rabi_freq=0.0) if isinstance(e, MwPulse) else e for e in elements
-    )
+def _over_reference(signal: np.ndarray, reference: np.ndarray, protocol: str) -> np.ndarray:
+    """Readouts over the reference readout, which must not have vanished."""
+    if np.any(reference <= 0.0):
+        raise DegenerateReadoutError(f"reference emission vanished in {protocol} protocol")
+    return signal / reference
 
 
 # --- canned experiment protocols --------------------------------------------
@@ -359,12 +360,12 @@ def simulate_pulsed_odmr(
 
     Protocol: laser initialization into the polarized triplet, a probe pi
     pulse swept in carrier frequency, a dark relaxation delay, and a
-    short readout window, normalized by the microwave-silenced rerun.
-    The multilevel variant swaps the populations of `ODMR_PREP_PAIR`
-    before the probe and swaps them back after, which converts an otherwise
-    low-contrast line into a strong one while leaving off-resonant
-    carriers with exactly cancelling pulses. The whole grid is one batch:
-    the sequence and its reference each run once.
+    short readout window, normalized by the readout of batch member 0:
+    the initialized state, which no pulse touched. The multilevel variant
+    swaps the populations of `ODMR_PREP_PAIR` before the probe and swaps
+    them back after, which converts an otherwise low-contrast line into a
+    strong one while leaving off-resonant carriers with exactly
+    cancelling pulses. The whole grid is one batch: the sequence runs once.
     """
     if rabi_freq <= 0.0:
         raise InvalidParameterError("probe needs rabi_freq > 0")
@@ -373,12 +374,12 @@ def simulate_pulsed_odmr(
     prep = pi_pulse(ODMR_PREP_PAIR, rabi_freq)
     probe = MwPulse(rabi_freq=rabi_freq, duration=0.5 / rabi_freq, frequency=f_grid)
     gate = (prep, probe, prep) if multilevel else (probe,)
-    elements = (init, *gate, Wait(delay), readout)
-    _, (signal,) = apply_elements(elements, system)
-    _, (reference,) = apply_elements(_mw_silenced(elements), system)
-    if reference <= 0.0:
-        raise DegenerateReadoutError("reference emission vanished in ODMR protocol")
-    return signal / reference
+    initialized, _ = apply_elements((init,), system)
+    gated, _ = apply_elements(gate, system, initialized)
+    # member 0, the reference, is the initialized state itself
+    branched = HybridState(initialized.singlet, np.concatenate((initialized.rho[None], gated.rho)))
+    _, (emission,) = apply_elements((Wait(delay), readout), system, branched)
+    return _over_reference(emission[1:], emission[0], "ODMR")
 
 
 @dataclass(frozen=True)
@@ -406,16 +407,16 @@ def simulate_field_odmr(
     """ODMR contrast map versus field magnitude along one molecular axis.
 
     Line positions come from the eigenvector-tracked transition branches.
-    Line amplitudes use an incoherent swap protocol, run for all fields
-    at once: each field's system is initialized by a laser pulse, the
-    addressed pair's populations are swapped (ideal pi pulse), and the
-    readout after the relaxation delay, over the readout of the
-    unswapped state, gives the line's contrast amplitude. The kinetics at
-    each field are the sublevel rates mixed into its eigenstates, labeled
-    by zero-field character as in :attr:`QubitSystem.effective_rates`.
-    Each line is painted with a unit-peak Lorentzian of HWHM `linewidth`;
-    amplitudes from the three lines add. A vanishing reference readout
-    raises DegenerateReadoutError.
+    Line amplitudes use a swap protocol, run for all fields at once: each
+    field's state is initialized by a laser pulse and branched into the
+    unrotated reference (member 0) and one member per pair whose
+    populations an ideal pi rotation swaps. After the relaxation delay,
+    each member's readout over the reference's gives the line's contrast
+    amplitude. The kinetics at each field are the sublevel rates mixed
+    into its eigenstates, labeled by zero-field character as in
+    :attr:`QubitSystem.effective_rates`. Each line is painted with a
+    unit-peak Lorentzian of HWHM `linewidth`; amplitudes from the three
+    lines add. A vanishing reference readout raises DegenerateReadoutError.
     """
     b_values = np.atleast_1d(np.asarray(b_values, dtype=float))
     f_grid = np.asarray(f_grid, dtype=float)
@@ -423,24 +424,17 @@ def simulate_field_odmr(
     spectrum = field_sweep_spectrum(zfs, axis, b_values, gamma)
     mixed = _mix_into_eigenbasis(rates, spectrum.eigensystems)
     delay = default_readout_delay(rates) if readout_delay is None else readout_delay
-    laser = propagators(mixed, init.duration, init.intensity)
-    dark = propagators(mixed, delay, 0.0)
-    read = propagators(mixed, readout.duration, readout.intensity)
-    initialized, _ = propagate(laser, np.eye(5)[0])
-    # per field: the unswapped reference, then one state per swapped pair
-    states = np.repeat(initialized[:, None, :], 1 + len(TRANSITION_PAIRS), axis=1)
-    for k, pair in enumerate(TRANSITION_PAIRS, start=1):
-        i, j = (2 + _LABEL_INDEX[t] for t in pair)
-        states[:, k, [i, j]] = initialized[:, [j, i]]
-    relaxed, _ = propagate(dark[:, None], states)
-    _, emission = propagate(read[:, None], relaxed)
-    reference = emission[:, :1]
-    if np.any(reference <= 0.0):
-        raise DegenerateReadoutError("reference emission vanished in field-ODMR protocol")
-    amplitude = emission[:, 1:] / reference - 1.0
+    state = HybridState.ground()
+    _evolve_free(state, mixed, init.duration, init.intensity)
+    # the identity (member 0, the reference), then an ideal pi rotation per pair
+    swaps = np.stack([np.eye(3), *(mw_unitary(pair, 1.0, 0.5) for pair in TRANSITION_PAIRS)])
+    state.rho = swaps[:, None] @ state.rho @ np.swapaxes(swaps, -1, -2).conj()[:, None]
+    _evolve_free(state, mixed, delay, 0.0)
+    emission = _evolve_free(state, mixed, readout.duration, readout.intensity)
+    amplitude = _over_reference(emission[1:], emission[0], "field-ODMR") - 1.0
     contrast = np.ones((b_values.size, f_grid.size))
-    for k, pair in enumerate(TRANSITION_PAIRS):
+    for pair, line in zip(TRANSITION_PAIRS, amplitude):
         x = (f_grid - spectrum.branches[pair][:, None]) / linewidth
-        contrast += amplitude[:, k, None] / (1.0 + x**2)
+        contrast += line[:, None] / (1.0 + x**2)
     return FieldOdmrMap(field=b_values, frequency=f_grid, contrast=contrast, spectrum=spectrum)
 

@@ -506,6 +506,30 @@ def assert_one_json_error(proc, code, kind):
             ("nmr-correlation", "--set", "field.magnitude=1e-30", "--set", "nuclear.gamma=1e-290"),
             "got f_n = 1e-314 Hz",
         ),
+        # an electron ratio past the float range in Hz/T, at any field
+        *(
+            ((experiment, *field, "--set", "gamma=1e300"), "gamma: must be <= 1000000.0")
+            for experiment, field in (
+                ("ac-sense", ()),
+                ("spectrum", ()),
+                ("odmr", ()),
+                ("nmr-correlation", ("--set", "field.magnitude=190")),
+            )
+        ),
+        # nmr-correlation phases that overflow: storage, echo amplitude, echo time
+        (
+            ("nmr-correlation", "--set", "field.magnitude=190", "--set", "nuclear.gamma=1e290",
+             "--set", "grid.values=[0,1e20]"),
+            "storage phase 2*pi*f_n*t_corr up to inf",
+        ),
+        (
+            ("nmr-correlation", "--set", "field.magnitude=190", "--set", "nuclear.amplitude=1e305"),
+            "echo amplitude 4*|gamma|*A/f_n = inf",
+        ),
+        (
+            ("nmr-correlation", "--set", "field.magnitude=190", "--set", "nuclear.tau=1e308"),
+            "pi*f_n*tau = inf",
+        ),
     ],
 )
 def test_boundary_inputs_are_config_errors(args, needle):

@@ -269,7 +269,7 @@ def test_wait_damps_coherence_at_mean_decay_rate():
     state = HybridState(singlet=np.array([0.5, 0.0]), rho=rho)
     duration = 30e-6
     out, _ = apply_elements([Wait(duration)], SYSTEM, state)
-    g = SYSTEM.decay_rates
+    g = 1.0 / np.asarray(SYSTEM.effective_rates.triplet_lifetimes)
     # populations decay at their own rates; the coherence at the pair mean
     expected = 0.25 * math.exp(-0.5 * (g[1] + g[2]) * duration)
     assert abs(float(np.abs(out.rho[1, 2])) - expected) < 1e-12
@@ -367,6 +367,31 @@ def test_pulsed_odmr_dips_at_transition_lines():
         assert far == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("multilevel", [False, True], ids=["plain", "multilevel"])
+def test_pulsed_odmr_reference_is_an_unrotated_run(monkeypatch, multilevel):
+    # the reference is batch member 0; it must read out exactly as a run
+    # of the same sequence with no microwave element at all
+    system = QubitSystem(zfs=ZFS, rates=RATES_295K, field=FieldVector.along("z", 50e-3))
+    init, readout = LaserPulse(10e-6, intensity=0.7), ReadoutPulse(2e-6)
+    delay = 40e-6
+    _, (expected,) = apply_elements((init, Wait(delay), readout), system)
+    references = []
+    original = pulse_engine._over_reference
+
+    def recording(signal, reference, protocol):
+        references.append(reference)
+        return original(signal, reference, protocol)
+
+    monkeypatch.setattr(pulse_engine, "_over_reference", recording)
+    lines = list(system.transitions.values())
+    f_grid = np.sort(np.concatenate((np.linspace(0.8e9, 2.6e9, 37), lines)))
+    simulate_pulsed_odmr(
+        system, f_grid, multilevel=multilevel, init=init, readout_delay=delay, readout=readout
+    )
+    assert len(references) == 1
+    assert references[0].tobytes() == expected.tobytes()
+
+
 def test_multilevel_gate_amplifies_weak_line():
     f = max(SYSTEM.transitions.values())  # the 2.38 GHz branch
     single = simulate_pulsed_odmr(SYSTEM, np.array([f]), multilevel=False)[0]
@@ -455,20 +480,28 @@ def test_batched_field_odmr_matches_per_field_engine_runs(axis, rates):
 
 
 def test_field_odmr_calls_expm_a_fixed_number_of_times(monkeypatch):
-    calls = []
-    original = photokinetics.expm
+    calls, rotated_pairs = [], []
+    original, original_mw_unitary = photokinetics.expm, pulse_engine.mw_unitary
 
     def counting(a):
         calls.append(np.shape(a))
         return original(a)
 
+    def counting_mw_unitary(pair, *args):
+        rotated_pairs.append(pair)
+        return original_mw_unitary(pair, *args)
+
     monkeypatch.setattr(photokinetics, "expm", counting)
+    monkeypatch.setattr(pulse_engine, "mw_unitary", counting_mw_unitary)
     f_grid = np.linspace(0.6e9, 3.0e9, 11)
     for n_fields in (61, 5):
         calls.clear()
+        rotated_pairs.clear()
         simulate_field_odmr(ZFS, RATES_4K, "x", np.linspace(0.0, 120e-3, n_fields), f_grid)
         # laser, dark and readout propagators, each one stacked call
         assert calls == [(n_fields, 6, 6)] * 3
+        # one swap per pair, shared by every field
+        assert rotated_pairs == list(PAIRS)
 
 
 def test_pulsed_odmr_calls_expm_and_mw_unitary_a_fixed_number_of_times(monkeypatch):
@@ -491,8 +524,8 @@ def test_pulsed_odmr_calls_expm_and_mw_unitary_a_fixed_number_of_times(monkeypat
             rotated_pairs.clear()
             f_grid = np.linspace(0.8e9, 2.6e9, n_carriers)
             simulate_pulsed_odmr(SYSTEM, f_grid, multilevel=multilevel)
-            # laser, dark and readout propagators for the sweep and its reference
-            assert propagator_shapes == [(1, 6, 6)] * 6
+            # laser, dark and readout propagators; the reference is batch member 0
+            assert propagator_shapes == [(1, 6, 6)] * 3
             # three swept-carrier pairs, plus the two prep pulses when gated
             assert len(rotated_pairs) == rotations
 

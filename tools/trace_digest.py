@@ -48,6 +48,10 @@ COMMANDS: tuple[tuple[str, ...], ...] = (
     ("field-odmr", "--format", "json", "--set", "field.axis=z", "--set", "kinetics.preset=295K",
      "--set", "field_grid.start=0", "--set", "field_grid.stop=120.0",
      "--set", "field_grid.count=61"),
+    ("field-odmr", "--set", "field.axis=y", "--set", "kinetics.preset=295K"),
+    ("field-odmr", "--set", "field.axis=z", "--set", "field_grid.start=0",
+     "--set", "field_grid.stop=300.0", "--set", "field_grid.count=61"),
+    ("odmr", "--set", "odmr.multilevel=true", "--set", "field.magnitude=50"),
     # bad inputs
     ("fit", *FIT_INPUT, "--set", "fit.model=linear", "--set", "fit.x_column=false"),
     ("odmr", "--set", "readout.intensity=0"),
@@ -62,6 +66,13 @@ COMMANDS: tuple[tuple[str, ...], ...] = (
     ("t1", "--set", "seed=x", "--seed", "3"),
     ("nmr-correlation", "--set", "field.magnitude=1e-100", "--set", "nuclear.gamma=1e-300"),
     ("nmr-correlation", "--set", "field.magnitude=1e-30", "--set", "nuclear.gamma=1e-290"),
+    ("ac-sense", "--set", "gamma=1e300"),
+    ("spectrum", "--set", "gamma=1e300"),
+    ("odmr", "--set", "gamma=1e300"),
+    ("nmr-correlation", "--set", "field.magnitude=190", "--set", "gamma=1e300"),
+    ("nmr-correlation", "--set", "field.magnitude=190", "--set", "nuclear.gamma=1e290",
+     "--set", "grid.values=[0,1e20]"),
+    ("nmr-correlation", "--set", "field.magnitude=190", "--set", "nuclear.amplitude=1e305"),
     # keys the experiment does not read, or that a key set beside them leaves unread
     ("spectrum", "--set", "kinetics.preset=295K", "--set", "pulse.rabi=3",
      "--set", "dark.g_factor=3"),
