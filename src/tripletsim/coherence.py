@@ -143,6 +143,15 @@ class AcSignal:
         check_nonnegative("AC amplitude", self.amplitude)
 
 
+def _phase_samples(n: int, seed: int | None = None) -> np.ndarray:
+    """n field phases: the midpoints of n equal steps of one period, or Philox draws from `seed`."""
+    if n < 1:
+        raise InvalidParameterError("need at least one phase sample")
+    if seed is None:
+        return (np.arange(n) + 0.5) * (2.0 * np.pi / n)
+    return np.random.Generator(np.random.Philox(seed)).uniform(0.0, 2.0 * np.pi, size=n)
+
+
 def ac_echo_phase(
     ac: AcSignal, tau: np.ndarray | float, phase: float, probe_gamma: float
 ) -> np.ndarray:
@@ -183,13 +192,7 @@ def ac_echo_response(
     check_entries_at_least("tau values", tau_grid, 0.0)
     if ac.phase is not None:
         return np.cos(ac_echo_phase(ac, tau_grid, ac.phase, probe_gamma))
-    if n_phase_samples < 1:
-        raise InvalidParameterError("need at least one phase sample")
-    if seed is None:
-        phases = (np.arange(n_phase_samples) + 0.5) * (2.0 * np.pi / n_phase_samples)
-    else:
-        rng = np.random.Generator(np.random.Philox(seed))
-        phases = rng.uniform(0.0, 2.0 * np.pi, size=n_phase_samples)
+    phases = _phase_samples(n_phase_samples, seed)
     phi = ac_echo_phase(ac, tau_grid[:, None], phases[None, :], probe_gamma)
     return np.cos(phi).mean(axis=1)
 
@@ -260,7 +263,7 @@ def correlation_spectroscopy(
     if f_n <= 0.0:
         raise InvalidParameterError("correlation spectroscopy needs a nonzero field")
     phi_m = 4.0 * probe_gamma * ac_amplitude / f_n * math.sin(math.pi * f_n * tau) ** 2
-    psi = (np.arange(n_phase_samples) + 0.5) * (2.0 * np.pi / n_phase_samples)
+    psi = _phase_samples(n_phase_samples)
     advance = 2.0 * np.pi * f_n * t_corr_grid
     first = np.sin(phi_m * np.sin(psi))[None, :]
     second = np.sin(phi_m * np.sin(psi[None, :] + advance[:, None]))

@@ -1,15 +1,16 @@
 """Experiment configuration: schema, presets, strict validation.
 
 Configuration units are chosen for bench ergonomics and converted to SI
-exactly once, downstream in the runner: frequencies in MHz, times in
-microseconds, magnetic fields in mT, angles in degrees, gyromagnetic
-ratios in MHz/mT. Unknown keys are rejected with their full path;
-physical inconsistencies raise ConfigError naming the violated rule.
-The type and range of each key, and of each entry of a list, are
-stated once, in its schema entry; the keys each experiment reads and
-what it needs of them, in its EXPERIMENTS entry; `_check_physics`
-holds the rest. A key given to an experiment that does not read it is
-rejected.
+downstream in the runner: frequencies in MHz, times in microseconds,
+magnetic fields in mT, angles in degrees, gyromagnetic ratios in MHz/mT.
+Unknown keys are rejected with their full path; physical
+inconsistencies raise ConfigError naming the violated rule. The type
+and range of each key, and of each entry of a list, are stated once, in
+its schema entry; the keys each experiment reads and what it needs of
+them, in its EXPERIMENTS entry. `_grids` resolves every grid an
+experiment reads, given or default, once, and checks it;
+`_check_physics` holds the rest. A key given to an experiment that does
+not read it is rejected.
 Precedence is defaults < config file < --set overrides < direct flags.
 """
 
@@ -28,13 +29,11 @@ from .errors import ConfigError
 #: One entry per experiment, the single statement of its contract:
 #: "reads" names the keys it reads (a section stands for all its keys);
 #: "grid" and "field_grid" give its default grid in CLI units (only the
-#: count where the physics sets the range); every grid value given must
-#: pass "domain" (test, bound, rule); "needs_field" asks for a nonzero
-#: static field, "needs_larmor" for a nuclear Larmor frequency f_n whose
-#: derived times 0.5/f_n and 30/f_n are finite and > 0, and whose phases
-#: over the echo and the storage times are finite, "cells" names
-#: the sizes MAX_GRID_CELLS bounds together, "sweeps" the grid of swept
-#: fields (mT), and "required" the keys it cannot run without.
+#: count where the physics sets the range, see `_grids`); every grid
+#: value, given or default, must pass "domain" (test, bound, rule);
+#: "needs_field" asks for a nonzero static field, "cells" names the sizes
+#: MAX_GRID_CELLS bounds together, "sweeps" the grid of swept fields (mT),
+#: and "required" the keys it cannot run without.
 EXPERIMENTS: dict[str, dict[str, Any]] = {
     "spectrum": {
         "description": "Transition frequencies of the triplet at given static fields",
@@ -94,7 +93,6 @@ EXPERIMENTS: dict[str, dict[str, Any]] = {
         "grid": {"count": 1501},
         "domain": (operator.ge, 0.0, "storage times >= 0 us"),
         "needs_field": True,
-        "needs_larmor": True,
         "cells": ("grid", "ac.phase_samples"),
     },
     "deer": {
@@ -171,8 +169,8 @@ _TRIPLE = {"type": list, "nullable": True, "default": None, "length": 3}
 
 
 def _grid_spec(max_count: int, **bounds: float) -> dict[str, Any]:
-    # spacing stays None when unset, so the runner can tell an explicit
-    # setting from the experiment's default
+    # spacing stays None when unset, so that an explicit setting can be
+    # told from the experiment's default
     value = {"type": float, **bounds}
     return {
         "start": {**value, "nullable": True, "default": None},
@@ -342,13 +340,14 @@ def _reads(name: str) -> frozenset[str]:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A fully validated configuration, still in CLI units."""
+    """A fully validated configuration in CLI units, with each grid it reads as an array."""
 
     experiment: str
     seed: int
     out: str | None
     format: str
     sections: dict[str, Any]
+    grids: dict[str, Any]
 
     def __getitem__(self, key: str) -> Any:
         return self.sections[key]
@@ -519,19 +518,6 @@ def _check_physics(sections: dict) -> None:
         raise ConfigError(
             f"coherence.eseem: a >= b >= 0 is required, got a={eseem['a']}, b={eseem['b']}"
         )
-    for key in ("grid", "field_grid"):
-        grid = sections[key]
-        if grid["values"] is not None:
-            if not grid["values"]:
-                raise ConfigError(f"{key}.values: must not be empty")
-            continue
-        bounds = (grid["start"], grid["stop"], grid["count"])
-        if all(b is None for b in bounds):
-            continue
-        if any(b is None for b in bounds):
-            raise ConfigError(f"{key}: start, stop and count must be given together")
-        if grid["spacing"] == "log" and (grid["start"] <= 0.0 or grid["stop"] <= 0.0):
-            raise ConfigError(f"{key}: log spacing needs start > 0 and stop > 0")
 
 
 def _lookup(sections: dict, path: str) -> Any:
@@ -568,59 +554,121 @@ def _prune(sections: dict, keep: frozenset[str], prefix: str) -> dict:
     return out
 
 
-def _field_components(field: dict) -> list[float]:
-    return [field[b] for b in ("bx", "by", "bz") if field[b] is not None] or [field["magnitude"]]
+def _field_tesla(field: dict) -> float:
+    """The static field (T) as the runner's FieldVector computes it; 0 if its square underflows."""
+    components = [field[b] for b in ("bx", "by", "bz") if field[b] is not None]
+    return math.sqrt(sum((c * 1.0e-3) ** 2 for c in components or [field["magnitude"]]))
 
 
-def _has_static_field(field: dict) -> bool:
-    # squared in tesla, as the physics squares them: a field whose square
-    # underflows there is no field
-    return any((b * 1.0e-3) ** 2 > 0.0 for b in _field_components(field))
-
-
-def _check_larmor(sections: dict) -> None:
-    """f_n = |gamma_n|*B, 0.5/f_n and 30/f_n must be finite and > 0, and the phases finite."""
+def _larmor(sections: dict, b: float) -> float:
+    """f_n = |gamma_n|*B in Hz at `b` tesla, with f_n, 0.5/f_n and 30/f_n finite and > 0."""
     from .coherence import DEUTERON, PROTON
 
     nuclear = sections["nuclear"]
-    # in tesla and Hz/T, computed as the runner computes them
-    b = math.sqrt(sum((c * 1.0e-3) ** 2 for c in _field_components(sections["field"])))
-    if nuclear["gamma"] is not None:
-        gamma = nuclear["gamma"] * 1.0e9
-    else:
-        gamma = (DEUTERON if nuclear["species"] == "deuteron" else PROTON).gamma
-    f_n = abs(gamma) * b
-    # 30/f_n in us is the largest of the derived times and 0.5/f_n the smallest,
-    # which stays > 0 for any finite f_n
+    species = DEUTERON if nuclear["species"] == "deuteron" else PROTON
+    f_n = abs(species.gamma if nuclear["gamma"] is None else nuclear["gamma"] * 1.0e9) * b
+    # 30/f_n in us is the largest derived time; 0.5/f_n, the smallest, is > 0 for a finite f_n
     if not (0.0 < f_n < math.inf and 30.0 / f_n / 1.0e-6 < math.inf):
         raise ConfigError(
             f"field, nuclear: nmr-correlation derives its echo half-time 0.5/f_n and storage "
             f"range 30/f_n from the Larmor frequency f_n = |gamma_n|*B, and needs all three "
             f"finite and > 0; got f_n = {f_n:g} Hz at B = {b:g} T"
         )
-    # the phases correlation_spectroscopy computes from f_n, in its order so that they
-    # overflow alike: the echo phase amplitude, pi*f_n*tau, and the storage phase at the
-    # longest storage time (s), taken as 0 for the default range (60*pi at most)
-    tau = 0.5 / f_n if nuclear["tau"] is None else nuclear["tau"] * 1.0e-6
-    grid = sections["grid"]
-    t_max = max(grid["values"] or [v or 0.0 for v in (grid["start"], grid["stop"])]) * 1.0e-6
-    echo = 4.0 * (abs(sections["gamma"]) * 1.0e9) * (nuclear["amplitude"] * 1.0e-3) / f_n
-    phases = (echo, math.pi * f_n * tau, 2.0 * math.pi * f_n * t_max)
-    if not all(map(math.isfinite, phases)):
+    return f_n
+
+
+def _resolve(name: str, key: str, section: dict, derived: dict[str, float]) -> Any:
+    """One grid in CLI units: its values, its given range, or the default with `derived` over it."""
+    import numpy as np
+
+    if section["values"] is not None:
+        if not section["values"]:
+            raise ConfigError(f"{key}.values: must not be empty")
+        return np.asarray(section["values"], dtype=float)
+    lo, hi, n, how = (section[k] for k in _RANGE)
+    if lo is None and hi is None and n is None:
+        default = {**EXPERIMENTS[name][key], **derived}
+        if "values" in default:
+            if how is not None:
+                raise ConfigError(
+                    f"{key}.spacing: {name} has a default list of values; "
+                    f"give {key}.start, {key}.stop and {key}.count with it"
+                )
+            return np.asarray(default["values"], dtype=float)
+        lo, hi, n = default["start"], default["stop"], default["count"]
+        how = how or default.get("spacing")  # a given range stays linear unless told otherwise
+        if how == "log" and (lo <= 0.0 or hi <= 0.0):
+            raise ConfigError(
+                f"{key}.spacing: log spacing needs start > 0 and stop > 0, and the default "
+                f"range of {name} is {lo:g} to {hi:g}; give {key}.start and {key}.stop"
+            )
+    elif lo is None or hi is None or n is None:
+        raise ConfigError(f"{key}: start, stop and count must be given together")
+    elif how == "log" and (lo <= 0.0 or hi <= 0.0):
+        raise ConfigError(f"{key}: log spacing needs start > 0 and stop > 0")
+    return np.geomspace(lo, hi, n) if how == "log" else np.linspace(lo, hi, n)
+
+
+def _check_phases(name: str, sections: dict, keys: str, a: float, f: tuple, *phases) -> None:
+    """4*|gamma|*A/f, the echo amplitude, and `phases` are finite (SI, in the physics' order)."""
+    echo = 4.0 * (abs(sections["gamma"]) * 1.0e9) * a / f[1]
+    got = [(f"echo amplitude 4*|gamma|*A/{f[0]} =", echo), *phases]
+    if not all(math.isfinite(value) for _, value in got):
+        text = [f"{label} {value:g}" for label, value in got]
         raise ConfigError(
-            f"gamma, nuclear, grid: nmr-correlation needs finite phases; got echo amplitude "
-            f"4*|gamma|*A/f_n = {echo:g}, pi*f_n*tau = {phases[1]:g} and storage phase "
-            f"2*pi*f_n*t_corr up to {phases[2]:g}"
+            f"{keys}: {name} needs finite phases; got {', '.join(text[:-1])} and {text[-1]}"
         )
 
 
-def _size(name: str, sections: dict, key: str) -> int:
-    if "." in key:  # a count, such as ac.phase_samples
-        return _lookup(sections, key)
-    grid = sections[key]
-    if grid["values"] is not None:
-        return len(grid["values"])
-    return grid["count"] or EXPERIMENTS[name][key]["count"]
+def _grids(name: str, sections: dict) -> dict[str, Any]:
+    """Resolve and check every grid `name` reads, as numpy arrays in CLI units."""
+    spec, b = EXPERIMENTS[name], _field_tesla(sections["field"])
+    derived = {}  # the start and stop of a default range that the physics sets
+    if name == "nmr-correlation":
+        f_n = _larmor(sections, b)
+        derived = {"start": 0.0, "stop": 30.0 / f_n / 1.0e-6}
+    elif name == "deer":
+        from .coherence import FREE_ELECTRON_HZ_PER_T
+
+        # the resonance g*mu_B*B/h (MHz, as DarkSpin.resonance computes it) +- 250 MHz;
+        # nearer 0 MHz (below about 8.9 mT at g = 2) +- 99% of it, so that it stays > 0
+        center = sections["dark"]["g_factor"] * FREE_ELECTRON_HZ_PER_T * b / 1.0e6
+        if not 0.0 < center < math.inf:
+            raise ConfigError(
+                f"dark.g_factor, field: deer needs a dark-spin resonance g*mu_B*B/h that is finite "
+                f"and > 0 (it centres the default grid); got {center:g} MHz at B = {b:g} T"
+            )
+        half = 250.0 if center > 250.0 else 0.99 * center
+        derived = {"start": center - half, "stop": center + half}
+    keys = [key for key in ("grid", "field_grid") if key in spec]
+    grids = {key: _resolve(name, key, sections[key], derived) for key in keys}
+    if "domain" in spec:
+        passes, bound, rule = spec["domain"]
+        grid = grids["grid"]
+        bad = grid[~(passes(grid, bound) & (abs(grid) < math.inf))]
+        if bad.size:
+            raise ConfigError(f"grid: {name} needs {rule}; got {bad[0]:g}")
+    cells = spec.get("cells", ())
+    if cells and not _unread(sections, _reads(name)).keys() & set(cells):
+        n_rows, n_cols = (grids[k].size if k in grids else _lookup(sections, k) for k in cells)
+        if n_rows * n_cols > MAX_GRID_CELLS:
+            raise ConfigError(
+                f"{' x '.join(cells)}: {name} would compute {n_rows} x {n_cols} cells, "
+                f"more than the {MAX_GRID_CELLS} allowed; reduce one of them"
+            )
+    if name in ("ac-sense", "nmr-correlation"):
+        t_max = float(grids["grid"].max()) * 1.0e-6  # the longest tau or storage time, s
+    if name == "ac-sense":
+        ac, f = sections["ac"], sections["ac"]["frequency"] * 1.0e6
+        _check_phases(name, sections, "gamma, ac, grid", ac["amplitude"] * 1.0e-3, ("f", f),
+                      ("phase 2*pi*f*tau up to", 2.0 * math.pi * f * t_max))
+    elif name == "nmr-correlation":
+        nuclear = sections["nuclear"]
+        tau = 0.5 / f_n if nuclear["tau"] is None else nuclear["tau"] * 1.0e-6
+        _check_phases(name, sections, "gamma, nuclear, grid", nuclear["amplitude"] * 1.0e-3,
+                      ("f_n", f_n), ("pi*f_n*tau =", math.pi * f_n * tau),
+                      ("storage phase 2*pi*f_n*t_corr up to", 2.0 * math.pi * f_n * t_max))
+    return grids
 
 
 def _check_contract(name: str, given: dict, sections: dict) -> None:
@@ -642,27 +690,10 @@ def _check_contract(name: str, given: dict, sections: dict) -> None:
             )
         if key not in reads:
             raise ConfigError(f"{key}: {name} does not read it; it reads {spec['reads']}")
-    if spec.get("needs_field") and not _has_static_field(sections["field"]):
+    if spec.get("needs_field") and not _field_tesla(sections["field"]) > 0.0:
         raise ConfigError(
             f"{name} needs a nonzero static field; set field.magnitude (mT), e.g. 190"
         )
-    if "domain" in spec:
-        passes, bound, rule = spec["domain"]
-        grid = sections["grid"]
-        # a range given by its bounds lies between them (and may lack one yet)
-        for value in grid["values"] or [v for v in (grid["start"], grid["stop"]) if v is not None]:
-            if not passes(value, bound):
-                raise ConfigError(f"grid: {name} needs {rule}; got {value:g}")
-    if spec.get("needs_larmor"):
-        _check_larmor(sections)
-    cells = spec.get("cells", ())
-    if cells and not unread.keys() & set(cells):
-        n_rows, n_cols = (_size(name, sections, key) for key in cells)
-        if n_rows * n_cols > MAX_GRID_CELLS:
-            raise ConfigError(
-                f"{' x '.join(cells)}: {name} would compute {n_rows} x {n_cols} cells, "
-                f"more than the {MAX_GRID_CELLS} allowed; reduce one of them"
-            )
     for key in spec.get("required", ()):
         if not _lookup(sections, key):
             raise ConfigError(f"{key}: required for the {name} experiment")
@@ -705,6 +736,7 @@ def parse_config(
     given = {key: value for key, value in raw.items() if key not in flags}
     _check_contract(sections["experiment"], given, sections)
     _check_physics(sections)
+    grids = _grids(sections["experiment"], sections)
     model = sections["fit"]["model"]
     if model is not None:
         from .fitting import MODELS
@@ -717,4 +749,5 @@ def parse_config(
         out=sections.pop("out"),
         format=sections.pop("format"),
         sections=sections,
+        grids=grids,
     )

@@ -1,8 +1,9 @@
 """Experiment dispatch: validated configuration in, trace record out.
 
-This is the single place where CLI units (MHz, us, mT, degrees, MHz/mT)
-are converted to the SI units (Hz, s, T, radians, Hz/T) the physics
-modules speak.
+The runners convert CLI units (MHz, us, mT, degrees, MHz/mT) to the SI
+units (Hz, s, T, radians, Hz/T) the physics modules speak. They read each
+grid as `config` resolved and checked it, default ranges that the physics
+sets included; its checks repeat the conversions they need.
 
 Each runner imports the physics it calls inside its own body, so a
 `sim` process loads only the modules of the experiment it runs.
@@ -16,7 +17,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ._version import __version__
-from .config import EXPERIMENTS, ExperimentConfig
+from .config import ExperimentConfig
 from .errors import ConfigError
 from .trace import Column, TraceRecord, read_trace
 
@@ -68,39 +69,6 @@ def _rates(cfg: ExperimentConfig) -> KineticRates:
     )
 
 
-def _grid(cfg: ExperimentConfig, key: str = "grid", **derived: float) -> np.ndarray:
-    """Resolve a grid section against the experiment's default grid (CLI units).
-
-    `derived` gives the start and stop of a default range that depends on
-    the physics. An explicit `spacing` always applies; left unset it is
-    linear for a grid given by start, stop and count, and the default's
-    spacing for the default range.
-    """
-    section = cfg[key]
-    if section["values"] is not None:
-        return np.asarray(section["values"], dtype=float)
-    lo, hi, n, how = (section[k] for k in ("start", "stop", "count", "spacing"))
-    if lo is None:
-        default = {**EXPERIMENTS[cfg.experiment][key], **derived}
-        if "values" in default:
-            if how is not None:
-                raise ConfigError(
-                    f"{key}.spacing: {cfg.experiment} has a default list of values; "
-                    f"give {key}.start, {key}.stop and {key}.count with it"
-                )
-            return np.asarray(default["values"], dtype=float)
-        lo, hi, n = default["start"], default["stop"], default["count"]
-        how = how or default.get("spacing")
-        if how == "log" and (lo <= 0.0 or hi <= 0.0):
-            raise ConfigError(
-                f"{key}.spacing: log spacing needs start > 0 and stop > 0, and the default "
-                f"range of {cfg.experiment} is {lo:g} to {hi:g}; give {key}.start and {key}.stop"
-            )
-    if how == "log":
-        return np.geomspace(lo, hi, n)
-    return np.linspace(lo, hi, n)
-
-
 def _init_pulse(cfg: ExperimentConfig) -> LaserPulse:
     from .pulse_engine import LaserPulse
 
@@ -147,7 +115,7 @@ def _dark_spin(cfg: ExperimentConfig) -> DarkSpin:
 def _run_spectrum(cfg: ExperimentConfig):
     from .spin_model import TRANSITION_PAIRS, field_sweep_spectrum
 
-    b_values = _grid(cfg) * MT
+    b_values = cfg.grids["grid"] * MT
     sweep = field_sweep_spectrum(_zfs(cfg), cfg["field"]["axis"], b_values, _gamma(cfg))
     rows = []
     for n, b in enumerate(sweep.field):
@@ -161,8 +129,7 @@ def _run_spectrum(cfg: ExperimentConfig):
 def _run_field_odmr(cfg: ExperimentConfig):
     from .pulse_engine import simulate_field_odmr
 
-    b_grid = _grid(cfg, "field_grid")
-    f_grid = _grid(cfg)
+    b_grid, f_grid = cfg.grids["field_grid"], cfg.grids["grid"]
     result = simulate_field_odmr(
         _zfs(cfg),
         _rates(cfg),
@@ -185,7 +152,7 @@ def _run_field_odmr(cfg: ExperimentConfig):
 def _run_odmr(cfg: ExperimentConfig):
     from .pulse_engine import QubitSystem, simulate_pulsed_odmr
 
-    f_grid = _grid(cfg)
+    f_grid = cfg.grids["grid"]
     system = QubitSystem(zfs=_zfs(cfg), rates=_rates(cfg), field=_field(cfg), gamma=_gamma(cfg))
     contrast = simulate_pulsed_odmr(
         system,
@@ -203,7 +170,7 @@ def _run_odmr(cfg: ExperimentConfig):
 def _run_rabi(cfg: ExperimentConfig):
     from .coherence import simulate_rabi
 
-    durations = _grid(cfg)
+    durations = cfg.grids["grid"]
     t2_star = cfg["pulse"]["t2_star"]
     trace = simulate_rabi(
         rabi_freq=cfg["pulse"]["rabi"] * MHZ,
@@ -218,7 +185,7 @@ def _run_rabi(cfg: ExperimentConfig):
 def _run_t1(cfg: ExperimentConfig):
     from .photokinetics import t1_relaxation_curve
 
-    delays = _grid(cfg)
+    delays = cfg.grids["grid"]
     signal = t1_relaxation_curve(_rates(cfg), delays * US, intensity=cfg["init"]["intensity"])
     columns = (Column("delay", "us"), Column("signal", "1"), Column("triplet", "1"))
     return columns, np.column_stack([delays, signal, 1.0 - signal]), {}
@@ -241,7 +208,7 @@ def _coherence_model(cfg: ExperimentConfig) -> CoherenceModel:
 def _run_echo(cfg: ExperimentConfig):
     from .coherence import echo_envelope
 
-    times = _grid(cfg)
+    times = cfg.grids["grid"]
     envelope = echo_envelope(_coherence_model(cfg), times * US)
     columns = (Column("time", "us"), Column("echo", "1"))
     return columns, np.column_stack([times, envelope]), {}
@@ -250,7 +217,7 @@ def _run_echo(cfg: ExperimentConfig):
 def _run_dd_scaling(cfg: ExperimentConfig):
     from .coherence import DdScalingParams, dd_t2_scaling
 
-    n_pulses = _grid(cfg)
+    n_pulses = cfg.grids["grid"]
     section = cfg["dd"]
     params = DdScalingParams(
         t2_1=section["t2_1"] * US, nu=section["nu"], t1_rho=section["t1_rho"] * US
@@ -263,7 +230,7 @@ def _run_dd_scaling(cfg: ExperimentConfig):
 def _run_ac_sense(cfg: ExperimentConfig):
     from .coherence import AcSignal, ac_echo_response
 
-    taus = _grid(cfg)
+    taus = cfg.grids["grid"]
     section = cfg["ac"]
     phase = section["phase"]
     ac = AcSignal(
@@ -291,8 +258,7 @@ def _run_nmr_correlation(cfg: ExperimentConfig):
     section = cfg["nuclear"]
     f_n = abs(species.gamma) * b  # Hz
     tau = section["tau"] * US if section["tau"] is not None else 0.5 / f_n
-    stop_us = 30.0 / f_n / US
-    t_corr = _grid(cfg, start=0.0, stop=stop_us)
+    t_corr = cfg.grids["grid"]
     signal = correlation_spectroscopy(
         species,
         b,
@@ -313,21 +279,17 @@ def _run_deer(cfg: ExperimentConfig):
 
     b = _field(cfg).magnitude
     dark = _dark_spin(cfg)
-    center = dark.resonance(b) / MHZ
-    # the resonance +- 250 MHz; nearer 0 MHz (below about 8.9 mT at g = 2)
-    # +- 99% of it, so that every frequency stays > 0
-    half = 250.0 if center > 250.0 else 0.99 * center
-    f2 = _grid(cfg, start=center - half, stop=center + half)
+    f2 = cfg.grids["grid"]
     trace = deer_spectrum(dark, b, f2 * MHZ, t_fix=cfg["dark"]["t_fix"] * US)
     columns = (Column("frequency", "MHz"), Column("contrast", "1"))
-    return columns, np.column_stack([f2, trace]), {"resonance_mhz": center}
+    return columns, np.column_stack([f2, trace]), {"resonance_mhz": dark.resonance(b) / MHZ}
 
 
 def _run_deer_rabi(cfg: ExperimentConfig):
     from .coherence import deer_rabi
 
     dark = _dark_spin(cfg)
-    durations = _grid(cfg)
+    durations = cfg.grids["grid"]
     trace = deer_rabi(
         dark,
         drive_rabi=cfg["dark"]["drive_rabi"] * MHZ,

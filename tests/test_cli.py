@@ -530,6 +530,17 @@ def assert_one_json_error(proc, code, kind):
             ("nmr-correlation", "--set", "field.magnitude=190", "--set", "nuclear.tau=1e308"),
             "pi*f_n*tau = inf",
         ),
+        # a dark-spin resonance, the centre of the default deer grid, past the float range
+        (
+            ("deer", "--set", "field.magnitude=1e5", "--set", "dark.g_factor=1e300"),
+            "dark.g_factor, field: deer needs a dark-spin resonance g*mu_B*B/h that is finite",
+        ),
+        # ac-sense phases that overflow: echo amplitude, AC phase at the longest tau
+        (("ac-sense", "--set", "ac.amplitude=1e305"), "echo amplitude 4*|gamma|*A/f = inf"),
+        (
+            ("ac-sense", "--set", "ac.frequency=1e300", "--set", "grid.values=[1e10]"),
+            "phase 2*pi*f*tau up to inf",
+        ),
     ],
 )
 def test_boundary_inputs_are_config_errors(args, needle):
@@ -590,8 +601,12 @@ def _digest_commands():
 
 
 def _recorded_reads(cfg):
-    """Run `cfg`'s experiment and return the dotted keys of every value it read."""
+    """Run `cfg`'s experiment and return the dotted keys of every value it read.
+
+    Reading a resolved grid, `cfg.grids[key]`, reads the `key.*` leaves the trace echoes.
+    """
     seen = set()
+    echoed = set(config._leaves(cfg.read_sections()))
 
     class Recording(dict):
         def __init__(self, section, prefix):
@@ -606,7 +621,15 @@ def _recorded_reads(cfg):
             seen.add(path)
             return value
 
-    runner._RUNNERS[cfg.experiment](dataclasses.replace(cfg, sections=Recording(cfg.sections, "")))
+    class RecordingGrids(dict):
+        def __getitem__(self, key):
+            seen.update(leaf for leaf in echoed if leaf.startswith(f"{key}."))
+            return super().__getitem__(key)
+
+    recording = dataclasses.replace(
+        cfg, sections=Recording(cfg.sections, ""), grids=RecordingGrids(cfg.grids)
+    )
+    runner._RUNNERS[cfg.experiment](recording)
     return seen
 
 
@@ -679,6 +702,31 @@ def test_explicit_grid_spacing_applies_to_the_default_range():
     bounds = ("--set", "grid.start=1", "--set", "grid.stop=9", "--set", "grid.count=5")
     assert np.array_equal(delays(*bounds), np.linspace(1.0, 9.0, 5))
     assert np.array_equal(delays(*bounds, "--set", "grid.spacing=log"), np.geomspace(1.0, 9.0, 5))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *((experiment,) for experiment in config.EXPERIMENTS if experiment != "fit"),
+        ("deer", "--set", "field.magnitude=5"),
+    ],
+)
+def test_resolved_grid_is_the_trace_axis_bit_for_bit(argv):
+    # defaults included: deer and nmr-correlation derive their default range from the physics
+    if argv in (("nmr-correlation",), ("deer",)):
+        argv = (*argv, "--set", "field.magnitude=190")
+    args = cli.build_parser().parse_args(list(argv))
+    cfg = config.parse_config(config.apply_overrides({}, args.overrides), args.experiment)
+    code, out, err = run_main(list(argv))
+    assert code == 0, err
+    data = parse_trace(out).data
+    grid = cfg.grids["grid"]
+    if cfg.experiment == "field-odmr":  # rows run over the frequencies at each field
+        assert data[:, 0][:: grid.size].tobytes() == cfg.grids["field_grid"].tobytes()
+        axis = data[: grid.size, 1]
+    else:  # spectrum writes one row per branch, three per field
+        axis = data[::3, 0] if cfg.experiment == "spectrum" else data[:, 0]
+    assert axis.tobytes() == grid.tobytes()
 
 
 def run_main(argv):

@@ -182,6 +182,37 @@ def test_physics_consistency_checks():
         parse({"grid": {"start": 0.0, "stop": 10.0, "count": 5, "spacing": "log"}})
 
 
+@pytest.mark.parametrize(
+    "experiment, raw, message",
+    [
+        ("rabi", {"grid": {"spacing": "log"}}, "grid.spacing: log spacing needs start > 0"),
+        ("dd-scaling", {"grid": {"spacing": "linear"}}, "dd-scaling has a default list of values"),
+        (
+            "deer",
+            {"field": {"magnitude": 1e5}, "dark": {"g_factor": 1e300}},
+            "deer needs a dark-spin resonance g*mu_B*B/h that is finite and > 0",
+        ),
+    ],
+)
+def test_default_grids_are_resolved_and_checked_by_parse_config(experiment, raw, message):
+    with pytest.raises(ConfigError) as info:
+        parse_config(raw, experiment=experiment)
+    assert message in str(info.value)
+
+
+def test_grids_hold_one_array_per_grid_read():
+    assert set(parse(experiment="field-odmr").grids) == {"grid", "field_grid"}
+    assert set(parse(experiment="odmr").grids) == {"grid"}
+    assert parse({"fit": {"model": "linear", "input": "x.csv"}}, experiment="fit").grids == {}
+    cfg = parse({"field": {"magnitude": 190.0}}, experiment="nmr-correlation")
+    f_n = 42.58e6 * 0.19  # the proton's Larmor frequency at 190 mT, Hz
+    assert cfg.grids["grid"][0] == 0.0
+    assert cfg.grids["grid"][-1] == pytest.approx(30.0 / f_n / 1e-6, rel=1e-12)
+    # the trace echoes the keys as given: no resolved value goes into the sections
+    assert cfg["grid"] == {"start": None, "stop": None, "count": None, "spacing": None,
+                           "values": None}
+
+
 def test_fit_experiment_requires_model_and_input():
     with pytest.raises(ConfigError, match="fit.model"):
         parse_config({}, experiment="fit")

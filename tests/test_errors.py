@@ -102,6 +102,9 @@ DARK = DarkSpin(g_factor=2.0, coupling=CouplingDistribution(mean=0.5e6, spread=0
          f"stretched_exp.nu must lie in (0, 4.0], got {np.float64(5.0)!r}"),
         # coherence, the infinite T2* that is not "no dephasing"
         (partial(simulate_rabi, 1e6, [0.0]), {"t2_star": -INF}, "T2* must be > 0, got -inf"),
+        # coherence, a phase average over no phases
+        (partial(correlation_spectroscopy, PROTON, 0.19, [0.0, 1e-6], 1e-7, 1e-3, probe_gamma=28e9),
+         {"n_phase_samples": 0}, "need at least one phase sample"),
     ],
 )
 def test_parameter_rules_have_one_wording(make, bad, message):

@@ -73,6 +73,9 @@ COMMANDS: tuple[tuple[str, ...], ...] = (
     ("nmr-correlation", "--set", "field.magnitude=190", "--set", "nuclear.gamma=1e290",
      "--set", "grid.values=[0,1e20]"),
     ("nmr-correlation", "--set", "field.magnitude=190", "--set", "nuclear.amplitude=1e305"),
+    ("deer", "--set", "field.magnitude=1e5", "--set", "dark.g_factor=1e300"),
+    ("ac-sense", "--set", "ac.amplitude=1e305"),
+    ("ac-sense", "--set", "ac.frequency=1e300", "--set", "grid.values=[1e10]"),
     # keys the experiment does not read, or that a key set beside them leaves unread
     ("spectrum", "--set", "kinetics.preset=295K", "--set", "pulse.rabi=3",
      "--set", "dark.g_factor=3"),
@@ -86,6 +89,10 @@ COMMANDS: tuple[tuple[str, ...], ...] = (
     # deer below about 8.9 mT: a default grid above 0 MHz, and the > 0 rule on given values
     ("deer", "--set", "field.magnitude=5"),
     ("deer", "--set", "field.magnitude=190", "--set", "grid.values=[100,-5]"),
+    # a spacing set alone applies to the default grid, or is refused with its reason
+    ("rabi", "--set", "grid.spacing=log"),
+    ("dd-scaling", "--set", "grid.spacing=linear"),
+    ("t1", "--set", "grid.spacing=linear"),
 )
 
 
