@@ -152,6 +152,11 @@ def _phase_samples(n: int, seed: int | None = None) -> np.ndarray:
     return np.random.Generator(np.random.Philox(seed)).uniform(0.0, 2.0 * np.pi, size=n)
 
 
+def echo_phase_amplitude(probe_gamma: float, amplitude: float, frequency: float) -> float:
+    """4*gamma*A/f: the largest echo phase a field of amplitude A at frequency f imprints."""
+    return 4.0 * probe_gamma * amplitude / frequency
+
+
 def ac_echo_phase(
     ac: AcSignal, tau: np.ndarray | float, phase: float, probe_gamma: float
 ) -> np.ndarray:
@@ -167,7 +172,7 @@ def ac_echo_phase(
     """
     tau = np.asarray(tau, dtype=float)
     theta = 2.0 * np.pi * ac.frequency * tau
-    amp = 4.0 * probe_gamma * ac.amplitude / ac.frequency
+    amp = echo_phase_amplitude(probe_gamma, ac.amplitude, ac.frequency)
     return amp * np.sin(theta / 2.0) ** 2 * np.sin(theta + phase)
 
 
@@ -262,7 +267,7 @@ def correlation_spectroscopy(
     f_n = nmr_frequency(species, b)
     if f_n <= 0.0:
         raise InvalidParameterError("correlation spectroscopy needs a nonzero field")
-    phi_m = 4.0 * probe_gamma * ac_amplitude / f_n * math.sin(math.pi * f_n * tau) ** 2
+    phi_m = echo_phase_amplitude(probe_gamma, ac_amplitude, f_n) * math.sin(math.pi * f_n * tau) ** 2
     psi = _phase_samples(n_phase_samples)
     advance = 2.0 * np.pi * f_n * t_corr_grid
     first = np.sin(phi_m * np.sin(psi))[None, :]

@@ -1,16 +1,15 @@
-"""Experiment configuration: schema, presets, strict validation.
+"""Experiment configuration: schema, presets, strict validation, SI inputs.
 
-Configuration units are chosen for bench ergonomics and converted to SI
-downstream in the runner: frequencies in MHz, times in microseconds,
-magnetic fields in mT, angles in degrees, gyromagnetic ratios in MHz/mT.
-Unknown keys are rejected with their full path; physical
-inconsistencies raise ConfigError naming the violated rule. The type
-and range of each key, and of each entry of a list, are stated once, in
-its schema entry; the keys each experiment reads and what it needs of
-them, in its EXPERIMENTS entry. `_grids` resolves every grid an
-experiment reads, given or default, once, and checks it;
-`_check_physics` holds the rest. A key given to an experiment that does
-not read it is rejected.
+Configuration units are chosen for bench ergonomics: frequencies in MHz,
+times in microseconds, magnetic fields in mT, angles in degrees,
+gyromagnetic ratios in MHz/mT. The type, range and unit of each key are
+stated once, in its schema entry; the keys each experiment reads, the
+unit of its grids and what it needs of them, in its EXPERIMENTS entry.
+`parse_config` converts to SI once (a value that leaves the float range
+there is a ConfigError naming its key) and builds the physics objects;
+`_grids` resolves every grid, given or default, once, and checks it;
+`_check_physics` holds the rest. Unknown keys are rejected with their
+full path, and so is a key given to an experiment that does not read it.
 Precedence is defaults < config file < --set overrides < direct flags.
 """
 
@@ -24,13 +23,24 @@ import os
 from dataclasses import dataclass
 from typing import Any
 
-from .errors import ConfigError
+from .errors import ConfigError, InvalidParameterError
+
+#: Factors from the configuration's units to SI, the only place one is
+#: written: MHz to Hz, us to s, mT to T, MHz/mT to Hz/T, and degrees to
+#: radians (x * DEGREE is math.radians(x), bit for bit).
+MHZ = 1.0e6
+US = 1.0e-6
+MT = 1.0e-3
+MHZ_PER_MT = 1.0e9
+DEGREE = math.pi / 180.0
 
 #: One entry per experiment, the single statement of its contract:
 #: "reads" names the keys it reads (a section stands for all its keys);
+#: "objects" the keys `_build` makes physics objects of for it;
 #: "grid" and "field_grid" give its default grid in CLI units (only the
-#: count where the physics sets the range, see `_grids`); every grid
-#: value, given or default, must pass "domain" (test, bound, rule);
+#: count where the physics sets the range, see `_grids`) and its "unit",
+#: the factor to SI; every grid value, given or default, must pass
+#: "domain" (test, bound, rule);
 #: "needs_field" asks for a nonzero static field, "cells" names the sizes
 #: MAX_GRID_CELLS bounds together, "sweeps" the grid of swept fields (mT),
 #: and "required" the keys it cannot run without.
@@ -38,14 +48,16 @@ EXPERIMENTS: dict[str, dict[str, Any]] = {
     "spectrum": {
         "description": "Transition frequencies of the triplet at given static fields",
         "reads": "gamma zfs field.axis grid",
-        "grid": {"values": [0.0]},
+        "objects": "gamma zfs",
+        "grid": {"values": [0.0], "unit": MT},
         "sweeps": "grid",
     },
     "field-odmr": {
         "description": "ODMR contrast map versus field magnitude and drive frequency",
         "reads": "gamma zfs field.axis kinetics init readout odmr.linewidth grid field_grid",
-        "grid": {"start": 600.0, "stop": 3000.0, "count": 241},
-        "field_grid": {"start": 0.0, "stop": 120.0, "count": 61},
+        "objects": "gamma zfs kinetics init readout",
+        "grid": {"start": 600.0, "stop": 3000.0, "count": 241, "unit": MHZ},
+        "field_grid": {"start": 0.0, "stop": 120.0, "count": 61, "unit": MT},
         "domain": (operator.gt, 0.0, "carrier frequencies > 0 MHz"),
         "cells": ("field_grid", "grid"),
         "sweeps": "field_grid",
@@ -53,44 +65,50 @@ EXPERIMENTS: dict[str, dict[str, Any]] = {
     "odmr": {
         "description": "Frequency-swept pulsed ODMR contrast at fixed field",
         "reads": "gamma zfs field kinetics init readout pulse.rabi odmr.multilevel grid",
-        "grid": {"start": 800.0, "stop": 2600.0, "count": 361},
+        "objects": "gamma zfs field kinetics init readout",
+        "grid": {"start": 800.0, "stop": 2600.0, "count": 361, "unit": MHZ},
         "domain": (operator.gt, 0.0, "carrier frequencies > 0 MHz"),
     },
     "rabi": {
         "description": "Driven population transfer versus pulse duration",
         "reads": "pulse grid",
-        "grid": {"start": 0.0, "stop": 0.6, "count": 301},
+        "grid": {"start": 0.0, "stop": 0.6, "count": 301, "unit": US},
         "domain": (operator.ge, 0.0, "pulse durations >= 0 us"),
     },
     "t1": {
         "description": "Ground-state recovery versus dark delay after optical shelving",
         "reads": "kinetics init.intensity grid",
-        "grid": {"start": 0.5, "stop": 2000.0, "count": 200, "spacing": "log"},
+        "objects": "kinetics",
+        "grid": {"start": 0.5, "stop": 2000.0, "count": 200, "spacing": "log", "unit": US},
         "domain": (operator.ge, 0.0, "delays >= 0 us"),
     },
     "echo": {
         "description": "Coherence echo envelope versus total evolution time",
         "reads": "coherence grid",
-        "grid": {"start": 0.05, "stop": 70.0, "count": 400},
+        "objects": "coherence",
+        "grid": {"start": 0.05, "stop": 70.0, "count": 400, "unit": US},
         "domain": (operator.ge, 0.0, "echo times >= 0 us"),
     },
     "dd-scaling": {
         "description": "Coherence time versus number of decoupling pulses",
         "reads": "dd grid",
+        "objects": "dd",
         "grid": {"values": [float(2**k) for k in range(11)]},
         "domain": (operator.ge, 1.0, "pulse numbers >= 1"),
     },
     "ac-sense": {
         "description": "Echo contrast versus echo half-time under an applied AC field",
         "reads": "gamma ac grid",
-        "grid": {"start": 0.2, "stop": 40.0, "count": 400},
+        "objects": "ac",
+        "grid": {"start": 0.2, "stop": 40.0, "count": 400, "unit": US},
         "domain": (operator.ge, 0.0, "tau values >= 0 us"),
         "cells": ("grid", "ac.phase_samples"),
     },
     "nmr-correlation": {
         "description": "Correlation signal oscillating at the nuclear Larmor frequency",
         "reads": "gamma field nuclear ac.phase_samples grid",
-        "grid": {"count": 1501},
+        "objects": "field nuclear",
+        "grid": {"count": 1501, "unit": US},
         "domain": (operator.ge, 0.0, "storage times >= 0 us"),
         "needs_field": True,
         "cells": ("grid", "ac.phase_samples"),
@@ -99,14 +117,16 @@ EXPERIMENTS: dict[str, dict[str, Any]] = {
         "description": "Double-resonance spectrum of a dark electron spin at fixed echo time",
         "reads": "field dark.g_factor dark.coupling_mean dark.coupling_spread dark.linewidth "
         "dark.t_fix grid",
-        "grid": {"count": 501},
+        "objects": "field dark",
+        "grid": {"count": 501, "unit": MHZ},
         "domain": (operator.gt, 0.0, "carrier frequencies > 0 MHz"),
         "needs_field": True,
     },
     "deer-rabi": {
         "description": "Dark-spin driven nutation read through the probe echo",
         "reads": "dark grid",
-        "grid": {"start": 0.0, "stop": 0.2, "count": 401},
+        "objects": "dark",
+        "grid": {"start": 0.0, "stop": 0.2, "count": 401, "unit": US},
         "domain": (operator.ge, 0.0, "pulse durations >= 0 us"),
     },
     "fit": {
@@ -165,6 +185,12 @@ MAX_FIELD_MT = 1.0e5
 MAX_GAMMA = 1.0e6
 
 _FIELD_RANGE = {"min": -MAX_FIELD_MT, "max": MAX_FIELD_MT}
+#: A float key in MHz, us, mT or MHz/mT, with its factor to SI.
+_MHZ = {"type": float, "si": MHZ}
+_US = {"type": float, "si": US}
+_MT = {"type": float, "si": MT}
+_MHZ_PER_MT = {"type": float, "si": MHZ_PER_MT}
+_FIELD = {**_MT, **_FIELD_RANGE}
 _TRIPLE = {"type": list, "nullable": True, "default": None, "length": 3}
 
 
@@ -186,51 +212,51 @@ _SCHEMA: dict[str, Any] = {
     "seed": {"type": int, "default": 0, "min": 0},
     "out": {"type": str, "nullable": True, "default": None},
     "format": {"type": str, "default": "csv", "choices": ("csv", "json")},
-    "gamma": {"type": float, "default": -28.0, "min": -MAX_GAMMA, "max": MAX_GAMMA},
+    "gamma": {**_MHZ_PER_MT, "default": -28.0, "min": -MAX_GAMMA, "max": MAX_GAMMA},
     "zfs": {
         "nested": {
-            "d": {"type": float, "default": 1905.0},
-            "e": {"type": float, "default": -475.0},
+            "d": {**_MHZ, "default": 1905.0},
+            "e": {**_MHZ, "default": -475.0},
         }
     },
     "field": {
         "nested": {
             "axis": {"type": str, "default": "z", "choices": ("x", "y", "z")},
-            "magnitude": {"type": float, "default": 0.0, **_FIELD_RANGE},
-            "bx": {"type": float, "nullable": True, "default": None, **_FIELD_RANGE},
-            "by": {"type": float, "nullable": True, "default": None, **_FIELD_RANGE},
-            "bz": {"type": float, "nullable": True, "default": None, **_FIELD_RANGE},
+            "magnitude": {**_FIELD, "default": 0.0},
+            "bx": {**_FIELD, "nullable": True, "default": None},
+            "by": {**_FIELD, "nullable": True, "default": None},
+            "bz": {**_FIELD, "nullable": True, "default": None},
         }
     },
     "kinetics": {
         "preset": KINETICS_PRESETS,
         "nested": {
             "preset": {"type": str, "nullable": True, "default": "4K", "choices": tuple(KINETICS_PRESETS)},
-            "lifetimes": {**_TRIPLE, "element": {"type": float, "min_exclusive": 0.0}},
+            "lifetimes": {**_TRIPLE, "element": {**_US, "min_exclusive": 0.0}},
             "populations": {**_TRIPLE, "element": {"type": float, "min": 0.0}},
-            "pump_rate": {"type": float, "default": 100.0, "min": 0.0},
-            "s1_lifetime": {"type": float, "default": 0.01, "min_exclusive": 0.0},
+            "pump_rate": {**_MHZ, "default": 100.0, "min": 0.0},
+            "s1_lifetime": {**_US, "default": 0.01, "min_exclusive": 0.0},
             "isc_yield": {"type": float, "default": 0.002, "min": 0.0, "max": 1.0},
         },
     },
     "init": {
         "nested": {
-            "duration": {"type": float, "default": 15.0, "min": 0.0},
+            "duration": {**_US, "default": 15.0, "min": 0.0},
             "intensity": {"type": float, "default": 1.0, "min": 0.0},
         }
     },
     "readout": {
         "nested": {
-            "duration": {"type": float, "default": 1.0, "min_exclusive": 0.0},
+            "duration": {**_US, "default": 1.0, "min_exclusive": 0.0},
             "intensity": {"type": float, "default": 1.0, "min_exclusive": 0.0},
-            "delay": {"type": float, "nullable": True, "default": None, "min": 0.0},
+            "delay": {**_US, "nullable": True, "default": None, "min": 0.0},
         }
     },
     "pulse": {
         "nested": {
-            "rabi": {"type": float, "default": 5.0, "min_exclusive": 0.0},
-            "t2_star": {"type": float, "nullable": True, "default": 0.195, "min_exclusive": 0.0},
-            "detuning": {"type": float, "default": 0.0},
+            "rabi": {**_MHZ, "default": 5.0, "min_exclusive": 0.0},
+            "t2_star": {**_US, "nullable": True, "default": 0.195, "min_exclusive": 0.0},
+            "detuning": {**_MHZ, "default": 0.0},
         }
     },
     "coherence": {
@@ -242,7 +268,7 @@ _SCHEMA: dict[str, Any] = {
                 "default": "deuterated",
                 "choices": tuple(COHERENCE_PRESETS),
             },
-            "t2": {"type": float, "default": 22.4, "min_exclusive": 0.0},
+            "t2": {**_US, "default": 22.4, "min_exclusive": 0.0},
             "nu": {"type": float, "default": 1.10, "min_exclusive": 0.0, "max": 4.0},
             "eseem": {
                 "nullable": True,
@@ -250,7 +276,7 @@ _SCHEMA: dict[str, Any] = {
                 "nested": {
                     "a": {"type": float, "default": 1.0, "min": 0.0},
                     "b": {"type": float, "default": 0.5, "min": 0.0},
-                    "frequency": {"type": float, "default": 0.1402, "min_exclusive": 0.0},
+                    "frequency": {**_MHZ, "default": 0.1402, "min_exclusive": 0.0},
                 },
             },
         },
@@ -259,16 +285,16 @@ _SCHEMA: dict[str, Any] = {
         "preset": DD_PRESETS,
         "nested": {
             "preset": {"type": str, "nullable": True, "default": "4K", "choices": tuple(DD_PRESETS)},
-            "t2_1": {"type": float, "default": 22.4, "min_exclusive": 0.0},
+            "t2_1": {**_US, "default": 22.4, "min_exclusive": 0.0},
             "nu": {"type": float, "default": 0.53, "min_exclusive": 0.0, "max": 4.0},
-            "t1_rho": {"type": float, "default": 405.0, "min_exclusive": 0.0},
+            "t1_rho": {**_US, "default": 405.0, "min_exclusive": 0.0},
         },
     },
     "ac": {
         "nested": {
-            "amplitude": {"type": float, "default": 1.34e-3, "min": 0.0},
-            "frequency": {"type": float, "default": 0.1, "min_exclusive": 0.0},
-            "phase": {"type": float, "nullable": True, "default": None},
+            "amplitude": {**_MT, "default": 1.34e-3, "min": 0.0},
+            "frequency": {**_MHZ, "default": 0.1, "min_exclusive": 0.0},
+            "phase": {"type": float, "nullable": True, "default": None, "si": DEGREE},
             "phase_samples": {"type": int, "default": 64, "min": 1, "max": MAX_PHASE_SAMPLES},
             "sampling": {"type": str, "default": "grid", "choices": ("grid", "random")},
         }
@@ -281,27 +307,27 @@ _SCHEMA: dict[str, Any] = {
                 "default": "proton",
                 "choices": ("proton", "deuteron"),
             },
-            "gamma": {"type": float, "nullable": True, "default": None, "min_exclusive": 0.0},
-            "t1": {"type": float, "default": 2000.0, "min_exclusive": 0.0},
-            "tau": {"type": float, "nullable": True, "default": None, "min_exclusive": 0.0},
-            "amplitude": {"type": float, "default": 0.05, "min": 0.0},
+            "gamma": {**_MHZ_PER_MT, "nullable": True, "default": None, "min_exclusive": 0.0},
+            "t1": {**_US, "default": 2000.0, "min_exclusive": 0.0},
+            "tau": {**_US, "nullable": True, "default": None, "min_exclusive": 0.0},
+            "amplitude": {**_MT, "default": 0.05, "min": 0.0},
         }
     },
     "dark": {
         "nested": {
             "g_factor": {"type": float, "default": 2.0, "min_exclusive": 0.0},
-            "coupling_mean": {"type": float, "default": 0.5},
-            "coupling_spread": {"type": float, "default": 0.2, "min": 0.0},
-            "linewidth": {"type": float, "default": 2.0, "min_exclusive": 0.0},
-            "t_fix": {"type": float, "default": 0.5, "min_exclusive": 0.0},
-            "drive_rabi": {"type": float, "default": 35.4, "min": 0.0},
-            "detuning": {"type": float, "default": 0.0},
+            "coupling_mean": {**_MHZ, "default": 0.5},
+            "coupling_spread": {**_MHZ, "default": 0.2, "min": 0.0},
+            "linewidth": {**_MHZ, "default": 2.0, "min_exclusive": 0.0},
+            "t_fix": {**_US, "default": 0.5, "min_exclusive": 0.0},
+            "drive_rabi": {**_MHZ, "default": 35.4, "min": 0.0},
+            "detuning": {**_MHZ, "default": 0.0},
         }
     },
     "odmr": {
         "nested": {
             "multilevel": {"type": bool, "default": False},
-            "linewidth": {"type": float, "default": 20.0, "min_exclusive": 0.0},
+            "linewidth": {**_MHZ, "default": 20.0, "min_exclusive": 0.0},
         }
     },
     "grid": {"nested": _grid_spec(MAX_GRID_COUNT)},
@@ -321,11 +347,12 @@ _SCHEMA: dict[str, Any] = {
 
 def _paths(schema: dict, prefix: str = ""):
     for key, spec in schema.items():
-        yield prefix + key
+        yield prefix + key, spec
         yield from _paths(spec.get("nested", {}), f"{prefix}{key}.")
 
 
-_SCHEMA_PATHS = tuple(_paths(_SCHEMA))
+#: The schema entry of each dotted path.
+_SPECS = dict(_paths(_SCHEMA))
 
 
 @functools.cache
@@ -333,14 +360,19 @@ def _reads(name: str) -> frozenset[str]:
     """The keys `name` reads, with the sections above them and the keys below them."""
     reads = EXPERIMENTS[name]["reads"].split()
     return frozenset(
-        p for p in _SCHEMA_PATHS
+        p for p in _SPECS
         if any(p == r or p.startswith(f"{r}.") or r.startswith(f"{p}.") for r in reads)
     )
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A fully validated configuration in CLI units, with each grid it reads as an array."""
+    """A fully validated configuration in CLI units, with each grid it reads as an array.
+
+    `inputs` holds what the experiment calls the physics with, in SI units:
+    each key it reads by its dotted path, each grid it reads by its key,
+    and each of its "objects" by the key it is built from.
+    """
 
     experiment: str
     seed: int
@@ -348,14 +380,14 @@ class ExperimentConfig:
     format: str
     sections: dict[str, Any]
     grids: dict[str, Any]
+    inputs: dict[str, Any]
 
     def __getitem__(self, key: str) -> Any:
         return self.sections[key]
 
     def read_sections(self) -> dict[str, Any]:
         """The sections cut down to the keys the experiment reads, as its trace echoes them."""
-        reads = _reads(self.experiment)
-        return _prune(self.sections, reads - _unread(self.sections, reads).keys(), "")
+        return _read(self.experiment, self.sections)
 
 
 #: How a type error names each expected type other than float.
@@ -554,27 +586,87 @@ def _prune(sections: dict, keep: frozenset[str], prefix: str) -> dict:
     return out
 
 
-def _field_tesla(field: dict) -> float:
-    """The static field (T) as the runner's FieldVector computes it; 0 if its square underflows."""
-    components = [field[b] for b in ("bx", "by", "bz") if field[b] is not None]
-    return math.sqrt(sum((c * 1.0e-3) ** 2 for c in components or [field["magnitude"]]))
+def _read(name: str, sections: dict) -> dict:
+    """`sections` cut down to the keys `name` reads, as its trace echoes them."""
+    reads = _reads(name)
+    return _prune(sections, reads - _unread(sections, reads).keys(), "")
 
 
-def _larmor(sections: dict, b: float) -> float:
-    """f_n = |gamma_n|*B in Hz at `b` tesla, with f_n, 0.5/f_n and 30/f_n finite and > 0."""
-    from .coherence import DEUTERON, PROTON
+def _si(key: str, value: Any, unit: float | None) -> Any:
+    """`value` of `key` (None, a float, a list or an array of floats) in SI units, by `unit`;
+    a value whose SI value leaves the float range is a ConfigError naming `key`."""
+    if unit is None or value is None:
+        return value
+    if isinstance(value, list):
+        return [_si(key, v, unit) for v in value]
+    if isinstance(value, float) and math.isfinite(value * unit):
+        return value * unit
+    import numpy as np
 
-    nuclear = sections["nuclear"]
-    species = DEUTERON if nuclear["species"] == "deuteron" else PROTON
-    f_n = abs(species.gamma if nuclear["gamma"] is None else nuclear["gamma"] * 1.0e9) * b
-    # 30/f_n in us is the largest derived time; 0.5/f_n, the smallest, is > 0 for a finite f_n
-    if not (0.0 < f_n < math.inf and 30.0 / f_n / 1.0e-6 < math.inf):
-        raise ConfigError(
-            f"field, nuclear: nmr-correlation derives its echo half-time 0.5/f_n and storage "
-            f"range 30/f_n from the Larmor frequency f_n = |gamma_n|*B, and needs all three "
-            f"finite and > 0; got f_n = {f_n:g} Hz at B = {b:g} T"
+    with np.errstate(over="ignore"):
+        si = value * unit
+    bad = np.asarray(value)[~np.isfinite(si)]
+    if bad.size:
+        raise ConfigError(f"{key}: must be finite in SI units (x {unit:g}), got {bad[0]:g}")
+    return si
+
+
+def _inputs(name: str, sections: dict) -> dict[str, Any]:
+    """Each key `name` reads, by its dotted path, in SI units; `_grids` adds the grids."""
+    si = {}
+    for path in _leaves(_read(name, sections)):
+        if not path.startswith(("grid.", "field_grid.")):
+            spec = _SPECS[path].get("element", _SPECS[path])  # a list states its entries' unit
+            si[path] = _si(path, _lookup(sections, path), spec.get("si"))
+    return si
+
+
+def _build(name: str, si: dict[str, Any]) -> Any:
+    """The physics object of key `name`, an EXPERIMENTS "objects" entry, from the SI inputs."""
+    if name in ("gamma", "zfs", "field"):
+        from .spin_model import FieldVector, GyroRatio, ZfsParams
+
+        if name == "gamma":
+            return GyroRatio(si["gamma"])
+        if name == "zfs":
+            return ZfsParams(d=si["zfs.d"], e=si["zfs.e"])
+        components = [si[f"field.{b}"] for b in ("bx", "by", "bz")]
+        if components == [None] * 3:
+            return FieldVector.along(si["field.axis"], si["field.magnitude"])
+        return FieldVector(*(0.0 if c is None else c for c in components))
+    if name == "kinetics":
+        from .photokinetics import KineticRates
+
+        return KineticRates.from_steady_state(
+            populations=tuple(si["kinetics.populations"]),
+            lifetimes=tuple(si["kinetics.lifetimes"]),
+            pump_rate=si["kinetics.pump_rate"],
+            s1_decay_rate=1.0 / si["kinetics.s1_lifetime"],
+            isc_yield=si["kinetics.isc_yield"],
         )
-    return f_n
+    if name in ("init", "readout"):
+        from .pulse_engine import LaserPulse, ReadoutPulse
+
+        pulse = LaserPulse if name == "init" else ReadoutPulse
+        return pulse(duration=si[f"{name}.duration"], intensity=si[f"{name}.intensity"])
+    from . import coherence as co
+
+    if name == "nuclear":
+        if si["nuclear.gamma"] is not None:
+            return co.NuclearSpecies("custom", si["nuclear.gamma"])
+        return co.DEUTERON if si["nuclear.species"] == "deuteron" else co.PROTON
+    if name == "dark":
+        coupling = co.CouplingDistribution(si["dark.coupling_mean"], si["dark.coupling_spread"])
+        return co.DarkSpin(si["dark.g_factor"], coupling, si["dark.linewidth"])
+    if name == "coherence":
+        # a null eseem section is one key; a given one, three
+        eseem = si["coherence.eseem"] if "coherence.eseem" in si else co.EseemParams(
+            *(si[f"coherence.eseem.{k}"] for k in ("a", "b", "frequency"))
+        )
+        return co.CoherenceModel(si["coherence.t2"], si["coherence.nu"], eseem)
+    if name == "dd":
+        return co.DdScalingParams(si["dd.t2_1"], si["dd.nu"], si["dd.t1_rho"])
+    return co.AcSignal(si["ac.amplitude"], si["ac.frequency"], si["ac.phase"])
 
 
 def _resolve(name: str, key: str, section: dict, derived: dict[str, float]) -> Any:
@@ -609,10 +701,9 @@ def _resolve(name: str, key: str, section: dict, derived: dict[str, float]) -> A
     return np.geomspace(lo, hi, n) if how == "log" else np.linspace(lo, hi, n)
 
 
-def _check_phases(name: str, sections: dict, keys: str, a: float, f: tuple, *phases) -> None:
-    """4*|gamma|*A/f, the echo amplitude, and `phases` are finite (SI, in the physics' order)."""
-    echo = 4.0 * (abs(sections["gamma"]) * 1.0e9) * a / f[1]
-    got = [(f"echo amplitude 4*|gamma|*A/{f[0]} =", echo), *phases]
+def _check_phases(name: str, keys: str, f: str, echo: float, *phases) -> None:
+    """The echo amplitude 4*|gamma|*A/`f` (`echo`) and `phases` are finite."""
+    got = [(f"echo amplitude 4*|gamma|*A/{f} =", echo), *phases]
     if not all(math.isfinite(value) for _, value in got):
         text = [f"{label} {value:g}" for label, value in got]
         raise ConfigError(
@@ -620,19 +711,35 @@ def _check_phases(name: str, sections: dict, keys: str, a: float, f: tuple, *pha
         )
 
 
-def _grids(name: str, sections: dict) -> dict[str, Any]:
-    """Resolve and check every grid `name` reads, as numpy arrays in CLI units."""
-    spec, b = EXPERIMENTS[name], _field_tesla(sections["field"])
+def _grids(name: str, sections: dict, si: dict[str, Any]) -> dict[str, Any]:
+    """Resolve and check every grid `name` reads, as numpy arrays in CLI units; add each
+    to the SI inputs `si` in SI units, with any nuclear.tau that the physics sets."""
+    spec = EXPERIMENTS[name]
+    if spec.get("needs_field") and not si["field"].magnitude > 0.0:
+        raise ConfigError(
+            f"{name} needs a nonzero static field; set field.magnitude (mT), e.g. 190"
+        )
     derived = {}  # the start and stop of a default range that the physics sets
     if name == "nmr-correlation":
-        f_n = _larmor(sections, b)
-        derived = {"start": 0.0, "stop": 30.0 / f_n / 1.0e-6}
-    elif name == "deer":
-        from .coherence import FREE_ELECTRON_HZ_PER_T
+        from .coherence import nmr_frequency
 
-        # the resonance g*mu_B*B/h (MHz, as DarkSpin.resonance computes it) +- 250 MHz;
-        # nearer 0 MHz (below about 8.9 mT at g = 2) +- 99% of it, so that it stays > 0
-        center = sections["dark"]["g_factor"] * FREE_ELECTRON_HZ_PER_T * b / 1.0e6
+        b = si["field"].magnitude
+        f_n = nmr_frequency(si["nuclear"], b)
+        # 30/f_n in us is the largest derived time; 0.5/f_n, the smallest, is > 0 for a finite f_n
+        if not (0.0 < f_n < math.inf and 30.0 / f_n / US < math.inf):
+            raise ConfigError(
+                f"field, nuclear: nmr-correlation derives its echo half-time 0.5/f_n and storage "
+                f"range 30/f_n from the Larmor frequency f_n = |gamma_n|*B, and needs all three "
+                f"finite and > 0; got f_n = {f_n:g} Hz at B = {b:g} T"
+            )
+        derived = {"start": 0.0, "stop": 30.0 / f_n / US}
+        if si["nuclear.tau"] is None:
+            si["nuclear.tau"] = 0.5 / f_n
+    elif name == "deer":
+        # the resonance g*mu_B*B/h +- 250 MHz; nearer 0 MHz (below about
+        # 8.9 mT at g = 2) +- 99% of it, so that it stays > 0
+        b = si["field"].magnitude
+        center = si["dark"].resonance(b) / MHZ
         if not 0.0 < center < math.inf:
             raise ConfigError(
                 f"dark.g_factor, field: deer needs a dark-spin resonance g*mu_B*B/h that is finite "
@@ -656,17 +763,21 @@ def _grids(name: str, sections: dict) -> dict[str, Any]:
                 f"{' x '.join(cells)}: {name} would compute {n_rows} x {n_cols} cells, "
                 f"more than the {MAX_GRID_CELLS} allowed; reduce one of them"
             )
+    si.update((key, _si(key, grids[key], spec[key].get("unit"))) for key in keys)
     if name in ("ac-sense", "nmr-correlation"):
-        t_max = float(grids["grid"].max()) * 1.0e-6  # the longest tau or storage time, s
+        from .coherence import echo_phase_amplitude
+
+        t_max = float(si["grid"].max())  # the longest tau or storage time, s
+        probe = abs(si["gamma"])
     if name == "ac-sense":
-        ac, f = sections["ac"], sections["ac"]["frequency"] * 1.0e6
-        _check_phases(name, sections, "gamma, ac, grid", ac["amplitude"] * 1.0e-3, ("f", f),
+        f = si["ac"].frequency
+        _check_phases(name, "gamma, ac, grid", "f",
+                      echo_phase_amplitude(probe, si["ac"].amplitude, f),
                       ("phase 2*pi*f*tau up to", 2.0 * math.pi * f * t_max))
     elif name == "nmr-correlation":
-        nuclear = sections["nuclear"]
-        tau = 0.5 / f_n if nuclear["tau"] is None else nuclear["tau"] * 1.0e-6
-        _check_phases(name, sections, "gamma, nuclear, grid", nuclear["amplitude"] * 1.0e-3,
-                      ("f_n", f_n), ("pi*f_n*tau =", math.pi * f_n * tau),
+        _check_phases(name, "gamma, nuclear, grid", "f_n",
+                      echo_phase_amplitude(probe, si["nuclear.amplitude"], f_n),
+                      ("pi*f_n*tau =", math.pi * f_n * si["nuclear.tau"]),
                       ("storage phase 2*pi*f_n*t_corr up to", 2.0 * math.pi * f_n * t_max))
     return grids
 
@@ -690,10 +801,6 @@ def _check_contract(name: str, given: dict, sections: dict) -> None:
             )
         if key not in reads:
             raise ConfigError(f"{key}: {name} does not read it; it reads {spec['reads']}")
-    if spec.get("needs_field") and not _field_tesla(sections["field"]) > 0.0:
-        raise ConfigError(
-            f"{name} needs a nonzero static field; set field.magnitude (mT), e.g. 190"
-        )
     for key in spec.get("required", ()):
         if not _lookup(sections, key):
             raise ConfigError(f"{key}: required for the {name} experiment")
@@ -733,10 +840,16 @@ def parse_config(
         raise ConfigError(f"experiment: required; choose one of {list(EXPERIMENTS)}")
     if sections["out"] is not None:
         _check_out(sections["out"])
-    given = {key: value for key, value in raw.items() if key not in flags}
-    _check_contract(sections["experiment"], given, sections)
+    name, given = sections["experiment"], {k: v for k, v in raw.items() if k not in flags}
+    _check_contract(name, given, sections)
+    si = _inputs(name, sections)
     _check_physics(sections)
-    grids = _grids(sections["experiment"], sections)
+    for key in EXPERIMENTS[name].get("objects", "").split():
+        try:  # stored under its key; the ratio `gamma` gives way to its GyroRatio
+            si[key] = _build(key, si)
+        except InvalidParameterError as exc:
+            raise ConfigError(f"{key}: {exc}") from None
+    grids = _grids(name, sections, si)
     model = sections["fit"]["model"]
     if model is not None:
         from .fitting import MODELS
@@ -750,4 +863,5 @@ def parse_config(
         format=sections.pop("format"),
         sections=sections,
         grids=grids,
+        inputs=si,
     )

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import (
     InvalidParameterError,
     check_entries_at_least,
+    check_finite,
     check_nonnegative,
     check_positive,
     check_unit_interval,
@@ -135,6 +136,7 @@ def _generators(rates: Sequence[KineticRates], intensity: float) -> np.ndarray:
     """
     check_nonnegative("intensity", intensity)
     pump = np.array([r.pump_rate * intensity for r in rates])
+    check_finite("pump rate x intensity", *pump.tolist())
     k_s1 = np.array([r.s1_decay_rate for r in rates])
     y = np.array([r.isc_yield for r in rates])
     decay = 1.0 / np.array([r.triplet_lifetimes for r in rates]).reshape(-1, 3)

@@ -1,9 +1,11 @@
 """Experiment dispatch: validated configuration in, trace record out.
 
-The runners convert CLI units (MHz, us, mT, degrees, MHz/mT) to the SI
-units (Hz, s, T, radians, Hz/T) the physics modules speak. They read each
-grid as `config` resolved and checked it, default ranges that the physics
-sets included; its checks repeat the conversions they need.
+`config` builds, once, at parse time, everything an experiment calls the
+physics with, in the SI units (Hz, s, T, radians, Hz/T) the physics
+modules speak: `cfg.inputs` holds the physics objects, each key read in
+SI units and each grid in SI units. A runner calls the physics on them,
+takes its trace axes from `cfg.grids` and stacks columns in the CLI
+units (MHz, us, mT) that the trace reports.
 
 Each runner imports the physics it calls inside its own body, so a
 `sim` process loads only the modules of the experiment it runs.
@@ -12,111 +14,20 @@ Each runner imports the physics it calls inside its own body, so a
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ._version import __version__
-from .config import ExperimentConfig
+from .config import MHZ, MT, US, ExperimentConfig
 from .errors import ConfigError
 from .trace import Column, TraceRecord, read_trace
-
-if TYPE_CHECKING:
-    from .coherence import CoherenceModel, DarkSpin, NuclearSpecies
-    from .photokinetics import KineticRates
-    from .pulse_engine import LaserPulse, ReadoutPulse
-    from .spin_model import FieldVector, GyroRatio, ZfsParams
-
-MHZ = 1.0e6
-US = 1.0e-6
-MT = 1.0e-3
-MHZ_PER_MT = 1.0e9  # to Hz/T
-
-
-def _zfs(cfg: ExperimentConfig) -> ZfsParams:
-    from .spin_model import ZfsParams
-
-    return ZfsParams(d=cfg["zfs"]["d"] * MHZ, e=cfg["zfs"]["e"] * MHZ)
-
-
-def _gamma(cfg: ExperimentConfig) -> GyroRatio:
-    from .spin_model import GyroRatio
-
-    return GyroRatio(gamma=cfg["gamma"] * MHZ_PER_MT)
-
-
-def _field(cfg: ExperimentConfig) -> FieldVector:
-    from .spin_model import FieldVector
-
-    section = cfg["field"]
-    components = (section["bx"], section["by"], section["bz"])
-    if any(c is not None for c in components):
-        bx, by, bz = (0.0 if c is None else c for c in components)
-        return FieldVector(bx=bx * MT, by=by * MT, bz=bz * MT)
-    return FieldVector.along(section["axis"], section["magnitude"] * MT)
-
-
-def _rates(cfg: ExperimentConfig) -> KineticRates:
-    from .photokinetics import KineticRates
-
-    kin = cfg["kinetics"]
-    return KineticRates.from_steady_state(
-        populations=tuple(kin["populations"]),
-        lifetimes=tuple(t * US for t in kin["lifetimes"]),
-        pump_rate=kin["pump_rate"] * MHZ,
-        s1_decay_rate=1.0 / (kin["s1_lifetime"] * US),
-        isc_yield=kin["isc_yield"],
-    )
-
-
-def _init_pulse(cfg: ExperimentConfig) -> LaserPulse:
-    from .pulse_engine import LaserPulse
-
-    section = cfg["init"]
-    return LaserPulse(duration=section["duration"] * US, intensity=section["intensity"])
-
-
-def _readout_pulse(cfg: ExperimentConfig) -> ReadoutPulse:
-    from .pulse_engine import ReadoutPulse
-
-    section = cfg["readout"]
-    return ReadoutPulse(duration=section["duration"] * US, intensity=section["intensity"])
-
-
-def _readout_delay(cfg: ExperimentConfig) -> float | None:
-    delay = cfg["readout"]["delay"]
-    return None if delay is None else delay * US
-
-
-def _nuclear_species(cfg: ExperimentConfig) -> NuclearSpecies:
-    from .coherence import DEUTERON, PROTON, NuclearSpecies
-
-    section = cfg["nuclear"]
-    if section["gamma"] is not None:
-        return NuclearSpecies("custom", section["gamma"] * MHZ_PER_MT)
-    if section["species"] == "deuteron":
-        return DEUTERON
-    return PROTON
-
-
-def _dark_spin(cfg: ExperimentConfig) -> DarkSpin:
-    from .coherence import CouplingDistribution, DarkSpin
-
-    section = cfg["dark"]
-    return DarkSpin(
-        g_factor=section["g_factor"],
-        coupling=CouplingDistribution(
-            mean=section["coupling_mean"] * MHZ, spread=section["coupling_spread"] * MHZ
-        ),
-        linewidth=section["linewidth"] * MHZ,
-    )
 
 
 def _run_spectrum(cfg: ExperimentConfig):
     from .spin_model import TRANSITION_PAIRS, field_sweep_spectrum
 
-    b_values = cfg.grids["grid"] * MT
-    sweep = field_sweep_spectrum(_zfs(cfg), cfg["field"]["axis"], b_values, _gamma(cfg))
+    si = cfg.inputs
+    sweep = field_sweep_spectrum(si["zfs"], si["field.axis"], si["grid"], si["gamma"])
     rows = []
     for n, b in enumerate(sweep.field):
         for k, pair in enumerate(TRANSITION_PAIRS):
@@ -129,18 +40,18 @@ def _run_spectrum(cfg: ExperimentConfig):
 def _run_field_odmr(cfg: ExperimentConfig):
     from .pulse_engine import simulate_field_odmr
 
-    b_grid, f_grid = cfg.grids["field_grid"], cfg.grids["grid"]
+    si, b_grid, f_grid = cfg.inputs, cfg.grids["field_grid"], cfg.grids["grid"]
     result = simulate_field_odmr(
-        _zfs(cfg),
-        _rates(cfg),
-        cfg["field"]["axis"],
-        b_grid * MT,
-        f_grid * MHZ,
-        gamma=_gamma(cfg),
-        linewidth=cfg["odmr"]["linewidth"] * MHZ,
-        init=_init_pulse(cfg),
-        readout_delay=_readout_delay(cfg),
-        readout=_readout_pulse(cfg),
+        si["zfs"],
+        si["kinetics"],
+        si["field.axis"],
+        si["field_grid"],
+        si["grid"],
+        gamma=si["gamma"],
+        linewidth=si["odmr.linewidth"],
+        init=si["init"],
+        readout_delay=si["readout.delay"],
+        readout=si["readout"],
     )
     rows = np.column_stack(
         [np.repeat(b_grid, f_grid.size), np.tile(f_grid, b_grid.size), result.contrast.ravel()]
@@ -152,163 +63,129 @@ def _run_field_odmr(cfg: ExperimentConfig):
 def _run_odmr(cfg: ExperimentConfig):
     from .pulse_engine import QubitSystem, simulate_pulsed_odmr
 
-    f_grid = cfg.grids["grid"]
-    system = QubitSystem(zfs=_zfs(cfg), rates=_rates(cfg), field=_field(cfg), gamma=_gamma(cfg))
+    si = cfg.inputs
+    system = QubitSystem(zfs=si["zfs"], rates=si["kinetics"], field=si["field"], gamma=si["gamma"])
     contrast = simulate_pulsed_odmr(
         system,
-        f_grid * MHZ,
-        rabi_freq=cfg["pulse"]["rabi"] * MHZ,
-        multilevel=cfg["odmr"]["multilevel"],
-        init=_init_pulse(cfg),
-        readout_delay=_readout_delay(cfg),
-        readout=_readout_pulse(cfg),
+        si["grid"],
+        rabi_freq=si["pulse.rabi"],
+        multilevel=si["odmr.multilevel"],
+        init=si["init"],
+        readout_delay=si["readout.delay"],
+        readout=si["readout"],
     )
     columns = (Column("frequency", "MHz"), Column("contrast", "1"))
-    return columns, np.column_stack([f_grid, contrast]), {}
+    return columns, np.column_stack([cfg.grids["grid"], contrast]), {}
 
 
 def _run_rabi(cfg: ExperimentConfig):
     from .coherence import simulate_rabi
 
-    durations = cfg.grids["grid"]
-    t2_star = cfg["pulse"]["t2_star"]
+    si = cfg.inputs
+    t2_star = si["pulse.t2_star"]
     trace = simulate_rabi(
-        rabi_freq=cfg["pulse"]["rabi"] * MHZ,
-        durations=durations * US,
-        t2_star=math.inf if t2_star is None else t2_star * US,
-        detuning=cfg["pulse"]["detuning"] * MHZ,
+        rabi_freq=si["pulse.rabi"],
+        durations=si["grid"],
+        t2_star=math.inf if t2_star is None else t2_star,
+        detuning=si["pulse.detuning"],
     )
     columns = (Column("duration", "us"), Column("transfer", "1"))
-    return columns, np.column_stack([durations, trace]), {}
+    return columns, np.column_stack([cfg.grids["grid"], trace]), {}
 
 
 def _run_t1(cfg: ExperimentConfig):
     from .photokinetics import t1_relaxation_curve
 
-    delays = cfg.grids["grid"]
-    signal = t1_relaxation_curve(_rates(cfg), delays * US, intensity=cfg["init"]["intensity"])
+    si = cfg.inputs
+    signal = t1_relaxation_curve(si["kinetics"], si["grid"], intensity=si["init.intensity"])
     columns = (Column("delay", "us"), Column("signal", "1"), Column("triplet", "1"))
-    return columns, np.column_stack([delays, signal, 1.0 - signal]), {}
-
-
-def _coherence_model(cfg: ExperimentConfig) -> CoherenceModel:
-    from .coherence import CoherenceModel, EseemParams
-
-    section = cfg["coherence"]
-    eseem = section["eseem"]
-    return CoherenceModel(
-        t2=section["t2"] * US,
-        nu=section["nu"],
-        eseem=None
-        if eseem is None
-        else EseemParams(a=eseem["a"], b=eseem["b"], frequency=eseem["frequency"] * MHZ),
-    )
+    return columns, np.column_stack([cfg.grids["grid"], signal, 1.0 - signal]), {}
 
 
 def _run_echo(cfg: ExperimentConfig):
     from .coherence import echo_envelope
 
-    times = cfg.grids["grid"]
-    envelope = echo_envelope(_coherence_model(cfg), times * US)
+    envelope = echo_envelope(cfg.inputs["coherence"], cfg.inputs["grid"])
     columns = (Column("time", "us"), Column("echo", "1"))
-    return columns, np.column_stack([times, envelope]), {}
+    return columns, np.column_stack([cfg.grids["grid"], envelope]), {}
 
 
 def _run_dd_scaling(cfg: ExperimentConfig):
-    from .coherence import DdScalingParams, dd_t2_scaling
+    from .coherence import dd_t2_scaling
 
-    n_pulses = cfg.grids["grid"]
-    section = cfg["dd"]
-    params = DdScalingParams(
-        t2_1=section["t2_1"] * US, nu=section["nu"], t1_rho=section["t1_rho"] * US
-    )
-    t2 = dd_t2_scaling(params, n_pulses)
+    t2 = dd_t2_scaling(cfg.inputs["dd"], cfg.inputs["grid"])
     columns = (Column("n_pulses", "1"), Column("t2", "us"))
-    return columns, np.column_stack([n_pulses, t2 / US]), {}
+    return columns, np.column_stack([cfg.grids["grid"], t2 / US]), {}
 
 
 def _run_ac_sense(cfg: ExperimentConfig):
-    from .coherence import AcSignal, ac_echo_response
+    from .coherence import ac_echo_response
 
-    taus = cfg.grids["grid"]
-    section = cfg["ac"]
-    phase = section["phase"]
-    ac = AcSignal(
-        amplitude=section["amplitude"] * MT,
-        frequency=section["frequency"] * MHZ,
-        phase=None if phase is None else math.radians(phase),
-    )
+    si = cfg.inputs
     # a fixed phase takes no phase average, so its samples go unread
-    average = {} if phase is not None else {
-        "n_phase_samples": section["phase_samples"],
-        "seed": cfg.seed if section["sampling"] == "random" else None,
+    average = {} if si["ac"].phase is not None else {
+        "n_phase_samples": si["ac.phase_samples"],
+        "seed": cfg.seed if si["ac.sampling"] == "random" else None,
     }
-    contrast = ac_echo_response(
-        ac, taus * US, probe_gamma=abs(cfg["gamma"]) * MHZ_PER_MT, **average
-    )
+    contrast = ac_echo_response(si["ac"], si["grid"], probe_gamma=abs(si["gamma"]), **average)
     columns = (Column("tau", "us"), Column("contrast", "1"))
-    return columns, np.column_stack([taus, contrast]), {}
+    return columns, np.column_stack([cfg.grids["grid"], contrast]), {}
 
 
 def _run_nmr_correlation(cfg: ExperimentConfig):
-    from .coherence import correlation_spectroscopy
+    from .coherence import correlation_spectroscopy, nmr_frequency
 
-    b = _field(cfg).magnitude
-    species = _nuclear_species(cfg)
-    section = cfg["nuclear"]
-    f_n = abs(species.gamma) * b  # Hz
-    tau = section["tau"] * US if section["tau"] is not None else 0.5 / f_n
-    t_corr = cfg.grids["grid"]
+    si = cfg.inputs
+    b, tau = si["field"].magnitude, si["nuclear.tau"]
     signal = correlation_spectroscopy(
-        species,
+        si["nuclear"],
         b,
-        t_corr * US,
+        si["grid"],
         tau=tau,
-        nuclear_t1=section["t1"] * US,
-        ac_amplitude=section["amplitude"] * MT,
-        probe_gamma=abs(cfg["gamma"]) * MHZ_PER_MT,
-        n_phase_samples=cfg["ac"]["phase_samples"],
+        nuclear_t1=si["nuclear.t1"],
+        ac_amplitude=si["nuclear.amplitude"],
+        probe_gamma=abs(si["gamma"]),
+        n_phase_samples=si["ac.phase_samples"],
     )
     columns = (Column("t_corr", "us"), Column("signal", "1"))
-    meta = {"larmor_frequency_mhz": f_n / MHZ, "tau_us": tau / US}
-    return columns, np.column_stack([t_corr, signal]), meta
+    meta = {"larmor_frequency_mhz": nmr_frequency(si["nuclear"], b) / MHZ, "tau_us": tau / US}
+    return columns, np.column_stack([cfg.grids["grid"], signal]), meta
 
 
 def _run_deer(cfg: ExperimentConfig):
     from .coherence import deer_spectrum
 
-    b = _field(cfg).magnitude
-    dark = _dark_spin(cfg)
-    f2 = cfg.grids["grid"]
-    trace = deer_spectrum(dark, b, f2 * MHZ, t_fix=cfg["dark"]["t_fix"] * US)
+    si = cfg.inputs
+    b = si["field"].magnitude
+    trace = deer_spectrum(si["dark"], b, si["grid"], t_fix=si["dark.t_fix"])
     columns = (Column("frequency", "MHz"), Column("contrast", "1"))
-    return columns, np.column_stack([f2, trace]), {"resonance_mhz": dark.resonance(b) / MHZ}
+    meta = {"resonance_mhz": si["dark"].resonance(b) / MHZ}
+    return columns, np.column_stack([cfg.grids["grid"], trace]), meta
 
 
 def _run_deer_rabi(cfg: ExperimentConfig):
     from .coherence import deer_rabi
 
-    dark = _dark_spin(cfg)
-    durations = cfg.grids["grid"]
+    si = cfg.inputs
     trace = deer_rabi(
-        dark,
-        drive_rabi=cfg["dark"]["drive_rabi"] * MHZ,
-        durations=durations * US,
-        detuning=cfg["dark"]["detuning"] * MHZ,
-        t_fix=cfg["dark"]["t_fix"] * US,
+        si["dark"],
+        drive_rabi=si["dark.drive_rabi"],
+        durations=si["grid"],
+        detuning=si["dark.detuning"],
+        t_fix=si["dark.t_fix"],
     )
     columns = (Column("duration", "us"), Column("contrast", "1"))
-    return columns, np.column_stack([durations, trace]), {}
+    return columns, np.column_stack([cfg.grids["grid"], trace]), {}
 
 
 def _run_fit(cfg: ExperimentConfig):
     from .fitting import fit
 
-    section = cfg["fit"]
+    si = cfg.inputs
     try:
-        record = read_trace(section["input"])
+        record = read_trace(si["fit.input"])
     except OSError as exc:
-        raise ConfigError(f"fit.input: cannot read {section['input']!r}: {exc}") from exc
+        raise ConfigError(f"fit.input: cannot read {si['fit.input']!r}: {exc}") from exc
 
     def pick(sel, role):
         if isinstance(sel, str):
@@ -322,12 +199,12 @@ def _run_fit(cfg: ExperimentConfig):
             raise ConfigError(f"fit.{role}: index {sel} out of range for {len(record.columns)} columns")
         return sel
 
-    ix = pick(section["x_column"], "x_column")
-    iy = pick(section["y_column"], "y_column")
+    ix = pick(si["fit.x_column"], "x_column")
+    iy = pick(si["fit.y_column"], "y_column")
     x = record.data[:, ix]
     y = record.data[:, iy]
     result = fit(
-        section["model"], x, y, initial_guess=section["initial_guess"], max_iter=section["max_iter"]
+        si["fit.model"], x, y, initial_guess=si["fit.initial_guess"], max_iter=si["fit.max_iter"]
     )
     columns = []
     row = []

@@ -270,7 +270,7 @@ _COHERENCE = {"coherence"}
         ("echo", _COHERENCE, False),
         ("dd-scaling", _COHERENCE, False),
         ("ac-sense", _COHERENCE, False),
-        ("nmr-correlation", {"spin_model", "coherence"}, False),  # the field, via runner._field
+        ("nmr-correlation", {"spin_model", "coherence"}, False),  # the field, a FieldVector
         ("deer", {"spin_model", "coherence"}, True),
         ("deer-rabi", _COHERENCE, True),
         ("fit", {"fitting"}, False),
@@ -380,6 +380,18 @@ def assert_one_json_error(proc, code, kind):
     assert len(lines) == 1, lines
     assert json.loads(lines[0])["error"] == kind
     return json.loads(lines[0])
+
+
+def _si_overflow_cases():
+    """One case per float key whose factor to SI exceeds 1, set to 1e305 on the first
+    experiment that reads it: its SI value leaves the float range (a factor below 1
+    cannot overflow, and a schema bound, as on gamma, may stop the value first)."""
+    for path, spec in config._SPECS.items():
+        if spec.get("si", 0.0) > 1.0:
+            experiment = next(e for e in config.EXPERIMENTS if path in _reads(e))
+            needs_field = config.EXPERIMENTS[experiment].get("needs_field")
+            field = ("--set", "field.magnitude=190") if needs_field else ()
+            yield (experiment, *field, "--set", f"{path}=1e305"), f"{path}: must be"
 
 
 @pytest.mark.parametrize(
@@ -541,6 +553,24 @@ def assert_one_json_error(proc, code, kind):
             ("ac-sense", "--set", "ac.frequency=1e300", "--set", "grid.values=[1e10]"),
             "phase 2*pi*f*tau up to inf",
         ),
+        # MHz values whose value in Hz leaves the float range, caught at parse time
+        (("rabi", "--set", "pulse.rabi=1e305"), "pulse.rabi: must be finite in SI units"),
+        (
+            ("deer-rabi", "--set", "dark.drive_rabi=1e305"),
+            "dark.drive_rabi: must be finite in SI units",
+        ),
+        (("rabi", "--set", "pulse.detuning=1e305"), "pulse.detuning: must be finite in SI units"),
+        (
+            ("deer", "--set", "field.magnitude=190", "--set", "grid.values=[1e305]"),
+            "grid: must be finite in SI units (x 1e+06), got 1e+305",
+        ),
+        # SI values that a physics object refuses: named by the section it is built from
+        (("echo", "--set", "coherence.t2=1e-320"), "coherence: T2 must be > 0, got 0.0"),
+        (
+            ("t1", "--set", "kinetics.s1_lifetime=1e-305"),
+            "kinetics: S1 decay rate must be > 0, got inf",
+        ),
+        *_si_overflow_cases(),
     ],
 )
 def test_boundary_inputs_are_config_errors(args, needle):
@@ -601,33 +631,44 @@ def _digest_commands():
 
 
 def _recorded_reads(cfg):
-    """Run `cfg`'s experiment and return the dotted keys of every value it read.
+    """Run `cfg`'s experiment and return the dotted keys of every value it consumed.
 
-    Reading a resolved grid, `cfg.grids[key]`, reads the `key.*` leaves the trace echoes.
+    The runner reads `cfg.inputs` and `cfg.grids` only. Reading a key's SI
+    value reads that key; reading a physics object reads the keys its build
+    consumed; reading a grid, in SI units or as `cfg.grids[key]`, reads the
+    `key.*` leaves the trace echoes.
     """
     seen = set()
     echoed = set(config._leaves(cfg.read_sections()))
 
     class Recording(dict):
-        def __init__(self, section, prefix):
-            super().__init__(section)
-            self.prefix = prefix
+        def __init__(self, mapping, into):
+            super().__init__(mapping)
+            self.into = into
 
         def __getitem__(self, key):
-            value = super().__getitem__(key)
-            path = self.prefix + key
-            if isinstance(value, dict):
-                return Recording(value, f"{path}.")
-            seen.add(path)
-            return value
-
-    class RecordingGrids(dict):
-        def __getitem__(self, key):
-            seen.update(leaf for leaf in echoed if leaf.startswith(f"{key}."))
+            self.into.add(key)
             return super().__getitem__(key)
 
+    # the build step: each object of the experiment, from the keys it reads in SI units
+    si, built_from = config._inputs(cfg.experiment, cfg.sections), {}
+    for key in config.EXPERIMENTS[cfg.experiment].get("objects", "").split():
+        built_from[key] = set()
+        config._build(key, Recording(si, built_from[key]))
+
+    class Consumed(dict):
+        def __getitem__(self, key):
+            if key in built_from:
+                seen.update(built_from[key])
+            elif key in cfg.grids:
+                seen.update(leaf for leaf in echoed if leaf.startswith(f"{key}."))
+            else:
+                seen.add(key)
+            return super().__getitem__(key)
+
+    # no sections: a runner that read one would fail here
     recording = dataclasses.replace(
-        cfg, sections=Recording(cfg.sections, ""), grids=RecordingGrids(cfg.grids)
+        cfg, sections={}, grids=Consumed(cfg.grids), inputs=Consumed(cfg.inputs)
     )
     runner._RUNNERS[cfg.experiment](recording)
     return seen
@@ -664,6 +705,20 @@ def test_each_experiment_reads_exactly_the_keys_of_its_table_entry(tmp_path, mon
         assert _recorded_reads(cfg) == expected, argv
         covered.add(cfg.experiment)
     assert covered == set(config.EXPERIMENTS)
+
+
+@pytest.mark.parametrize("optimize", [(), ("-O",)])
+@pytest.mark.parametrize("experiment", ["t1", "odmr", "field-odmr"])
+def test_pump_rate_times_intensity_past_the_float_range_is_a_runtime_error(experiment, optimize):
+    # an exception, not an assert, so that `python -O` keeps the check
+    proc = subprocess.run(
+        [sys.executable, *optimize, "-m", "tripletsim", experiment, "--set", "init.intensity=1e305"],
+        capture_output=True,
+        env=_env(),
+        timeout=120,
+    )
+    err = assert_one_json_error(proc, 2, "runtime")
+    assert err["message"] == "pump rate x intensity must be finite, got inf"
 
 
 @pytest.mark.parametrize("experiment", ["odmr", "field-odmr"])

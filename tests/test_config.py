@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -211,6 +212,25 @@ def test_grids_hold_one_array_per_grid_read():
     # the trace echoes the keys as given: no resolved value goes into the sections
     assert cfg["grid"] == {"start": None, "stop": None, "count": None, "spacing": None,
                            "values": None}
+
+
+def test_inputs_hold_each_read_key_in_si_units_and_the_physics_objects():
+    from tripletsim.coherence import AcSignal
+    from tripletsim.spin_model import FieldVector, GyroRatio
+
+    cfg = parse({"ac": {"phase": 33.3, "amplitude": 2.0}}, experiment="ac-sense")
+    # the phase in radians exactly as math.radians gives it; gamma stays a ratio in Hz/T
+    assert cfg.inputs["ac"] == AcSignal(2.0 * 1e-3, 0.1 * 1e6, math.radians(33.3))
+    assert cfg.inputs["gamma"] == -28.0 * 1e9 and "ac.sampling" not in cfg.inputs  # unread
+    assert cfg.inputs["grid"].tobytes() == (cfg.grids["grid"] * 1e-6).tobytes()
+    cfg = parse({"field": {"by": 30.0}}, experiment="odmr")
+    assert cfg.inputs["field"] == FieldVector(0.0, 30.0 * 1e-3, 0.0)
+    assert cfg.inputs["gamma"] == GyroRatio(-28.0 * 1e9)
+    assert cfg.inputs["kinetics"].s1_decay_rate == 1.0 / (0.01 * 1e-6)
+    assert "field.axis" not in cfg.inputs
+    # the echo half-time that nmr-correlation derives from the Larmor frequency
+    cfg = parse({"field": {"magnitude": 190.0}}, experiment="nmr-correlation")
+    assert cfg.inputs["nuclear.tau"] == 0.5 / (42.58e6 * (190.0 * 1e-3))
 
 
 def test_fit_experiment_requires_model_and_input():

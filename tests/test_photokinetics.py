@@ -76,6 +76,14 @@ def test_rate_matrix_intensity_scales_pump_only():
     assert m2[2, 1] == m1[2, 1]
 
 
+def test_pump_rate_times_intensity_must_be_finite():
+    # 1e8/s x 1e305 overflows; every generator path raises before building a matrix
+    with pytest.raises(InvalidParameterError, match="pump rate x intensity must be finite"):
+        rate_matrix(rates_4k(), 1e305)
+    with pytest.raises(InvalidParameterError, match="pump rate x intensity must be finite"):
+        propagators([rates_4k(), rates_rt()], 1e-6, 1e305)
+
+
 def test_evolution_matches_adaptive_ode():
     rates = rates_4k()
     m = rate_matrix(rates, 1.0)

@@ -76,6 +76,10 @@ COMMANDS: tuple[tuple[str, ...], ...] = (
     ("deer", "--set", "field.magnitude=1e5", "--set", "dark.g_factor=1e300"),
     ("ac-sense", "--set", "ac.amplitude=1e305"),
     ("ac-sense", "--set", "ac.frequency=1e300", "--set", "grid.values=[1e10]"),
+    ("rabi", "--set", "pulse.rabi=1e305"),
+    ("deer-rabi", "--set", "dark.drive_rabi=1e305"),
+    ("rabi", "--set", "pulse.detuning=1e305"),
+    ("deer", "--set", "field.magnitude=190", "--set", "grid.values=[1e305]"),
     # keys the experiment does not read, or that a key set beside them leaves unread
     ("spectrum", "--set", "kinetics.preset=295K", "--set", "pulse.rabi=3",
      "--set", "dark.g_factor=3"),
