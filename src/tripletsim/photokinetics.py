@@ -69,6 +69,7 @@ class KineticRates:
             raise InvalidParameterError("need exactly three triplet sublevels")
         for tau in self.triplet_lifetimes:
             check_positive("triplet lifetime", tau)
+            check_finite("triplet decay rate 1/lifetime", 1.0 / tau)
         for b in self.isc_branching:
             check_unit_interval("ISC branching fraction", b)
         total = sum(self.isc_branching)
@@ -122,6 +123,8 @@ def isc_branching_from_steady_state(
         raise InvalidParameterError(f"populations must be nonnegative with a positive sum, got {p}")
     if np.any(tau <= 0.0):
         raise InvalidParameterError(f"lifetimes must be > 0, got {tau}")
+    for t in tau.tolist():
+        check_finite("triplet decay rate 1/lifetime", 1.0 / t)
     b = p / tau
     b = b / b.sum()
     return (float(b[0]), float(b[1]), float(b[2]))

@@ -197,20 +197,19 @@ class QubitSystem:
     @cached_property
     def effective_rates(self) -> KineticRates:
         """Sublevel kinetics mixed into the labeled eigenbasis."""
-        return _mix_into_eigenbasis(self.rates, (self.eigen,))[0]
+        states = np.stack([self.eigen.state_of(lab) for lab in ZERO_FIELD_LABELS], axis=-1)
+        return _mix_into_eigenbasis(self.rates, states[None])[0]
 
 
-def _mix_into_eigenbasis(
-    rates: KineticRates, eigs: Sequence[TripletEigensystem]
-) -> list[KineticRates]:
+def _mix_into_eigenbasis(rates: KineticRates, states: np.ndarray) -> list[KineticRates]:
     """Sublevel kinetics mixed into each labeled eigenbasis.
 
-    With w the squared overlaps of an eigenstate with the zero-field
-    sublevels, its lifetime is 1/sum(w/tau) and its ISC branching is
-    sum(w*b), renormalized over the three eigenstates.
+    `states` is an (N, 3, 3) stack of eigenvectors as columns in label
+    order. With w the squared overlaps of an eigenstate with the sublevels,
+    its lifetime is 1/sum(w/tau) and its ISC branching is sum(w*b),
+    renormalized over the three eigenstates.
     """
-    states = np.array([[e.state_of(lab) for lab in ZERO_FIELD_LABELS] for e in eigs])
-    w = np.abs(states.reshape(-1, 3, 3)) ** 2
+    w = np.abs(np.swapaxes(states, -1, -2)) ** 2
     lifetimes = 1.0 / (w / np.asarray(rates.triplet_lifetimes)).sum(axis=-1)
     branching = (w * np.asarray(rates.isc_branching)).sum(axis=-1)
     branching = branching / branching.sum(axis=-1, keepdims=True)
@@ -422,7 +421,7 @@ def simulate_field_odmr(
     f_grid = np.asarray(f_grid, dtype=float)
     check_positive("linewidth", linewidth)
     spectrum = field_sweep_spectrum(zfs, axis, b_values, gamma)
-    mixed = _mix_into_eigenbasis(rates, spectrum.eigensystems)
+    mixed = _mix_into_eigenbasis(rates, spectrum.states)
     delay = default_readout_delay(rates) if readout_delay is None else readout_delay
     state = HybridState.ground()
     _evolve_free(state, mixed, init.duration, init.intensity)

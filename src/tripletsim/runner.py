@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from ._version import __version__
-from .config import MHZ, MT, US, ExperimentConfig
+from .config import MHZ, US, ExperimentConfig
 from .errors import ConfigError
 from .trace import Column, TraceRecord, read_trace
 
@@ -26,15 +26,14 @@ from .trace import Column, TraceRecord, read_trace
 def _run_spectrum(cfg: ExperimentConfig):
     from .spin_model import TRANSITION_PAIRS, field_sweep_spectrum
 
-    si = cfg.inputs
+    si, b_grid = cfg.inputs, cfg.grids["grid"]
     sweep = field_sweep_spectrum(si["zfs"], si["field.axis"], si["grid"], si["gamma"])
-    rows = []
-    for n, b in enumerate(sweep.field):
-        for k, pair in enumerate(TRANSITION_PAIRS):
-            rows.append([b / MT, float(k + 1), sweep.branches[pair][n] / MHZ])
+    branch = np.arange(1.0, len(TRANSITION_PAIRS) + 1)
+    frequency = np.column_stack([sweep.branches[pair] for pair in TRANSITION_PAIRS]) / MHZ
+    rows = np.column_stack([np.repeat(b_grid, 3), np.tile(branch, b_grid.size), frequency.ravel()])
     columns = (Column("field", "mT"), Column("branch", "1"), Column("frequency", "MHz"))
     names = {str(k + 1): "-".join(pair) for k, pair in enumerate(TRANSITION_PAIRS)}
-    return columns, np.asarray(rows), {"branches": names}
+    return columns, rows, {"branches": names}
 
 
 def _run_field_odmr(cfg: ExperimentConfig):

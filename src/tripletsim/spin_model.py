@@ -130,14 +130,14 @@ class TripletEigensystem:
 class SweepSpectrum:
     """Transition frequencies along a field sweep, one branch per pair.
 
-    `eigensystems` holds the eigensystem at each field, labeled by
-    zero-field character as :func:`eigensystem` labels it; near an
-    avoided crossing those labels can differ from the tracked branches.
+    `states` holds each field's eigenvectors as columns in zero-field label
+    order, labeled as :func:`eigensystem` labels them; near an avoided
+    crossing those labels can differ from the tracked branches.
     """
 
     field: np.ndarray
     branches: dict[tuple[str, str], np.ndarray]
-    eigensystems: tuple[TripletEigensystem, ...]
+    states: np.ndarray
 
 
 def build_hamiltonian(
@@ -174,39 +174,34 @@ def _fix_phases(vecs: np.ndarray) -> np.ndarray:
     return vecs * np.where(nonzero, np.conj(pivot) / np.where(nonzero, mag, 1.0), 1.0)
 
 
-def _assign_labels(
-    overlap_sq: np.ndarray, labels: tuple[str, str, str]
-) -> tuple[str, str, str]:
-    """Greedy unique assignment of reference labels to columns.
+def _assign_columns(overlap_sq: np.ndarray) -> np.ndarray:
+    """Greedy unique assignment of reference rows to columns, per matrix.
 
-    overlap_sq[i, k] is |<ref_i | vec_k>|^2. Ties break deterministically
-    toward lower reference index, then lower column index.
+    overlap_sq[..., i, k] is |<ref_i | vec_k>|^2; returns the (..., 3) column
+    of each reference row. The largest overlap left goes first; ties break
+    toward the lower row, then the lower column (a row-major argmax).
     """
-    order = sorted(
-        ((i, k) for i in range(3) for k in range(3)),
-        key=lambda ik: (-overlap_sq[ik[0], ik[1]], ik[0], ik[1]),
-    )
-    assigned: dict[int, str] = {}
-    used: set[int] = set()
-    for i, k in order:
-        if k in assigned or i in used:
-            continue
-        assigned[k] = labels[i]
-        used.add(i)
-    return (assigned[0], assigned[1], assigned[2])
+    left = np.array(overlap_sq, dtype=float).reshape(-1, 3, 3)
+    n = np.arange(len(left))
+    columns = np.empty((len(left), 3), dtype=int)
+    for _ in range(3):
+        ref, col = np.divmod(left.reshape(-1, 9).argmax(axis=1), 3)
+        columns[n, ref] = col
+        left[n, ref, :] = -np.inf
+        left[n, :, col] = -np.inf
+    return columns.reshape(np.shape(overlap_sq)[:-1])
 
 
-def _diagonalize(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[tuple[str, str, str]]]:
+def _diagonalize(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Diagonalize a (N, 3, 3) stack of Hermitian Hamiltonians with one eigh call.
 
-    Returns energies (N, 3), phase-fixed eigenvectors (N, 3, 3) and the
-    zero-field labels of each matrix's columns.
+    Returns energies (N, 3), phase-fixed eigenvectors (N, 3, 3) and, per
+    matrix, the column of each zero-field state (N, 3), in label order.
     """
     energies, vecs = np.linalg.eigh(h)
     vecs = _fix_phases(vecs)
     # reference states are the basis vectors
-    labels = [_assign_labels(o, ZERO_FIELD_LABELS) for o in np.abs(vecs) ** 2]
-    return energies, vecs, labels
+    return energies, vecs, _assign_columns(np.abs(vecs) ** 2)
 
 
 def eigensystem(h: np.ndarray) -> TripletEigensystem:
@@ -222,8 +217,9 @@ def eigensystem(h: np.ndarray) -> TripletEigensystem:
     scale = max(1.0, float(np.max(np.abs(h))))
     if float(np.max(np.abs(h - h.conj().T))) > 1e-9 * scale:
         raise InvalidParameterError("Hamiltonian is not Hermitian within tolerance")
-    energies, vecs, labels = _diagonalize(h[None])
-    return TripletEigensystem(energies=energies[0], states=vecs[0], labels=labels[0])
+    energies, vecs, columns = _diagonalize(h[None])
+    labels = tuple(ZERO_FIELD_LABELS[i] for i in np.argsort(columns[0]))
+    return TripletEigensystem(energies=energies[0], states=vecs[0], labels=labels)
 
 
 def transition_frequencies(eig: TripletEigensystem) -> dict[tuple[str, str], float]:
@@ -245,7 +241,9 @@ def field_sweep_spectrum(
 ) -> SweepSpectrum:
     """Track the three transition branches along a field sweep.
 
-    All Hamiltonians of the sweep are diagonalized in one stacked call.
+    All Hamiltonians of the sweep are diagonalized in one stacked call,
+    and labeled as one stack: one greedy assignment gives every field's
+    zero-field columns, a second every step's column-to-column map.
     Branch identity is carried from point to point by maximum squared
     eigenvector overlap with the previous point, so labels stay attached
     to adiabatic branches through avoided crossings. The first point is
@@ -264,7 +262,7 @@ def field_sweep_spectrum(
     -------
     SweepSpectrum
         Fields, for each canonical pair the branch frequencies in Hz, and
-        the eigensystem at each field labeled by zero-field character.
+        the eigenvectors at each field as columns in zero-field label order.
     """
     b_values = np.atleast_1d(np.asarray(b_values, dtype=float))
     if axis not in ZERO_FIELD_LABELS:
@@ -272,20 +270,17 @@ def field_sweep_spectrum(
     check_finite("field component", *b_values.tolist())
     spin = (SPIN_X, SPIN_Y, SPIN_Z)[ZERO_FIELD_LABELS.index(axis)]
     h = build_hamiltonian(zfs) + (gamma.gamma * b_values)[:, None, None] * spin
-    energies, states, zero_field_labels = _diagonalize(h)
-    overlaps_sq = np.abs(np.conj(states[:-1]).swapaxes(-1, -2) @ states[1:]) ** 2
+    energies, vecs, zero_field = _diagonalize(h)
+    # the column each previous column's branch moves to, for every step at once
+    steps = _assign_columns(np.abs(np.conj(vecs[:-1]).swapaxes(-1, -2) @ vecs[1:]) ** 2)
     # column holding each tracked branch label (x, y, z) at each field
-    columns = np.empty((b_values.size, 3), dtype=int)
-    for n in range(b_values.size):
-        labels = zero_field_labels[0] if n == 0 else _assign_labels(overlaps_sq[n - 1], labels)
-        columns[n] = [labels.index(lab) for lab in ZERO_FIELD_LABELS]
-    by_label = np.take_along_axis(energies, columns, axis=1)
+    tracked = zero_field[:1].tolist()
+    for step in steps.tolist():
+        tracked.append([step[k] for k in tracked[-1]])
+    by_label = np.take_along_axis(energies, np.array(tracked, dtype=int).reshape(-1, 3), axis=1)
     index = {lab: k for k, lab in enumerate(ZERO_FIELD_LABELS)}
     branches = {
         (a, c): np.abs(by_label[:, index[a]] - by_label[:, index[c]]) for a, c in TRANSITION_PAIRS
     }
-    eigs = tuple(
-        TripletEigensystem(energies=e, states=v, labels=lab)
-        for e, v, lab in zip(energies, states, zero_field_labels)
-    )
-    return SweepSpectrum(field=b_values, branches=branches, eigensystems=eigs)
+    states = np.take_along_axis(vecs, zero_field[:, None, :], axis=-1)
+    return SweepSpectrum(field=b_values, branches=branches, states=states)

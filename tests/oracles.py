@@ -10,7 +10,7 @@ point; none of these helpers may be imported by package code.
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import quad, solve_ivp
 from scipy.optimize import least_squares
 from scipy.special import j0
 
@@ -99,6 +99,47 @@ def phase_averaged_ac_contrast(amplitude, frequency, tau, probe_gamma):
     theta = np.pi * frequency * tau
     arg = 4.0 * probe_gamma * amplitude / frequency * np.sin(theta) ** 2
     return j0(arg)
+
+
+def greedy_label_columns(overlap_sq):
+    """Column of each reference row, one 3x3 matrix at a time.
+
+    The (row, column) pairs are walked in a Python sort by decreasing
+    overlap_sq[..., row, column], ties toward the lower row, then the lower
+    column; a pair is taken when neither its row nor its column is taken.
+    """
+    overlap_sq = np.asarray(overlap_sq, dtype=float)
+    columns = np.empty(overlap_sq.shape[:-1], dtype=int)
+    for index in np.ndindex(overlap_sq.shape[:-2]):
+        o = overlap_sq[index]
+        order = sorted(
+            ((i, k) for i in range(3) for k in range(3)), key=lambda ik: (-o[ik], *ik)
+        )
+        rows, cols = set(), set()
+        for i, k in order:
+            if i not in rows and k not in cols:
+                columns[index + (i,)] = k
+                rows.add(i)
+                cols.add(k)
+    return columns
+
+
+def gaussian_coupling_deficit(mean, spread, t):
+    """<(1 - cos(2*pi*d*t))/2> over d ~ N(mean, spread^2) by QUADPACK.
+
+    The Gaussian density is integrated against quad's cosine weight
+    cos(2*pi*t*d) over mean +- 40 spreads, which holds all of its mass.
+    """
+    omega = 2.0 * np.pi * t
+    if spread == 0.0:
+        return 0.5 * (1.0 - np.cos(omega * mean))
+
+    def density(d):
+        return np.exp(-0.5 * ((d - mean) / spread) ** 2) / (spread * np.sqrt(2.0 * np.pi))
+
+    lo, hi = mean - 40.0 * spread, mean + 40.0 * spread
+    average, _ = quad(density, lo, hi, weight="cos", wvar=omega, limit=2000, epsabs=1e-13)
+    return 0.5 * (1.0 - average)
 
 
 def scipy_fit(func, x, y, p0, bounds=(-np.inf, np.inf)):

@@ -271,7 +271,7 @@ _COHERENCE = {"coherence"}
         ("dd-scaling", _COHERENCE, False),
         ("ac-sense", _COHERENCE, False),
         ("nmr-correlation", {"spin_model", "coherence"}, False),  # the field, a FieldVector
-        ("deer", {"spin_model", "coherence"}, True),
+        ("deer", {"spin_model", "coherence"}, False),  # its coupling average is a closed form
         ("deer-rabi", _COHERENCE, True),
         ("fit", {"fitting"}, False),
     ],
@@ -721,6 +721,45 @@ def test_pump_rate_times_intensity_past_the_float_range_is_a_runtime_error(exper
     assert err["message"] == "pump rate x intensity must be finite, got inf"
 
 
+@pytest.mark.parametrize("optimize", [(), ("-O",)])
+@pytest.mark.parametrize(
+    "kinetics",
+    [
+        ("kinetics.preset=null", "kinetics.lifetimes=[1e-305,1,1]",
+         "kinetics.populations=[1e-300,1,1]"),
+        ("kinetics.lifetimes=[1e-305,1,1]",),
+    ],
+    ids=["lifetimes-and-populations", "lifetimes"],
+)
+def test_triplet_lifetime_whose_decay_rate_overflows_is_a_config_error(kinetics, optimize):
+    # 1e-305 us is 1e-311 s: its reciprocal overflows, which is refused before any
+    # division (no numpy warning) and by an exception, which `python -O` keeps
+    sets = [arg for assignment in kinetics for arg in ("--set", assignment)]
+    proc = subprocess.run(
+        [sys.executable, *optimize, "-m", "tripletsim", "t1", *sets],
+        capture_output=True,
+        env=_env(),
+        timeout=120,
+    )
+    err = assert_one_json_error(proc, 1, "config")
+    assert err["message"] == "kinetics: triplet decay rate 1/lifetime must be finite, got inf"
+
+
+@pytest.mark.parametrize("carrier", ["5318.5731", "5318.5734"])
+def test_deer_deficit_is_one_half_where_the_coupling_spread_dephases_the_echo(carrier):
+    # sigma * t_fix = 10 MHz * 50 us: exp(-2 * (pi * 500)^2) is 0 in floating point, so
+    # the coupling deficit is 1/2 exactly; 5318.5734 MHz is 0.3 kHz off the resonance
+    code, out, err = run_main(
+        ["deer", "--set", "field.magnitude=190", "--set", "dark.coupling_spread=10",
+         "--set", "dark.t_fix=50", "--set", f"grid.values=[{carrier}]"]
+    )
+    assert code == 0, err
+    record = parse_trace(out)
+    x = (float(carrier) - record.metadata["resonance_mhz"]) / 2.0  # the 2 MHz linewidth
+    assert record.column("contrast")[0] == pytest.approx(1.0 - 0.5 / (1.0 + x**2), abs=1e-12)
+    assert record.column("contrast")[0] == pytest.approx(0.5, abs=2e-8)
+
+
 @pytest.mark.parametrize("experiment", ["odmr", "field-odmr"])
 def test_init_intensity_changes_the_trace(experiment):
     args = [experiment, "--set", "grid.values=[950,1430,2380]"]
@@ -764,6 +803,8 @@ def test_explicit_grid_spacing_applies_to_the_default_range():
     [
         *((experiment,) for experiment in config.EXPERIMENTS if experiment != "fit"),
         ("deer", "--set", "field.magnitude=5"),
+        # six of these fields do not survive a round trip through Tesla
+        ("spectrum", "--set", "grid.start=0", "--set", "grid.stop=120", "--set", "grid.count=1201"),
     ],
 )
 def test_resolved_grid_is_the_trace_axis_bit_for_bit(argv):

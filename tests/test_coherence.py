@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import phase_averaged_ac_contrast
+from oracles import gaussian_coupling_deficit, phase_averaged_ac_contrast
 from tripletsim.coherence import (
     DEUTERON,
     FREE_ELECTRON_HZ_PER_T,
@@ -292,6 +292,20 @@ def test_deer_dip_depth_matches_coupling_average():
     pdf /= pdf.sum()
     deficit = np.sum(pdf * (1 - np.cos(2 * np.pi * d * t_fix)) / 2)
     assert float(trace[0]) == pytest.approx(1.0 - deficit, abs=1e-6)
+
+
+@pytest.mark.parametrize("spread_t", [0.0, 1e-3, 0.1, 0.5, 1.0, 3.0, 10.0, 100.0])
+@pytest.mark.parametrize("mean_t", [0.0, 0.25, 1.3, 55.5])
+def test_deer_dip_depth_matches_quadpack_at_every_coupling_spread(spread_t, mean_t):
+    # the dip depth is the coupling deficit; sigma*t_fix up to 100, where a fixed
+    # set of Gauss-Hermite nodes no longer resolves the cosine
+    t_fix = 50e-6
+    coupling = CouplingDistribution(mean_t / t_fix, spread_t / t_fix)
+    dark = DarkSpin(g_factor=2.0, coupling=coupling)
+    center = dark.resonance(0.19)
+    trace = deer_spectrum(dark, 0.19, np.array([center]), t_fix=t_fix)
+    want = gaussian_coupling_deficit(coupling.mean, coupling.spread, t_fix)
+    assert 1.0 - float(trace[0]) == pytest.approx(want, abs=1e-9)
 
 
 def test_deer_off_resonance_shallow():

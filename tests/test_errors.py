@@ -26,7 +26,13 @@ from tripletsim.coherence import (
 )
 from tripletsim.errors import InvalidParameterError
 from tripletsim.fitting import model_eval
-from tripletsim.photokinetics import KineticRates, propagators, rate_matrix, t1_relaxation_curve
+from tripletsim.photokinetics import (
+    KineticRates,
+    isc_branching_from_steady_state,
+    propagators,
+    rate_matrix,
+    t1_relaxation_curve,
+)
 from tripletsim.pulse_engine import LaserPulse, MwPulse, ReadoutPulse, Wait, simulate_field_odmr
 from tripletsim.spin_model import FieldVector, GyroRatio, ZfsParams, field_sweep_spectrum
 
@@ -105,6 +111,11 @@ DARK = DarkSpin(g_factor=2.0, coupling=CouplingDistribution(mean=0.5e6, spread=0
         # coherence, a phase average over no phases
         (partial(correlation_spectroscopy, PROTON, 0.19, [0.0, 1e-6], 1e-7, 1e-3, probe_gamma=28e9),
          {"n_phase_samples": 0}, "need at least one phase sample"),
+        # photokinetics, a lifetime whose decay rate overflows
+        (rates, {"triplet_lifetimes": (1e-4, 1e-311, 1e-4)},
+         "triplet decay rate 1/lifetime must be finite, got inf"),
+        (partial(isc_branching_from_steady_state, (1.0, 1.0, 1.0)), {"lifetimes": (1e-311, 1, 1)},
+         "triplet decay rate 1/lifetime must be finite, got inf"),
     ],
 )
 def test_parameter_rules_have_one_wording(make, bad, message):

@@ -1,13 +1,18 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from oracles import zeeman_basis_hamiltonian
+from oracles import greedy_label_columns, zeeman_basis_hamiltonian
+from tripletsim import config, spin_model
 from tripletsim.errors import InvalidParameterError
 from tripletsim.spin_model import (
     GAMMA_ELECTRON_HZ_PER_T,
     SPIN_X,
     SPIN_Y,
     SPIN_Z,
+    TRANSITION_PAIRS,
+    ZERO_FIELD_LABELS,
     FieldVector,
     GyroRatio,
     ZfsParams,
@@ -177,3 +182,67 @@ def test_field_sweep_high_field_zeeman_limit():
     sweep = field_sweep_spectrum(ZFS, "z", b)
     top = sweep.branches[("x", "y")][-1]
     assert top == pytest.approx(2 * abs(GAMMA_ELECTRON_HZ_PER_T) * 1.0, rel=0.01)
+
+
+def test_label_assignment_matches_the_greedy_walk_on_random_stacks():
+    stack = np.random.default_rng(5).uniform(size=(500, 3, 3))
+    assert np.array_equal(spin_model._assign_columns(stack), greedy_label_columns(stack))
+
+
+def test_label_assignment_keeps_the_tie_rule():
+    permutations = np.array([np.eye(3)[list(p)] for p in itertools.permutations(range(3))])
+    # three levels only: most rows and columns hold ties
+    coarse = np.random.default_rng(6).integers(0, 3, size=(500, 3, 3)) / 2.0
+    for stack in (np.ones((1, 3, 3)), permutations, coarse):
+        assert np.array_equal(spin_model._assign_columns(stack), greedy_label_columns(stack))
+    # all equal: each reference row takes the lowest free column
+    assert spin_model._assign_columns(np.ones((3, 3))).tolist() == [0, 1, 2]
+    assert spin_model._assign_columns(np.empty((0, 3, 3))).shape == (0, 3)
+
+
+def test_degenerate_sweep_labels_match_the_greedy_walk():
+    # E = 0 leaves Tx and Ty degenerate at zero field, and a z field mixes them
+    # at once: the tracked branches and the zero-field labels part at every field
+    # but the first
+    raw = config.apply_overrides({}, ["zfs.e=0", "field.axis=z"])
+    si = config.parse_config(raw, "field-odmr").inputs
+    sweep = field_sweep_spectrum(si["zfs"], "z", si["field_grid"], si["gamma"])
+    zeeman = si["gamma"].gamma * si["field_grid"]
+    h = build_hamiltonian(si["zfs"]) + zeeman[:, None, None] * SPIN_Z
+    energies, vecs, zero_field = spin_model._diagonalize(h)
+    assert np.array_equal(zero_field, greedy_label_columns(np.abs(vecs) ** 2))
+    steps = greedy_label_columns(np.abs(vecs[:-1].conj().swapaxes(-1, -2) @ vecs[1:]) ** 2)
+    tracked = [zero_field[0]]
+    for step in steps:
+        tracked.append(step[tracked[-1]])
+    tracked = np.array(tracked)
+    assert np.sum(np.any(tracked != zero_field, axis=1)) == 60 == len(zero_field) - 1
+    by_label = np.take_along_axis(energies, tracked, axis=1)
+    for a, c in TRANSITION_PAIRS:
+        want = np.abs(by_label[:, "xyz".index(a)] - by_label[:, "xyz".index(c)])
+        assert np.array_equal(sweep.branches[a, c], want)
+    assert np.array_equal(sweep.states, np.take_along_axis(vecs, zero_field[:, None, :], axis=-1))
+
+
+def test_sweep_states_are_the_eigensystem_states_in_label_order():
+    b = np.linspace(0.0, 0.12, 25)
+    sweep = field_sweep_spectrum(ZFS, "x", b)
+    for n, bx in enumerate(b):
+        eig = eigensystem(build_hamiltonian(ZFS, FieldVector(bx=bx)))
+        for k, label in enumerate(ZERO_FIELD_LABELS):
+            assert np.allclose(sweep.states[n][:, k], eig.state_of(label), atol=1e-12)
+
+
+@pytest.mark.parametrize("n_fields", [0, 1, 2, 61, 1000])
+def test_a_sweep_calls_the_label_assignment_twice(monkeypatch, n_fields):
+    calls, original = [], spin_model._assign_columns
+
+    def counting(overlap_sq):
+        calls.append(np.shape(overlap_sq))
+        return original(overlap_sq)
+
+    monkeypatch.setattr(spin_model, "_assign_columns", counting)
+    sweep = field_sweep_spectrum(ZFS, "z", np.linspace(0.0, 0.3, n_fields))
+    # the zero-field columns of every field, then every tracking step
+    assert calls == [(n_fields, 3, 3), (max(n_fields - 1, 0), 3, 3)]
+    assert sweep.states.shape == (n_fields, 3, 3)

@@ -97,6 +97,17 @@ COMMANDS: tuple[tuple[str, ...], ...] = (
     ("rabi", "--set", "grid.spacing=log"),
     ("dd-scaling", "--set", "grid.spacing=linear"),
     ("t1", "--set", "grid.spacing=linear"),
+    # a degenerate zero-field pair: the eigenvector labels' tie rule
+    ("field-odmr", "--set", "zfs.e=0", "--set", "field.axis=z"),
+    # a spectrum axis whose SI round trip would drift: 31.7 mT and five more
+    ("spectrum", "--set", "grid.start=0", "--set", "grid.stop=120", "--set", "grid.count=1201"),
+    # triplet lifetimes whose reciprocal overflows
+    ("t1", "--set", "kinetics.preset=null", "--set", "kinetics.lifetimes=[1e-305,1,1]",
+     "--set", "kinetics.populations=[1e-300,1,1]"),
+    ("t1", "--set", "kinetics.lifetimes=[1e-305,1,1]"),
+    # a coupling spread the fixed echo time averages out: the deficit is 1/2
+    ("deer", "--set", "field.magnitude=190", "--set", "dark.coupling_spread=10",
+     "--set", "dark.t_fix=50", "--set", "grid.values=[5318.5734]"),
 )
 
 
