@@ -34,6 +34,18 @@ MT = 1.0e-3
 MHZ_PER_MT = 1.0e9
 DEGREE = math.pi / 180.0
 
+#: Upper bounds on grid sizes, phase samples, fields (mT) and the electron
+#: gyromagnetic ratio (MHz/mT). They stop a single value from asking for
+#: an array beyond memory or a frequency beyond the float range.
+#: MAX_GRID_CELLS bounds sizes that multiply (the two grids of a field
+#: map, a phase average over a grid).
+MAX_GRID_COUNT = 10**6
+MAX_GRID_CELLS = 10**7
+MAX_FIELD_GRID_COUNT = 10**4
+MAX_PHASE_SAMPLES = 10**4
+MAX_FIELD_MT = 1.0e5
+MAX_GAMMA = 1.0e6
+
 #: One entry per experiment, the single statement of its contract:
 #: "reads" names the keys it reads (a section stands for all its keys);
 #: "objects" the keys `_build` makes physics objects of for it;
@@ -50,6 +62,8 @@ EXPERIMENTS: dict[str, dict[str, Any]] = {
         "reads": "gamma zfs field.axis grid",
         "objects": "gamma zfs",
         "grid": {"values": [0.0], "unit": MT},
+        "domain": (lambda grid, bound: abs(grid) <= bound, MAX_FIELD_MT,
+                   f"fields of magnitude <= {MAX_FIELD_MT:g} mT"),
         "sweeps": "grid",
     },
     "field-odmr": {
@@ -171,18 +185,6 @@ COHERENCE_PRESETS: dict[str, dict[str, Any]] = {
         "eseem": {"a": 1.0, "b": 0.5, "frequency": 0.1402},
     },
 }
-
-#: Upper bounds on grid sizes, phase samples, fields (mT) and the electron
-#: gyromagnetic ratio (MHz/mT). They stop a single value from asking for
-#: an array beyond memory or a frequency beyond the float range.
-#: MAX_GRID_CELLS bounds sizes that multiply (the two grids of a field
-#: map, a phase average over a grid).
-MAX_GRID_COUNT = 10**6
-MAX_GRID_CELLS = 10**7
-MAX_FIELD_GRID_COUNT = 10**4
-MAX_PHASE_SAMPLES = 10**4
-MAX_FIELD_MT = 1.0e5
-MAX_GAMMA = 1.0e6
 
 _FIELD_RANGE = {"min": -MAX_FIELD_MT, "max": MAX_FIELD_MT}
 #: A float key in MHz, us, mT or MHz/mT, with its factor to SI.
@@ -701,14 +703,12 @@ def _resolve(name: str, key: str, section: dict, derived: dict[str, float]) -> A
     return np.geomspace(lo, hi, n) if how == "log" else np.linspace(lo, hi, n)
 
 
-def _check_phases(name: str, keys: str, f: str, echo: float, *phases) -> None:
-    """The echo amplitude 4*|gamma|*A/`f` (`echo`) and `phases` are finite."""
-    got = [(f"echo amplitude 4*|gamma|*A/{f} =", echo), *phases]
-    if not all(math.isfinite(value) for _, value in got):
-        text = [f"{label} {value:g}" for label, value in got]
-        raise ConfigError(
-            f"{keys}: {name} needs finite phases; got {', '.join(text[:-1])} and {text[-1]}"
-        )
+def _check_phases(name: str, keys: str, *phases: tuple[str, float]) -> None:
+    """Each (label, value) of `phases` is finite; the error names `keys` and every phase."""
+    if not all(math.isfinite(value) for _, value in phases):
+        *text, last = (f"{label} {value:g}" for label, value in phases)
+        got = f"{', '.join(text)} and {last}" if text else last
+        raise ConfigError(f"{keys}: {name} needs finite phases; got {got}")
 
 
 def _grids(name: str, sections: dict, si: dict[str, Any]) -> dict[str, Any]:
@@ -771,14 +771,20 @@ def _grids(name: str, sections: dict, si: dict[str, Any]) -> dict[str, Any]:
         probe = abs(si["gamma"])
     if name == "ac-sense":
         f = si["ac"].frequency
-        _check_phases(name, "gamma, ac, grid", "f",
-                      echo_phase_amplitude(probe, si["ac"].amplitude, f),
+        _check_phases(name, "gamma, ac, grid",
+                      ("echo amplitude 4*|gamma|*A/f =",
+                       echo_phase_amplitude(probe, si["ac"].amplitude, f)),
                       ("phase 2*pi*f*tau up to", 2.0 * math.pi * f * t_max))
     elif name == "nmr-correlation":
-        _check_phases(name, "gamma, nuclear, grid", "f_n",
-                      echo_phase_amplitude(probe, si["nuclear.amplitude"], f_n),
+        _check_phases(name, "gamma, nuclear, grid",
+                      ("echo amplitude 4*|gamma|*A/f_n =",
+                       echo_phase_amplitude(probe, si["nuclear.amplitude"], f_n)),
                       ("pi*f_n*tau =", math.pi * f_n * si["nuclear.tau"]),
                       ("storage phase 2*pi*f_n*t_corr up to", 2.0 * math.pi * f_n * t_max))
+    elif name in ("deer", "deer-rabi"):
+        _check_phases(name, "dark.coupling_mean, dark.t_fix",
+                      ("coupling phase 2*pi*mean*t_fix =",
+                       2.0 * math.pi * si["dark.coupling_mean"] * si["dark.t_fix"]))
     return grids
 
 

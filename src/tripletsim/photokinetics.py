@@ -12,7 +12,6 @@ Rates are 1/s throughout. Populations are occupation probabilities.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,11 +43,15 @@ DEFAULT_PUMP_RATE = 1.0e8
 class KineticRates:
     """Rate parameters of the five-level model.
 
+    The two triplet fields are 3-tuples for one rate set, or (..., 3)
+    arrays of one shape for a stack: each entry of the leading axes is
+    one rate set, checked alone, and the functions below batch over them.
+
     Attributes
     ----------
-    triplet_lifetimes : tuple of float
+    triplet_lifetimes : tuple of float or (..., 3) array
         (tau_x, tau_y, tau_z) in seconds, each > 0.
-    isc_branching : tuple of float
+    isc_branching : tuple of float or (..., 3) array
         ISC branching fractions into (Tx, Ty, Tz); nonnegative, sum 1.
     pump_rate : float
         S0 -> S1 rate under unit illumination intensity, 1/s, >= 0.
@@ -58,25 +61,29 @@ class KineticRates:
         Fraction of S1 decays that cross into the triplet, in [0, 1].
     """
 
-    triplet_lifetimes: tuple[float, float, float]
-    isc_branching: tuple[float, float, float]
+    triplet_lifetimes: tuple[float, float, float] | np.ndarray
+    isc_branching: tuple[float, float, float] | np.ndarray
     pump_rate: float = DEFAULT_PUMP_RATE
     s1_decay_rate: float = DEFAULT_S1_DECAY_RATE
     isc_yield: float = DEFAULT_ISC_YIELD
 
     def __post_init__(self) -> None:
-        if len(self.triplet_lifetimes) != 3 or len(self.isc_branching) != 3:
-            raise InvalidParameterError("need exactly three triplet sublevels")
-        for tau in self.triplet_lifetimes:
+        lifetimes, branching = np.asarray(self.triplet_lifetimes), np.asarray(self.isc_branching)
+        if lifetimes.shape[-1:] != (3,) or branching.shape != lifetimes.shape:
+            raise InvalidParameterError(
+                "need exactly three triplet sublevels, and lifetimes and branching of one shape"
+            )
+        for tau in lifetimes.ravel().tolist():
             check_positive("triplet lifetime", tau)
             check_finite("triplet decay rate 1/lifetime", 1.0 / tau)
-        for b in self.isc_branching:
-            check_unit_interval("ISC branching fraction", b)
-        total = sum(self.isc_branching)
-        if abs(total - 1.0) > 1e-9:
-            raise InvalidParameterError(
-                f"ISC branching must sum to 1 within 1e-9, got {total!r}"
-            )
+        for row in branching.reshape(-1, 3).tolist():
+            for b in row:
+                check_unit_interval("ISC branching fraction", b)
+            total = sum(row)
+            if abs(total - 1.0) > 1e-9:
+                raise InvalidParameterError(
+                    f"ISC branching must sum to 1 within 1e-9, got {total!r}"
+                )
         check_nonnegative("pump rate", self.pump_rate)
         check_positive("S1 decay rate", self.s1_decay_rate)
         check_unit_interval("ISC yield", self.isc_yield)
@@ -130,34 +137,32 @@ def isc_branching_from_steady_state(
     return (float(b[0]), float(b[1]), float(b[2]))
 
 
-def _generators(rates: Sequence[KineticRates], intensity: float) -> np.ndarray:
-    """Augmented (N, 6, 6) generators, one per rate set.
+def _generators(rates: KineticRates, intensity: float) -> np.ndarray:
+    """Augmented (..., 6, 6) generators, one per rate set of `rates`.
 
     The top-left 5x5 block is the generator M of dp/dt = M p; row 5
     accumulates the time integral of p_S1. A dark interval is
     intensity 0.
     """
     check_nonnegative("intensity", intensity)
-    pump = np.array([r.pump_rate * intensity for r in rates])
-    check_finite("pump rate x intensity", *pump.tolist())
-    k_s1 = np.array([r.s1_decay_rate for r in rates])
-    y = np.array([r.isc_yield for r in rates])
-    decay = 1.0 / np.array([r.triplet_lifetimes for r in rates]).reshape(-1, 3)
-    branching = np.array([r.isc_branching for r in rates]).reshape(-1, 3)
-    a = np.zeros((len(rates), 6, 6))
+    pump = rates.pump_rate * intensity
+    check_finite("pump rate x intensity", pump)
+    k_s1, y = rates.s1_decay_rate, rates.isc_yield
+    decay = 1.0 / np.asarray(rates.triplet_lifetimes, dtype=float)
+    a = np.zeros(decay.shape[:-1] + (6, 6))
     # S0 -> S1 pumping
-    a[:, 0, 0] -= pump
-    a[:, 1, 0] += pump
+    a[..., 0, 0] -= pump
+    a[..., 1, 0] += pump
     # S1 decay: fluorescence back to S0 plus ISC into the sublevels
-    a[:, 1, 1] -= k_s1
-    a[:, 0, 1] += (1.0 - y) * k_s1
-    a[:, 2:5, 1] += (y * k_s1)[:, None] * branching
+    a[..., 1, 1] -= k_s1
+    a[..., 0, 1] += (1.0 - y) * k_s1
+    a[..., 2:5, 1] += y * k_s1 * np.asarray(rates.isc_branching, dtype=float)
     # sublevel-selective triplet decay to S0
     sub = np.arange(2, 5)
-    a[:, sub, sub] -= decay
-    a[:, 0, 2:5] += decay
-    a[:, 5, _S1] = 1.0
-    m = a[:, :5, :5]
+    a[..., sub, sub] -= decay
+    a[..., 0, 2:5] += decay
+    a[..., 5, _S1] = 1.0
+    m = a[..., :5, :5]
     col_sums = np.abs(m.sum(axis=-2)).max(axis=-1, initial=0.0)
     scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1), initial=0.0))
     assert np.all(col_sums <= 1e-12 * scale), "generator columns must sum to zero"
@@ -165,8 +170,8 @@ def _generators(rates: Sequence[KineticRates], intensity: float) -> np.ndarray:
 
 
 def rate_matrix(rates: KineticRates, intensity: float) -> np.ndarray:
-    """Generator M of dp/dt = M p, with columns summing to zero."""
-    return _generators((rates,), intensity)[0, :5, :5].copy()
+    """Generators M of dp/dt = M p, (..., 5, 5), with columns summing to zero."""
+    return _generators(rates, intensity)[..., :5, :5].copy()
 
 
 #: Coefficients b_0..b_13 of the degree-13 Padé approximant (Higham 2005).
@@ -230,8 +235,8 @@ def expm(a: np.ndarray) -> np.ndarray:
     return (e + ident).reshape(shape)
 
 
-def propagators(rates: Sequence[KineticRates], duration: float, intensity: float) -> np.ndarray:
-    """Augmented (N, 6, 6) propagators over `duration`, one per rate set.
+def propagators(rates: KineticRates, duration: float, intensity: float) -> np.ndarray:
+    """Augmented (..., 6, 6) propagators over `duration`, one per rate set.
 
     Row 5 of each maps the (S0, S1, Tx, Ty, Tz, 0) state to the integral
     of p_S1 over the interval; see :func:`propagate`.

@@ -25,7 +25,6 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import ClassVar
@@ -198,25 +197,23 @@ class QubitSystem:
     def effective_rates(self) -> KineticRates:
         """Sublevel kinetics mixed into the labeled eigenbasis."""
         states = np.stack([self.eigen.state_of(lab) for lab in ZERO_FIELD_LABELS], axis=-1)
-        return _mix_into_eigenbasis(self.rates, states[None])[0]
+        return _mix_into_eigenbasis(self.rates, states)
 
 
-def _mix_into_eigenbasis(rates: KineticRates, states: np.ndarray) -> list[KineticRates]:
-    """Sublevel kinetics mixed into each labeled eigenbasis.
+def _mix_into_eigenbasis(rates: KineticRates, states: np.ndarray) -> KineticRates:
+    """Sublevel kinetics mixed into each labeled eigenbasis, as one stacked rate set.
 
-    `states` is an (N, 3, 3) stack of eigenvectors as columns in label
-    order. With w the squared overlaps of an eigenstate with the sublevels,
-    its lifetime is 1/sum(w/tau) and its ISC branching is sum(w*b),
+    `states` is a (..., 3, 3) stack of eigenvectors as columns in label
+    order; the result's lifetimes and branching are (..., 3) arrays. With
+    w the squared overlaps of an eigenstate with the sublevels, its
+    lifetime is 1/sum(w/tau) and its ISC branching is sum(w*b),
     renormalized over the three eigenstates.
     """
     w = np.abs(np.swapaxes(states, -1, -2)) ** 2
     lifetimes = 1.0 / (w / np.asarray(rates.triplet_lifetimes)).sum(axis=-1)
     branching = (w * np.asarray(rates.isc_branching)).sum(axis=-1)
     branching = branching / branching.sum(axis=-1, keepdims=True)
-    return [
-        replace(rates, triplet_lifetimes=tuple(t), isc_branching=tuple(b))
-        for t, b in zip(lifetimes.tolist(), branching.tolist())
-    ]
+    return replace(rates, triplet_lifetimes=lifetimes, isc_branching=branching)
 
 
 def mw_unitary(
@@ -274,24 +271,17 @@ def _apply_mw(state: HybridState, pulse: MwPulse, system: QubitSystem) -> None:
 
 
 def _evolve_free(
-    state: HybridState,
-    rates: KineticRates | Sequence[KineticRates],
-    duration: float,
-    intensity: float,
+    state: HybridState, rates: KineticRates, duration: float, intensity: float
 ) -> np.ndarray:
     """Advance the state through an interval at a light intensity (0 is dark).
 
-    `rates` is one rate set, or a sequence with one per entry of the
-    state's last batch axis. Returns the integrated S1 occupancy over the
-    interval, one per batch element. Populations follow the five-level
-    rate model; triplet coherences damp at the pairwise mean decay rate.
+    The leading axes of a stacked `rates` broadcast against the state's
+    batch axes. Returns the integrated S1 occupancy over the interval,
+    one per batch element. Populations follow the five-level rate model;
+    triplet coherences damp at the pairwise mean decay rate.
     """
-    single = isinstance(rates, KineticRates)
-    rate_sets = (rates,) if single else rates
-    props = propagators(rate_sets, duration, intensity)
-    g = 1.0 / np.array([r.triplet_lifetimes for r in rate_sets]).reshape(-1, 3)
-    if single:
-        props, g = props[0], g[0]
+    props = propagators(rates, duration, intensity)
+    g = 1.0 / np.asarray(rates.triplet_lifetimes, dtype=float)
     pops, emission = propagate(props, state.populations())
     eye = np.eye(3)
     # zero on the diagonal, which takes the propagated populations instead

@@ -571,6 +571,26 @@ def _si_overflow_cases():
             "kinetics: S1 decay rate must be > 0, got inf",
         ),
         *_si_overflow_cases(),
+        # a DEER coupling phase 2*pi*mean*t_fix past the float range, with or without a spread
+        *(
+            (
+                (experiment, *field, "--set", "dark.coupling_mean=1e300",
+                 "--set", "dark.t_fix=1e300", *spread),
+                f"dark.coupling_mean, dark.t_fix: {experiment} needs finite phases; "
+                "got coupling phase 2*pi*mean*t_fix = inf",
+            )
+            for experiment, field, spread in (
+                ("deer", ("--set", "field.magnitude=190"), ()),
+                ("deer-rabi", (), ()),
+                ("deer", ("--set", "field.magnitude=190"), ("--set", "dark.coupling_spread=0")),
+            )
+        ),
+        # spectrum fields beyond 100 T, like every other field
+        *(
+            (("spectrum", "--set", f"grid.values=[{given}]"),
+             f"grid: spectrum needs fields of magnitude <= 100000 mT; got {shown}")
+            for given, shown in (("1e305", "1e+305"), ("1e10", "1e+10"))
+        ),
     ],
 )
 def test_boundary_inputs_are_config_errors(args, needle):

@@ -376,7 +376,7 @@ def test_list_entries_are_checked_and_named_by_index(raw, message):
 
 def test_entry_rules_hold_for_their_key_only():
     # the field bounds belong to field_grid, not to the frequency grid
-    assert parse({"grid": {"values": [2e5]}})["grid"]["values"] == [2e5]
+    assert parse({"grid": {"values": [2e5]}}, experiment="odmr")["grid"]["values"] == [2e5]
     # zero populations pass entry by entry; their sum is checked as a whole
     cfg = parse({"kinetics": {"populations": [0.0, 1.0, 0.0]}}, experiment="t1")
     assert cfg["kinetics"]["populations"] == [0.0, 1.0, 0.0]

@@ -56,7 +56,7 @@ DARK = DarkSpin(g_factor=2.0, coupling=CouplingDistribution(mean=0.5e6, spread=0
         (partial(simulate_field_odmr, ZFS, RATES, "z", [0.0], [1e9]), {"linewidth": 0.0},
          "linewidth must be > 0, got 0.0"),
         # photokinetics
-        (partial(propagators, (RATES,), intensity=1.0), {"duration": -1.0},
+        (partial(propagators, RATES, intensity=1.0), {"duration": -1.0},
          "duration must be >= 0, got -1.0"),
         (partial(rate_matrix, RATES), {"intensity": -1.0}, "intensity must be >= 0, got -1.0"),
         (rates, {"triplet_lifetimes": (1e-4, 0.0, 1e-4)}, "triplet lifetime must be > 0, got 0.0"),

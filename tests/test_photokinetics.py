@@ -33,6 +33,14 @@ def rates_rt() -> KineticRates:
     return KineticRates.from_steady_state(POPULATIONS_RT, LIFETIMES_RT)
 
 
+def rates_stack() -> KineticRates:
+    """`rates_4k()` and `rates_rt()` as one (2, 3) rate set; only their triplet fields differ."""
+    pair = (rates_4k(), rates_rt())
+    return KineticRates(
+        np.array([r.triplet_lifetimes for r in pair]), np.array([r.isc_branching for r in pair])
+    )
+
+
 def test_branching_inversion_formula():
     b = isc_branching_from_steady_state(POPULATIONS_4K, LIFETIMES_4K)
     raw = np.array(POPULATIONS_4K) / np.array(LIFETIMES_4K)
@@ -81,7 +89,7 @@ def test_pump_rate_times_intensity_must_be_finite():
     with pytest.raises(InvalidParameterError, match="pump rate x intensity must be finite"):
         rate_matrix(rates_4k(), 1e305)
     with pytest.raises(InvalidParameterError, match="pump rate x intensity must be finite"):
-        propagators([rates_4k(), rates_rt()], 1e-6, 1e305)
+        propagators(rates_stack(), 1e-6, 1e305)
 
 
 def test_evolution_matches_adaptive_ode():
@@ -89,7 +97,7 @@ def test_evolution_matches_adaptive_ode():
     m = rate_matrix(rates, 1.0)
     p0 = GROUND
     for t in (1e-7, 1e-6, 1e-5, 1e-4):
-        ours, _ = propagate(propagators((rates,), t, 1.0)[0], p0)
+        ours, _ = propagate(propagators(rates, t, 1.0), p0)
         ref = rate_ode_solution(m, p0, t)
         assert np.allclose(ours, ref, atol=1e-9)
 
@@ -98,7 +106,7 @@ def test_emission_integral_matches_adaptive_ode():
     rates = rates_rt()
     m = rate_matrix(rates, 1.0)
     p0 = GROUND
-    pops, emission = propagate(propagators((rates,), 2e-6, 1.0)[0], p0)
+    pops, emission = propagate(propagators(rates, 2e-6, 1.0), p0)
     ref_p, ref_em = rate_ode_emission(m, p0, 2e-6)
     assert np.allclose(pops, ref_p, atol=1e-9)
     assert emission == pytest.approx(ref_em, rel=1e-8)
@@ -108,18 +116,18 @@ def test_population_conservation_along_evolution():
     rates = rates_4k()
     state = GROUND
     for t, intensity in ((5e-6, 1.0), (40e-6, 0.0), (1e-6, 1.0), (300e-6, 0.0)):
-        state, _ = propagate(propagators((rates,), t, intensity)[0], state)
+        state, _ = propagate(propagators(rates, t, intensity), state)
         assert state.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.all(state >= -1e-9)
     # an input that does not conserve population is refused, not renormalised
     with pytest.raises(InvalidParameterError):
-        propagate(propagators((rates,), 1e-6, 1.0)[0], np.array([0.5, 0.0, 0.0, 0.0, 0.0]))
+        propagate(propagators(rates, 1e-6, 1.0), np.array([0.5, 0.0, 0.0, 0.0, 0.0]))
 
 
 def test_long_time_evolution_reaches_steady_state():
     rates = rates_4k()
     ss = steady_state(rates)
-    final, _ = propagate(propagators((rates,), 1.0, 1.0)[0], GROUND)
+    final, _ = propagate(propagators(rates, 1.0, 1.0), GROUND)
     assert np.allclose(final, ss, atol=1e-9)
 
 
@@ -159,7 +167,7 @@ def test_t1_curve_matches_full_rate_model():
     rates = rates_rt()
     d0 = dark_initial_state(rates)
     for t in (5e-6, 50e-6, 400e-6):
-        full, _ = propagate(propagators((rates,), t, 0.0)[0], d0)
+        full, _ = propagate(propagators(rates, t, 0.0), d0)
         closed = t1_relaxation_curve(rates, np.array([t]))[0]
         assert closed == pytest.approx(full[0] + full[1], abs=1e-12)
 
@@ -212,12 +220,12 @@ def test_expm_of_a_stack_equals_expm_of_each_matrix():
 
 
 def test_stacked_propagators_match_single_rate_set_calls():
-    rates = (rates_4k(), rates_rt())
+    rates = rates_stack()
     p0 = np.array([[0.2, 0.1, 0.3, 0.2, 0.2], [1.0, 0.0, 0.0, 0.0, 0.0]])
     for t, intensity in ((3e-6, 1.0), (60e-6, 0.0)):
         pops, emission = propagate(propagators(rates, t, intensity), p0)
-        for k, r in enumerate(rates):
-            single, single_emission = propagate(propagators((r,), t, intensity)[0], p0[k])
+        for k, r in enumerate((rates_4k(), rates_rt())):
+            single, single_emission = propagate(propagators(r, t, intensity), p0[k])
             assert np.array_equal(pops[k], single)
             assert emission[k] == single_emission
     # one non-conserving row in a stack is refused like a single state
@@ -261,17 +269,56 @@ def test_kinetic_rates_validation():
         KineticRates((1e-6, 1e-6, 1e-6), (0.3, 0.3, 0.4), isc_yield=1.5)
 
 
+@pytest.mark.parametrize(
+    "lifetimes, branching",
+    [
+        ((1e-6, 1e-6, -1e-6), (0.3, 0.3, 0.4)),
+        ((1e-6, 1e-6, 1e-6), (0.3, 0.3, 0.3)),
+        ((1e-6, 1e-311, 1e-6), (0.3, 0.3, 0.4)),  # 1/lifetime overflows
+    ],
+)
+def test_stacked_rates_check_each_rate_set_with_the_single_set_message(lifetimes, branching):
+    with pytest.raises(InvalidParameterError) as single:
+        KineticRates(lifetimes, branching)
+    good = rates_4k()
+    with pytest.raises(InvalidParameterError) as stacked:
+        KineticRates(
+            np.array([good.triplet_lifetimes, lifetimes]), np.array([good.isc_branching, branching])
+        )
+    assert str(stacked.value) == str(single.value)
+    assert "three triplet sublevels" not in str(single.value)
+
+
+def test_stacked_rates_need_three_sublevels_and_one_shape():
+    lifetimes, branching = np.array(LIFETIMES_4K), np.array(rates_4k().isc_branching)
+    for bad in (
+        (lifetimes[:2], branching[:2]),
+        (np.stack([lifetimes] * 2), branching),
+        (lifetimes, np.stack([branching] * 2)),
+    ):
+        with pytest.raises(InvalidParameterError, match="three triplet sublevels"):
+            KineticRates(*bad)
+
+
+def test_stacked_rate_matrices_match_single_rate_set_calls():
+    stacked = rate_matrix(rates_stack(), 1.0)
+    assert stacked.shape == (2, 5, 5)
+    for k, r in enumerate((rates_4k(), rates_rt())):
+        assert np.array_equal(stacked[k], rate_matrix(r, 1.0))
+    assert propagators(rates_4k(), 1e-6, 1.0).shape == (6, 6)
+
+
 def test_negative_duration_rejected():
     with pytest.raises(InvalidParameterError):
-        propagate(propagators((rates_4k(),), -1e-6, 1.0)[0], GROUND)
+        propagate(propagators(rates_4k(), -1e-6, 1.0), GROUND)
 
 
 def test_shelving_time_scale_with_defaults():
     # with default pump, S1 decay and ISC yield the ground state empties
     # into the triplet on a ~10 us time scale
     rates = rates_4k()
-    before, _ = propagate(propagators((rates,), 1e-6, 1.0)[0], GROUND)
-    after, _ = propagate(propagators((rates,), 30e-6, 1.0)[0], GROUND)
+    before, _ = propagate(propagators(rates, 1e-6, 1.0), GROUND)
+    after, _ = propagate(propagators(rates, 30e-6, 1.0), GROUND)
     assert before[2:].sum() < 0.2
     assert after[2:].sum() > 0.6
 

@@ -258,7 +258,7 @@ def test_wait_populations_match_rate_model():
     pops_before = state.populations()
     duration = 40e-6
     after, _ = apply_elements([Wait(duration)], SYSTEM, state)
-    expected, _ = propagate(propagators((SYSTEM.effective_rates,), duration, 0.0)[0], pops_before)
+    expected, _ = propagate(propagators(SYSTEM.effective_rates, duration, 0.0), pops_before)
     assert np.max(np.abs(after.populations() - expected)) < 1e-12
 
 
@@ -525,9 +525,26 @@ def test_pulsed_odmr_calls_expm_and_mw_unitary_a_fixed_number_of_times(monkeypat
             f_grid = np.linspace(0.8e9, 2.6e9, n_carriers)
             simulate_pulsed_odmr(SYSTEM, f_grid, multilevel=multilevel)
             # laser, dark and readout propagators; the reference is batch member 0
-            assert propagator_shapes == [(1, 6, 6)] * 3
+            assert propagator_shapes == [(6, 6)] * 3
             # three swept-carrier pairs, plus the two prep pulses when gated
             assert len(rotated_pairs) == rotations
+
+
+def test_field_odmr_builds_one_rate_set_for_all_fields(monkeypatch):
+    built = []
+    original = KineticRates.__post_init__
+
+    def counting(self):
+        built.append(np.shape(self.triplet_lifetimes))
+        original(self)
+
+    monkeypatch.setattr(KineticRates, "__post_init__", counting)
+    f_grid = np.linspace(0.6e9, 3.0e9, 11)
+    for n_fields in (61, 5):
+        built.clear()
+        simulate_field_odmr(ZFS, RATES_4K, "x", np.linspace(0.0, 120e-3, n_fields), f_grid)
+        # the sublevel kinetics mixed into every field's eigenbasis at once
+        assert built == [(n_fields, 3)]
 
 
 def test_field_odmr_without_fields_is_an_empty_map():

@@ -108,6 +108,15 @@ COMMANDS: tuple[tuple[str, ...], ...] = (
     # a coupling spread the fixed echo time averages out: the deficit is 1/2
     ("deer", "--set", "field.magnitude=190", "--set", "dark.coupling_spread=10",
      "--set", "dark.t_fix=50", "--set", "grid.values=[5318.5734]"),
+    # a DEER coupling phase 2*pi*mean*t_fix past the float range
+    ("deer", "--set", "field.magnitude=190", "--set", "dark.coupling_mean=1e300",
+     "--set", "dark.t_fix=1e300"),
+    ("deer-rabi", "--set", "dark.coupling_mean=1e300", "--set", "dark.t_fix=1e300"),
+    ("deer", "--set", "field.magnitude=190", "--set", "dark.coupling_mean=1e300",
+     "--set", "dark.t_fix=1e300", "--set", "dark.coupling_spread=0"),
+    # spectrum fields beyond 100 T
+    ("spectrum", "--set", "grid.values=[1e305]"),
+    ("spectrum", "--set", "grid.values=[1e10]"),
 )
 
 
