@@ -39,13 +39,14 @@ DEFAULT_ISC_YIELD = 2.0e-3
 DEFAULT_PUMP_RATE = 1.0e8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KineticRates:
     """Rate parameters of the five-level model.
 
     The two triplet fields are 3-tuples for one rate set, or (..., 3)
     arrays of one shape for a stack: each entry of the leading axes is
     one rate set, checked alone, and the functions below batch over them.
+    Rate sets of every shape compare and hash by identity.
 
     Attributes
     ----------

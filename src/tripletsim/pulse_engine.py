@@ -25,9 +25,8 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import ClassVar
 
 import numpy as np
 
@@ -53,12 +52,10 @@ from .spin_model import (
     transition_frequencies,
 )
 
-_LABEL_INDEX = {"x": 0, "y": 1, "z": 2}
-
 
 @dataclass(frozen=True)
 class LaserPulse:
-    """Illumination interval: duration in seconds, relative intensity."""
+    """The one light element: `duration` in seconds at a relative `intensity`."""
 
     duration: float
     intensity: float = 1.0
@@ -69,38 +66,30 @@ class LaserPulse:
 
 
 @dataclass(frozen=True)
-class Wait:
-    """Dark free evolution for `duration` seconds: light intensity 0."""
+class Wait(LaserPulse):
+    """Dark free evolution for `duration` seconds: a LaserPulse fixed at intensity 0."""
 
-    duration: float
-    intensity: ClassVar[float] = 0.0
-
-    def __post_init__(self) -> None:
-        check_nonnegative("duration", self.duration)
+    intensity: float = field(default=0.0, init=False)
 
 
 @dataclass(frozen=True)
-class ReadoutPulse:
-    """Illumination window whose integrated emission is recorded."""
+class ReadoutPulse(LaserPulse):
+    """LaserPulse whose integrated emission is recorded; 1 us by default."""
 
     duration: float = 1.0e-6
-    intensity: float = 1.0
-
-    def __post_init__(self) -> None:
-        check_nonnegative("duration", self.duration)
-        check_nonnegative("intensity", self.intensity)
 
 
 @dataclass(frozen=True)
 class MwPulse:
     """Resonantly driven rotation on one triplet transition.
 
-    Either `transition` names the addressed pair (with an explicit
-    `detuning` from its resonance, Hz) or `frequency` gives the carrier
-    in Hz and the engine works out the detuning per transition, applying
-    the drive to all three pairs. A 1-D array of carriers gives one
-    state per carrier. `rabi_freq` is the on-resonance Rabi frequency in
-    Hz, `phase` the drive phase in radians.
+    Exactly one of two addressing modes: `transition` names the addressed
+    pair (with an explicit `detuning` from its resonance, Hz), or
+    `frequency` gives the carrier in Hz and the engine works out the
+    detuning per transition, applying the drive to all three pairs. A
+    1-D array of carriers gives one state per carrier. `rabi_freq` is
+    the on-resonance Rabi frequency in Hz, `phase` the drive phase in
+    radians.
     """
 
     rabi_freq: float
@@ -113,8 +102,12 @@ class MwPulse:
     def __post_init__(self) -> None:
         check_nonnegative("duration", self.duration)
         check_nonnegative("Rabi frequency", self.rabi_freq)
-        if self.transition is None and self.frequency is None:
-            raise InvalidParameterError("MwPulse needs a transition pair or a carrier frequency")
+        if (self.transition is None) == (self.frequency is None):
+            raise InvalidParameterError(
+                "MwPulse needs either a transition pair or a carrier frequency, not both"
+            )
+        if self.frequency is not None and np.any(np.asarray(self.detuning) != 0.0):
+            raise InvalidParameterError("a carrier-frequency MwPulse takes no detuning")
         if self.transition is not None:
             pair = tuple(sorted(self.transition))
             if pair not in TRANSITION_PAIRS:
@@ -126,7 +119,7 @@ class MwPulse:
             raise InvalidParameterError(f"carrier frequency must be > 0, got {lowest!r}")
 
 
-PulseElement = LaserPulse | Wait | ReadoutPulse | MwPulse
+PulseElement = LaserPulse | MwPulse
 
 
 def pi_pulse(transition: tuple[str, str], rabi_freq: float) -> MwPulse:
@@ -231,7 +224,7 @@ def mw_unitary(
     with W = hypot(rabi, detuning) the generalized Rabi frequency. An
     array of detunings gives a (..., 3, 3) stack, one rotation each.
     """
-    i, j = sorted(_LABEL_INDEX[t] for t in transition)
+    i, j = sorted(ZERO_FIELD_LABELS.index(t) for t in transition)
     detuning = np.asarray(detuning, dtype=float)
     w = np.hypot(rabi_freq, detuning)
     theta = math.pi * w * duration
@@ -305,7 +298,7 @@ def apply_elements(
     out = state.copy() if state is not None else HybridState.ground()
     emissions: list[np.ndarray] = []
     for element in elements:
-        if isinstance(element, (LaserPulse, Wait, ReadoutPulse)):
+        if isinstance(element, LaserPulse):
             emission = _evolve_free(out, system.effective_rates, element.duration, element.intensity)
             if isinstance(element, ReadoutPulse):
                 emissions.append(emission)

@@ -741,6 +741,24 @@ def test_pump_rate_times_intensity_past_the_float_range_is_a_runtime_error(exper
     assert err["message"] == "pump rate x intensity must be finite, got inf"
 
 
+@pytest.mark.parametrize(
+    "experiment, duration, code",
+    [("odmr", "1e-160", 2), ("field-odmr", "1e-160", 2), ("odmr", "1e-150", 0)],
+)
+def test_readout_window_too_short_to_collect_light_is_a_runtime_error(
+    experiment, duration, code, tmp_path
+):
+    # after the dark delay S1 is empty, so the emission grows as the window squared
+    # and underflows; no parse-time bound can be stated without running the kinetics
+    out = str(tmp_path / "out.csv")
+    proc = run_cli(experiment, "--set", f"readout.duration={duration}", "--out", out)
+    if code == 0:
+        assert proc.returncode == 0 and proc.stderr == b""
+    else:
+        err = assert_one_json_error(proc, code, "runtime")
+        assert err["message"].startswith("reference emission vanished in")
+
+
 @pytest.mark.parametrize("optimize", [(), ("-O",)])
 @pytest.mark.parametrize(
     "kinetics",

@@ -204,6 +204,10 @@ def test_mw_pulse_validation():
     with pytest.raises(InvalidParameterError):
         MwPulse(rabi_freq=1e6, duration=1e-7, frequency=-2.0e9)
     with pytest.raises(InvalidParameterError):
+        MwPulse(rabi_freq=1e6, duration=1e-7, transition=("x", "y"), frequency=1e9)
+    with pytest.raises(InvalidParameterError):
+        MwPulse(rabi_freq=1e6, duration=1e-7, frequency=1e9, detuning=5e6)
+    with pytest.raises(InvalidParameterError):
         pi_pulse(("x", "y"), 0.0)
     with pytest.raises(ProtocolViolationError):
         apply_elements([object()], SYSTEM)
@@ -304,6 +308,17 @@ def test_effective_rates_mix_with_eigenvector_overlaps():
         assert system.effective_rates.triplet_lifetimes[k] == pytest.approx(
             expected, rel=1e-12
         )
+
+
+def test_rate_sets_of_every_shape_compare_and_hash_by_identity():
+    mixed = [QubitSystem(ZFS, RATES_4K, FieldVector.along("z", 0.05)).effective_rates for _ in "ab"]
+    stacked = [
+        KineticRates(np.tile(LIFETIMES_4K, (2, 1)), np.tile(BRANCHING_4K, (2, 1))) for _ in "ab"
+    ]
+    for a, b in (mixed, stacked):
+        assert a == a and (a == b) is False and (a != b) is True
+        assert len({a, b}) == 2  # each hashes
+    hash(QubitSystem(ZFS, RATES_4K))
 
 
 # --- driven-oscillation protocols --------------------------------------------
