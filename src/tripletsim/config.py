@@ -439,8 +439,6 @@ def _coerce_scalar(value: Any, spec: dict, path: str) -> Any:
 
 
 def _validate_nested(raw: Any, nested: dict, path: str) -> dict:
-    if raw is None:
-        raw = {}
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: expected a mapping, got {type(raw).__name__}")
     unknown = set(raw) - set(nested)
@@ -862,6 +860,12 @@ def parse_config(
 
         if model not in MODELS:
             raise ConfigError(f"fit.model: unknown model {model!r}; available: {sorted(MODELS)}")
+        guess = sections["fit"]["initial_guess"]
+        if guess is not None:
+            try:
+                MODELS[model].validate(guess)
+            except InvalidParameterError as exc:
+                raise ConfigError(f"fit.initial_guess: {exc}") from None
     return ExperimentConfig(
         experiment=sections.pop("experiment"),
         seed=sections.pop("seed"),

@@ -8,9 +8,9 @@ the photokinetic rate model at the element's light intensity, 0 for a
 wait, while off-diagonal triplet elements damp at the mean of the
 connected decay rates; microwave pulses are detuned rotating-wave
 rotations embedded in the addressed two-level subspace.
-The state may carry leading batch axes: a carrier-swept pulse turns it
-into one state per carrier, so a whole ODMR sweep is one pass through
-the sequence.
+The state may carry leading batch axes: a pulse with an array of
+detunings turns it into one state per detuning, so a whole ODMR sweep is
+one pass through the sequence.
 
 Rotations on different transitions of the same three-level system are
 applied sequentially; this is accurate when at most one transition is
@@ -81,42 +81,27 @@ class ReadoutPulse(LaserPulse):
 
 @dataclass(frozen=True)
 class MwPulse:
-    """Resonantly driven rotation on one triplet transition.
+    """Rotating-wave drive on one triplet transition.
 
-    Exactly one of two addressing modes: `transition` names the addressed
-    pair (with an explicit `detuning` from its resonance, Hz), or
-    `frequency` gives the carrier in Hz and the engine works out the
-    detuning per transition, applying the drive to all three pairs. A
-    1-D array of carriers gives one state per carrier. `rabi_freq` is
-    the on-resonance Rabi frequency in Hz, `phase` the drive phase in
-    radians.
+    `transition` names the addressed pair and `detuning` the drive's
+    offset from that pair's resonance in Hz; a 1-D array of detunings
+    gives one state per detuning. `rabi_freq` is the on-resonance Rabi
+    frequency in Hz, `phase` the drive phase in radians.
     """
 
     rabi_freq: float
     duration: float
-    transition: tuple[str, str] | None = None
+    transition: tuple[str, str]
     phase: float = 0.0
-    detuning: float = 0.0
-    frequency: float | np.ndarray | None = None
+    detuning: float | np.ndarray = 0.0
 
     def __post_init__(self) -> None:
         check_nonnegative("duration", self.duration)
         check_nonnegative("Rabi frequency", self.rabi_freq)
-        if (self.transition is None) == (self.frequency is None):
+        if tuple(sorted(self.transition)) not in TRANSITION_PAIRS:
             raise InvalidParameterError(
-                "MwPulse needs either a transition pair or a carrier frequency, not both"
+                f"transition must be one of {TRANSITION_PAIRS}, got {self.transition!r}"
             )
-        if self.frequency is not None and np.any(np.asarray(self.detuning) != 0.0):
-            raise InvalidParameterError("a carrier-frequency MwPulse takes no detuning")
-        if self.transition is not None:
-            pair = tuple(sorted(self.transition))
-            if pair not in TRANSITION_PAIRS:
-                raise InvalidParameterError(
-                    f"transition must be one of {TRANSITION_PAIRS}, got {self.transition!r}"
-                )
-        if self.frequency is not None and np.any(np.asarray(self.frequency) <= 0.0):
-            lowest = float(np.min(self.frequency))
-            raise InvalidParameterError(f"carrier frequency must be > 0, got {lowest!r}")
 
 
 PulseElement = LaserPulse | MwPulse
@@ -250,17 +235,10 @@ def _rwa_check(rabi_freq: float, transition_freq: float) -> None:
 def _apply_mw(state: HybridState, pulse: MwPulse, system: QubitSystem) -> None:
     if pulse.rabi_freq == 0.0 or pulse.duration == 0.0:
         return
-    if pulse.frequency is None:
-        drives = ((tuple(sorted(pulse.transition)), pulse.detuning),)
-    else:
-        # swept-carrier mode: every pair sees the drive at its own detuning
-        drives = tuple(
-            (pair, pulse.frequency - system.transitions[pair]) for pair in TRANSITION_PAIRS
-        )
-    for pair, detuning in drives:
-        _rwa_check(pulse.rabi_freq, system.transitions[pair])
-        u = mw_unitary(pair, pulse.rabi_freq, pulse.duration, pulse.phase, detuning)
-        state.rho = u @ state.rho @ np.swapaxes(u, -1, -2).conj()
+    pair = tuple(sorted(pulse.transition))
+    _rwa_check(pulse.rabi_freq, system.transitions[pair])
+    u = mw_unitary(pair, pulse.rabi_freq, pulse.duration, pulse.phase, pulse.detuning)
+    state.rho = u @ state.rho @ np.swapaxes(u, -1, -2).conj()
 
 
 def _evolve_free(
@@ -340,10 +318,12 @@ def simulate_pulsed_odmr(
 ) -> np.ndarray:
     """Frequency-swept pulsed ODMR contrast at fixed static field.
 
-    Protocol: laser initialization into the polarized triplet, a probe pi
-    pulse swept in carrier frequency, a dark relaxation delay, and a
-    short readout window, normalized by the readout of batch member 0:
-    the initialized state, which no pulse touched. The multilevel variant
+    Protocol: laser initialization into the polarized triplet, a probe
+    swept in carrier frequency, a dark relaxation delay, and a short
+    readout window, normalized by the readout of batch member 0: the
+    initialized state, which no pulse touched. The probe is one pi-length
+    pulse per pair, in `TRANSITION_PAIRS` order, each detuned from its
+    pair's resonance by the carrier. The multilevel variant
     swaps the populations of `ODMR_PREP_PAIR` before the probe and swaps
     them back after, which converts an otherwise low-contrast line into a
     strong one while leaving off-resonant carriers with exactly
@@ -352,10 +332,15 @@ def simulate_pulsed_odmr(
     if rabi_freq <= 0.0:
         raise InvalidParameterError("probe needs rabi_freq > 0")
     f_grid = np.asarray(f_grid, dtype=float)
+    if np.any(f_grid <= 0.0):
+        raise InvalidParameterError(f"carrier frequency must be > 0, got {float(np.min(f_grid))!r}")
     delay = default_readout_delay(system.rates) if readout_delay is None else readout_delay
     prep = pi_pulse(ODMR_PREP_PAIR, rabi_freq)
-    probe = MwPulse(rabi_freq=rabi_freq, duration=0.5 / rabi_freq, frequency=f_grid)
-    gate = (prep, probe, prep) if multilevel else (probe,)
+    probe = tuple(
+        MwPulse(rabi_freq, 0.5 / rabi_freq, pair, detuning=f_grid - system.transitions[pair])
+        for pair in TRANSITION_PAIRS
+    )
+    gate = (prep, *probe, prep) if multilevel else probe
     initialized, _ = apply_elements((init,), system)
     gated, _ = apply_elements(gate, system, initialized)
     # member 0, the reference, is the initialized state itself

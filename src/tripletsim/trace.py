@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import os
 import re
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -233,9 +232,14 @@ def _parse_csv(text: str) -> TraceRecord:
 
 
 def write_atomic(path: str, payload: bytes) -> None:
-    """Write bytes so the destination is never seen half-written."""
+    """Write bytes so the destination is never seen half-written.
+
+    The file gets the mode `open(path, "w")` would give it: 0o666 less
+    the umask.
+    """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".trace-", suffix=".tmp")
+    tmp = os.path.join(directory, f".trace-{os.getpid()}-{os.urandom(6).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(payload)

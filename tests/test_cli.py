@@ -129,6 +129,57 @@ def test_malformed_json_fit_input_is_a_config_error(tmp_path):
     assert "columns" in err["message"]
 
 
+@pytest.mark.parametrize(
+    "model, guess, message",
+    [
+        ("linear", "[1,2,3]",
+         "fit.initial_guess: linear expects 2 parameters ('slope', 'intercept'), got shape (3,)"),
+        # the value's repr is the one FitModel.validate gives, as in test_errors
+        ("triple_exponential", "[-1,1,1,1,1,1]",
+         f"fit.initial_guess: triple_exponential.a1 must be > 0, got {np.float64(-1.0)!r}"),
+    ],
+)
+def test_initial_guess_outside_the_model_is_a_config_error(model, guess, message, tmp_path):
+    trace = tmp_path / "e.csv"
+    assert run_cli("echo", "--out", str(trace)).returncode == 0
+    args = ("fit", "--set", f"fit.model={model}", "--set", f"fit.input={trace}",
+            "--set", f"fit.initial_guess={guess}")
+    err = assert_one_json_error(run_cli(*args), 1, "config")
+    assert err["message"] == message
+
+
+@pytest.mark.parametrize(
+    "column, needle",
+    [
+        ("nosuch", "fit.x_column: no column named 'nosuch'; have ['time', 'echo']"),
+        ("7", "fit.x_column: index 7 out of range for 2 columns"),
+        ("-1", "fit.x_column: index -1 out of range for 2 columns"),
+    ],
+)
+def test_fit_column_missing_from_the_input_is_a_config_error(column, needle, tmp_path):
+    trace = tmp_path / "e.csv"
+    assert run_cli("echo", "--out", str(trace)).returncode == 0
+    args = ("fit", "--set", "fit.model=linear", "--set", f"fit.input={trace}",
+            "--set", f"fit.x_column={column}")
+    err = assert_one_json_error(run_cli(*args), 1, "config")
+    assert err["message"] == needle
+
+
+@pytest.mark.parametrize(
+    "override, t2_us, nu",
+    [("coherence.preset=protonated", 2.5, 1.05), ("coherence.eseem=null", 22.4, 1.10)],
+)
+def test_echo_without_eseem_is_the_bare_stretched_exponential(override, t2_us, nu):
+    proc = run_cli("echo", "--set", override)
+    assert proc.returncode == 0, proc.stderr
+    record = parse_trace(proc.stdout)
+    # T2 converted from us as the config converts it: 2.5 * 1e-6 is not 2.5e-6
+    expected = coherence.echo_envelope(
+        coherence.CoherenceModel(t2_us * 1e-6, nu, None), record.column("time") * 1e-6
+    )
+    assert np.array_equal(record.column("echo"), expected)
+
+
 RABI_ARGS = (
     "rabi",
     "--set",

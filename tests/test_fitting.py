@@ -147,6 +147,17 @@ def test_canonicalization_triple_exponential_ordering():
     assert np.allclose(res.params, canonical("triple_exponential", truth), rtol=1e-6)
 
 
+def test_triple_exponential_guess_splits_a_lone_component():
+    # one resolvable component: the guess splits it twice to seed three
+    x = np.linspace(0.0, 10.0, 60)
+    guess = estimate_initial_guess("triple_exponential", x, 2.0 * np.exp(-x / 1.5))
+    model = get_model("triple_exponential")
+    assert np.array_equal(model.validate(guess), guess)
+    assert np.all(np.diff(guess[3:]) > 0)
+    assert guess == pytest.approx([0.5, 1.0, 2.0, 0.09375, 0.375, 1.5], rel=1e-12)
+    assert (guess[2], guess[5]) == pytest.approx((2.0, 1.5), rel=1e-12)
+
+
 def test_canonicalization_damped_cosine_sign_and_phase():
     model = get_model("damped_cosine")
     raw = np.array([5e6, 4.0, 1e-6, 2.0, -0.3, 0.1])

@@ -193,8 +193,8 @@ def test_detuned_transfer_follows_generalized_rabi():
 
 
 def test_mw_pulse_validation():
-    with pytest.raises(InvalidParameterError):
-        MwPulse(rabi_freq=1e6, duration=1e-7)  # no transition, no carrier
+    with pytest.raises(TypeError):
+        MwPulse(rabi_freq=1e6, duration=1e-7)  # no transition
     with pytest.raises(InvalidParameterError):
         MwPulse(rabi_freq=1e6, duration=1e-7, transition=("x", "w"))
     with pytest.raises(InvalidParameterError):
@@ -202,15 +202,15 @@ def test_mw_pulse_validation():
     with pytest.raises(InvalidParameterError):
         MwPulse(rabi_freq=1e6, duration=-1e-7, transition=("x", "y"))
     with pytest.raises(InvalidParameterError):
-        MwPulse(rabi_freq=1e6, duration=1e-7, frequency=-2.0e9)
-    with pytest.raises(InvalidParameterError):
-        MwPulse(rabi_freq=1e6, duration=1e-7, transition=("x", "y"), frequency=1e9)
-    with pytest.raises(InvalidParameterError):
-        MwPulse(rabi_freq=1e6, duration=1e-7, frequency=1e9, detuning=5e6)
-    with pytest.raises(InvalidParameterError):
         pi_pulse(("x", "y"), 0.0)
     with pytest.raises(ProtocolViolationError):
         apply_elements([object()], SYSTEM)
+
+
+def test_pulsed_odmr_rejects_a_carrier_at_or_below_zero():
+    message = r"^carrier frequency must be > 0, got -2000000000\.0$"
+    with pytest.raises(InvalidParameterError, match=message):
+        simulate_pulsed_odmr(SYSTEM, [1e9, -2e9])
 
 
 def test_optical_element_validation():

@@ -183,6 +183,14 @@ def test_atomic_write_replaces_existing(tmp_path):
     assert path.read_bytes() == b"new"
 
 
+def test_atomic_write_gives_the_mode_open_would(tmp_path):
+    path = tmp_path / "out.csv"
+    write_atomic(str(path), b"data")
+    with open(tmp_path / "plain", "w"):
+        pass
+    assert path.stat().st_mode & 0o777 == (tmp_path / "plain").stat().st_mode & 0o777
+
+
 def test_write_atomic_propagates_bad_directory():
     with pytest.raises(OSError):
         write_atomic(os.path.join("/nonexistent-dir", "x.csv"), b"data")
