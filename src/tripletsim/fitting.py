@@ -87,7 +87,7 @@ class FitModel:
                 f"{self.name} expects {len(self.param_names)} parameters "
                 f"{self.param_names}, got shape {params.shape}"
             )
-        for value, pname, kind in zip(params, self.param_names, self.kinds):
+        for value, pname, kind in zip(params.tolist(), self.param_names, self.kinds):
             check_finite(f"{self.name}.{pname}", value)
             if kind == POSITIVE:
                 check_positive(f"{self.name}.{pname}", value)

@@ -19,7 +19,7 @@ import numpy as np
 
 from ._version import __version__
 from .config import MHZ, US, ExperimentConfig
-from .errors import ConfigError
+from .errors import ConfigError, InvalidParameterError
 from .trace import Column, TraceRecord, read_trace
 
 
@@ -186,20 +186,13 @@ def _run_fit(cfg: ExperimentConfig):
     except OSError as exc:
         raise ConfigError(f"fit.input: cannot read {si['fit.input']!r}: {exc}") from exc
 
-    def pick(sel, role):
-        if isinstance(sel, str):
-            for k, col in enumerate(record.columns):
-                if col.name == sel:
-                    return k
-            raise ConfigError(
-                f"fit.{role}: no column named {sel!r}; have {[c.name for c in record.columns]}"
-            )
-        if not (0 <= sel < len(record.columns)):
-            raise ConfigError(f"fit.{role}: index {sel} out of range for {len(record.columns)} columns")
-        return sel
+    def pick(role):
+        try:
+            return record.column_index(si[f"fit.{role}"])
+        except InvalidParameterError as exc:
+            raise ConfigError(f"fit.{role}: {exc}") from exc
 
-    ix = pick(si["fit.x_column"], "x_column")
-    iy = pick(si["fit.y_column"], "y_column")
+    ix, iy = pick("x_column"), pick("y_column")
     x = record.data[:, ix]
     y = record.data[:, iy]
     result = fit(

@@ -11,6 +11,7 @@ reproduces every value bit for bit.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import re
@@ -63,13 +64,19 @@ class TraceRecord:
         if not np.all(np.isfinite(self.data)):
             raise InvalidParameterError("trace data must be finite")
 
-    def column(self, name: str) -> np.ndarray:
-        for k, col in enumerate(self.columns):
-            if col.name == name:
-                return self.data[:, k]
-        raise InvalidParameterError(
-            f"no column named {name!r}; have {[c.name for c in self.columns]}"
-        )
+    def column_index(self, key: str | int) -> int:
+        """The position of the column named `key`, or `key` itself if it is a position."""
+        if isinstance(key, str):
+            names = [c.name for c in self.columns]
+            if key not in names:
+                raise InvalidParameterError(f"no column named {key!r}; have {names}")
+            return names.index(key)
+        if not 0 <= key < len(self.columns):
+            raise InvalidParameterError(f"index {key} out of range for {len(self.columns)} columns")
+        return key
+
+    def column(self, key: str | int) -> np.ndarray:
+        return self.data[:, self.column_index(key)]
 
 
 #: Rows formatted per block; only one block's cell strings are alive at a time.
@@ -138,12 +145,35 @@ def emit(record: TraceRecord, fmt: str = "csv") -> bytes:
 
 
 def parse_trace(payload: bytes | str) -> TraceRecord:
-    """Re-ingest a trace emitted by :func:`emit` (either format)."""
-    text = payload.decode("utf-8") if isinstance(payload, bytes) else payload
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return _parse_json(stripped)
-    return _parse_csv(text)
+    """Re-ingest a trace emitted by :func:`emit` (either format).
+
+    Both formats decode to (metadata, headers, rows) and meet one set of table
+    rules: valid columns, rows of one number (int or float) per column, finite data.
+    """
+    if isinstance(payload, bytes):
+        try:
+            payload = payload.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"trace is not UTF-8 text: {exc}") from exc
+    decode = _decode_json if payload.lstrip().startswith("{") else _decode_csv
+    metadata, headers, rows = decode(payload)
+    try:
+        columns = tuple(Column(name, unit) for name, unit in headers)
+    except InvalidParameterError as exc:
+        raise ConfigError(f"trace column: {exc}") from exc
+    width = len(columns)
+    for k, row in enumerate(rows):
+        if type(row) not in (list, tuple) or len(row) != width:
+            raise ConfigError(f"data row {k} is not a row of {width} numbers: {row!r}")
+    cells = list(itertools.chain.from_iterable(rows))
+    other = sorted(t.__name__ for t in set(map(type, cells)) - {int, float})
+    if other:
+        raise ConfigError(f"trace data: every cell must be a number, got {', '.join(other)}")
+    try:
+        data = np.fromiter(cells, float, len(cells)).reshape(len(rows), width)
+        return TraceRecord(columns=columns, data=data, metadata=metadata)
+    except (OverflowError, InvalidParameterError) as exc:
+        raise ConfigError(f"trace data: {exc}") from exc
 
 
 def read_trace(path: str) -> TraceRecord:
@@ -151,7 +181,7 @@ def read_trace(path: str) -> TraceRecord:
         return parse_trace(fh.read())
 
 
-def _parse_json(text: str) -> TraceRecord:
+def _decode_json(text: str) -> tuple[dict, list, list]:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -165,70 +195,33 @@ def _parse_json(text: str) -> TraceRecord:
         for c in doc["columns"]
     ):
         raise ConfigError("every trace column needs a 'name' string and a string 'unit', if any")
-    try:
-        columns = tuple(Column(c["name"], c.get("unit", "1")) for c in doc["columns"])
-    except InvalidParameterError as exc:
-        raise ConfigError(f"trace column: {exc}") from exc
-    rows = doc.get("data")
-    if not isinstance(rows, list):
+    if not isinstance(doc.get("data"), list):
         raise ConfigError("trace document has no 'data' list")
-    for k, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != len(columns):
-            raise ConfigError(f"data row {k} is not a list of {len(columns)} numbers: {row!r}")
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):
         raise ConfigError("trace metadata must be a JSON object")
-    try:
-        data = np.asarray(rows, dtype=float) if rows else np.empty((0, len(columns)))
-        return TraceRecord(columns=columns, data=data, metadata=metadata)
-    except (TypeError, ValueError) as exc:  # InvalidParameterError is a ValueError
-        raise ConfigError(f"trace data: {exc}") from exc
+    return metadata, [(c["name"], c.get("unit", "1")) for c in doc["columns"]], doc["data"]
 
 
-def _parse_csv(text: str) -> TraceRecord:
+def _decode_csv(text: str) -> tuple[dict, list, list]:
     lines = text.split("\n")
-    meta_lines: list[str] = []
-    body: list[str] = []
-    in_header = True
-    for line in lines:
-        if in_header and line.startswith("#"):
-            meta_lines.append(line[1:].strip())
-            continue
-        in_header = False
-        if line.strip():
-            body.append(line)
+    n_meta = next((k for k, line in enumerate(lines) if not line.startswith("#")), len(lines))
+    body = [line for line in lines[n_meta:] if line.strip()]
     if not body:
         raise ConfigError("trace has no header row")
-    metadata: dict = {}
-    for chunk in meta_lines:
-        if chunk.startswith("{"):
-            try:
-                metadata = json.loads(chunk)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"trace metadata line is not valid JSON: {exc}") from exc
-            break
-    columns = []
-    for header in body[0].split(","):
-        m = _HEADER_RE.match(header.strip())
-        if m is None:
-            raise ConfigError(f"malformed column header {header!r}; expected name[unit]")
-        columns.append(Column(m.group("name"), m.group("unit")))
-    rows = []
-    for line in body[1:]:
-        cells = line.split(",")
-        if len(cells) != len(columns):
-            raise ConfigError(
-                f"row has {len(cells)} cells, expected {len(columns)}: {line!r}"
-            )
-        try:
-            rows.append([float(c) for c in cells])
-        except ValueError as exc:
-            raise ConfigError(f"non-numeric cell in row {line!r}") from exc
-    data = np.asarray(rows, dtype=float) if rows else np.empty((0, len(columns)))
+    chunks = [c for c in (line[1:].strip() for line in lines[:n_meta]) if c.startswith("{")]
     try:
-        return TraceRecord(columns=tuple(columns), data=data, metadata=metadata)
-    except InvalidParameterError as exc:
-        raise ConfigError(f"trace data: {exc}") from exc
+        metadata = json.loads(chunks[0]) if chunks else {}
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"trace metadata line is not valid JSON: {exc}") from exc
+    headers = [_HEADER_RE.match(header.strip()) for header in body[0].split(",")]
+    if None in headers:
+        raise ConfigError(f"malformed header row {body[0]!r}; expected name[unit] columns")
+    try:  # tuples: the garbage collector stops tracking a tuple of floats, not a list
+        rows = [tuple(map(float, line.split(","))) for line in body[1:]]
+    except ValueError as exc:
+        raise ConfigError(f"non-numeric trace cell: {exc}") from exc
+    return metadata, [m.groups() for m in headers], rows
 
 
 def write_atomic(path: str, payload: bytes) -> None:

@@ -129,14 +129,21 @@ def test_malformed_json_fit_input_is_a_config_error(tmp_path):
     assert "columns" in err["message"]
 
 
+def test_fit_input_that_is_not_utf8_is_a_config_error(tmp_path):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"\xff\xfe\x00garbage")
+    args = ("fit", "--set", "fit.model=linear", "--set", f"fit.input={bad}")
+    err = assert_one_json_error(run_cli(*args), 1, "config")
+    assert "UTF-8" in err["message"]
+
+
 @pytest.mark.parametrize(
     "model, guess, message",
     [
         ("linear", "[1,2,3]",
          "fit.initial_guess: linear expects 2 parameters ('slope', 'intercept'), got shape (3,)"),
-        # the value's repr is the one FitModel.validate gives, as in test_errors
         ("triple_exponential", "[-1,1,1,1,1,1]",
-         f"fit.initial_guess: triple_exponential.a1 must be > 0, got {np.float64(-1.0)!r}"),
+         "fit.initial_guess: triple_exponential.a1 must be > 0, got -1.0"),
     ],
 )
 def test_initial_guess_outside_the_model_is_a_config_error(model, guess, message, tmp_path):
@@ -693,12 +700,43 @@ def test_deer_default_grid_stays_above_zero_around_the_resonance(field_mt):
     assert frequency[-1] - frequency[0] == pytest.approx(2.0 * half, rel=1e-12)
 
 
-def _digest_commands():
+def _digest_tool():
     path = SRC.parent / "tools" / "trace_digest.py"
     spec = importlib.util.spec_from_file_location("trace_digest", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.COMMANDS
+    return module
+
+
+def test_digest_commands_give_the_recorded_bytes(tmp_path, monkeypatch, caplog):
+    """Each `tools/trace_digest.py` command gives its line of `tests/data/trace_digest.txt`.
+
+    A line holds the exit code and the SHA-256 of stdout, stderr and the
+    output file, so a one-ulp change in a trace or a reworded error message
+    fails here. A change that alters these bytes on purpose rewrites the
+    file with `python tools/trace_digest.py > tests/data/trace_digest.txt`.
+    Every trace's metadata carries `__version__`, so a version bump changes
+    every line.
+
+    The commands run in process through `cli.main`, which gives the bytes
+    of a fresh process: none sets a thread environment or needs `python -O`,
+    and none logs (a logged line reaches a fresh process's stderr only
+    through the log handler, which `run_main` does not capture).
+    """
+    tool = _digest_tool()
+    monkeypatch.chdir(tmp_path)
+    lines = []
+    for argv in tool.COMMANDS:
+        out = tmp_path / tool.out_name(argv)
+        out.unlink(missing_ok=True)
+        code, stdout, stderr = run_main([*argv, "--out", out.name])
+        written = out.read_bytes() if out.exists() else None
+        lines.append(tool.digest_line(argv, code, stdout, stderr.encode(), written))
+        assert not caplog.records, f"{argv} logs; run it in a fresh process"
+    expected = (Path(__file__).parent / "data" / "trace_digest.txt").read_text().splitlines()
+    assert len(expected) == len(tool.COMMANDS), "tests/data/trace_digest.txt is not the tool's"
+    changed = [argv for argv, line, want in zip(tool.COMMANDS, lines, expected) if line != want]
+    assert not changed, f"commands whose bytes changed: {changed}"
 
 
 def _recorded_reads(cfg):
@@ -758,11 +796,12 @@ _PAIR_VARIANTS = (
 
 
 def test_each_experiment_reads_exactly_the_keys_of_its_table_entry(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)  # the digest's fit commands read t1.csv
-    code, _, err = run_main(["t1", "--out", "t1.csv"])
-    assert code == 0, err
+    monkeypatch.chdir(tmp_path)  # the digest's fit commands read t1.csv and out.json
+    for argv in (["t1", "--out", "t1.csv"], ["t1", "--format", "json", "--out", "out.json"]):
+        code, _, err = run_main(argv)
+        assert code == 0, err
     covered = set()
-    for argv in (*_digest_commands(), *_PAIR_VARIANTS):
+    for argv in (*_digest_tool().COMMANDS, *_PAIR_VARIANTS):
         args = cli.build_parser().parse_args(list(argv))
         raw = config.apply_overrides({}, args.overrides)
         try:

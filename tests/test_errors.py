@@ -101,11 +101,11 @@ DARK = DarkSpin(g_factor=2.0, coupling=CouplingDistribution(mean=0.5e6, spread=0
          "drive Rabi frequency must be >= 0, got -1.0"),
         # fitting
         (partial(model_eval, "linear", x=[0.0]), {"params": [NAN, 0.0]},
-         f"linear.slope must be finite, got {np.float64(NAN)!r}"),
+         "linear.slope must be finite, got nan"),
         (partial(model_eval, "stretched_exp", x=[0.0]), {"params": [-1.0, 1.0, 1.0]},
-         f"stretched_exp.t2 must be > 0, got {np.float64(-1.0)!r}"),
+         "stretched_exp.t2 must be > 0, got -1.0"),
         (partial(model_eval, "stretched_exp", x=[0.0]), {"params": [1.0, 5.0, 1.0]},
-         f"stretched_exp.nu must lie in (0, 4.0], got {np.float64(5.0)!r}"),
+         "stretched_exp.nu must lie in (0, 4.0], got 5.0"),
         # coherence, the infinite T2* that is not "no dephasing"
         (partial(simulate_rabi, 1e6, [0.0]), {"t2_star": -INF}, "T2* must be > 0, got -inf"),
         # coherence, a phase average over no phases

@@ -109,6 +109,56 @@ def test_column_lookup():
         record.column("missing")
 
 
+def test_column_lookup_by_position():
+    record = sample_record()
+    assert record.column_index("frequency") == 2
+    assert np.all(record.column(2) == record.data[:, 2])
+    for key in (3, -1):
+        with pytest.raises(InvalidParameterError) as info:
+            record.column(key)
+        assert str(info.value) == f"index {key} out of range for 3 columns"
+
+
+def _table(fmt, headers, rows):
+    """A trace table in `fmt`. `headers` is None or (name, unit) pairs; a cell is the
+    text both formats write, or a (JSON text, CSV text) pair."""
+    rows = [[c if isinstance(c, str) else c[fmt == "csv"] for c in row] for row in rows]
+    if fmt == "csv":
+        header = [] if headers is None else [",".join(f"{n}[{u}]" for n, u in headers)]
+        return "\n".join(["# tripletsim-trace 1", "# {}", *header, *map(",".join, rows)]) + "\n"
+    columns = [{"name": n, "unit": u} for n, u in headers or ()]
+    columns = "" if headers is None else f'"columns": {json.dumps(columns)}, '
+    data = ", ".join("[" + ", ".join(row) + "]" for row in rows)
+    return f'{{"format": "tripletsim-trace", {columns}"data": [{data}]}}'
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "headers, rows",
+    [
+        pytest.param([("a", "1"), ("b", "1")], [["1", "2"], ["3"]], id="ragged-row"),
+        pytest.param([("a", "1")], [[('"1.5"', "spam")]], id="string-cell"),
+        pytest.param([("a", "1")], [["true"]], id="boolean-cell"),
+        pytest.param([("a", "1")], [["null"]], id="null-cell"),
+        pytest.param([("a", "1")], [[("NaN", "nan")]], id="nan"),
+        pytest.param([("a", "1")], [["1e999"]], id="overflowing-float"),
+        pytest.param([("a", "1")], [["1" + "0" * 400]], id="overflowing-integer"),
+        pytest.param([("a[b", "1")], [["1"]], id="bracket-in-column-name"),
+        pytest.param(None, [], id="no-header"),
+    ],
+)
+def test_both_formats_reject_the_same_defective_tables(headers, rows, fmt):
+    with pytest.raises(ConfigError):
+        parse_trace(_table(fmt, headers, rows))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_both_formats_read_integer_and_float_cells(fmt):
+    record = parse_trace(_table(fmt, [("a", "us"), ("b", "1")], [["1", "-2.5"], ["0", "1e-300"]]))
+    assert record.columns == (Column("a", "us"), Column("b", "1"))
+    assert record.data.tolist() == [[1.0, -2.5], [0.0, 1e-300]]
+
+
 @pytest.mark.parametrize(
     "doc",
     [
@@ -286,3 +336,14 @@ def test_emit_is_byte_identical_to_oracle(record):
         with mock.patch.object(trace, "_BLOCK_ROWS", block_rows):
             for fmt in ("csv", "json"):
                 assert emit(record, fmt) == emit_oracle(record, fmt)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(record=_records())
+def test_parse_reads_every_emitted_record_back_bit_for_bit(record):
+    # a CSV table without columns has no header row to read back
+    for fmt in ("csv", "json") if record.columns else ("json",):
+        back = parse_trace(emit(record, fmt))
+        assert (back.columns, back.metadata) == (record.columns, record.metadata)
+        assert back.data.shape == record.data.shape
+        assert np.array_equal(back.data.view(np.int64), record.data.view(np.int64))

@@ -10,7 +10,8 @@ code, then the SHA-256 of stdout, of stderr and of the output file
 ("-" when none was written), then the command. Two checkouts give the
 same lines exactly when they give the same bytes, so comparing the
 output of two checkouts is a byte-identity check of everything the
-commands touch.
+commands touch. `tests/data/trace_digest.txt` holds the expected output,
+and the test suite compares each command's line with it.
 """
 
 from __future__ import annotations
@@ -40,6 +41,10 @@ COMMANDS: tuple[tuple[str, ...], ...] = (
     ("deer", "--set", "field.magnitude=190"),
     ("deer-rabi",),
     ("fit", *FIT_INPUT, "--set", "fit.model=triple_exponential",
+     "--set", "fit.x_column=delay", "--set", "fit.y_column=triplet"),
+    # the same fit read back from a JSON trace
+    ("t1", "--format", "json"),
+    ("fit", "--set", "fit.input=out.json", "--set", "fit.model=triple_exponential",
      "--set", "fit.x_column=delay", "--set", "fit.y_column=triplet"),
     # field maps in both formats
     ("field-odmr", "--set", "field.axis=x", "--set", "kinetics.preset=4K",
@@ -124,12 +129,20 @@ def _sha(data: bytes | None) -> str:
     return "-" if data is None else hashlib.sha256(data).hexdigest()
 
 
+def out_name(argv: tuple[str, ...]) -> str:
+    """The relative output path of a command; the default t1 trace is kept for the fits."""
+    return "t1.csv" if argv == ("t1",) else "out.json" if "json" in argv else "out.csv"
+
+
+def digest_line(argv, code: int, stdout: bytes, stderr: bytes, written: bytes | None) -> str:
+    return " ".join([str(code), _sha(stdout), _sha(stderr), _sha(written), *argv])
+
+
 def main() -> int:
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     with tempfile.TemporaryDirectory() as workdir:
         for argv in COMMANDS:
-            # the default t1 trace is kept: the fit commands read it
-            name = "t1.csv" if argv == ("t1",) else "out.json" if "json" in argv else "out.csv"
+            name = out_name(argv)
             out = Path(workdir, name)
             out.unlink(missing_ok=True)
             proc = subprocess.run(
@@ -141,7 +154,7 @@ def main() -> int:
                 timeout=300,
             )
             written = out.read_bytes() if out.exists() else None
-            print(proc.returncode, _sha(proc.stdout), _sha(proc.stderr), _sha(written), *argv)
+            print(digest_line(argv, proc.returncode, proc.stdout, proc.stderr, written))
     return 0
 
 
