@@ -1,26 +1,29 @@
 """Command-line interface.
 
-    sim <experiment> [--config FILE] [--set key=value ...]
+    sim [experiment] [--config FILE] [--set key=value ...]
                      [--out PATH] [--format csv|json] [--seed N]
 
-Exit codes: 0 success, 1 configuration error (a bad command line
-included), 2 runtime/physics error or any other unexpected failure. Errors are emitted as one JSON object
-on stderr. Warnings, such as a drive strong enough to strain the
-rotating-wave treatment, are logged as one line each. Log verbosity
-comes from the TRIPLETSIM_LOG environment variable (debug, info, warning).
+One parser reads the command line, so options may come before or after
+the experiment. Exit codes: 0 success, 1 configuration error (a bad
+command line included), 2 runtime/physics error or any other unexpected
+failure. Errors are emitted as one JSON object on stderr. Warnings, such
+as a drive strong enough to strain the rotating-wave treatment, are one
+`WARNING tripletsim: message` line each. The CLI writes such lines to the
+current `sys.stderr` itself, leaving `logging` (and an embedding program's
+log setup) alone; TRIPLETSIM_LOG sets the verbosity (debug, info,
+warning; any other value means warning).
 
 A `sim` process runs numpy's BLAS on one thread: before numpy loads,
 `main` sets OMP_NUM_THREADS=1 unless it is already set. A thread count
 given in OMP_NUM_THREADS, OPENBLAS_NUM_THREADS or MKL_NUM_THREADS is
-kept. Importing this module loads no numpy, so `--help`, `--version`
-and a bad command line finish without it.
+kept. Importing this module loads no numpy and no `logging`, so
+`--help`, `--version` and a bad command line finish without them.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
 import os
 import sys
 import warnings
@@ -30,7 +33,7 @@ from ._version import __version__
 from .config import EXPERIMENTS, apply_overrides, load_config_file, parse_config
 from .errors import ConfigError, SimulationError
 
-log = logging.getLogger("tripletsim")
+_LEVELS = {"debug": 10, "info": 20, "warning": 30}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -41,40 +44,40 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    epilog = "experiments:\n" + "\n".join(
+        f"  {name:<16}{spec['description']}" for name, spec in EXPERIMENTS.items()
+    )
     parser = _Parser(
         prog="sim",
         description="Simulate and fit optically addressed triplet spin-qubit experiments.",
+        epilog=epilog,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="experiment", metavar="experiment")
-    for name, spec in EXPERIMENTS.items():
-        p = sub.add_parser(name, help=spec["description"], description=spec["description"])
-        p.add_argument("--config", help="JSON configuration file")
-        p.add_argument(
-            "--set",
-            action="append",
-            default=[],
-            metavar="KEY=VALUE",
-            dest="overrides",
-            help="override a config entry by dotted path (value parsed as JSON)",
-        )
-        p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
-        p.add_argument("--seed", type=int, help="random seed for stochastic modes")
+    parser.add_argument(
+        "experiment", nargs="?", choices=tuple(EXPERIMENTS), metavar="experiment",
+        help="the experiment to simulate, or fit (listed below)",
+    )
+    parser.add_argument("--config", help="JSON configuration file")
+    parser.add_argument(
+        "--set", action="append", default=[], metavar="KEY=VALUE", dest="overrides",
+        help="override a config entry by dotted path (value parsed as JSON)",
+    )
+    parser.add_argument("--out", help="output path (default: stdout)")
+    parser.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
+    parser.add_argument("--seed", type=int, help="random seed for stochastic modes")
     return parser
 
 
-def _configure_logging() -> None:
-    level_name = os.environ.get("TRIPLETSIM_LOG", "warning").lower()
-    level = {"debug": logging.DEBUG, "info": logging.INFO, "warning": logging.WARNING}.get(
-        level_name, logging.WARNING
-    )
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+def _log(level: str, message: str) -> None:
+    """Write `LEVEL tripletsim: message` to stderr if TRIPLETSIM_LOG lets `level` through."""
+    if _LEVELS[level] >= _LEVELS.get(os.environ.get("TRIPLETSIM_LOG", "warning").lower(), 30):
+        print(f"{level.upper()} tripletsim: {message}", file=sys.stderr)
 
 
 def _log_warning(message, category, filename, lineno, file=None, line=None) -> None:
     """`warnings.showwarning` for the CLI: the message alone, without source location."""
-    log.warning("%s", message)
+    _log("warning", str(message))
 
 
 def _report_error(kind: str, exc: Exception) -> None:
@@ -86,7 +89,6 @@ def main(argv: list[str] | None = None) -> int:
     if "numpy" not in sys.modules:
         # tripletsim's arrays are too small for BLAS worker threads, which only spin idle
         os.environ.setdefault("OMP_NUM_THREADS", "1")
-    _configure_logging()
     with warnings.catch_warnings():
         warnings.showwarning = _log_warning
         return _main(argv)
@@ -100,21 +102,17 @@ def _main(argv: list[str] | None) -> int:
         raw = load_config_file(args.config) if args.config else {}
         raw = apply_overrides(raw, args.overrides)
         cfg = parse_config(
-            raw,
-            experiment=args.experiment,
-            seed=args.seed,
-            out=args.out,
-            fmt=args.format,
+            raw, experiment=args.experiment, seed=args.seed, out=args.out, fmt=args.format
         )
         from .runner import run_experiment
         from .trace import emit, write_atomic
 
-        log.info("running %s (seed %d)", cfg.experiment, cfg.seed)
+        _log("info", f"running {cfg.experiment} (seed {cfg.seed})")
         record = run_experiment(cfg)
         payload = emit(record, cfg.format)
         if cfg.out:
             write_atomic(cfg.out, payload)
-            log.info("wrote %d bytes to %s", len(payload), cfg.out)
+            _log("info", f"wrote {len(payload)} bytes to {cfg.out}")
         else:
             sys.stdout.buffer.write(payload)
             sys.stdout.buffer.flush()
@@ -125,8 +123,10 @@ def _main(argv: list[str] | None) -> int:
         _report_error("runtime", exc)
         return 2
     except Exception as exc:
-        # still one JSON line and no traceback; TRIPLETSIM_LOG=debug logs it
-        log.debug("unexpected error", exc_info=True)
+        # still one JSON line and no traceback; TRIPLETSIM_LOG=debug writes it
+        import traceback
+
+        _log("debug", "unexpected error\n" + traceback.format_exc().rstrip("\n"))
         _report_error("internal", exc)
         return 2
     return 0

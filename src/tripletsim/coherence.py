@@ -79,7 +79,9 @@ def echo_envelope(model: CoherenceModel, t: np.ndarray | float) -> np.ndarray:
     """Evaluate the coherence envelope at times t >= 0 (seconds)."""
     t = np.asarray(t, dtype=float)
     check_entries_at_least("times", t, 0.0)
-    env = np.exp(-((t / model.t2) ** model.nu))
+    # (t/T2)^nu past the float range is inf, and exp(-inf) = 0 is the exact envelope there
+    with np.errstate(over="ignore"):
+        env = np.exp(-((t / model.t2) ** model.nu))
     if model.eseem is not None:
         mod = model.eseem
         env = env * (mod.a - mod.b * np.sin(np.pi * mod.frequency * t / 2.0) ** 2)
@@ -122,7 +124,9 @@ def dd_t2_scaling(params: DdScalingParams, n_pulses: np.ndarray | int) -> np.nda
     """T2(N) in seconds for pulse numbers N >= 1."""
     n = np.asarray(n_pulses, dtype=float)
     check_entries_at_least("pulse number", n, 1.0)
-    return 1.0 / (1.0 / (params.t2_1 * n**params.nu) + 1.0 / (2.0 * params.t1_rho))
+    # a rate 1/(t2_1*N^nu) past the float range is inf, and T2(N) = 1/inf = 0 is its exact limit
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 / (params.t2_1 * n**params.nu) + 1.0 / (2.0 * params.t1_rho))
 
 
 @dataclass(frozen=True)
@@ -346,8 +350,11 @@ def deer_spectrum(
     check_positive("fixed echo time", t_fix)
     f2_grid = np.asarray(f2_grid, dtype=float)
     deficit = _coupling_deficit(dark.coupling, t_fix)
-    x = (f2_grid - dark.resonance(b)) / dark.linewidth
-    return 1.0 - deficit / (1.0 + x**2)
+    # a detuning of x linewidths with x^2 past the float range is off the line: the
+    # Lorentzian 1/(1 + inf) = 0 there is exact
+    with np.errstate(over="ignore"):
+        x = (f2_grid - dark.resonance(b)) / dark.linewidth
+        return 1.0 - deficit / (1.0 + x**2)
 
 
 def _rabi_ensemble(
@@ -387,7 +394,9 @@ def simulate_rabi(
     else:
         check_positive("T2*", t2_star)
         sigma = math.sqrt(2.0) / (2.0 * math.pi * t2_star)
-        envelope = np.exp(-((durations / t2_star) ** 2))
+        # (t/T2*)^2 past the float range is inf, and exp(-inf) = 0 is the exact envelope there
+        with np.errstate(over="ignore"):
+            envelope = np.exp(-((durations / t2_star) ** 2))
     omega_g, amp = _rabi_ensemble(rabi_freq, detuning, sigma, RABI_DETUNING_NODES)
     osc = np.cos(2.0 * np.pi * omega_g[None, :] * durations[:, None]) * envelope[:, None]
     return 0.5 * np.sum(amp[None, :] * (1.0 - osc), axis=1)

@@ -400,8 +400,11 @@ def simulate_field_odmr(
     emission = _evolve_free(state, mixed, readout.duration, readout.intensity)
     amplitude = _over_reference(emission[1:], emission[0], "field-ODMR") - 1.0
     contrast = np.ones((b_values.size, f_grid.size))
-    for pair, line in zip(TRANSITION_PAIRS, amplitude):
-        x = (f_grid - spectrum.branches[pair][:, None]) / linewidth
-        contrast += line[:, None] / (1.0 + x**2)
+    # a carrier x linewidths off a line with x^2 past the float range gets the
+    # Lorentzian's exact limit there, 1/(1 + inf) = 0
+    with np.errstate(over="ignore"):
+        for pair, line in zip(TRANSITION_PAIRS, amplitude):
+            x = (f_grid - spectrum.branches[pair][:, None]) / linewidth
+            contrast += line[:, None] / (1.0 + x**2)
     return FieldOdmrMap(field=b_values, frequency=f_grid, contrast=contrast, spectrum=spectrum)
 

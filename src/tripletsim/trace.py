@@ -55,6 +55,8 @@ class TraceRecord:
 
     def __post_init__(self) -> None:
         self.data = np.asarray(self.data, dtype=float)
+        if not self.columns:
+            raise InvalidParameterError("a trace needs at least one column")
         if self.data.ndim != 2:
             raise InvalidParameterError(f"trace data must be 2-d, got shape {self.data.shape}")
         if self.data.shape[1] != len(self.columns):
@@ -99,11 +101,11 @@ def _formatted_blocks(data: np.ndarray):
             )
             text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
             cells.append(text[inverse].tolist())
-        yield zip(*cells) if cells else [()] * block.shape[0]
+        yield zip(*cells)
 
 
 def _json_row(row: tuple[str, ...]) -> str:
-    return "  [\n   " + ",\n   ".join(row) + "\n  ]" if row else "  []"
+    return "  [\n   " + ",\n   ".join(row) + "\n  ]"
 
 
 def _json_member(key: str, value) -> str:

@@ -372,9 +372,9 @@ def test_each_experiment_loads_only_the_modules_it_runs(experiment, physics, pol
 
 
 def _fresh_main(argv, env_extra=None):
-    """cli.main(argv) in a fresh interpreter: its exit code, whether numpy was
-    loaded, the thread variables and the OS threads it ended with (None
-    without /proc/self/task)."""
+    """cli.main(argv) in a fresh interpreter: its exit code, which of numpy and
+    logging it loaded, the thread variables and the OS threads it ended with
+    (None without /proc/self/task)."""
     script = textwrap.dedent(
         """
         import json, os, sys
@@ -387,7 +387,8 @@ def _fresh_main(argv, env_extra=None):
         task = "/proc/self/task"
         threads = len(os.listdir(task)) if os.path.isdir(task) else None
         env = {key: os.environ.get(key) for key in json.loads(sys.argv[2])}
-        print(json.dumps([code, "numpy" in sys.modules, env, threads]))
+        loaded = [name for name in ("numpy", "logging") if name in sys.modules]
+        print(json.dumps([code, loaded, env, threads]))
         """
     )
     proc = subprocess.run(
@@ -405,7 +406,8 @@ def _fresh_main(argv, env_extra=None):
     [(["--version"], 0), (["--help"], 0), (["teleport"], 1), (["rabi", "--bogus"], 1), ([], 1)],
 )
 def test_command_lines_that_run_nothing_load_no_numpy(argv, code):
-    assert _fresh_main(argv)[:2] == [code, False]
+    # nor logging, which no command loads: the CLI writes its stderr lines itself
+    assert _fresh_main(argv)[:2] == [code, []]
 
 
 def test_sim_runs_blas_on_one_thread_unless_a_thread_count_is_set(tmp_path):
@@ -413,8 +415,9 @@ def test_sim_runs_blas_on_one_thread_unless_a_thread_count_is_set(tmp_path):
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"):
         code, _, env, _ = _fresh_main(argv, {**dict.fromkeys(THREAD_VARS), var: "2"})
         assert code == 0 and env[var] == "2"
-    code, numpy, env, threads = _fresh_main(argv, dict.fromkeys(THREAD_VARS))
-    assert (code, numpy, env) == (0, True, {**dict.fromkeys(THREAD_VARS), "OMP_NUM_THREADS": "1"})
+    code, loaded, env, threads = _fresh_main(argv, dict.fromkeys(THREAD_VARS))
+    one_thread = {**dict.fromkeys(THREAD_VARS), "OMP_NUM_THREADS": "1"}
+    assert (code, loaded, env) == (0, ["numpy"], one_thread)
     if threads is None:
         pytest.skip("no /proc/self/task to count OS threads")
     assert threads == 1
@@ -677,6 +680,20 @@ def test_help_exits_zero():
         assert proc.stdout.startswith(b"usage: sim") and proc.stderr == b""
 
 
+def test_help_lists_every_experiment_with_its_description():
+    lines = cli.build_parser().format_help().splitlines()
+    for name, spec in config.EXPERIMENTS.items():
+        listed = [line for line in lines if line.split()[:1] == [name]]
+        assert any(spec["description"] in line for line in listed), name
+
+
+def test_options_may_come_before_the_experiment():
+    code, before, err = run_main(["--seed", "3", "--format", "json", "t1"])
+    assert code == 0, err
+    assert (code, before, err) == run_main(["t1", "--seed", "3", "--format", "json"])
+    assert parse_trace(before).metadata["seed"] == 3
+
+
 def test_ac_phase_samples_still_drive_nmr_correlation_with_ac_phase_set():
     args = ["nmr-correlation", "--set", "field.magnitude=190",
             "--set", "grid.start=0", "--set", "grid.stop=1", "--set", "grid.count=5"]
@@ -708,7 +725,7 @@ def _digest_tool():
     return module
 
 
-def test_digest_commands_give_the_recorded_bytes(tmp_path, monkeypatch, caplog):
+def test_digest_commands_give_the_recorded_bytes(tmp_path, monkeypatch):
     """Each `tools/trace_digest.py` command gives its line of `tests/data/trace_digest.txt`.
 
     A line holds the exit code and the SHA-256 of stdout, stderr and the
@@ -719,9 +736,8 @@ def test_digest_commands_give_the_recorded_bytes(tmp_path, monkeypatch, caplog):
     every line.
 
     The commands run in process through `cli.main`, which gives the bytes
-    of a fresh process: none sets a thread environment or needs `python -O`,
-    and none logs (a logged line reaches a fresh process's stderr only
-    through the log handler, which `run_main` does not capture).
+    of a fresh process, warning lines included: none sets a thread
+    environment or needs `python -O`.
     """
     tool = _digest_tool()
     monkeypatch.chdir(tmp_path)
@@ -732,7 +748,6 @@ def test_digest_commands_give_the_recorded_bytes(tmp_path, monkeypatch, caplog):
         code, stdout, stderr = run_main([*argv, "--out", out.name])
         written = out.read_bytes() if out.exists() else None
         lines.append(tool.digest_line(argv, code, stdout, stderr.encode(), written))
-        assert not caplog.records, f"{argv} logs; run it in a fresh process"
     expected = (Path(__file__).parent / "data" / "trace_digest.txt").read_text().splitlines()
     assert len(expected) == len(tool.COMMANDS), "tests/data/trace_digest.txt is not the tool's"
     changed = [argv for argv, line, want in zip(tool.COMMANDS, lines, expected) if line != want]
@@ -795,6 +810,7 @@ _PAIR_VARIANTS = (
 )
 
 
+@pytest.mark.filterwarnings("ignore:Rabi frequency")  # the digest's strained-RWA drive
 def test_each_experiment_reads_exactly_the_keys_of_its_table_entry(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # the digest's fit commands read t1.csv and out.json
     for argv in (["t1", "--out", "t1.csv"], ["t1", "--format", "json", "--out", "out.json"]):
@@ -972,6 +988,33 @@ def test_unexpected_error_is_one_internal_json_line(monkeypatch):
     assert out == b""
     assert json.loads(err) == {"error": "internal", "type": "RuntimeError", "message": "boom"}
     assert len(err.splitlines()) == 1
+    monkeypatch.setenv("TRIPLETSIM_LOG", "debug")
+    code, out, err = run_main(["t1"])
+    info, *debug, last = err.splitlines()
+    assert code == 2 and info == "INFO tripletsim: running t1 (seed 0)"
+    assert debug[0] == "DEBUG tripletsim: unexpected error"
+    assert debug[1] == "Traceback (most recent call last):"
+    assert debug[-1] == "RuntimeError: boom" and json.loads(last)["type"] == "RuntimeError"
+
+
+def test_each_in_process_main_writes_its_log_lines_to_the_current_stderr(tmp_path, monkeypatch):
+    import logging
+
+    monkeypatch.chdir(tmp_path)
+    handlers = list(logging.getLogger().handlers)
+    argv = ["echo", "--out", "echo.csv"]
+    for level in ("warning", "verbose"):  # an unknown level means warning
+        monkeypatch.setenv("TRIPLETSIM_LOG", level)
+        assert run_main(argv) == (0, b"", "")
+    monkeypatch.setenv("TRIPLETSIM_LOG", "info")
+    code, out, err = run_main(argv)
+    size = (tmp_path / "echo.csv").stat().st_size
+    assert (code, out) == (0, b"")
+    assert err.splitlines() == [
+        "INFO tripletsim: running echo (seed 0)",
+        f"INFO tripletsim: wrote {size} bytes to echo.csv",
+    ]
+    assert logging.getLogger().handlers == handlers
 
 
 def _cell_args(experiment, n_rows, n_grid):

@@ -122,6 +122,15 @@ COMMANDS: tuple[tuple[str, ...], ...] = (
     # spectrum fields beyond 100 T
     ("spectrum", "--set", "grid.values=[1e305]"),
     ("spectrum", "--set", "grid.values=[1e10]"),
+    # overflows whose limit is the exact answer: an envelope, a Lorentzian or a T2 of 0
+    ("echo", "--set", "coherence.t2=1e-305"),
+    ("echo", "--set", "grid.values=[1e305]"),
+    ("rabi", "--set", "grid.values=[1e305]"),
+    ("dd-scaling", "--set", "dd.t2_1=1e-305"),
+    ("deer", "--set", "field.magnitude=190", "--set", "dark.linewidth=1e-305"),
+    ("field-odmr", "--set", "odmr.linewidth=1e-305"),
+    # a drive that strains the rotating-wave treatment: three warning lines
+    ("odmr", "--set", "pulse.rabi=400"),
 )
 
 
