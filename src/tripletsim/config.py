@@ -621,6 +621,18 @@ def _inputs(name: str, sections: dict) -> dict[str, Any]:
     return si
 
 
+def _check_pump(name: str, si: dict[str, Any]) -> None:
+    """Under each light `name` reads, the S0 -> S1 pump rate, kinetics.pump_rate x
+    intensity in 1/s, is finite; the kinetics check it again for library callers."""
+    rate = si.get("kinetics.pump_rate")
+    for key in ("init.intensity", "readout.intensity"):
+        if rate is not None and key in si and not math.isfinite(rate * si[key]):
+            raise ConfigError(
+                f"kinetics.pump_rate, {key}: {name} needs a finite pump rate "
+                f"kinetics.pump_rate x {key}; got {rate / MHZ:g} MHz x {si[key]:g}"
+            )
+
+
 def _build(name: str, si: dict[str, Any]) -> Any:
     """The physics object of key `name`, an EXPERIMENTS "objects" entry, from the SI inputs."""
     if name in ("gamma", "zfs", "field"):
@@ -848,6 +860,7 @@ def parse_config(
     _check_contract(name, given, sections)
     si = _inputs(name, sections)
     _check_physics(sections)
+    _check_pump(name, si)
     for key in EXPERIMENTS[name].get("objects", "").split():
         try:  # stored under its key; the ratio `gamma` gives way to its GyroRatio
             si[key] = _build(key, si)

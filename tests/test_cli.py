@@ -835,7 +835,7 @@ def test_each_experiment_reads_exactly_the_keys_of_its_table_entry(tmp_path, mon
 
 @pytest.mark.parametrize("optimize", [(), ("-O",)])
 @pytest.mark.parametrize("experiment", ["t1", "odmr", "field-odmr"])
-def test_pump_rate_times_intensity_past_the_float_range_is_a_runtime_error(experiment, optimize):
+def test_pump_rate_times_intensity_past_the_float_range_is_a_config_error(experiment, optimize):
     # an exception, not an assert, so that `python -O` keeps the check
     proc = subprocess.run(
         [sys.executable, *optimize, "-m", "tripletsim", experiment, "--set", "init.intensity=1e305"],
@@ -843,8 +843,11 @@ def test_pump_rate_times_intensity_past_the_float_range_is_a_runtime_error(exper
         env=_env(),
         timeout=120,
     )
-    err = assert_one_json_error(proc, 2, "runtime")
-    assert err["message"] == "pump rate x intensity must be finite, got inf"
+    err = assert_one_json_error(proc, 1, "config")
+    assert err["message"] == (
+        f"kinetics.pump_rate, init.intensity: {experiment} needs a finite pump rate "
+        "kinetics.pump_rate x init.intensity; got 100 MHz x 1e+305"
+    )
 
 
 @pytest.mark.parametrize(

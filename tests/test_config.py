@@ -201,6 +201,23 @@ def test_default_grids_are_resolved_and_checked_by_parse_config(experiment, raw,
     assert message in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "experiment, light",
+    [("t1", "init"), ("odmr", "init"), ("odmr", "readout"), ("field-odmr", "init"),
+     ("field-odmr", "readout")],
+)
+def test_pump_rate_times_intensity_must_be_finite_in_si(experiment, light):
+    # the product the kinetics form, in 1/s; each factor alone is finite
+    with pytest.raises(ConfigError) as info:
+        parse({light: {"intensity": 1e305}}, experiment=experiment)
+    assert str(info.value).startswith(f"kinetics.pump_rate, {light}.intensity: {experiment} ")
+    fast_pump = {"pump_rate": 1e300}  # MHz
+    with pytest.raises(ConfigError, match=f"kinetics.pump_rate, {light}.intensity"):
+        parse({"kinetics": fast_pump, light: {"intensity": 1e10}}, experiment=experiment)
+    cfg = parse({"kinetics": fast_pump, light: {"intensity": 1e2}}, experiment=experiment)
+    assert cfg.inputs[f"{light}.intensity"] == 1e2
+
+
 def test_grids_hold_one_array_per_grid_read():
     assert set(parse(experiment="field-odmr").grids) == {"grid", "field_grid"}
     assert set(parse(experiment="odmr").grids) == {"grid"}

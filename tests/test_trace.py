@@ -1,5 +1,6 @@
 import json
 import os
+from decimal import Decimal
 from unittest import mock
 
 import numpy as np
@@ -356,3 +357,64 @@ def test_parse_reads_every_emitted_record_back_bit_for_bit(record):
         assert (back.columns, back.metadata) == (record.columns, record.metadata)
         assert back.data.shape == record.data.shape
         assert np.array_equal(back.data.view(np.int64), record.data.view(np.int64))
+
+
+def _fixed_notation_families(rng):
+    """Finite values with 1e-4 <= |x| < 1e16, where repr writes fixed notation,
+    drawn where the shortest digits are hardest to get right."""
+    n = 40_000
+    # random significand bits under a random binary exponent of the range
+    bits = rng.integers(0, 2**52, n) | rng.integers(1023 - 14, 1023 + 54, n) << 52
+    random_bits = bits.view(np.float64)
+    # values rounded to 1-17 significant digits
+    spread = np.exp(rng.uniform(np.log(1e-4), np.log(1e16), 3_000))
+    rounded = [float(f"{v:.{d - 1}e}") for v in spread.tolist() for d in range(1, 18)]
+    # powers of two and their neighbours: the gap below 2**k is half as wide
+    powers2 = np.ldexp(1.0, np.arange(-13, 54))
+    # powers of ten and their neighbours, and the values just below them, where
+    # rounding the digits could carry into the next power
+    powers10 = np.array([float(f"1e{k}") for k in range(-4, 17)])
+    below = [powers10]
+    for _ in range(40):
+        below.append(np.nextafter(below[-1], 0.0))
+    # dyadic values m * 2**-j
+    dyadic = rng.integers(1, 2**24, n) * np.ldexp(1.0, -rng.integers(0, 37, n))
+    values = np.concatenate(
+        [
+            random_bits,
+            rounded,
+            powers2,
+            np.nextafter(powers2, 0.0),
+            np.nextafter(powers2, np.inf),
+            np.nextafter(powers10, np.inf),
+            *below,
+            dyadic,
+            spread,
+        ]
+    )
+    values = values[(values >= 1e-4) & (values < 1e16)]
+    return np.concatenate([values, -values])
+
+
+def test_fixed_notation_text_is_repr():
+    # the digits never round up to one more place: no power of ten in the
+    # range reads back as a float64 below itself
+    assert all(Decimal(float(f"1e{k}")) >= Decimal(10) ** k for k in range(-4, 17))
+    values = _fixed_notation_families(np.random.default_rng(20241))
+    assert values.size >= 200_000
+    with np.errstate(all="raise"):
+        text = trace._fixed_text(values).tolist()
+    expected = list(map(repr, values.tolist()))
+    wrong = [(v, t, e) for v, t, e in zip(values.tolist(), text, expected) if t != e]
+    assert wrong[:5] == []
+
+
+def test_shortest_text_leaves_only_zeros_subnormals_and_exponent_notation_to_repr():
+    values = np.array(_EDGE_VALUES + (1e-05, 0.5, 2e16, -9.999999999999999e-05, 123.0, -0.001))
+    with np.errstate(all="raise"), mock.patch.object(trace, "repr", create=True) as spy:
+        spy.side_effect = repr
+        text = trace._shortest_text(values).tolist()
+    assert text == list(map(repr, values.tolist()))
+    left = sorted(call.args[0] for call in spy.call_args_list)
+    magnitude = np.abs(values)
+    assert left == sorted(values[(magnitude < 1e-4) | (magnitude >= 1e16)].tolist())

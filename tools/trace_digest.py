@@ -131,6 +131,14 @@ COMMANDS: tuple[tuple[str, ...], ...] = (
     ("field-odmr", "--set", "odmr.linewidth=1e-305"),
     # a drive that strains the rotating-wave treatment: three warning lines
     ("odmr", "--set", "pulse.rabi=400"),
+    # a pump rate x intensity past the float range: a config error
+    ("t1", "--set", "init.intensity=1e305"),
+    ("odmr", "--set", "init.intensity=1e305"),
+    ("odmr", "--set", "readout.intensity=1e305"),
+    ("field-odmr", "--set", "init.intensity=1e305"),
+    ("field-odmr", "--set", "readout.intensity=1e305"),
+    # cells outside [1e-4, 1e16), which emit leaves to repr: 0.0 and exponent notation
+    ("echo", "--set", "grid.values=[1e-05,0.5,2e16]"),
 )
 
 
