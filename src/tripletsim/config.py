@@ -795,7 +795,36 @@ def _grids(name: str, sections: dict, si: dict[str, Any]) -> dict[str, Any]:
         _check_phases(name, "dark.coupling_mean, dark.t_fix",
                       ("coupling phase 2*pi*mean*t_fix =",
                        2.0 * math.pi * si["dark.coupling_mean"] * si["dark.t_fix"]))
+    elif name == "rabi":
+        _check_rabi(si)
+    elif name == "odmr":
+        # a carrier's detuning from a line is below the larger of the two, and the
+        # spread of the triplet's levels is at most |D| + 2|E| + 2|gamma*B|
+        zfs, b = si["zfs"], si["field"].magnitude
+        line = abs(zfs.d) + 2.0 * abs(zfs.e) + 2.0 * abs(si["gamma"].gamma) * b
+        detuning = max(float(si["grid"].max()), line)
+        _check_phases(name, "pulse.rabi, grid",
+                      ("detuning phase 2*pi*|detuning|*t_pi up to",
+                       2.0 * math.pi * detuning * (0.5 / si["pulse.rabi"])))
     return grids
+
+
+def _check_rabi(si: dict[str, Any]) -> None:
+    """The detuning spread of the Rabi ensemble and its nutation phases are finite."""
+    from .coherence import RABI_DETUNING_NODES
+
+    t2_star = si["pulse.t2_star"]
+    sigma = 0.0 if t2_star is None else math.sqrt(2.0) / (2.0 * math.pi * t2_star)
+    if not math.isfinite(sigma):
+        raise ConfigError(
+            f"pulse.t2_star: rabi needs a finite detuning spread sqrt(2)/(2*pi*T2*); "
+            f"got T2* = {t2_star / US:g} us"
+        )
+    # every node of an n-point Gauss-Hermite rule lies within sqrt(2n + 1)
+    reach = math.sqrt(2.0) * sigma * math.sqrt(2.0 * RABI_DETUNING_NODES + 1.0)
+    w_max = math.hypot(si["pulse.rabi"], abs(si["pulse.detuning"]) + reach)
+    phase = 2.0 * math.pi * w_max * float(si["grid"].max())
+    _check_phases("rabi", "pulse, grid", ("nutation phase 2*pi*W*t up to", phase))
 
 
 def _check_contract(name: str, given: dict, sections: dict) -> None:

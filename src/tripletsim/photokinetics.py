@@ -261,8 +261,12 @@ def propagate(prop: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     augmented = np.concatenate((p, np.zeros(p.shape[:-1] + (1,))), axis=-1)
     out = (prop @ augmented[..., None])[..., 0]
     pops = out[..., :5]
-    if np.any(np.abs(pops.sum(axis=-1) - 1.0) > 1e-6) or np.any(pops < -1e-6):
-        raise InvalidParameterError(f"propagation lost population conservation: {pops}")
+    drift = np.abs(pops.sum(axis=-1) - 1.0)
+    if np.any(drift > 1e-6) or np.any(pops < -1e-6):
+        raise InvalidParameterError(
+            f"propagation lost population conservation: largest |sum - 1| = {np.max(drift):g}, "
+            f"lowest population = {np.min(pops):g}"
+        )
     return pops, out[..., 5]
 
 

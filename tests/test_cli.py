@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import gc
 import importlib.util
 import io
 import json
@@ -433,6 +434,57 @@ def test_in_process_main_leaves_the_environment_alone(monkeypatch):
     assert dict(os.environ) == before
 
 
+@pytest.mark.parametrize("enabled", [True, False])
+def test_in_process_main_leaves_the_collector_alone(enabled):
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        frozen = gc.get_freeze_count()
+        code, _, err = run_main(["rabi"])
+        assert code == 0, err
+        assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def test_sim_process_collects_nothing_once_numpy_loads_and_freezes_its_heap(tmp_path):
+    # through __main__, as `python -m tripletsim` runs; cli itself loads no numpy
+    script = textwrap.dedent(
+        """
+        import gc, json, runpy, sys
+
+        collections = []
+        gc.callbacks.append(
+            lambda phase, info: phase == "start" and collections.append("numpy" in sys.modules)
+        )
+        sys.argv = ["sim", *json.loads(sys.argv[1])]
+        try:
+            runpy.run_module("tripletsim", run_name="__main__")
+        except SystemExit as exc:
+            code = exc.code
+        print(json.dumps([code, gc.isenabled(), gc.get_freeze_count(), any(collections)]))
+        """
+    )
+    argv = ["odmr", "--out", str(tmp_path / "odmr.csv")]
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(argv)],
+        capture_output=True,
+        env=_env({"PYTHONPATH": str(SRC)}),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, enabled, frozen, collected = json.loads(proc.stdout)
+    assert (code, enabled, collected) == (0, False, False)
+    assert frozen > 0
+
+
+def test_console_scripts_start_at_the_entry():
+    text = (SRC.parent / "pyproject.toml").read_text()
+    section = text.split("[project.scripts]\n")[1].split("\n\n")[0]
+    scripts = dict(line.replace(" ", "").split("=") for line in section.splitlines())
+    assert scripts == {"sim": '"tripletsim.cli:entry"', "tripletsim": '"tripletsim.cli:entry"'}
+
+
 def assert_one_json_error(proc, code, kind):
     assert proc.returncode == code
     assert proc.stdout == b""
@@ -652,6 +704,22 @@ def _si_overflow_cases():
              f"grid: spectrum needs fields of magnitude <= 100000 mT; got {shown}")
             for given, shown in (("1e305", "1e+305"), ("1e10", "1e+10"))
         ),
+        # a Rabi detuning spread or nutation phase past the float range
+        (
+            ("rabi", "--set", "pulse.t2_star=1e-305"),
+            "pulse.t2_star: rabi needs a finite detuning spread sqrt(2)/(2*pi*T2*); "
+            "got T2* = 1e-305 us",
+        ),
+        (
+            ("rabi", "--set", "pulse.t2_star=1e-300", "--set", "grid.values=[1e7]"),
+            "pulse, grid: rabi needs finite phases; got nutation phase 2*pi*W*t up to inf",
+        ),
+        # an ODMR probe whose detuning phase over a pi pulse overflows
+        (
+            ("odmr", "--set", "pulse.rabi=1e-305"),
+            "pulse.rabi, grid: odmr needs finite phases; "
+            "got detuning phase 2*pi*|detuning|*t_pi up to inf",
+        ),
     ],
 )
 def test_boundary_inputs_are_config_errors(args, needle):
@@ -847,6 +915,15 @@ def test_pump_rate_times_intensity_past_the_float_range_is_a_config_error(experi
     assert err["message"] == (
         f"kinetics.pump_rate, init.intensity: {experiment} needs a finite pump rate "
         "kinetics.pump_rate x init.intensity; got 100 MHz x 1e+305"
+    )
+
+
+def test_readout_window_too_long_for_the_propagator_is_one_runtime_line():
+    # exp(G * 1e299 s) is no propagator at all; the message reports scalars, not the array
+    code, out, err = run_main(["odmr", "--set", "readout.duration=1e305"])
+    assert (code, out, len(err.splitlines())) == (2, b"", 1)
+    assert json.loads(err)["message"] == (
+        "propagation lost population conservation: largest |sum - 1| = 1, lowest population = 0"
     )
 
 

@@ -112,6 +112,22 @@ def test_emission_integral_matches_adaptive_ode():
     assert emission == pytest.approx(ref_em, rel=1e-8)
 
 
+@pytest.mark.parametrize(
+    "prop, p, message",
+    [
+        # every population lost: the sums are 0 in each of 1000 rows
+        (np.zeros((1000, 6, 6)), GROUND, "largest |sum - 1| = 1, lowest population = 0"),
+        # the sum kept, one population negative
+        (np.eye(6), np.array([1.5, -0.5, 0.0, 0.0, 0.0]),
+         "largest |sum - 1| = 0, lowest population = -0.5"),
+    ],
+)
+def test_lost_conservation_is_reported_in_one_line_of_scalars(prop, p, message):
+    with pytest.raises(InvalidParameterError) as info:
+        propagate(prop, p)
+    assert str(info.value) == f"propagation lost population conservation: {message}"
+
+
 def test_population_conservation_along_evolution():
     rates = rates_4k()
     state = GROUND

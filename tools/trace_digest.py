@@ -139,6 +139,9 @@ COMMANDS: tuple[tuple[str, ...], ...] = (
     ("field-odmr", "--set", "readout.intensity=1e305"),
     # cells outside [1e-4, 1e16), which emit leaves to repr: 0.0 and exponent notation
     ("echo", "--set", "grid.values=[1e-05,0.5,2e16]"),
+    # a Rabi detuning spread and an ODMR detuning phase past the float range: config errors
+    ("rabi", "--set", "pulse.t2_star=1e-305"),
+    ("odmr", "--set", "pulse.rabi=1e-305"),
 )
 
 
