@@ -7,10 +7,12 @@ stated once, in its schema entry; the keys each experiment reads, the
 unit of its grids and what it needs of them, in its EXPERIMENTS entry.
 `parse_config` converts to SI once (a value that leaves the float range
 there is a ConfigError naming its key) and builds the physics objects;
-`_grids` resolves every grid, given or default, once, and checks it;
-`_check_physics` holds the rest. Unknown keys are rejected with their
-full path, and so is a key given to an experiment that does not read it.
-Precedence is defaults < config file < --set overrides < direct flags.
+`_grids` resolves every grid, given or default, once, and checks it,
+with the default range and the phases that each experiment's physics
+states beside its runner, in `runner.PHYSICS`; `_check_physics` holds
+the rest. Unknown keys are rejected with their full path, and so is a
+key given to an experiment that does not read it. Precedence is
+defaults < config file < --set overrides < direct flags.
 """
 
 from __future__ import annotations
@@ -50,9 +52,9 @@ MAX_GAMMA = 1.0e6
 #: "reads" names the keys it reads (a section stands for all its keys);
 #: "objects" the keys `_build` makes physics objects of for it;
 #: "grid" and "field_grid" give its default grid in CLI units (only the
-#: count where the physics sets the range, see `_grids`) and its "unit",
-#: the factor to SI; every grid value, given or default, must pass
-#: "domain" (test, bound, rule);
+#: count where the physics sets the range, see `runner.PHYSICS`) and
+#: its "unit", the factor to SI; every grid value, given or default, must
+#: pass "domain" (test, bound, rule);
 #: "needs_field" asks for a nonzero static field, "cells" names the sizes
 #: MAX_GRID_CELLS bounds together, "sweeps" the grid of swept fields (mT),
 #: and "required" the keys it cannot run without.
@@ -723,40 +725,16 @@ def _check_phases(name: str, keys: str, *phases: tuple[str, float]) -> None:
 
 def _grids(name: str, sections: dict, si: dict[str, Any]) -> dict[str, Any]:
     """Resolve and check every grid `name` reads, as numpy arrays in CLI units; add each
-    to the SI inputs `si` in SI units, with any nuclear.tau that the physics sets."""
-    spec = EXPERIMENTS[name]
+    to the SI inputs `si` in SI units, with any nuclear.tau that the physics sets; then
+    check each group of phases the physics forms."""
+    from .runner import PHYSICS
+
+    spec, (_, default_range, phases) = EXPERIMENTS[name], PHYSICS[name]
     if spec.get("needs_field") and not si["field"].magnitude > 0.0:
         raise ConfigError(
             f"{name} needs a nonzero static field; set field.magnitude (mT), e.g. 190"
         )
-    derived = {}  # the start and stop of a default range that the physics sets
-    if name == "nmr-correlation":
-        from .coherence import nmr_frequency
-
-        b = si["field"].magnitude
-        f_n = nmr_frequency(si["nuclear"], b)
-        # 30/f_n in us is the largest derived time; 0.5/f_n, the smallest, is > 0 for a finite f_n
-        if not (0.0 < f_n < math.inf and 30.0 / f_n / US < math.inf):
-            raise ConfigError(
-                f"field, nuclear: nmr-correlation derives its echo half-time 0.5/f_n and storage "
-                f"range 30/f_n from the Larmor frequency f_n = |gamma_n|*B, and needs all three "
-                f"finite and > 0; got f_n = {f_n:g} Hz at B = {b:g} T"
-            )
-        derived = {"start": 0.0, "stop": 30.0 / f_n / US}
-        if si["nuclear.tau"] is None:
-            si["nuclear.tau"] = 0.5 / f_n
-    elif name == "deer":
-        # the resonance g*mu_B*B/h +- 250 MHz; nearer 0 MHz (below about
-        # 8.9 mT at g = 2) +- 99% of it, so that it stays > 0
-        b = si["field"].magnitude
-        center = si["dark"].resonance(b) / MHZ
-        if not 0.0 < center < math.inf:
-            raise ConfigError(
-                f"dark.g_factor, field: deer needs a dark-spin resonance g*mu_B*B/h that is finite "
-                f"and > 0 (it centres the default grid); got {center:g} MHz at B = {b:g} T"
-            )
-        half = 250.0 if center > 250.0 else 0.99 * center
-        derived = {"start": center - half, "stop": center + half}
+    derived = default_range(si) if default_range else {}
     keys = [key for key in ("grid", "field_grid") if key in spec]
     grids = {key: _resolve(name, key, sections[key], derived) for key in keys}
     if "domain" in spec:
@@ -774,57 +752,9 @@ def _grids(name: str, sections: dict, si: dict[str, Any]) -> dict[str, Any]:
                 f"more than the {MAX_GRID_CELLS} allowed; reduce one of them"
             )
     si.update((key, _si(key, grids[key], spec[key].get("unit"))) for key in keys)
-    if name in ("ac-sense", "nmr-correlation"):
-        from .coherence import echo_phase_amplitude
-
-        t_max = float(si["grid"].max())  # the longest tau or storage time, s
-        probe = abs(si["gamma"])
-    if name == "ac-sense":
-        f = si["ac"].frequency
-        _check_phases(name, "gamma, ac, grid",
-                      ("echo amplitude 4*|gamma|*A/f =",
-                       echo_phase_amplitude(probe, si["ac"].amplitude, f)),
-                      ("phase 2*pi*f*tau up to", 2.0 * math.pi * f * t_max))
-    elif name == "nmr-correlation":
-        _check_phases(name, "gamma, nuclear, grid",
-                      ("echo amplitude 4*|gamma|*A/f_n =",
-                       echo_phase_amplitude(probe, si["nuclear.amplitude"], f_n)),
-                      ("pi*f_n*tau =", math.pi * f_n * si["nuclear.tau"]),
-                      ("storage phase 2*pi*f_n*t_corr up to", 2.0 * math.pi * f_n * t_max))
-    elif name in ("deer", "deer-rabi"):
-        _check_phases(name, "dark.coupling_mean, dark.t_fix",
-                      ("coupling phase 2*pi*mean*t_fix =",
-                       2.0 * math.pi * si["dark.coupling_mean"] * si["dark.t_fix"]))
-    elif name == "rabi":
-        _check_rabi(si)
-    elif name == "odmr":
-        # a carrier's detuning from a line is below the larger of the two, and the
-        # spread of the triplet's levels is at most |D| + 2|E| + 2|gamma*B|
-        zfs, b = si["zfs"], si["field"].magnitude
-        line = abs(zfs.d) + 2.0 * abs(zfs.e) + 2.0 * abs(si["gamma"].gamma) * b
-        detuning = max(float(si["grid"].max()), line)
-        _check_phases(name, "pulse.rabi, grid",
-                      ("detuning phase 2*pi*|detuning|*t_pi up to",
-                       2.0 * math.pi * detuning * (0.5 / si["pulse.rabi"])))
+    for group in phases(si) if phases else ():
+        _check_phases(name, *group)
     return grids
-
-
-def _check_rabi(si: dict[str, Any]) -> None:
-    """The detuning spread of the Rabi ensemble and its nutation phases are finite."""
-    from .coherence import RABI_DETUNING_NODES
-
-    t2_star = si["pulse.t2_star"]
-    sigma = 0.0 if t2_star is None else math.sqrt(2.0) / (2.0 * math.pi * t2_star)
-    if not math.isfinite(sigma):
-        raise ConfigError(
-            f"pulse.t2_star: rabi needs a finite detuning spread sqrt(2)/(2*pi*T2*); "
-            f"got T2* = {t2_star / US:g} us"
-        )
-    # every node of an n-point Gauss-Hermite rule lies within sqrt(2n + 1)
-    reach = math.sqrt(2.0) * sigma * math.sqrt(2.0 * RABI_DETUNING_NODES + 1.0)
-    w_max = math.hypot(si["pulse.rabi"], abs(si["pulse.detuning"]) + reach)
-    phase = 2.0 * math.pi * w_max * float(si["grid"].max())
-    _check_phases("rabi", "pulse, grid", ("nutation phase 2*pi*W*t up to", phase))
 
 
 def _check_contract(name: str, given: dict, sections: dict) -> None:

@@ -303,8 +303,8 @@ ODMR_PREP_PAIR = ("y", "z")
 
 
 def default_readout_delay(rates: KineticRates) -> float:
-    """Relaxation delay before readout: three Ty lifetimes."""
-    return 3.0 * rates.triplet_lifetimes[1]
+    """Relaxation delay before readout: three of the shortest triplet lifetimes."""
+    return 3.0 * min(rates.triplet_lifetimes)
 
 
 def simulate_pulsed_odmr(

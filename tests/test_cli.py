@@ -720,11 +720,35 @@ def _si_overflow_cases():
             "pulse.rabi, grid: odmr needs finite phases; "
             "got detuning phase 2*pi*|detuning|*t_pi up to inf",
         ),
+        # a dark-spin nutation phase past the float range: by the drive, the detuning
+        # spread or the detuning
+        *(
+            (("deer-rabi", *args),
+             "dark, grid: deer-rabi needs finite phases; got nutation phase pi*W*t up to inf")
+            for args in (
+                ("--set", "grid.values=[1e300]", "--set", "dark.drive_rabi=1e10"),
+                ("--set", "grid.values=[1e290]", "--set", "dark.linewidth=1e20"),
+                ("--set", "dark.detuning=1e300", "--set", "grid.values=[1e10]"),
+            )
+        ),
+        # an ESEEM modulation phase past the float range
+        (
+            ("echo", "--set", "coherence.eseem.frequency=1e290", "--set", "grid.values=[1e20]"),
+            "coherence.eseem.frequency, grid: echo needs finite phases; "
+            "got ESEEM phase pi*f*t/2 up to inf",
+        ),
     ],
 )
 def test_boundary_inputs_are_config_errors(args, needle):
     err = assert_one_json_error(run_cli(*args), 1, "config")
     assert needle in err["message"]
+    # a rule of the experiment's physics (its message names the experiment after the keys,
+    # and refuses no key) names only keys and sections the experiment reads
+    keys, _, rule = err["message"].partition(": ")
+    name = args[0] if args else None
+    refusals = (f"{name} does not read it", f"{name} sweeps the field")
+    if rule.startswith(f"{name} ") and not rule.startswith(refusals):
+        assert set(keys.split(", ")) <= _reads(name), keys
 
 
 def test_rwa_warnings_are_one_log_line_each(tmp_path):
@@ -862,7 +886,7 @@ def _recorded_reads(cfg):
     recording = dataclasses.replace(
         cfg, sections={}, grids=Consumed(cfg.grids), inputs=Consumed(cfg.inputs)
     )
-    runner._RUNNERS[cfg.experiment](recording)
+    runner.PHYSICS[cfg.experiment][0](recording)
     return seen
 
 

@@ -54,6 +54,12 @@ def test_experiment_catalog_is_closed():
     assert all(isinstance(v["description"], str) and v["description"] for v in EXPERIMENTS.values())
 
 
+def test_every_experiment_has_one_physics_entry():
+    from tripletsim.runner import PHYSICS
+
+    assert list(PHYSICS) == list(EXPERIMENTS)
+
+
 def test_preset_expansion_and_explicit_override():
     cfg = parse({"kinetics": {"preset": "295K"}}, experiment="t1")
     assert cfg["kinetics"]["lifetimes"] == [73.0, 18.9, 61.0]

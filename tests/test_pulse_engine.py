@@ -578,8 +578,22 @@ def test_field_odmr_zero_duration_readout_is_degenerate():
 
 # --- protocol defaults --------------------------------------------------------
 
-def test_default_readout_delay_is_three_ty_lifetimes():
+def test_default_readout_delay_is_three_shortest_lifetimes():
     assert default_readout_delay(SYSTEM.rates) == pytest.approx(3 * LIFETIMES_4K[1])
+
+
+def test_default_readout_delay_follows_an_x_y_relabel():
+    # E -> -E with the x and y lifetimes and populations swapped is the same molecule
+    # under other labels: a field along x then reads as the same field along y
+    def field_map(e, axis, order):
+        lifetimes = tuple(LIFETIMES_4K[k] for k in order)
+        populations = tuple((0.263, 0.538, 0.199)[k] for k in order)
+        rates = KineticRates.from_steady_state(populations, lifetimes)
+        b, f = np.linspace(0.0, 120e-3, 13), np.linspace(0.6e9, 3.0e9, 49)
+        return simulate_field_odmr(ZfsParams(d=ZFS.d, e=e), rates, axis, b, f).contrast
+
+    along_x = field_map(ZFS.e, "x", (0, 1, 2))
+    np.testing.assert_allclose(field_map(-ZFS.e, "y", (1, 0, 2)), along_x, rtol=0.0, atol=1e-12)
 
 
 def test_init_duration_constant():

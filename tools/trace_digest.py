@@ -142,6 +142,11 @@ COMMANDS: tuple[tuple[str, ...], ...] = (
     # a Rabi detuning spread and an ODMR detuning phase past the float range: config errors
     ("rabi", "--set", "pulse.t2_star=1e-305"),
     ("odmr", "--set", "pulse.rabi=1e-305"),
+    # a deer-rabi nutation phase and an echo ESEEM phase past the float range: config errors
+    ("deer-rabi", "--set", "grid.values=[1e300]", "--set", "dark.drive_rabi=1e10"),
+    ("deer-rabi", "--set", "grid.values=[1e290]", "--set", "dark.linewidth=1e20"),
+    ("deer-rabi", "--set", "dark.detuning=1e300", "--set", "grid.values=[1e10]"),
+    ("echo", "--set", "coherence.eseem.frequency=1e290", "--set", "grid.values=[1e20]"),
 )
 
 
