@@ -13,6 +13,11 @@ current `sys.stderr` itself, leaving `logging` (and an embedding program's
 log setup) alone; TRIPLETSIM_LOG sets the verbosity (debug, info,
 warning; any other value means warning).
 
+The trace is written chunk by chunk as it is formatted: with `--out`, to
+a temporary file that replaces PATH once the trace is complete, so a
+failure leaves PATH as it was; without it, to stdout, which then already
+holds the chunks written before a failure.
+
 A `sim` process runs numpy's BLAS on one thread: before numpy loads,
 `main` sets OMP_NUM_THREADS=1 unless it is already set. A thread count
 given in OMP_NUM_THREADS, OPENBLAS_NUM_THREADS or MKL_NUM_THREADS is
@@ -124,16 +129,17 @@ def _main(argv: list[str] | None) -> int:
             raw, experiment=args.experiment, seed=args.seed, out=args.out, fmt=args.format
         )
         from .runner import run_experiment
-        from .trace import emit, write_atomic
+        from .trace import emit_chunks, write_atomic
 
         _log("info", f"running {cfg.experiment} (seed {cfg.seed})")
         record = run_experiment(cfg)
-        payload = emit(record, cfg.format)
+        chunks = emit_chunks(record, cfg.format)
         if cfg.out:
-            write_atomic(cfg.out, payload)
-            _log("info", f"wrote {len(payload)} bytes to {cfg.out}")
+            size = write_atomic(cfg.out, chunks)
+            _log("info", f"wrote {size} bytes to {cfg.out}")
         else:
-            sys.stdout.buffer.write(payload)
+            for chunk in chunks:
+                sys.stdout.buffer.write(chunk)
             sys.stdout.buffer.flush()
     except ConfigError as exc:
         _report_error("config", exc)

@@ -11,6 +11,10 @@ emitting and re-ingesting reproduces every value bit for bit. For
 values get that text from one numpy pass with exact float64/int64
 decisions (Dekker's exact product); zeros, subnormals and values `repr`
 writes in exponent notation are left to `repr`.
+
+A document is formatted and encoded block by block (:func:`emit_chunks`),
+and :func:`write_atomic` writes each chunk as it comes, so a writer holds
+one block of rows as text, never the whole document.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import itertools
 import json
 import os
 import re
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,12 +90,15 @@ class TraceRecord:
         return self.data[:, self.column_index(key)]
 
 
-#: Rows formatted per block; only one block's cell strings are alive at a time.
+#: Rows per block: only one block's cell strings and text are alive at a time.
 _BLOCK_ROWS = 4096
 
 
 def _formatted_blocks(data: np.ndarray):
     """Yield the rows of `data`, block by block, as tuples of cell strings.
+
+    A block is `_BLOCK_ROWS` rows; :func:`emit_chunks` encodes each block
+    into one chunk before it asks for the next.
 
     Cells get `repr`'s text: the shortest round-trip digits. Within a block,
     each distinct float64 bit pattern is formatted once, whatever its column,
@@ -291,34 +299,43 @@ def _json_member(key: str, value) -> str:
     )
 
 
-def emit(record: TraceRecord, fmt: str = "csv") -> bytes:
-    """Serialize a trace record to CSV or JSON bytes (LF line endings).
+def emit_chunks(record: TraceRecord, fmt: str = "csv") -> Iterator[bytes]:
+    """Serialize a trace record to CSV or JSON, as UTF-8 chunks (LF line endings).
 
-    The JSON form is exactly ``json.dumps(doc, sort_keys=True, indent=1)``
-    of the document; its data block is written directly, since the
-    encoder's pure-Python path is slow for long tables.
+    The chunks are the document's head, one chunk per block of
+    `_BLOCK_ROWS` rows, then its tail, so a writer holds one block's text
+    at a time. The JSON form is exactly ``json.dumps(doc, sort_keys=True,
+    indent=1)`` of the document; its data block is written directly, since
+    the encoder's pure-Python path is slow for long tables.
     """
     if fmt not in ("csv", "json"):
         raise ConfigError(f"unknown output format {fmt!r}; use 'csv' or 'json'")
     blocks = _formatted_blocks(record.data)
     if fmt == "csv":
-        lines = [f"# {_MAGIC} {_FORMAT_VERSION}"]
-        lines.append("# " + json.dumps(record.metadata, sort_keys=True, separators=(",", ":")))
-        lines.append(",".join(col.header for col in record.columns))
-        lines.extend("\n".join(map(",".join, rows)) for rows in blocks)
-        return ("\n".join(lines) + "\n").encode("utf-8")
-    data = ",\n".join(
-        "  [\n   " + "\n  ],\n  [\n   ".join(map(",\n   ".join, rows)) + "\n  ]"
-        for rows in blocks
-    )
+        meta = json.dumps(record.metadata, sort_keys=True, separators=(",", ":"))
+        header = ",".join(col.header for col in record.columns)
+        yield f"# {_MAGIC} {_FORMAT_VERSION}\n# {meta}\n{header}\n".encode("utf-8")
+        for rows in blocks:
+            yield ("\n".join(map(",".join, rows)) + "\n").encode("utf-8")
+        return
+    columns = _json_member("columns", [{"name": c.name, "unit": c.unit} for c in record.columns])
+    yield f'{{\n{columns},\n "data": ['.encode("utf-8")
+    close = "]"
+    for k, rows in enumerate(blocks):
+        block = "\n  ],\n  [\n   ".join(map(",\n   ".join, rows))
+        yield f"{',' if k else ''}\n  [\n   {block}\n  ]".encode("utf-8")
+        close = "\n ]"
     members = (
-        _json_member("columns", [{"name": c.name, "unit": c.unit} for c in record.columns]),
-        f' "data": [\n{data}\n ]' if data else ' "data": []',
         _json_member("format", _MAGIC),
         _json_member("metadata", record.metadata),
         _json_member("version", _FORMAT_VERSION),
     )
-    return ("{\n" + ",\n".join(members) + "\n}\n").encode("utf-8")
+    yield (close + ",\n" + ",\n".join(members) + "\n}\n").encode("utf-8")
+
+
+def emit(record: TraceRecord, fmt: str = "csv") -> bytes:
+    """The whole document of :func:`emit_chunks`, as one bytes object."""
+    return b"".join(emit_chunks(record, fmt))
 
 
 def parse_trace(payload: bytes | str) -> TraceRecord:
@@ -401,18 +418,24 @@ def _decode_csv(text: str) -> tuple[dict, list, list]:
     return metadata, [m.groups() for m in headers], rows
 
 
-def write_atomic(path: str, payload: bytes) -> None:
-    """Write bytes so the destination is never seen half-written.
+def write_atomic(path: str, payload: bytes | Iterable[bytes]) -> int:
+    """Write bytes, or chunks of bytes as they come, so the destination is
+    never seen half-written; return the number of bytes written.
 
-    The file gets the mode `open(path, "w")` would give it: 0o666 less
-    the umask.
+    The chunks go to a temporary file beside `path`, which replaces `path`
+    once all are written and synced. If a chunk fails to arrive, the
+    temporary file is removed and `path` is left as it was. The file gets
+    the mode `open(path, "w")` would give it: 0o666 less the umask.
     """
+    chunks = (payload,) if isinstance(payload, bytes) else payload
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f".trace-{os.getpid()}-{os.urandom(6).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    written = 0
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+            for chunk in chunks:
+                written += fh.write(chunk)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -422,3 +445,4 @@ def write_atomic(path: str, payload: bytes) -> None:
         except OSError:
             pass
         raise
+    return written

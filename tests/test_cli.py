@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from tripletsim import cli, coherence, config, pulse_engine, runner
+from tripletsim import cli, coherence, config, pulse_engine, runner, trace
 from tripletsim.config import _SCHEMA, _reads
 from tripletsim.errors import ConfigError
 from tripletsim.trace import parse_trace
@@ -837,7 +837,7 @@ def test_digest_commands_give_the_recorded_bytes(tmp_path, monkeypatch):
     for argv in tool.COMMANDS:
         out = tmp_path / tool.out_name(argv)
         out.unlink(missing_ok=True)
-        code, stdout, stderr = run_main([*argv, "--out", out.name])
+        code, stdout, stderr = run_main([*argv, *tool.out_args(argv)])
         written = out.read_bytes() if out.exists() else None
         lines.append(tool.digest_line(argv, code, stdout, stderr.encode(), written))
     expected = (Path(__file__).parent / "data" / "trace_digest.txt").read_text().splitlines()
@@ -1099,6 +1099,43 @@ def test_unexpected_error_is_one_internal_json_line(monkeypatch):
     assert debug[0] == "DEBUG tripletsim: unexpected error"
     assert debug[1] == "Traceback (most recent call last):"
     assert debug[-1] == "RuntimeError: boom" and json.loads(last)["type"] == "RuntimeError"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_failure_mid_stream_leaves_out_as_it_was_and_prints_one_json_line(
+    fmt, tmp_path, monkeypatch
+):
+    """The formatter fails after the head and one block have been written."""
+    formatted_blocks = trace._formatted_blocks
+
+    def one_block_then_fail(data):
+        yield next(formatted_blocks(data))
+        raise RuntimeError("formatter failed")
+
+    monkeypatch.setattr(trace, "_formatted_blocks", one_block_then_fail)
+    failure = {"error": "internal", "type": "RuntimeError", "message": "formatter failed"}
+    argv = ["field-odmr", "--format", fmt]  # 14,701 rows: four blocks
+    path = tmp_path / f"map.{fmt}"
+    for before in (None, b"an earlier trace"):
+        if before is not None:
+            path.write_bytes(before)
+        code, out, err = run_main([*argv, "--out", str(path)])
+        assert (code, out) == (2, b"")
+        assert len(err.splitlines()) == 1 and json.loads(err) == failure
+        # no temporary file is left, and a file already at --out keeps its bytes
+        if before is None:
+            assert list(tmp_path.iterdir()) == []
+        else:
+            assert list(tmp_path.iterdir()) == [path] and path.read_bytes() == before
+    # stdout already holds what was written before the failure
+    code, out, err = run_main(argv)
+    assert code == 2
+    assert len(err.splitlines()) == 1 and json.loads(err) == failure
+    if fmt == "csv":
+        assert out.startswith(b"# tripletsim-trace 1\n")
+        assert out.count(b"\n") == 3 + trace._BLOCK_ROWS
+    else:
+        assert out.startswith(b'{\n "columns": [') and out.endswith(b"\n  ]")
 
 
 def test_each_in_process_main_writes_its_log_lines_to_the_current_stderr(tmp_path, monkeypatch):

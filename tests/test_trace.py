@@ -1,5 +1,6 @@
 import json
 import os
+import tracemalloc
 from decimal import Decimal
 from unittest import mock
 
@@ -14,6 +15,7 @@ from tripletsim.trace import (
     Column,
     TraceRecord,
     emit,
+    emit_chunks,
     parse_trace,
     read_trace,
     write_atomic,
@@ -248,6 +250,33 @@ def test_atomic_write_gives_the_mode_open_would(tmp_path):
     with open(tmp_path / "plain", "w"):
         pass
     assert path.stat().st_mode & 0o777 == (tmp_path / "plain").stat().st_mode & 0o777
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_streamed_write_holds_less_than_half_the_payload(fmt, tmp_path):
+    """Chunks written as they come: one block's text is alive at a time, not the document.
+
+    A 100,000-row field map, 200 fields by 500 frequencies. Joining the
+    chunks before writing would hold the whole payload at least once.
+    """
+    fields, frequencies = np.linspace(0.0, 300.0, 200), np.linspace(900.0, 1100.0, 500)
+    contrast = 1.0 - 0.01 * np.random.default_rng(27).random(fields.size * frequencies.size)
+    record = TraceRecord(
+        columns=(Column("field", "mT"), Column("frequency", "MHz"), Column("contrast")),
+        data=np.column_stack(
+            [np.repeat(fields, frequencies.size), np.tile(frequencies, fields.size), contrast]
+        ),
+        metadata={"experiment": "field-odmr"},
+    )
+    path = tmp_path / f"map.{fmt}"
+    tracemalloc.start()
+    try:
+        size = write_atomic(str(path), emit_chunks(record, fmt))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert size == path.stat().st_size
+    assert peak < size / 2, f"peak {peak} bytes for a {size}-byte trace"
 
 
 def test_write_atomic_propagates_bad_directory():

@@ -7,10 +7,11 @@ Each command runs as a fresh `python -m tripletsim` process against the
 relative output and fit-input paths so the trace metadata does not
 depend on where it runs. For each command one line is printed: the exit
 code, then the SHA-256 of stdout, of stderr and of the output file
-("-" when none was written), then the command. Two checkouts give the
-same lines exactly when they give the same bytes, so comparing the
-output of two checkouts is a byte-identity check of everything the
-commands touch. `tests/data/trace_digest.txt` holds the expected output,
+("-" when none was written), then the command. Every command writes its
+trace to a file given by `--out`, except those in `TO_STDOUT`, which
+write it to stdout. Two checkouts give the same lines exactly when they
+give the same bytes, so comparing the output of two checkouts is a
+byte-identity check of everything the commands touch. `tests/data/trace_digest.txt` holds the expected output,
 and the test suite compares each command's line with it.
 """
 
@@ -26,6 +27,12 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 FIT_INPUT = ("--set", "fit.input=t1.csv")
+
+#: the commands run without `--out`, whose trace is the stdout digest
+TO_STDOUT: tuple[tuple[str, ...], ...] = (
+    ("field-odmr", "--format", "json"),
+    ("t1", "--format", "csv"),
+)
 
 COMMANDS: tuple[tuple[str, ...], ...] = (
     # every experiment with its defaults, plus a fit of the t1 trace
@@ -147,6 +154,8 @@ COMMANDS: tuple[tuple[str, ...], ...] = (
     ("deer-rabi", "--set", "grid.values=[1e290]", "--set", "dark.linewidth=1e20"),
     ("deer-rabi", "--set", "dark.detuning=1e300", "--set", "grid.values=[1e10]"),
     ("echo", "--set", "coherence.eseem.frequency=1e290", "--set", "grid.values=[1e20]"),
+    # written to stdout, not to a file: a field map of several blocks, and a t1 trace
+    *TO_STDOUT,
 )
 
 
@@ -157,6 +166,11 @@ def _sha(data: bytes | None) -> str:
 def out_name(argv: tuple[str, ...]) -> str:
     """The relative output path of a command; the default t1 trace is kept for the fits."""
     return "t1.csv" if argv == ("t1",) else "out.json" if "json" in argv else "out.csv"
+
+
+def out_args(argv: tuple[str, ...]) -> tuple[str, ...]:
+    """The output arguments of a digest command: `--out` and its path, or none for stdout."""
+    return () if argv in TO_STDOUT else ("--out", out_name(argv))
 
 
 def digest_line(argv, code: int, stdout: bytes, stderr: bytes, written: bytes | None) -> str:
@@ -171,7 +185,7 @@ def main() -> int:
             out = Path(workdir, name)
             out.unlink(missing_ok=True)
             proc = subprocess.run(
-                [sys.executable, "-m", "tripletsim", *argv, "--out", name],
+                [sys.executable, "-m", "tripletsim", *argv, *out_args(argv)],
                 cwd=workdir,
                 env=env,
                 stdin=subprocess.DEVNULL,
