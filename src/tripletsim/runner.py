@@ -26,6 +26,16 @@ from .errors import ConfigError, InvalidParameterError
 from .trace import Column, TraceRecord, read_trace
 
 
+def _map_rows(outer: np.ndarray, inner: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The rows (outer[i], inner[j], values[i, j]), i major, filled in place:
+    no full-length temporary per column lives beside the (n, 3) table."""
+    rows = np.empty((outer.size, inner.size, 3))
+    rows[..., 0] = outer[:, None]
+    rows[..., 1] = inner
+    rows[..., 2] = values
+    return rows.reshape(-1, 3)
+
+
 def _run_spectrum(cfg: ExperimentConfig):
     from .spin_model import TRANSITION_PAIRS, field_sweep_spectrum
 
@@ -33,7 +43,7 @@ def _run_spectrum(cfg: ExperimentConfig):
     sweep = field_sweep_spectrum(si["zfs"], si["field.axis"], si["grid"], si["gamma"])
     branch = np.arange(1.0, len(TRANSITION_PAIRS) + 1)
     frequency = np.column_stack([sweep.branches[pair] for pair in TRANSITION_PAIRS]) / MHZ
-    rows = np.column_stack([np.repeat(b_grid, 3), np.tile(branch, b_grid.size), frequency.ravel()])
+    rows = _map_rows(b_grid, branch, frequency)
     columns = (Column("field", "mT"), Column("branch", "1"), Column("frequency", "MHz"))
     names = {str(k + 1): "-".join(pair) for k, pair in enumerate(TRANSITION_PAIRS)}
     return columns, rows, {"branches": names}
@@ -55,9 +65,7 @@ def _run_field_odmr(cfg: ExperimentConfig):
         readout_delay=si["readout.delay"],
         readout=si["readout"],
     )
-    rows = np.column_stack(
-        [np.repeat(b_grid, f_grid.size), np.tile(f_grid, b_grid.size), result.contrast.ravel()]
-    )
+    rows = _map_rows(b_grid, f_grid, result.contrast)
     columns = (Column("field", "mT"), Column("frequency", "MHz"), Column("contrast", "1"))
     return columns, rows, {}
 

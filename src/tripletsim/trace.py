@@ -15,15 +15,23 @@ writes in exponent notation are left to `repr`.
 A document is formatted and encoded block by block (:func:`emit_chunks`),
 and :func:`write_atomic` writes each chunk as it comes, so a writer holds
 one block of rows as text, never the whole document.
+
+A trace is read back as a stream of lines (:func:`parse_trace`,
+:func:`read_trace`). The body of a CSV table goes to numpy's C reader,
+which is correctly rounded like `float` and fills one float64 array with
+no Python object per cell; it accepts the number forms `float` accepts
+except '_' separators and non-ASCII digits, which JSON refuses too. A JSON
+document is read whole by `json.loads` and its rows copied into the array.
 """
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
 import os
 import re
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -341,38 +349,127 @@ def emit(record: TraceRecord, fmt: str = "csv") -> bytes:
 def parse_trace(payload: bytes | str) -> TraceRecord:
     """Re-ingest a trace emitted by :func:`emit` (either format).
 
-    Both formats decode to (metadata, headers, rows) and meet one set of table
-    rules: valid columns, rows of one number (int or float) per column, finite data.
+    The payload is read as a stream of lines (:func:`_read_stream`), so the
+    decoded text of a CSV table is never held whole. A JSON `str` is
+    decoded as it is; a CSV `str` is encoded first, which holds one byte
+    per ASCII character where an `io.StringIO` would copy it at four.
     """
-    if isinstance(payload, bytes):
-        try:
-            payload = payload.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"trace is not UTF-8 text: {exc}") from exc
-    decode = _decode_json if payload.lstrip().startswith("{") else _decode_csv
-    metadata, headers, rows = decode(payload)
+    if isinstance(payload, str):
+        if _JSON_START.match(payload):
+            return _record(*_decode_json(payload), _json_data)
+        payload = payload.encode("utf-8", "surrogatepass")
+    return _read_stream(io.TextIOWrapper(io.BytesIO(payload), encoding="utf-8", newline="\n"))
+
+
+def read_trace(path: str) -> TraceRecord:
+    """Re-ingest the trace file at `path`, read line by line as it is decoded."""
+    with open(path, encoding="utf-8", newline="\n") as fh:
+        return _read_stream(fh)
+
+
+#: A JSON document's text, after any leading whitespace; anything else is a CSV table.
+_JSON_START = re.compile(r"\s*\{")
+
+
+def _read_stream(stream: io.TextIOBase) -> TraceRecord:
+    """Decode a text stream of either format into a checked record.
+
+    A document whose first non-blank line starts with '{' is JSON, read
+    whole by `json.loads`. A CSV table goes to numpy's C reader line by
+    line (:func:`_csv_data`), so a byte that is not UTF-8 may come up
+    while the table is read.
+    """
+    try:
+        lines = iter(stream)
+        first = line = next(lines, "")
+        while line.isspace():
+            line = next(lines, "")
+        if _JSON_START.match(line):
+            if stream.seekable():  # read from the top: the text is decoded once, not copied
+                stream.seek(0)
+                line = ""
+            return _record(*_decode_json(line + stream.read()), _json_data)
+        # '#' metadata lines count only at the very top of a CSV table
+        head = [first, line] if first.isspace() else [line]
+        return _record(*_decode_csv(itertools.chain(head, lines)), _csv_data)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"trace is not UTF-8 text: {exc}") from exc
+
+
+def _record(
+    metadata: dict, headers: list, body: Iterable, table: Callable[[Iterable, int], np.ndarray]
+) -> TraceRecord:
+    """Both formats' table rules: valid columns, rows of one number per column
+    (`table` reads `body` into an array of that width), finite data."""
     try:
         columns = tuple(Column(name, unit) for name, unit in headers)
     except InvalidParameterError as exc:
         raise ConfigError(f"trace column: {exc}") from exc
-    width = len(columns)
-    for k, row in enumerate(rows):
-        if type(row) not in (list, tuple) or len(row) != width:
-            raise ConfigError(f"data row {k} is not a row of {width} numbers: {row!r}")
-    cells = list(itertools.chain.from_iterable(rows))
-    other = sorted(t.__name__ for t in set(map(type, cells)) - {int, float})
-    if other:
-        raise ConfigError(f"trace data: every cell must be a number, got {', '.join(other)}")
+    data = table(body, len(columns))
     try:
-        data = np.fromiter(cells, float, len(cells)).reshape(len(rows), width)
         return TraceRecord(columns=columns, data=data, metadata=metadata)
-    except (OverflowError, InvalidParameterError) as exc:
+    except InvalidParameterError as exc:
         raise ConfigError(f"trace data: {exc}") from exc
 
 
-def read_trace(path: str) -> TraceRecord:
-    with open(path, "rb") as fh:
-        return parse_trace(fh.read())
+def _json_data(rows: list, width: int) -> np.ndarray:
+    """The rows of a JSON data list as an (n, width) array: each row a list of
+    `width` numbers, int or float, checked over iterators without a flat copy."""
+    if set(map(type, rows)) - {list} or set(map(len, rows)) - {width}:
+        k, row = next((k, r) for k, r in enumerate(rows) if type(r) is not list or len(r) != width)
+        raise ConfigError(f"data row {k} is not a row of {width} numbers: {row!r}")
+    types = set(map(type, itertools.chain.from_iterable(rows)))
+    other = sorted(t.__name__ for t in types - {int, float})
+    if other:
+        raise ConfigError(f"trace data: every cell must be a number, got {', '.join(other)}")
+    try:
+        cells = np.fromiter(itertools.chain.from_iterable(rows), float, len(rows) * width)
+    except OverflowError as exc:
+        raise ConfigError(f"trace data: {exc}") from exc
+    return cells.reshape(len(rows), width)
+
+
+def _csv_data(lines: Iterator[str], width: int) -> np.ndarray:
+    """The body lines of a CSV table as an (n, width) array, read by numpy's C reader.
+
+    Blank and whitespace-only lines are skipped. Each other line must hold
+    `width` comma-separated numbers; the reader parses them correctly
+    rounded, as `float` does, but refuses '_' separators and non-ASCII
+    digits. An empty table never reaches the reader, which would warn.
+    """
+    blocks = _checked_blocks(lines, width)
+    first = next(blocks, None)
+    if first is None:
+        return np.empty((0, width))
+    body = itertools.chain(first, itertools.chain.from_iterable(blocks))
+    try:
+        return np.loadtxt(body, delimiter=",", dtype=float, comments=None, ndmin=2)
+    except UnicodeDecodeError:  # a ValueError too, from a line decoded as the reader takes it
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"non-numeric trace cell: {exc}") from exc
+
+
+#: Lines per block of a CSV read: the reader holds one block of lines at a time.
+_READ_ROWS = 1024
+
+
+def _checked_blocks(lines: Iterator[str], width: int) -> Iterator[list[str]]:
+    """The non-blank lines, `_READ_ROWS` at a time, each checked to hold `width` cells.
+
+    The lines are filtered and their commas counted in C, a block at a
+    time, so the check adds no Python step per line.
+    """
+    body = itertools.filterfalse(str.isspace, lines)
+    for start in itertools.count(0, _READ_ROWS):
+        block = list(itertools.islice(body, _READ_ROWS))
+        if not block:
+            return
+        if set(map(str.count, block, itertools.repeat(","))) != {width - 1}:
+            k = next(k for k, line in enumerate(block) if line.count(",") != width - 1)
+            row = block[k].rstrip("\n")
+            raise ConfigError(f"data row {start + k} is not a row of {width} numbers: {row!r}")
+        yield block
 
 
 def _decode_json(text: str) -> tuple[dict, list, list]:
@@ -397,25 +494,31 @@ def _decode_json(text: str) -> tuple[dict, list, list]:
     return metadata, [(c["name"], c.get("unit", "1")) for c in doc["columns"]], doc["data"]
 
 
-def _decode_csv(text: str) -> tuple[dict, list, list]:
-    lines = text.split("\n")
-    n_meta = next((k for k, line in enumerate(lines) if not line.startswith("#")), len(lines))
-    body = [line for line in lines[n_meta:] if line.strip()]
-    if not body:
+def _decode_csv(stream: Iterable[str]) -> tuple[dict, list, Iterator[str]]:
+    """The metadata and headers of a CSV table, and its remaining lines.
+
+    The leading '#' lines hold the metadata: the first of them whose text
+    starts with '{'. The first non-blank line after them is the header row.
+    """
+    lines = iter(stream)
+    line, meta = next(lines, ""), None
+    while line.startswith("#"):
+        if meta is None and line[1:].strip().startswith("{"):
+            meta = line[1:].strip()
+        line = next(lines, "")
+    while line.isspace():
+        line = next(lines, "")
+    if not line:
         raise ConfigError("trace has no header row")
-    chunks = [c for c in (line[1:].strip() for line in lines[:n_meta]) if c.startswith("{")]
     try:
-        metadata = json.loads(chunks[0]) if chunks else {}
+        metadata = json.loads(meta) if meta is not None else {}
     except json.JSONDecodeError as exc:
         raise ConfigError(f"trace metadata line is not valid JSON: {exc}") from exc
-    headers = [_HEADER_RE.match(header.strip()) for header in body[0].split(",")]
+    header = line.rstrip("\n")
+    headers = [_HEADER_RE.match(cell.strip()) for cell in header.split(",")]
     if None in headers:
-        raise ConfigError(f"malformed header row {body[0]!r}; expected name[unit] columns")
-    try:  # tuples: the garbage collector stops tracking a tuple of floats, not a list
-        rows = [tuple(map(float, line.split(","))) for line in body[1:]]
-    except ValueError as exc:
-        raise ConfigError(f"non-numeric trace cell: {exc}") from exc
-    return metadata, [m.groups() for m in headers], rows
+        raise ConfigError(f"malformed header row {header!r}; expected name[unit] columns")
+    return metadata, [m.groups() for m in headers], lines
 
 
 def write_atomic(path: str, payload: bytes | Iterable[bytes]) -> int:

@@ -138,6 +138,17 @@ def test_fit_input_that_is_not_utf8_is_a_config_error(tmp_path):
     assert "UTF-8" in err["message"]
 
 
+def test_fit_input_that_turns_invalid_utf8_mid_stream_is_a_config_error(tmp_path):
+    # the reader decodes the file as it reads it: the bad byte comes up after
+    # 20,000 rows have gone to the table reader
+    rows = "".join(f"{k}.5,{k % 7}.25\n" for k in range(20_000))
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(f"# tripletsim-trace 1\n# {{}}\nx[1],y[1]\n{rows}".encode() + b"1.0,\xff\n")
+    args = ("fit", "--set", "fit.model=linear", "--set", f"fit.input={bad}")
+    err = assert_one_json_error(run_cli(*args), 1, "config")
+    assert err["message"].startswith("trace is not UTF-8 text: ")
+
+
 @pytest.mark.parametrize(
     "model, guess, message",
     [
@@ -846,6 +857,27 @@ def test_digest_commands_give_the_recorded_bytes(tmp_path, monkeypatch):
     assert not changed, f"commands whose bytes changed: {changed}"
 
 
+def test_fits_of_a_long_trace_read_from_either_format_agree(tmp_path, monkeypatch):
+    """The digest's 10,000-row t1 trace, fitted from its CSV and its JSON file:
+    both readers give the same float64 table, so the fits agree bit for bit."""
+    tool = _digest_tool()
+    monkeypatch.chdir(tmp_path)
+    fits = [argv for argv in tool.COMMANDS if argv[0] == "fit" and "fit.input=long" in argv[2]]
+    assert len(fits) == 2
+    for argv in tool.LONG_T1:
+        code, _, err = run_main([*argv, *tool.out_args(argv)])
+        assert code == 0, err
+    assert parse_trace((tmp_path / "long.json").read_bytes()).data.shape == (10_000, 3)
+    results = []
+    for argv in fits:
+        code, out, err = run_main(list(argv))
+        assert code == 0, err
+        results.append(parse_trace(out))
+    csv_fit, json_fit = results
+    assert csv_fit.column("converged").tolist() == [1.0] and csv_fit.columns == json_fit.columns
+    assert np.array_equal(csv_fit.data.view(np.int64), json_fit.data.view(np.int64))
+
+
 def _recorded_reads(cfg):
     """Run `cfg`'s experiment and return the dotted keys of every value it consumed.
 
@@ -904,12 +936,13 @@ _PAIR_VARIANTS = (
 
 @pytest.mark.filterwarnings("ignore:Rabi frequency")  # the digest's strained-RWA drive
 def test_each_experiment_reads_exactly_the_keys_of_its_table_entry(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)  # the digest's fit commands read t1.csv and out.json
-    for argv in (["t1", "--out", "t1.csv"], ["t1", "--format", "json", "--out", "out.json"]):
-        code, _, err = run_main(argv)
+    monkeypatch.chdir(tmp_path)  # the digest's fit commands read t1.csv, out.json and long.*
+    tool = _digest_tool()
+    for argv in (("t1",), ("t1", "--format", "json"), *tool.LONG_T1):
+        code, _, err = run_main([*argv, *tool.out_args(argv)])
         assert code == 0, err
     covered = set()
-    for argv in (*_digest_tool().COMMANDS, *_PAIR_VARIANTS):
+    for argv in (*tool.COMMANDS, *_PAIR_VARIANTS):
         args = cli.build_parser().parse_args(list(argv))
         raw = config.apply_overrides({}, args.overrides)
         try:

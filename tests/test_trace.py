@@ -1,6 +1,8 @@
+import io
 import json
 import os
 import tracemalloc
+import warnings
 from decimal import Decimal
 from unittest import mock
 
@@ -170,6 +172,91 @@ def test_both_formats_read_integer_and_float_cells(fmt):
     assert record.data.tolist() == [[1.0, -2.5], [0.0, 1e-300]]
 
 
+def _read_cell(cell):
+    """The value the CSV reader gives `cell` in a table's second column, or None if refused."""
+    try:
+        return parse_trace(f"x[1],y[1]\n0.0,{cell}\n").data[0, 1]
+    except ConfigError:
+        return None
+
+
+@pytest.mark.parametrize(
+    "cell",
+    [".5", "5.", "1e+05", "-0", "0001.5", " 2.5\t", "Infinity", "1e400", "1.5e", "", "1.0,",
+     "1.0;2.0", "0x10"],
+)
+def test_csv_reader_reads_a_cell_as_float_does(cell):
+    # float's non-finite values are refused by the record check
+    try:
+        want = float(cell)
+    except ValueError:
+        want = None
+    if want is None or not np.isfinite(want):
+        assert _read_cell(cell) is None
+    else:  # bit for bit: -0 keeps its sign
+        assert np.float64(_read_cell(cell)).view(np.int64) == np.float64(want).view(np.int64)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("cell", ["1_0", "\u0661"])
+def test_both_formats_refuse_numbers_float_alone_accepts(cell, fmt):
+    # float('1_0') is 10.0 and float('\u0661') is 1.0 (ARABIC-INDIC DIGIT ONE);
+    # neither is a JSON number, and the CSV reader refuses them too
+    assert float(cell) in (10.0, 1.0)
+    with pytest.raises(ConfigError):
+        parse_trace(_table(fmt, [("a", "1")], [[cell]]))
+
+
+def test_csv_reader_is_float_on_repr_text():
+    """The C reader is correctly rounded: every repr string reads back as float reads it."""
+    rng = np.random.default_rng(29)
+    n = 100_000
+    magnitudes = 10.0 ** rng.uniform(-300.0, 300.0, n) * rng.choice([-1.0, 1.0], n)
+    bits = rng.integers(-(2**63), 2**63 - 1, n, dtype=np.int64, endpoint=True).view(np.float64)
+    subnormals = rng.integers(1, 2**52, 1000).view(np.float64)
+    values = np.concatenate([magnitudes, bits, subnormals, -subnormals, [0.0, -0.0, 5e-324]])
+    values = np.concatenate([values[np.isfinite(values)], [1.7976931348623157e308]])
+    text = list(map(repr, values.tolist()))
+    back = parse_trace("x[1]\n" + "\n".join(text) + "\n").column("x")
+    assert np.array_equal(back.view(np.int64), np.array(list(map(float, text))).view(np.int64))
+
+
+def test_csv_reader_skips_blank_and_whitespace_only_lines():
+    payload = "# tripletsim-trace 1\n# {}\n\n \t\nx[1],y[1]\r\n\n1.0,2.0\n \t \n\n3.0,4.0\r\n   \n"
+    assert parse_trace(payload).data.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
+@pytest.mark.parametrize("body", ["", "\n  \n"])
+def test_an_empty_csv_table_reads_without_a_warning(body):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        record = parse_trace("# tripletsim-trace 1\n# {}\nx[1],y[1]\n" + body)
+    assert record.data.shape == (0, 2)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_stream_that_cannot_seek_reads_as_a_file_does(fmt):
+    # a JSON document is read from the top again where the stream can seek;
+    # a pipe cannot, so the lines already read are kept instead
+    class Pipe(io.BytesIO):
+        def seekable(self):
+            return False
+
+    payload = emit(sample_record(), fmt)
+    back = trace._read_stream(io.TextIOWrapper(Pipe(payload), encoding="utf-8", newline="\n"))
+    assert emit(back, fmt) == emit(parse_trace(payload), fmt) == emit(sample_record(), fmt)
+
+
+@pytest.mark.parametrize("fmt, shown", [("csv", "'3.0'"), ("json", "[3.0]")])
+@pytest.mark.parametrize("k", [0, 1, 1500])  # 1500: past the CSV reader's first block of lines
+def test_a_ragged_row_is_named_by_its_row(k, fmt, shown):
+    rows = [["1.0", "2.0"]] * 2000
+    rows[k] = ["3.0"]
+    with pytest.raises(ConfigError) as info:
+        parse_trace(_table(fmt, [("a", "1"), ("b", "1")], rows))
+    assert str(info.value) == f"data row {k} is not a row of 2 numbers: {shown}"
+
+
 @pytest.mark.parametrize(
     "doc",
     [
@@ -252,6 +339,20 @@ def test_atomic_write_gives_the_mode_open_would(tmp_path):
     assert path.stat().st_mode & 0o777 == (tmp_path / "plain").stat().st_mode & 0o777
 
 
+def _field_map(n_fields, n_frequencies, seed):
+    """A field-odmr record: fields 0-300 mT by frequencies 900-1100 MHz, random contrast."""
+    fields = np.linspace(0.0, 300.0, n_fields)
+    frequencies = np.linspace(900.0, 1100.0, n_frequencies)
+    contrast = 1.0 - 0.01 * np.random.default_rng(seed).random(fields.size * frequencies.size)
+    return TraceRecord(
+        columns=(Column("field", "mT"), Column("frequency", "MHz"), Column("contrast")),
+        data=np.column_stack(
+            [np.repeat(fields, frequencies.size), np.tile(frequencies, fields.size), contrast]
+        ),
+        metadata={"experiment": "field-odmr"},
+    )
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_streamed_write_holds_less_than_half_the_payload(fmt, tmp_path):
     """Chunks written as they come: one block's text is alive at a time, not the document.
@@ -259,15 +360,7 @@ def test_streamed_write_holds_less_than_half_the_payload(fmt, tmp_path):
     A 100,000-row field map, 200 fields by 500 frequencies. Joining the
     chunks before writing would hold the whole payload at least once.
     """
-    fields, frequencies = np.linspace(0.0, 300.0, 200), np.linspace(900.0, 1100.0, 500)
-    contrast = 1.0 - 0.01 * np.random.default_rng(27).random(fields.size * frequencies.size)
-    record = TraceRecord(
-        columns=(Column("field", "mT"), Column("frequency", "MHz"), Column("contrast")),
-        data=np.column_stack(
-            [np.repeat(fields, frequencies.size), np.tile(frequencies, fields.size), contrast]
-        ),
-        metadata={"experiment": "field-odmr"},
-    )
+    record = _field_map(200, 500, seed=27)
     path = tmp_path / f"map.{fmt}"
     tracemalloc.start()
     try:
@@ -277,6 +370,34 @@ def test_streamed_write_holds_less_than_half_the_payload(fmt, tmp_path):
         tracemalloc.stop()
     assert size == path.stat().st_size
     assert peak < size / 2, f"peak {peak} bytes for a {size}-byte trace"
+
+
+@pytest.mark.parametrize(
+    "fmt, text, bound", [("csv", False, 1.0), ("json", False, 4.0), ("csv", True, 2.0), ("json", True, 4.0)]
+)
+def test_parse_holds_a_bounded_multiple_of_the_payload(fmt, text, bound):
+    """A CSV table streams into one float64 array: the read holds less than the
+    payload, and a `str` payload adds its one-byte-per-character encoding. A
+    JSON document is read whole, but its rows are checked and copied without
+    a flat list of cells.
+
+    A 50,610-row field map, 241 fields by 210 frequencies. A reader that
+    holds the decoded text and a Python float per cell peaks at about 7x
+    the CSV payload and 4.5x the JSON payload; an `io.StringIO` of a `str`
+    holds four bytes per character.
+    """
+    record = _field_map(241, 210, seed=29)
+    payload = emit(record, fmt)
+    if text:
+        payload = payload.decode()
+    tracemalloc.start()
+    try:
+        back = parse_trace(payload)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.data, record.data)
+    assert peak < bound * len(payload), f"peak {peak} bytes for a {len(payload)}-byte trace"
 
 
 def test_write_atomic_propagates_bad_directory():

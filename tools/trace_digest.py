@@ -28,6 +28,16 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 FIT_INPUT = ("--set", "fit.input=t1.csv")
 
+FIT_T1 = ("--set", "fit.model=triple_exponential",
+          "--set", "fit.x_column=delay", "--set", "fit.y_column=triplet")
+
+#: a t1 trace of 10,000 rows, written to `long.csv` and to `long.json` for the fits
+LONG_T1: tuple[tuple[str, ...], ...] = tuple(
+    ("t1", *fmt, "--set", "grid.start=0.5", "--set", "grid.stop=2000",
+     "--set", "grid.count=10000", "--set", "grid.spacing=log")
+    for fmt in ((), ("--format", "json"))
+)
+
 #: the commands run without `--out`, whose trace is the stdout digest
 TO_STDOUT: tuple[tuple[str, ...], ...] = (
     ("field-odmr", "--format", "json"),
@@ -47,12 +57,10 @@ COMMANDS: tuple[tuple[str, ...], ...] = (
     ("nmr-correlation", "--set", "field.magnitude=190"),
     ("deer", "--set", "field.magnitude=190"),
     ("deer-rabi",),
-    ("fit", *FIT_INPUT, "--set", "fit.model=triple_exponential",
-     "--set", "fit.x_column=delay", "--set", "fit.y_column=triplet"),
+    ("fit", *FIT_INPUT, *FIT_T1),
     # the same fit read back from a JSON trace
     ("t1", "--format", "json"),
-    ("fit", "--set", "fit.input=out.json", "--set", "fit.model=triple_exponential",
-     "--set", "fit.x_column=delay", "--set", "fit.y_column=triplet"),
+    ("fit", "--set", "fit.input=out.json", *FIT_T1),
     # field maps in both formats
     ("field-odmr", "--set", "field.axis=x", "--set", "kinetics.preset=4K",
      "--set", "field_grid.start=0", "--set", "field_grid.stop=60.0",
@@ -156,6 +164,10 @@ COMMANDS: tuple[tuple[str, ...], ...] = (
     ("echo", "--set", "coherence.eseem.frequency=1e290", "--set", "grid.values=[1e20]"),
     # written to stdout, not to a file: a field map of several blocks, and a t1 trace
     *TO_STDOUT,
+    # a long t1 trace in both formats, and its fit read back from each: the same parameters
+    *LONG_T1,
+    ("fit", "--set", "fit.input=long.csv", *FIT_T1),
+    ("fit", "--set", "fit.input=long.json", *FIT_T1),
 )
 
 
@@ -164,8 +176,9 @@ def _sha(data: bytes | None) -> str:
 
 
 def out_name(argv: tuple[str, ...]) -> str:
-    """The relative output path of a command; the default t1 trace is kept for the fits."""
-    return "t1.csv" if argv == ("t1",) else "out.json" if "json" in argv else "out.csv"
+    """The relative output path of a command; the t1 traces the fits read are kept apart."""
+    name = "t1" if argv == ("t1",) else "long" if argv in LONG_T1 else "out"
+    return f"{name}.json" if "json" in argv else f"{name}.csv"
 
 
 def out_args(argv: tuple[str, ...]) -> tuple[str, ...]:
