@@ -25,7 +25,7 @@ import os
 from dataclasses import dataclass
 from typing import Any
 
-from .errors import ConfigError, InvalidParameterError
+from .errors import EXPONENT_CAP, ConfigError, InvalidParameterError
 
 #: Factors from the configuration's units to SI, the only place one is
 #: written: MHz to Hz, us to s, mT to T, MHz/mT to Hz/T, and degrees to
@@ -187,6 +187,10 @@ COHERENCE_PRESETS: dict[str, dict[str, Any]] = {
         "eseem": {"a": 1.0, "b": 0.5, "frequency": 0.1402},
     },
 }
+#: The default molecule's presets, whose values are the schema defaults of their keys.
+_COHERENCE = COHERENCE_PRESETS["deuterated"]
+_ESEEM = _COHERENCE["eseem"]
+_DD = DD_PRESETS["4K"]
 
 _FIELD_RANGE = {"min": -MAX_FIELD_MT, "max": MAX_FIELD_MT}
 #: A float key in MHz, us, mT or MHz/mT, with its factor to SI.
@@ -195,6 +199,8 @@ _US = {"type": float, "si": US}
 _MT = {"type": float, "si": MT}
 _MHZ_PER_MT = {"type": float, "si": MHZ_PER_MT}
 _FIELD = {**_MT, **_FIELD_RANGE}
+#: A stretching exponent, as `errors.check_exponent` states it.
+_EXPONENT = {"type": float, "min_exclusive": 0.0, "max": EXPONENT_CAP}
 _TRIPLE = {"type": list, "nullable": True, "default": None, "length": 3}
 
 
@@ -272,15 +278,15 @@ _SCHEMA: dict[str, Any] = {
                 "default": "deuterated",
                 "choices": tuple(COHERENCE_PRESETS),
             },
-            "t2": {**_US, "default": 22.4, "min_exclusive": 0.0},
-            "nu": {"type": float, "default": 1.10, "min_exclusive": 0.0, "max": 4.0},
+            "t2": {**_US, "default": _COHERENCE["t2"], "min_exclusive": 0.0},
+            "nu": {**_EXPONENT, "default": _COHERENCE["nu"]},
             "eseem": {
                 "nullable": True,
-                "default": {"a": 1.0, "b": 0.5, "frequency": 0.1402},
+                "default": _ESEEM,
                 "nested": {
-                    "a": {"type": float, "default": 1.0, "min": 0.0},
-                    "b": {"type": float, "default": 0.5, "min": 0.0},
-                    "frequency": {**_MHZ, "default": 0.1402, "min_exclusive": 0.0},
+                    "a": {"type": float, "default": _ESEEM["a"], "min": 0.0},
+                    "b": {"type": float, "default": _ESEEM["b"], "min": 0.0},
+                    "frequency": {**_MHZ, "default": _ESEEM["frequency"], "min_exclusive": 0.0},
                 },
             },
         },
@@ -289,9 +295,9 @@ _SCHEMA: dict[str, Any] = {
         "preset": DD_PRESETS,
         "nested": {
             "preset": {"type": str, "nullable": True, "default": "4K", "choices": tuple(DD_PRESETS)},
-            "t2_1": {**_US, "default": 22.4, "min_exclusive": 0.0},
-            "nu": {"type": float, "default": 0.53, "min_exclusive": 0.0, "max": 4.0},
-            "t1_rho": {**_US, "default": 405.0, "min_exclusive": 0.0},
+            "t2_1": {**_US, "default": _DD["t2_1"], "min_exclusive": 0.0},
+            "nu": {**_EXPONENT, "default": _DD["nu"]},
+            "t1_rho": {**_US, "default": _DD["t1_rho"], "min_exclusive": 0.0},
         },
     },
     "ac": {
@@ -826,18 +832,18 @@ def parse_config(
         except InvalidParameterError as exc:
             raise ConfigError(f"{key}: {exc}") from None
     grids = _grids(name, sections, si)
-    model = sections["fit"]["model"]
+    model, guess = sections["fit"]["model"], sections["fit"]["initial_guess"]
     if model is not None:
-        from .fitting import MODELS
+        from .fitting import get_model
 
-        if model not in MODELS:
-            raise ConfigError(f"fit.model: unknown model {model!r}; available: {sorted(MODELS)}")
-        guess = sections["fit"]["initial_guess"]
-        if guess is not None:
-            try:
-                MODELS[model].validate(guess)
-            except InvalidParameterError as exc:
-                raise ConfigError(f"fit.initial_guess: {exc}") from None
+        key = "fit.model"
+        try:
+            model = get_model(model)
+            key = "fit.initial_guess"
+            if guess is not None:
+                model.validate(guess)
+        except InvalidParameterError as exc:
+            raise ConfigError(f"{key}: {exc}") from None
     return ExperimentConfig(
         experiment=sections.pop("experiment"),
         seed=sections.pop("seed"),

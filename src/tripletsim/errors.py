@@ -10,6 +10,9 @@ state the parameter rules of the physics modules once, each raising
 
 import math
 
+#: The largest stretching exponent, of an echo decay, a decoupling gain or a fit.
+EXPONENT_CAP = 4.0
+
 
 class ConfigError(Exception):
     """Invalid, unknown, or physically inconsistent configuration input."""
@@ -66,7 +69,7 @@ def check_unit_interval(name: str, value: float) -> None:
         raise InvalidParameterError(f"{name} must lie in [0, 1], got {value!r}")
 
 
-def check_exponent(name: str, value: float, cap: float = 4) -> None:
-    """A stretching exponent: 0 < value <= cap."""
-    if not (0.0 < value <= cap):
-        raise InvalidParameterError(f"{name} must lie in (0, {cap}], got {value!r}")
+def check_exponent(name: str, value: float) -> None:
+    """A stretching exponent: 0 < value <= EXPONENT_CAP."""
+    if not (0.0 < value <= EXPONENT_CAP):
+        raise InvalidParameterError(f"{name} must lie in (0, {EXPONENT_CAP:g}], got {value!r}")

@@ -3,8 +3,9 @@
 The fitter is self-contained: damped normal equations with a Marquardt
 diagonal, forward-difference Jacobians, and smooth reparameterization to
 enforce parameter domains (log for positive parameters, scaled logit for
-exponents constrained to (0, 4]). Covariances are reported in the
-original parameter space as sigma_i = sqrt(RSS/(n-k) * [(J^T J)^-1]_ii).
+exponents constrained to (0, EXPONENT_CAP]), each stated once in `DOMAINS`.
+Covariances are reported in the original parameter space as
+sigma_i = sqrt(RSS/(n-k) * [(J^T J)^-1]_ii) * |dp_i/dq_i|.
 
 Models are unit-agnostic: `x` and the parameters just have to be
 expressed consistently.
@@ -14,10 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import (
+    EXPONENT_CAP,
     DegenerateFitError,
     FlatDataError,
     InvalidParameterError,
@@ -26,12 +29,42 @@ from .errors import (
     check_positive,
 )
 
-# Parameter domain kinds.
+# Parameter domain kinds, the keys of `DOMAINS`.
 FREE = "free"
 POSITIVE = "positive"
-STRETCH = "stretch"  # (0, STRETCH_CAP]
+STRETCH = "stretch"  # (0, EXPONENT_CAP]
 
-STRETCH_CAP = 4.0
+
+class Domain(NamedTuple):
+    """A parameter domain: the check of a finite value p, the map to the
+    internal coordinate q the fit searches over and back, and |dp/dq| at p."""
+
+    check: Callable[[str, float], None]
+    to_q: Callable[[float], float]
+    to_p: Callable[[float], float]
+    dp_dq: Callable[[float], float]
+
+
+def _logit(p: float) -> float:
+    p = min(max(p, 1e-300), EXPONENT_CAP * (1.0 - 1e-12))
+    return math.log(p / (EXPONENT_CAP - p))
+
+
+#: q -> p clamps q to [-700, 700]: exp() must neither overflow nor underflow
+#: to an exact zero that poisons downstream divisions. A collapsed component
+#: can underflow exp() to exactly zero, whose q is -745.
+DOMAINS: dict[str, Domain] = {
+    FREE: Domain(lambda name, p: None, lambda p: p, lambda q: q, lambda p: 1.0),
+    POSITIVE: Domain(
+        check_positive, lambda p: math.log(p) if p > 0.0 else -745.0,
+        lambda q: math.exp(min(max(q, -700.0), 700.0)), lambda p: p,
+    ),
+    STRETCH: Domain(
+        check_exponent, _logit,
+        lambda q: EXPONENT_CAP / (1.0 + math.exp(-min(max(q, -700.0), 700.0))),
+        lambda p: p * (1.0 - p / EXPONENT_CAP),
+    ),
+}
 
 _LM_LAMBDA_INIT = 1.0e-3
 _LM_LAMBDA_GROW = 10.0
@@ -89,10 +122,7 @@ class FitModel:
             )
         for value, pname, kind in zip(params.tolist(), self.param_names, self.kinds):
             check_finite(f"{self.name}.{pname}", value)
-            if kind == POSITIVE:
-                check_positive(f"{self.name}.{pname}", value)
-            elif kind == STRETCH:
-                check_exponent(f"{self.name}.{pname}", value, STRETCH_CAP)
+            DOMAINS[kind].check(f"{self.name}.{pname}", value)
         return params
 
 
@@ -349,73 +379,28 @@ MODELS: dict[str, FitModel] = {
 }
 
 
-def get_model(name: str) -> FitModel:
-    try:
-        return MODELS[name]
-    except KeyError:
-        raise InvalidParameterError(
-            f"unknown model {name!r}; available: {sorted(MODELS)}"
-        ) from None
+def get_model(model: FitModel | str) -> FitModel:
+    """The model of a name, or a model itself."""
+    if isinstance(model, FitModel):
+        return model
+    if model not in MODELS:
+        raise InvalidParameterError(f"unknown model {model!r}; available: {sorted(MODELS)}")
+    return MODELS[model]
 
 
 def model_eval(model: FitModel | str, params: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Evaluate a model on a grid after validating parameter domains."""
-    if isinstance(model, str):
-        model = get_model(model)
+    model = get_model(model)
     params = model.validate(params)
     return model.evaluate(params, np.asarray(x, dtype=float))
 
 
 def estimate_initial_guess(model: FitModel | str, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Data-driven starting point for `fit`; raises FlatDataError on constant input."""
-    if isinstance(model, str):
-        model = get_model(model)
+    model = get_model(model)
     x, y = _require_data(x, y)
     _require_structure(y)
     return model.validate(model.initial_guess(x, y))
-
-
-# --- internal-coordinate transforms -----------------------------------------
-
-def _to_internal(kinds: tuple[str, ...], params: np.ndarray) -> np.ndarray:
-    q = np.empty_like(params)
-    for i, kind in enumerate(kinds):
-        p = params[i]
-        if kind == POSITIVE:
-            # a collapsed component can underflow exp() to exactly zero
-            q[i] = math.log(p) if p > 0.0 else -745.0
-        elif kind == STRETCH:
-            p = min(max(p, 1e-300), STRETCH_CAP * (1.0 - 1e-12))
-            q[i] = math.log(p / (STRETCH_CAP - p))
-        else:
-            q[i] = p
-    return q
-
-
-def _from_internal(kinds: tuple[str, ...], q: np.ndarray) -> np.ndarray:
-    p = np.empty_like(q)
-    for i, kind in enumerate(kinds):
-        v = q[i]
-        if kind == POSITIVE:
-            # clamp both ways: exp() must neither overflow nor underflow
-            # to an exact zero that poisons downstream divisions
-            p[i] = math.exp(min(max(v, -700.0), 700.0))
-        elif kind == STRETCH:
-            p[i] = STRETCH_CAP / (1.0 + math.exp(-min(max(v, -700.0), 700.0)))
-        else:
-            p[i] = v
-    return p
-
-
-def _internal_scale(kinds: tuple[str, ...], params: np.ndarray) -> np.ndarray:
-    """|dp/dq| of the reparameterization, evaluated at `params`."""
-    scale = np.ones_like(params)
-    for i, kind in enumerate(kinds):
-        if kind == POSITIVE:
-            scale[i] = params[i]
-        elif kind == STRETCH:
-            scale[i] = params[i] * (1.0 - params[i] / STRETCH_CAP)
-    return scale
 
 
 def _fd_jacobian(func, q: np.ndarray, r0: np.ndarray) -> np.ndarray:
@@ -428,6 +413,7 @@ def _fd_jacobian(func, q: np.ndarray, r0: np.ndarray) -> np.ndarray:
     return jac
 
 
+@np.errstate(over="ignore")  # a non-finite residual is refused below, not warned of
 def fit(
     model: FitModel | str,
     x: np.ndarray,
@@ -456,8 +442,7 @@ def fit(
         Jacobian at the solution is rank-deficient, or there are not
         more points than parameters.
     """
-    if isinstance(model, str):
-        model = get_model(model)
+    model = get_model(model)
     x, y = _require_data(x, y)
     _require_structure(y)
     k = len(model.param_names)
@@ -470,12 +455,16 @@ def fit(
     else:
         start = model.validate(initial_guess)
 
-    kinds = model.kinds
+    domains = [DOMAINS[kind] for kind in model.kinds]
+
+    def each(field: str, values: np.ndarray) -> np.ndarray:
+        """One `Domain` field (to_q, to_p or dp_dq) applied to each parameter."""
+        return np.array([getattr(d, field)(v) for d, v in zip(domains, values)])
 
     def residual(q: np.ndarray) -> np.ndarray:
-        return model.evaluate(_from_internal(kinds, q), x) - y
+        return model.evaluate(each("to_p", q), x) - y
 
-    q = _to_internal(kinds, start)
+    q = each("to_q", start)
     r = residual(q)
     if not np.all(np.isfinite(r)):
         raise DegenerateFitError("model is non-finite at the starting point")
@@ -533,8 +522,8 @@ def fit(
         if not accepted:
             break  # damping diverged; report non-convergence
 
-    params = model.canonicalize(_from_internal(kinds, q))
-    q_canon = _to_internal(kinds, params)
+    params = model.canonicalize(each("to_p", q))
+    q_canon = each("to_q", params)
     r_final = model.evaluate(params, x) - y
     rss = float(r_final @ r_final)
 
@@ -552,7 +541,7 @@ def fit(
         cov = np.linalg.inv(jtj_final) * (rss / (x.size - k))
     except np.linalg.LinAlgError as exc:
         raise DegenerateFitError(f"normal equations singular at the solution: {exc}") from exc
-    std = np.sqrt(np.clip(np.diag(cov), 0.0, None)) * _internal_scale(kinds, params)
+    std = np.sqrt(np.clip(np.diag(cov), 0.0, None)) * each("dp_dq", params)
 
     return FitResult(
         model_name=model.name,

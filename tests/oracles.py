@@ -143,8 +143,18 @@ def gaussian_coupling_deficit(mean, spread, t):
 
 
 def scipy_fit(func, x, y, p0, bounds=(-np.inf, np.inf)):
-    """Least-squares reference fit returning the parameter vector."""
+    """Least-squares reference fit: (parameters, covariance) at scipy's minimum.
+
+    The covariance is inv(J^T J) * RSS/(n - k), with J the Jacobian that
+    `least_squares` ends with, in the coordinates `func` takes. Where J^T J
+    is singular it is all inf, as scipy's `curve_fit` reports it.
+    """
     res = least_squares(
         lambda p: func(x, p) - y, np.asarray(p0, dtype=float),
         bounds=bounds, xtol=1e-14, ftol=1e-14, gtol=1e-14)
-    return res.x
+    rss = float(res.fun @ res.fun)
+    try:
+        cov = np.linalg.inv(res.jac.T @ res.jac) * (rss / (x.size - res.x.size))
+    except np.linalg.LinAlgError:
+        cov = np.full((res.x.size, res.x.size), np.inf)
+    return res.x, cov

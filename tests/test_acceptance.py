@@ -241,7 +241,7 @@ def test_criterion_03_kinetics_round_trip_room_temperature_noisy():
     worst_excess = -np.inf
     for _ in range(20):
         y = y0 * (1.0 + 0.01 * rng.standard_normal(x.size))
-        ref = model.canonicalize(np.exp(scipy_fit(log_model, x, y, np.log(truth))))
+        ref = model.canonicalize(np.exp(scipy_fit(log_model, x, y, np.log(truth))[0]))
         ref_resid = model.evaluate(ref, x) - y
         ref_rss = float(ref_resid @ ref_resid)
         lifetimes = ref[3:]

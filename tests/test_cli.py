@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from tripletsim import cli, coherence, config, pulse_engine, runner, trace
 from tripletsim.config import _SCHEMA, _reads
-from tripletsim.errors import ConfigError
+from tripletsim.errors import ConfigError, SimulationError
 from tripletsim.trace import parse_trace
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -918,7 +918,10 @@ def _recorded_reads(cfg):
     recording = dataclasses.replace(
         cfg, sections={}, grids=Consumed(cfg.grids), inputs=Consumed(cfg.inputs)
     )
-    runner.PHYSICS[cfg.experiment][0](recording)
+    try:
+        runner.PHYSICS[cfg.experiment][0](recording)
+    except SimulationError:
+        pass  # the digest's fits that end in exit 2 have read every key by then
     return seen
 
 
@@ -936,9 +939,9 @@ _PAIR_VARIANTS = (
 
 @pytest.mark.filterwarnings("ignore:Rabi frequency")  # the digest's strained-RWA drive
 def test_each_experiment_reads_exactly_the_keys_of_its_table_entry(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)  # the digest's fit commands read t1.csv, out.json and long.*
+    monkeypatch.chdir(tmp_path)  # the digest's fit commands read the traces written here
     tool = _digest_tool()
-    for argv in (("t1",), ("t1", "--format", "json"), *tool.LONG_T1):
+    for argv in (("t1",), ("t1", "--format", "json"), *tool.LONG_T1, *tool.FIT_TRACES):
         code, _, err = run_main([*argv, *tool.out_args(argv)])
         assert code == 0, err
     covered = set()

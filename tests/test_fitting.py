@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -79,6 +80,12 @@ def test_round_trip_from_automatic_guess(name):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_agreement_with_scipy_reference(name):
+    """`fit` ends at scipy's minimum with scipy's standard errors.
+
+    scipy's forward-difference step is 1.5e-8 * max(1, |p|), a 7.6% step
+    on a 195 ns decay time, so scipy fits p / scale, with every step
+    relative; its covariance is then inv(J^T J) * RSS/(n - k) scaled back.
+    """
     x, truth = CASES[name]
     y0 = model_eval(name, truth, x)
     rng = np.random.default_rng(42)
@@ -86,12 +93,37 @@ def test_agreement_with_scipy_reference(name):
     start = estimate_initial_guess(name, x, y)
     ours = fit(name, x, y, initial_guess=start)
     model = get_model(name)
-    ref = scipy_fit(lambda xx, p: model.evaluate(p, xx), x, y, start)
-    ref = model.canonicalize(ref)
+    scale = np.where(truth != 0.0, np.abs(truth), 1.0)
+    u, cov = scipy_fit(lambda xx, u: model.evaluate(u * scale, xx), x, y, start / scale)
+    ref = model.canonicalize(u * scale)
     # same minimum means agreement to a small fraction of the statistical
     # uncertainty; the relative floor covers sharply determined parameters
     tol = np.maximum(5e-4 * np.abs(ref), 0.2 * ours.std_errors)
     assert np.all(np.abs(ours.params - ref) <= tol)
+    # each domain's |dp/dq| carries the internal covariance back to p. The
+    # two sides differ only by their forward-difference Jacobians and by
+    # minima 5e-5 sigma apart or less: the errors agree to 9e-6 relative
+    # or better, and rtol=1e-4 leaves a tenfold margin
+    assert ours.std_errors == pytest.approx(np.sqrt(np.diag(cov)) * scale, rel=1e-4)
+
+
+@pytest.mark.parametrize(
+    "name, start, message",
+    [
+        # (x/1e-300)^4 overflows: a flat model, whose Jacobian has rank 0
+        ("stretched_exp", [1e-300, 4.0, 1e300],
+         "Jacobian at the solution has rank 0 < 3; parameters are not independently determined"),
+        ("linear", [1e308, 1e308], "model is non-finite at the starting point"),
+    ],
+)
+def test_overflowing_start_raises_without_a_warning(name, start, message):
+    x = np.geomspace(0.5, 2000.0, 120)
+    y = 0.3 * np.exp(-x / 21.2) + 0.5 * np.exp(-x / 514.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateFitError) as info:
+            fit(name, x, y, initial_guess=np.array(start))
+    assert str(info.value) == message
 
 
 def test_noisy_fit_recovers_parameters():

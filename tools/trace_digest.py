@@ -38,6 +38,20 @@ LONG_T1: tuple[tuple[str, ...], ...] = tuple(
     for fmt in ((), ("--format", "json"))
 )
 
+#: the traces the fits of each model read, each written under its own name
+FIT_TRACES: tuple[tuple[str, ...], ...] = (
+    ("rabi", "--out", "rabi.csv"),
+    ("echo", "--out", "echo.csv"),
+    ("echo", "--set", "coherence.preset=protonated", "--out", "protonated.csv"),
+    ("dd-scaling", "--out", "dd.csv"),
+)
+
+
+def _fit(trace: str, model: str, x: str, y: str, *more: str) -> tuple[str, ...]:
+    return ("fit", "--set", f"fit.input={trace}", "--set", f"fit.model={model}",
+            "--set", f"fit.x_column={x}", "--set", f"fit.y_column={y}", *more)
+
+
 #: the commands run without `--out`, whose trace is the stdout digest
 TO_STDOUT: tuple[tuple[str, ...], ...] = (
     ("field-odmr", "--format", "json"),
@@ -168,6 +182,18 @@ COMMANDS: tuple[tuple[str, ...], ...] = (
     *LONG_T1,
     ("fit", "--set", "fit.input=long.csv", *FIT_T1),
     ("fit", "--set", "fit.input=long.json", *FIT_T1),
+    # one fit per model, on a trace of the experiment it serves
+    *FIT_TRACES,
+    _fit("rabi.csv", "damped_cosine", "duration", "transfer"),
+    _fit("echo.csv", "stretched_exp_eseem", "time", "echo"),
+    _fit("protonated.csv", "stretched_exp", "time", "echo"),
+    # the unmodulated model on the modulated echo: errors far above the rounding floor
+    _fit("echo.csv", "stretched_exp", "time", "echo"),
+    _fit("dd.csv", "dd_scaling", "n_pulses", "t2"),
+    _fit("t1.csv", "linear", "signal", "triplet"),
+    # starting points that overflow the model: one error line, and no numpy warning
+    _fit("t1.csv", "stretched_exp", "delay", "triplet", "--set", "fit.initial_guess=[1e-300,4,1e300]"),
+    _fit("t1.csv", "linear", "delay", "triplet", "--set", "fit.initial_guess=[1e308,1e308]"),
 )
 
 
@@ -177,13 +203,15 @@ def _sha(data: bytes | None) -> str:
 
 def out_name(argv: tuple[str, ...]) -> str:
     """The relative output path of a command; the t1 traces the fits read are kept apart."""
+    if "--out" in argv:
+        return argv[argv.index("--out") + 1]
     name = "t1" if argv == ("t1",) else "long" if argv in LONG_T1 else "out"
     return f"{name}.json" if "json" in argv else f"{name}.csv"
 
 
 def out_args(argv: tuple[str, ...]) -> tuple[str, ...]:
-    """The output arguments of a digest command: `--out` and its path, or none for stdout."""
-    return () if argv in TO_STDOUT else ("--out", out_name(argv))
+    """The `--out` arguments a digest command lacks: none for stdout or where it names its own."""
+    return () if argv in TO_STDOUT or "--out" in argv else ("--out", out_name(argv))
 
 
 def digest_line(argv, code: int, stdout: bytes, stderr: bytes, written: bytes | None) -> str:
