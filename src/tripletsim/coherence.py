@@ -322,11 +322,6 @@ def _gauss_nodes(mean: float, sigma: float, n: int) -> tuple[np.ndarray, np.ndar
     return mean + math.sqrt(2.0) * sigma * x, w / math.sqrt(math.pi)
 
 
-def gauss_reach(sigma: float, n: int) -> float:
-    """Bound on |node - mean| in `_gauss_nodes(mean, sigma, n)`: Hermite roots are < sqrt(2n+1)."""
-    return math.sqrt(2.0) * sigma * math.sqrt(2.0 * n + 1.0)
-
-
 def _coupling_deficit(coupling: CouplingDistribution, t_fix: float) -> float:
     """Average of (1 - cos(2*pi*d*t_fix))/2 over d ~ N(mean, spread^2).
 

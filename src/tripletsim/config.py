@@ -5,14 +5,16 @@ times in microseconds, magnetic fields in mT, angles in degrees,
 gyromagnetic ratios in MHz/mT. The type, range and unit of each key are
 stated once, in its schema entry; the keys each experiment reads, the
 unit of its grids and what it needs of them, in its EXPERIMENTS entry.
-`parse_config` converts to SI once (a value that leaves the float range
-there is a ConfigError naming its key) and builds the physics objects;
-`_grids` resolves every grid, given or default, once, and checks it,
-with the default range and the phases that each experiment's physics
-states beside its runner, in `runner.PHYSICS`; `_check_physics` holds
-the rest. Unknown keys are rejected with their full path, and so is a
-key given to an experiment that does not read it. Precedence is
-defaults < config file < --set overrides < direct flags.
+Every float key and every grid value has a finite lower and upper bound,
+chosen so that every product and quotient the physics forms is finite;
+no rule checks a product. `parse_config` converts to SI once and builds
+the physics objects; `_grids` resolves every grid, given or default,
+once, and checks it, with the default range that each experiment's
+physics states beside its runner, in `runner.PHYSICS`; `_check_physics`
+holds the rules that tie keys together. Unknown keys are rejected with
+their full path, and so is a key given to an experiment that does not
+read it. Precedence is defaults < config file < --set overrides < direct
+flags.
 """
 
 from __future__ import annotations
@@ -36,17 +38,29 @@ MT = 1.0e-3
 MHZ_PER_MT = 1.0e9
 DEGREE = math.pi / 180.0
 
-#: Upper bounds on grid sizes, phase samples, fields (mT) and the electron
-#: gyromagnetic ratio (MHz/mT). They stop a single value from asking for
-#: an array beyond memory or a frequency beyond the float range.
-#: MAX_GRID_CELLS bounds sizes that multiply (the two grids of a field
-#: map, a phase average over a grid).
+#: Upper bounds on grid sizes, phase samples, fields (mT) and gyromagnetic
+#: ratios (MHz/mT). MAX_GRID_CELLS bounds sizes that multiply (the two
+#: grids of a field map, a phase average over a grid).
 MAX_GRID_COUNT = 10**6
 MAX_GRID_CELLS = 10**7
 MAX_FIELD_GRID_COUNT = 10**4
 MAX_PHASE_SAMPLES = 10**4
 MAX_FIELD_MT = 1.0e5
 MAX_GAMMA = 1.0e6
+#: Every time (us), frequency and rate (MHz), intensity and grid value is at
+#: most MAX_VALUE in magnitude, and one that must be > 0 is at least
+#: MIN_VALUE, as is the static field of an experiment that needs one (mT).
+#: The largest phase, 2*pi*f*t, is then about 6e18 rad, and the largest
+#: quotient, a frequency over the slowest rate, 1e18.
+MAX_VALUE = 1.0e9
+MIN_VALUE = 1.0e-9
+#: The bounds of a value that may be negative, of one that may be 0, of one
+#: that must be > 0, of a carrier frequency (MHz) and of a field (mT).
+_SIGNED = {"min": -MAX_VALUE, "max": MAX_VALUE}
+_NONNEGATIVE = {"min": 0.0, "max": MAX_VALUE}
+_POSITIVE = {"min": MIN_VALUE, "max": MAX_VALUE}
+_CARRIER = {"min_exclusive": 0.0, "max": MAX_VALUE}
+_FIELD_RANGE = {"min": -MAX_FIELD_MT, "max": MAX_FIELD_MT}
 
 #: One entry per experiment, the single statement of its contract:
 #: "reads" names the keys it reads (a section stands for all its keys);
@@ -54,8 +68,8 @@ MAX_GAMMA = 1.0e6
 #: "grid" and "field_grid" give its default grid in CLI units (only the
 #: count where the physics sets the range, see `runner.PHYSICS`) and
 #: its "unit", the factor to SI; every grid value, given or default, must
-#: pass "domain" (test, bound, rule);
-#: "needs_field" asks for a nonzero static field, "cells" names the sizes
+#: lie in "domain" (what the values are, their unit name, their bounds);
+#: "needs_field" asks for a static field of at least MIN_VALUE mT, "cells" names the sizes
 #: MAX_GRID_CELLS bounds together, "sweeps" the grid of swept fields (mT),
 #: and "required" the keys it cannot run without.
 EXPERIMENTS: dict[str, dict[str, Any]] = {
@@ -64,8 +78,7 @@ EXPERIMENTS: dict[str, dict[str, Any]] = {
         "reads": "gamma zfs field.axis grid",
         "objects": "gamma zfs",
         "grid": {"values": [0.0], "unit": MT},
-        "domain": (lambda grid, bound: abs(grid) <= bound, MAX_FIELD_MT,
-                   f"fields of magnitude <= {MAX_FIELD_MT:g} mT"),
+        "domain": ("fields", "mT", _FIELD_RANGE),
         "sweeps": "grid",
     },
     "field-odmr": {
@@ -74,7 +87,7 @@ EXPERIMENTS: dict[str, dict[str, Any]] = {
         "objects": "gamma zfs kinetics init readout",
         "grid": {"start": 600.0, "stop": 3000.0, "count": 241, "unit": MHZ},
         "field_grid": {"start": 0.0, "stop": 120.0, "count": 61, "unit": MT},
-        "domain": (operator.gt, 0.0, "carrier frequencies > 0 MHz"),
+        "domain": ("carrier frequencies", "MHz", _CARRIER),
         "cells": ("field_grid", "grid"),
         "sweeps": "field_grid",
     },
@@ -83,41 +96,41 @@ EXPERIMENTS: dict[str, dict[str, Any]] = {
         "reads": "gamma zfs field kinetics init readout pulse.rabi odmr.multilevel grid",
         "objects": "gamma zfs field kinetics init readout",
         "grid": {"start": 800.0, "stop": 2600.0, "count": 361, "unit": MHZ},
-        "domain": (operator.gt, 0.0, "carrier frequencies > 0 MHz"),
+        "domain": ("carrier frequencies", "MHz", _CARRIER),
     },
     "rabi": {
         "description": "Driven population transfer versus pulse duration",
         "reads": "pulse grid",
         "grid": {"start": 0.0, "stop": 0.6, "count": 301, "unit": US},
-        "domain": (operator.ge, 0.0, "pulse durations >= 0 us"),
+        "domain": ("pulse durations", "us", _NONNEGATIVE),
     },
     "t1": {
         "description": "Ground-state recovery versus dark delay after optical shelving",
         "reads": "kinetics init.intensity grid",
         "objects": "kinetics",
         "grid": {"start": 0.5, "stop": 2000.0, "count": 200, "spacing": "log", "unit": US},
-        "domain": (operator.ge, 0.0, "delays >= 0 us"),
+        "domain": ("delays", "us", _NONNEGATIVE),
     },
     "echo": {
         "description": "Coherence echo envelope versus total evolution time",
         "reads": "coherence grid",
         "objects": "coherence",
         "grid": {"start": 0.05, "stop": 70.0, "count": 400, "unit": US},
-        "domain": (operator.ge, 0.0, "echo times >= 0 us"),
+        "domain": ("echo times", "us", _NONNEGATIVE),
     },
     "dd-scaling": {
         "description": "Coherence time versus number of decoupling pulses",
         "reads": "dd grid",
         "objects": "dd",
         "grid": {"values": [float(2**k) for k in range(11)]},
-        "domain": (operator.ge, 1.0, "pulse numbers >= 1"),
+        "domain": ("pulse numbers", "", {"min": 1.0, "max": MAX_VALUE}),
     },
     "ac-sense": {
         "description": "Echo contrast versus echo half-time under an applied AC field",
         "reads": "gamma ac grid",
         "objects": "ac",
         "grid": {"start": 0.2, "stop": 40.0, "count": 400, "unit": US},
-        "domain": (operator.ge, 0.0, "tau values >= 0 us"),
+        "domain": ("tau values", "us", _NONNEGATIVE),
         "cells": ("grid", "ac.phase_samples"),
     },
     "nmr-correlation": {
@@ -125,7 +138,7 @@ EXPERIMENTS: dict[str, dict[str, Any]] = {
         "reads": "gamma field nuclear ac.phase_samples grid",
         "objects": "field nuclear",
         "grid": {"count": 1501, "unit": US},
-        "domain": (operator.ge, 0.0, "storage times >= 0 us"),
+        "domain": ("storage times", "us", _NONNEGATIVE),
         "needs_field": True,
         "cells": ("grid", "ac.phase_samples"),
     },
@@ -135,7 +148,7 @@ EXPERIMENTS: dict[str, dict[str, Any]] = {
         "dark.t_fix grid",
         "objects": "field dark",
         "grid": {"count": 501, "unit": MHZ},
-        "domain": (operator.gt, 0.0, "carrier frequencies > 0 MHz"),
+        "domain": ("carrier frequencies", "MHz", _CARRIER),
         "needs_field": True,
     },
     "deer-rabi": {
@@ -143,7 +156,7 @@ EXPERIMENTS: dict[str, dict[str, Any]] = {
         "reads": "dark grid",
         "objects": "dark",
         "grid": {"start": 0.0, "stop": 0.2, "count": 401, "unit": US},
-        "domain": (operator.ge, 0.0, "pulse durations >= 0 us"),
+        "domain": ("pulse durations", "us", _NONNEGATIVE),
     },
     "fit": {
         "description": "Fit a registered model to a previously emitted trace",
@@ -192,13 +205,14 @@ _COHERENCE = COHERENCE_PRESETS["deuterated"]
 _ESEEM = _COHERENCE["eseem"]
 _DD = DD_PRESETS["4K"]
 
-_FIELD_RANGE = {"min": -MAX_FIELD_MT, "max": MAX_FIELD_MT}
 #: A float key in MHz, us, mT or MHz/mT, with its factor to SI.
 _MHZ = {"type": float, "si": MHZ}
 _US = {"type": float, "si": US}
 _MT = {"type": float, "si": MT}
 _MHZ_PER_MT = {"type": float, "si": MHZ_PER_MT}
 _FIELD = {**_MT, **_FIELD_RANGE}
+#: A time that must be > 0.
+_TIME = {**_US, **_POSITIVE}
 #: A stretching exponent, as `errors.check_exponent` states it.
 _EXPONENT = {"type": float, "min_exclusive": 0.0, "max": EXPONENT_CAP}
 _TRIPLE = {"type": list, "nullable": True, "default": None, "length": 3}
@@ -225,8 +239,8 @@ _SCHEMA: dict[str, Any] = {
     "gamma": {**_MHZ_PER_MT, "default": -28.0, "min": -MAX_GAMMA, "max": MAX_GAMMA},
     "zfs": {
         "nested": {
-            "d": {**_MHZ, "default": 1905.0},
-            "e": {**_MHZ, "default": -475.0},
+            "d": {**_MHZ, **_SIGNED, "default": 1905.0},
+            "e": {**_MHZ, **_SIGNED, "default": -475.0},
         }
     },
     "field": {
@@ -242,31 +256,32 @@ _SCHEMA: dict[str, Any] = {
         "preset": KINETICS_PRESETS,
         "nested": {
             "preset": {"type": str, "nullable": True, "default": "4K", "choices": tuple(KINETICS_PRESETS)},
-            "lifetimes": {**_TRIPLE, "element": {**_US, "min_exclusive": 0.0}},
-            "populations": {**_TRIPLE, "element": {"type": float, "min": 0.0}},
-            "pump_rate": {**_MHZ, "default": 100.0, "min": 0.0},
-            "s1_lifetime": {**_US, "default": 0.01, "min_exclusive": 0.0},
+            "lifetimes": {**_TRIPLE, "element": _TIME},
+            # in %
+            "populations": {**_TRIPLE, "element": {"type": float, "min": 0.0, "max": 100.0}},
+            "pump_rate": {**_MHZ, **_POSITIVE, "default": 100.0},
+            "s1_lifetime": {**_TIME, "default": 0.01},
             "isc_yield": {"type": float, "default": 0.002, "min": 0.0, "max": 1.0},
         },
     },
     "init": {
         "nested": {
-            "duration": {**_US, "default": 15.0, "min": 0.0},
-            "intensity": {"type": float, "default": 1.0, "min": 0.0},
+            "duration": {**_US, **_NONNEGATIVE, "default": 15.0},
+            "intensity": {"type": float, **_NONNEGATIVE, "default": 1.0},
         }
     },
     "readout": {
         "nested": {
-            "duration": {**_US, "default": 1.0, "min_exclusive": 0.0},
-            "intensity": {"type": float, "default": 1.0, "min_exclusive": 0.0},
-            "delay": {**_US, "nullable": True, "default": None, "min": 0.0},
+            "duration": {**_TIME, "default": 1.0},
+            "intensity": {"type": float, **_POSITIVE, "default": 1.0},
+            "delay": {**_US, **_NONNEGATIVE, "nullable": True, "default": None},
         }
     },
     "pulse": {
         "nested": {
-            "rabi": {**_MHZ, "default": 5.0, "min_exclusive": 0.0},
-            "t2_star": {**_US, "nullable": True, "default": 0.195, "min_exclusive": 0.0},
-            "detuning": {**_MHZ, "default": 0.0},
+            "rabi": {**_MHZ, **_POSITIVE, "default": 5.0},
+            "t2_star": {**_TIME, "nullable": True, "default": 0.195},
+            "detuning": {**_MHZ, **_SIGNED, "default": 0.0},
         }
     },
     "coherence": {
@@ -278,15 +293,16 @@ _SCHEMA: dict[str, Any] = {
                 "default": "deuterated",
                 "choices": tuple(COHERENCE_PRESETS),
             },
-            "t2": {**_US, "default": _COHERENCE["t2"], "min_exclusive": 0.0},
+            "t2": {**_TIME, "default": _COHERENCE["t2"]},
             "nu": {**_EXPONENT, "default": _COHERENCE["nu"]},
             "eseem": {
                 "nullable": True,
                 "default": _ESEEM,
                 "nested": {
-                    "a": {"type": float, "default": _ESEEM["a"], "min": 0.0},
-                    "b": {"type": float, "default": _ESEEM["b"], "min": 0.0},
-                    "frequency": {**_MHZ, "default": _ESEEM["frequency"], "min_exclusive": 0.0},
+                    # fractions of the echo
+                    "a": {"type": float, "default": _ESEEM["a"], "min": 0.0, "max": 1.0},
+                    "b": {"type": float, "default": _ESEEM["b"], "min": 0.0, "max": 1.0},
+                    "frequency": {**_MHZ, **_POSITIVE, "default": _ESEEM["frequency"]},
                 },
             },
         },
@@ -295,16 +311,17 @@ _SCHEMA: dict[str, Any] = {
         "preset": DD_PRESETS,
         "nested": {
             "preset": {"type": str, "nullable": True, "default": "4K", "choices": tuple(DD_PRESETS)},
-            "t2_1": {**_US, "default": _DD["t2_1"], "min_exclusive": 0.0},
+            "t2_1": {**_TIME, "default": _DD["t2_1"]},
             "nu": {**_EXPONENT, "default": _DD["nu"]},
-            "t1_rho": {**_US, "default": _DD["t1_rho"], "min_exclusive": 0.0},
+            "t1_rho": {**_TIME, "default": _DD["t1_rho"]},
         },
     },
     "ac": {
         "nested": {
-            "amplitude": {**_MT, "default": 1.34e-3, "min": 0.0},
-            "frequency": {**_MHZ, "default": 0.1, "min_exclusive": 0.0},
-            "phase": {"type": float, "nullable": True, "default": None, "si": DEGREE},
+            "amplitude": {**_MT, "default": 1.34e-3, "min": 0.0, "max": MAX_FIELD_MT},
+            "frequency": {**_MHZ, **_POSITIVE, "default": 0.1},
+            "phase": {"type": float, "nullable": True, "default": None, "si": DEGREE,
+                      "min": -360.0, "max": 360.0},
             "phase_samples": {"type": int, "default": 64, "min": 1, "max": MAX_PHASE_SAMPLES},
             "sampling": {"type": str, "default": "grid", "choices": ("grid", "random")},
         }
@@ -317,30 +334,31 @@ _SCHEMA: dict[str, Any] = {
                 "default": "proton",
                 "choices": ("proton", "deuteron"),
             },
-            "gamma": {**_MHZ_PER_MT, "nullable": True, "default": None, "min_exclusive": 0.0},
-            "t1": {**_US, "default": 2000.0, "min_exclusive": 0.0},
-            "tau": {**_US, "nullable": True, "default": None, "min_exclusive": 0.0},
-            "amplitude": {**_MT, "default": 0.05, "min": 0.0},
+            "gamma": {**_MHZ_PER_MT, "nullable": True, "default": None, "min": MIN_VALUE,
+                      "max": MAX_GAMMA},
+            "t1": {**_TIME, "default": 2000.0},
+            "tau": {**_TIME, "nullable": True, "default": None},
+            "amplitude": {**_MT, "default": 0.05, "min": 0.0, "max": MAX_FIELD_MT},
         }
     },
     "dark": {
         "nested": {
-            "g_factor": {"type": float, "default": 2.0, "min_exclusive": 0.0},
-            "coupling_mean": {**_MHZ, "default": 0.5},
-            "coupling_spread": {**_MHZ, "default": 0.2, "min": 0.0},
-            "linewidth": {**_MHZ, "default": 2.0, "min_exclusive": 0.0},
-            "t_fix": {**_US, "default": 0.5, "min_exclusive": 0.0},
-            "drive_rabi": {**_MHZ, "default": 35.4, "min": 0.0},
-            "detuning": {**_MHZ, "default": 0.0},
+            "g_factor": {"type": float, "default": 2.0, "min": MIN_VALUE, "max": 100.0},
+            "coupling_mean": {**_MHZ, **_SIGNED, "default": 0.5},
+            "coupling_spread": {**_MHZ, **_NONNEGATIVE, "default": 0.2},
+            "linewidth": {**_MHZ, **_POSITIVE, "default": 2.0},
+            "t_fix": {**_TIME, "default": 0.5},
+            "drive_rabi": {**_MHZ, **_NONNEGATIVE, "default": 35.4},
+            "detuning": {**_MHZ, **_SIGNED, "default": 0.0},
         }
     },
     "odmr": {
         "nested": {
             "multilevel": {"type": bool, "default": False},
-            "linewidth": {**_MHZ, "default": 20.0, "min_exclusive": 0.0},
+            "linewidth": {**_MHZ, **_POSITIVE, "default": 20.0},
         }
     },
-    "grid": {"nested": _grid_spec(MAX_GRID_COUNT)},
+    "grid": {"nested": _grid_spec(MAX_GRID_COUNT, **_SIGNED)},
     "field_grid": {"nested": _grid_spec(MAX_FIELD_GRID_COUNT, **_FIELD_RANGE)},
     "fit": {
         "nested": {
@@ -548,9 +566,9 @@ def _check_physics(sections: dict) -> None:
         raise ConfigError(
             "kinetics: lifetimes and populations are required when no preset is selected"
         )
-    if sum(kin["populations"]) <= 0.0:
+    if sum(kin["populations"]) < MIN_VALUE:
         raise ConfigError(
-            "kinetics.populations: must be nonnegative with a positive sum, "
+            f"kinetics.populations: must be nonnegative with a sum of at least {MIN_VALUE:g}, "
             f"got {kin['populations']}"
         )
     eseem = sections["coherence"]["eseem"]
@@ -600,23 +618,13 @@ def _read(name: str, sections: dict) -> dict:
     return _prune(sections, reads - _unread(sections, reads).keys(), "")
 
 
-def _si(key: str, value: Any, unit: float | None) -> Any:
-    """`value` of `key` (None, a float, a list or an array of floats) in SI units, by `unit`;
-    a value whose SI value leaves the float range is a ConfigError naming `key`."""
+def _si(value: Any, unit: float | None) -> Any:
+    """`value` (None, a float, a list or an array of floats) in SI units, by `unit`."""
     if unit is None or value is None:
         return value
     if isinstance(value, list):
-        return [_si(key, v, unit) for v in value]
-    if isinstance(value, float) and math.isfinite(value * unit):
-        return value * unit
-    import numpy as np
-
-    with np.errstate(over="ignore"):
-        si = value * unit
-    bad = np.asarray(value)[~np.isfinite(si)]
-    if bad.size:
-        raise ConfigError(f"{key}: must be finite in SI units (x {unit:g}), got {bad[0]:g}")
-    return si
+        return [v * unit for v in value]
+    return value * unit
 
 
 def _inputs(name: str, sections: dict) -> dict[str, Any]:
@@ -625,20 +633,8 @@ def _inputs(name: str, sections: dict) -> dict[str, Any]:
     for path in _leaves(_read(name, sections)):
         if not path.startswith(("grid.", "field_grid.")):
             spec = _SPECS[path].get("element", _SPECS[path])  # a list states its entries' unit
-            si[path] = _si(path, _lookup(sections, path), spec.get("si"))
+            si[path] = _si(_lookup(sections, path), spec.get("si"))
     return si
-
-
-def _check_pump(name: str, si: dict[str, Any]) -> None:
-    """Under each light `name` reads, the S0 -> S1 pump rate, kinetics.pump_rate x
-    intensity in 1/s, is finite; the kinetics check it again for library callers."""
-    rate = si.get("kinetics.pump_rate")
-    for key in ("init.intensity", "readout.intensity"):
-        if rate is not None and key in si and not math.isfinite(rate * si[key]):
-            raise ConfigError(
-                f"kinetics.pump_rate, {key}: {name} needs a finite pump rate "
-                f"kinetics.pump_rate x {key}; got {rate / MHZ:g} MHz x {si[key]:g}"
-            )
 
 
 def _build(name: str, si: dict[str, Any]) -> Any:
@@ -721,34 +717,28 @@ def _resolve(name: str, key: str, section: dict, derived: dict[str, float]) -> A
     return np.geomspace(lo, hi, n) if how == "log" else np.linspace(lo, hi, n)
 
 
-def _check_phases(name: str, keys: str, *phases: tuple[str, float]) -> None:
-    """Each (label, value) of `phases` is finite; the error names `keys` and every phase."""
-    if not all(math.isfinite(value) for _, value in phases):
-        *text, last = (f"{label} {value:g}" for label, value in phases)
-        got = f"{', '.join(text)} and {last}" if text else last
-        raise ConfigError(f"{keys}: {name} needs finite phases; got {got}")
-
-
 def _grids(name: str, sections: dict, si: dict[str, Any]) -> dict[str, Any]:
     """Resolve and check every grid `name` reads, as numpy arrays in CLI units; add each
-    to the SI inputs `si` in SI units, with any nuclear.tau that the physics sets; then
-    check each group of phases the physics forms."""
+    to the SI inputs `si` in SI units, with any nuclear.tau that the physics sets."""
     from .runner import PHYSICS
 
-    spec, (_, default_range, phases) = EXPERIMENTS[name], PHYSICS[name]
-    if spec.get("needs_field") and not si["field"].magnitude > 0.0:
+    spec, (_, default_range) = EXPERIMENTS[name], PHYSICS[name]
+    if spec.get("needs_field") and not si["field"].magnitude >= MIN_VALUE * MT:
         raise ConfigError(
-            f"{name} needs a nonzero static field; set field.magnitude (mT), e.g. 190"
+            f"field: {name} needs a static field of at least {MIN_VALUE:g} mT; "
+            "set field.magnitude (mT), e.g. 190"
         )
     derived = default_range(si) if default_range else {}
     keys = [key for key in ("grid", "field_grid") if key in spec]
     grids = {key: _resolve(name, key, sections[key], derived) for key in keys}
     if "domain" in spec:
-        passes, bound, rule = spec["domain"]
+        what, unit, bounds = spec["domain"]
         grid = grids["grid"]
-        bad = grid[~(passes(grid, bound) & (abs(grid) < math.inf))]
-        if bad.size:
-            raise ConfigError(f"grid: {name} needs {rule}; got {bad[0]:g}")
+        for key, fails, rule in _BOUNDS:
+            bad = grid[fails(grid, bounds[key])] if key in bounds else ()
+            if len(bad):
+                limit = f"{bounds[key]:g} {unit}".rstrip()
+                raise ConfigError(f"grid: {name} needs {what} {rule} {limit}; got {bad[0]:g}")
     cells = spec.get("cells", ())
     if cells and not _unread(sections, _reads(name)).keys() & set(cells):
         n_rows, n_cols = (grids[k].size if k in grids else _lookup(sections, k) for k in cells)
@@ -757,9 +747,7 @@ def _grids(name: str, sections: dict, si: dict[str, Any]) -> dict[str, Any]:
                 f"{' x '.join(cells)}: {name} would compute {n_rows} x {n_cols} cells, "
                 f"more than the {MAX_GRID_CELLS} allowed; reduce one of them"
             )
-    si.update((key, _si(key, grids[key], spec[key].get("unit"))) for key in keys)
-    for group in phases(si) if phases else ():
-        _check_phases(name, *group)
+    si.update((key, _si(grids[key], spec[key].get("unit"))) for key in keys)
     return grids
 
 
@@ -825,7 +813,6 @@ def parse_config(
     _check_contract(name, given, sections)
     si = _inputs(name, sections)
     _check_physics(sections)
-    _check_pump(name, si)
     for key in EXPERIMENTS[name].get("objects", "").split():
         try:  # stored under its key; the ratio `gamma` gives way to its GyroRatio
             si[key] = _build(key, si)

@@ -193,6 +193,10 @@ _PADE13_TERMS = np.array(
 )
 #: Largest 1-norm for which r_13 meets double-precision unit roundoff.
 _THETA13 = 5.371920351148152
+#: Largest drift from 1 of a population column sum of exp(A) that the
+#: squaring leaves alone. The default windows reach 2.7e-13 in at most 12
+#: squarings; a lit window of 300 s reached 1.9e-6 in 34.
+_DRIFT = 2.0**-41
 
 
 def expm(a: np.ndarray) -> np.ndarray:
@@ -205,6 +209,14 @@ def expm(a: np.ndarray) -> np.ndarray:
     not wash out the exact zero column sums the way R <- R @ R does.
     Like any backward-stable method it is accurate to about
     eps * ||A||_1 in absolute terms.
+
+    `a` is an augmented rate generator: all rows but the last are
+    populations, so each of their columns in exp(A) sums to 1. Rounding
+    doubles the drift of those sums at each squaring; after each one, a
+    column whose sum is off 1 by more than `_DRIFT` is divided by its
+    sum. Near the long-time limit p_ss 1^T the drift is a multiple of
+    that limit, which the division removes, so a window of any length
+    keeps its populations and their steady state.
 
     `a` may be a single (n, n) matrix or a (..., n, n) stack; each matrix
     of a stack gets its own scaling exponent, so it comes out exactly as
@@ -230,9 +242,14 @@ def expm(a: np.ndarray) -> np.ndarray:
     v = a6 @ w[:, 2] + w[:, 3]
     # r_13 - I = (V - U)^-1 (V + U) - I = (V - U)^-1 (2U)
     e = np.linalg.solve(v - u, 2.0 * u)
+    ones = np.ones(n - 1)
     for k in range(int(s.max(initial=0))):
-        sq = s > k
-        e[sq] = 2.0 * e[sq] + e[sq] @ e[sq]
+        e = np.where((s > k)[:, None, None], 2.0 * e + e @ e, e)
+        pops = e[:, :-1, :-1]  # a view of the population block
+        drift = (ones @ pops)[:, None, :]  # 1^T E: each column sum of exp(A) less 1
+        if np.abs(drift).max() > _DRIFT:
+            rescaled = (pops - drift * ident[:-1, :-1]) / (1.0 + drift)
+            pops[...] = np.where(np.abs(drift) > _DRIFT, rescaled, pops)
     return (e + ident).reshape(shape)
 
 

@@ -8,10 +8,10 @@ takes its trace axes from `cfg.grids` and stacks columns in the CLI
 units (MHz, us, mT) that the trace reports.
 
 `PHYSICS` names, for each experiment, its runner and, stated beside it,
-the default grid range its physics sets and the largest phases it forms,
-which `config` checks at parse time. Each imports the physics it calls
-inside its own body, so a `sim` process loads only the modules of the
-experiment it runs.
+the default grid range its physics sets, which `config` resolves and
+checks at parse time. Each imports the physics it calls inside its own
+body, so a `sim` process loads only the modules of the experiment it
+runs.
 """
 
 from __future__ import annotations
@@ -88,16 +88,6 @@ def _run_odmr(cfg: ExperimentConfig):
     return columns, np.column_stack([cfg.grids["grid"], contrast]), {}
 
 
-def _odmr_phases(si):
-    # a carrier's detuning from a line is below the larger of the two, and the
-    # spread of the triplet's levels is at most |D| + 2|E| + 2|gamma*B|
-    zfs, b = si["zfs"], si["field"].magnitude
-    line = abs(zfs.d) + 2.0 * abs(zfs.e) + 2.0 * abs(si["gamma"].gamma) * b
-    detuning = max(float(si["grid"].max()), line)
-    return (("pulse.rabi, grid", ("detuning phase 2*pi*|detuning|*t_pi up to",
-                                  2.0 * math.pi * detuning * (0.5 / si["pulse.rabi"]))),)
-
-
 def _run_rabi(cfg: ExperimentConfig):
     from .coherence import simulate_rabi
 
@@ -111,23 +101,6 @@ def _run_rabi(cfg: ExperimentConfig):
     )
     columns = (Column("duration", "us"), Column("transfer", "1"))
     return columns, np.column_stack([cfg.grids["grid"], trace]), {}
-
-
-def _rabi_phases(si):
-    # a finite detuning spread; W bounds the generalized Rabi frequency of every node
-    from .coherence import RABI_DETUNING_NODES, gauss_reach
-
-    t2_star = si["pulse.t2_star"]
-    sigma = 0.0 if t2_star is None else math.sqrt(2.0) / (2.0 * math.pi * t2_star)
-    if not math.isfinite(sigma):
-        raise ConfigError(
-            f"pulse.t2_star: rabi needs a finite detuning spread sqrt(2)/(2*pi*T2*); "
-            f"got T2* = {t2_star / US:g} us"
-        )
-    w_max = math.hypot(si["pulse.rabi"],
-                       abs(si["pulse.detuning"]) + gauss_reach(sigma, RABI_DETUNING_NODES))
-    return (("pulse, grid", ("nutation phase 2*pi*W*t up to",
-                             2.0 * math.pi * w_max * float(si["grid"].max()))),)
 
 
 def _run_t1(cfg: ExperimentConfig):
@@ -145,14 +118,6 @@ def _run_echo(cfg: ExperimentConfig):
     envelope = echo_envelope(cfg.inputs["coherence"], cfg.inputs["grid"])
     columns = (Column("time", "us"), Column("echo", "1"))
     return columns, np.column_stack([cfg.grids["grid"], envelope]), {}
-
-
-def _echo_phases(si):
-    eseem = si["coherence"].eseem  # its modulation sin^2(pi*f*t/2), when there is one
-    if eseem is None:
-        return ()
-    phase = math.pi * eseem.frequency * float(si["grid"].max()) / 2.0
-    return (("coherence.eseem.frequency, grid", ("ESEEM phase pi*f*t/2 up to", phase)),)
 
 
 def _run_dd_scaling(cfg: ExperimentConfig):
@@ -175,16 +140,6 @@ def _run_ac_sense(cfg: ExperimentConfig):
     contrast = ac_echo_response(si["ac"], si["grid"], probe_gamma=abs(si["gamma"]), **average)
     columns = (Column("tau", "us"), Column("contrast", "1"))
     return columns, np.column_stack([cfg.grids["grid"], contrast]), {}
-
-
-def _ac_sense_phases(si):
-    from .coherence import echo_phase_amplitude
-
-    f = si["ac"].frequency
-    return (("gamma, ac, grid",
-             ("echo amplitude 4*|gamma|*A/f =",
-              echo_phase_amplitude(abs(si["gamma"]), si["ac"].amplitude, f)),
-             ("phase 2*pi*f*tau up to", 2.0 * math.pi * f * float(si["grid"].max()))),)
 
 
 def _run_nmr_correlation(cfg: ExperimentConfig):
@@ -211,30 +166,10 @@ def _nmr_correlation_range(si):
     """0 to 30 Larmor periods; an unset nuclear.tau becomes half of one."""
     from .coherence import nmr_frequency
 
-    b = si["field"].magnitude
-    f_n = nmr_frequency(si["nuclear"], b)
-    # 30/f_n in us is the largest derived time; 0.5/f_n, the smallest, is > 0 for a finite f_n
-    if not (0.0 < f_n < math.inf and 30.0 / f_n / US < math.inf):
-        raise ConfigError(
-            f"field, nuclear: nmr-correlation derives its echo half-time 0.5/f_n and storage "
-            f"range 30/f_n from the Larmor frequency f_n = |gamma_n|*B, and needs all three "
-            f"finite and > 0; got f_n = {f_n:g} Hz at B = {b:g} T"
-        )
+    f_n = nmr_frequency(si["nuclear"], si["field"].magnitude)
     if si["nuclear.tau"] is None:
         si["nuclear.tau"] = 0.5 / f_n
     return {"start": 0.0, "stop": 30.0 / f_n / US}
-
-
-def _nmr_correlation_phases(si):
-    from .coherence import echo_phase_amplitude, nmr_frequency
-
-    f_n = nmr_frequency(si["nuclear"], si["field"].magnitude)
-    return (("gamma, nuclear, grid",
-             ("echo amplitude 4*|gamma|*A/f_n =",
-              echo_phase_amplitude(abs(si["gamma"]), si["nuclear.amplitude"], f_n)),
-             ("pi*f_n*tau =", math.pi * f_n * si["nuclear.tau"]),
-             ("storage phase 2*pi*f_n*t_corr up to",
-              2.0 * math.pi * f_n * float(si["grid"].max()))),)
 
 
 def _run_deer(cfg: ExperimentConfig):
@@ -251,20 +186,9 @@ def _run_deer(cfg: ExperimentConfig):
 def _deer_range(si):
     # the resonance g*mu_B*B/h +- 250 MHz; nearer 0 MHz (below about
     # 8.9 mT at g = 2) +- 99% of it, so that it stays > 0
-    b = si["field"].magnitude
-    center = si["dark"].resonance(b) / MHZ
-    if not 0.0 < center < math.inf:
-        raise ConfigError(
-            f"dark.g_factor, field: deer needs a dark-spin resonance g*mu_B*B/h that is finite "
-            f"and > 0 (it centres the default grid); got {center:g} MHz at B = {b:g} T"
-        )
+    center = si["dark"].resonance(si["field"].magnitude) / MHZ
     half = 250.0 if center > 250.0 else 0.99 * center
     return {"start": center - half, "stop": center + half}
-
-
-def _deer_phases(si):
-    phase = 2.0 * math.pi * si["dark.coupling_mean"] * si["dark.t_fix"]
-    return (("dark.coupling_mean, dark.t_fix", ("coupling phase 2*pi*mean*t_fix =", phase)),)
 
 
 def _run_deer_rabi(cfg: ExperimentConfig):
@@ -280,18 +204,6 @@ def _run_deer_rabi(cfg: ExperimentConfig):
     )
     columns = (Column("duration", "us"), Column("contrast", "1"))
     return columns, np.column_stack([cfg.grids["grid"], trace]), {}
-
-
-def _deer_rabi_phases(si):
-    from .coherence import DARK_DETUNING_NODES, gauss_reach
-
-    if si["dark.drive_rabi"] == 0.0:  # no nutation: the trace is 1
-        return _deer_phases(si)
-    # W bounds the generalized Rabi frequency of every detuning node
-    reach = gauss_reach(si["dark.linewidth"], DARK_DETUNING_NODES)
-    w_max = math.hypot(si["dark.drive_rabi"], abs(si["dark.detuning"]) + reach)
-    return (*_deer_phases(si), ("dark, grid", ("nutation phase pi*W*t up to",
-                                               math.pi * w_max * float(si["grid"].max()))))
 
 
 def _run_fit(cfg: ExperimentConfig):
@@ -333,28 +245,28 @@ def _run_fit(cfg: ExperimentConfig):
     return tuple(columns), np.asarray([row]), meta
 
 
-#: Each experiment's physics by name, (run, default_range, phases): `run(cfg)` gives its
-#: trace; from the SI inputs, `default_range(si)` gives the start and stop of a default grid
-#: the physics sets and `phases(si)` its largest phases as groups (keys, (label, value), ...).
+#: Each experiment's physics by name, (run, default_range): `run(cfg)` gives its trace;
+#: from the SI inputs, `default_range(si)` gives the start and stop of a default grid the
+#: physics sets.
 PHYSICS: dict[str, tuple] = {
-    "spectrum": (_run_spectrum, None, None),
-    "field-odmr": (_run_field_odmr, None, None),
-    "odmr": (_run_odmr, None, _odmr_phases),
-    "rabi": (_run_rabi, None, _rabi_phases),
-    "t1": (_run_t1, None, None),
-    "echo": (_run_echo, None, _echo_phases),
-    "dd-scaling": (_run_dd_scaling, None, None),
-    "ac-sense": (_run_ac_sense, None, _ac_sense_phases),
-    "nmr-correlation": (_run_nmr_correlation, _nmr_correlation_range, _nmr_correlation_phases),
-    "deer": (_run_deer, _deer_range, _deer_phases),
-    "deer-rabi": (_run_deer_rabi, None, _deer_rabi_phases),
-    "fit": (_run_fit, None, None),
+    "spectrum": (_run_spectrum, None),
+    "field-odmr": (_run_field_odmr, None),
+    "odmr": (_run_odmr, None),
+    "rabi": (_run_rabi, None),
+    "t1": (_run_t1, None),
+    "echo": (_run_echo, None),
+    "dd-scaling": (_run_dd_scaling, None),
+    "ac-sense": (_run_ac_sense, None),
+    "nmr-correlation": (_run_nmr_correlation, _nmr_correlation_range),
+    "deer": (_run_deer, _deer_range),
+    "deer-rabi": (_run_deer_rabi, None),
+    "fit": (_run_fit, None),
 }
 
 
 def run_experiment(config: ExperimentConfig) -> TraceRecord:
     """Execute the configured experiment and assemble its trace record."""
-    run, _, _ = PHYSICS[config.experiment]
+    run, _ = PHYSICS[config.experiment]
     columns, data, extra = run(config)
     metadata = {
         "version": __version__,

@@ -4,7 +4,9 @@ import gc
 import importlib.util
 import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -506,16 +508,46 @@ def assert_one_json_error(proc, code, kind):
     return json.loads(lines[0])
 
 
+def _first_reader(path):
+    """The first experiment that reads `path`, with the field it needs to run."""
+    experiment = next(e for e in config.EXPERIMENTS if path in _reads(e))
+    needs_field = config.EXPERIMENTS[experiment].get("needs_field")
+    return (experiment, *(("--set", "field.magnitude=190") if needs_field else ()))
+
+
+def _float_keys():
+    """(path, spec) of each bounded float key; a list key's spec is its entries'."""
+    for path, spec in config._SPECS.items():
+        entry = spec.get("element", spec)
+        if entry.get("type") is float and "max" in entry:
+            yield path, entry
+
+
+def _ends(spec):
+    """The two ends of a float key's bound; an exclusive lower bound ends at the next float."""
+    low = spec["min"] if "min" in spec else math.nextafter(spec["min_exclusive"], math.inf)
+    return low, spec["max"]
+
+
 def _si_overflow_cases():
     """One case per float key whose factor to SI exceeds 1, set to 1e305 on the first
-    experiment that reads it: its SI value leaves the float range (a factor below 1
-    cannot overflow, and a schema bound, as on gamma, may stop the value first)."""
+    experiment that reads it: its SI value would leave the float range, and its bound
+    refuses it first."""
     for path, spec in config._SPECS.items():
         if spec.get("si", 0.0) > 1.0:
-            experiment = next(e for e in config.EXPERIMENTS if path in _reads(e))
-            needs_field = config.EXPERIMENTS[experiment].get("needs_field")
-            field = ("--set", "field.magnitude=190") if needs_field else ()
-            yield (experiment, *field, "--set", f"{path}=1e305"), f"{path}: must be"
+            yield (*_first_reader(path), "--set", f"{path}=1e305"), f"{path}: must be"
+
+
+def _bound_cases():
+    """One case per float key just past each end of its bound, on the first experiment
+    that reads it; a list key gets a list of one such entry."""
+    for path, spec in _float_keys():
+        low = spec.get("min", spec.get("min_exclusive"))
+        below = math.nextafter(low, -math.inf) if "min" in spec else low
+        listed = "element" in config._SPECS[path]
+        for value in (below, math.nextafter(spec["max"], math.inf)):
+            text, index = (f"[{value!r}]", "[0]") if listed else (repr(value), "")
+            yield (*_first_reader(path), "--set", f"{path}={text}"), f"{path}{index}: must be"
 
 
 @pytest.mark.parametrize(
@@ -581,8 +613,11 @@ def _si_overflow_cases():
             "grid: field-odmr needs carrier frequencies > 0",
         ),
         # caught at parse time, not as an empty readout or a boolean column index
-        (("odmr", "--set", "readout.intensity=0"), "readout.intensity: must be > 0.0, got 0.0"),
-        (("field-odmr", "--set", "readout.duration=0"), "readout.duration: must be > 0.0, got 0.0"),
+        (("odmr", "--set", "readout.intensity=0"), "readout.intensity: must be >= 1e-09, got 0.0"),
+        (
+            ("field-odmr", "--set", "readout.duration=0"),
+            "readout.duration: must be >= 1e-09, got 0.0",
+        ),
         (
             (
                 "fit",
@@ -633,14 +668,17 @@ def _si_overflow_cases():
             ("deer", "--set", "field.magnitude=190", "--set", "grid.values=[100,-5]"),
             "grid: deer needs carrier frequencies > 0 MHz; got -5",
         ),
-        # a Larmor frequency that underflows to 0, or whose 0.5/f_n and 30/f_n overflow
+        # The inputs below were refused by rules now deleted (one per product of keys, or
+        # the SI overflow) or by a physics object; each is now refused by the bound of one
+        # key, or by the least static field that nmr-correlation and deer need.
+        # a Larmor frequency that underflowed to 0, or whose 0.5/f_n and 30/f_n overflowed
         (
             ("nmr-correlation", "--set", "field.magnitude=1e-100", "--set", "nuclear.gamma=1e-300"),
-            "got f_n = 0 Hz",
+            "nuclear.gamma: must be >= 1e-09, got 1e-300",
         ),
         (
-            ("nmr-correlation", "--set", "field.magnitude=1e-30", "--set", "nuclear.gamma=1e-290"),
-            "got f_n = 1e-314 Hz",
+            ("nmr-correlation", "--set", "field.magnitude=1e-30"),
+            "nmr-correlation needs a static field of at least 1e-09 mT",
         ),
         # an electron ratio past the float range in Hz/T, at any field
         *(
@@ -652,56 +690,56 @@ def _si_overflow_cases():
                 ("nmr-correlation", ("--set", "field.magnitude=190")),
             )
         ),
-        # nmr-correlation phases that overflow: storage, echo amplitude, echo time
+        # nmr-correlation phases that overflowed: storage, echo amplitude, echo time
         (
             ("nmr-correlation", "--set", "field.magnitude=190", "--set", "nuclear.gamma=1e290",
              "--set", "grid.values=[0,1e20]"),
-            "storage phase 2*pi*f_n*t_corr up to inf",
+            "nuclear.gamma: must be <= 1000000.0, got 1e+290",
         ),
         (
             ("nmr-correlation", "--set", "field.magnitude=190", "--set", "nuclear.amplitude=1e305"),
-            "echo amplitude 4*|gamma|*A/f_n = inf",
+            "nuclear.amplitude: must be <= 100000.0, got 1e+305",
         ),
         (
             ("nmr-correlation", "--set", "field.magnitude=190", "--set", "nuclear.tau=1e308"),
-            "pi*f_n*tau = inf",
+            "nuclear.tau: must be <= 1000000000.0, got 1e+308",
         ),
         # a dark-spin resonance, the centre of the default deer grid, past the float range
         (
             ("deer", "--set", "field.magnitude=1e5", "--set", "dark.g_factor=1e300"),
-            "dark.g_factor, field: deer needs a dark-spin resonance g*mu_B*B/h that is finite",
+            "dark.g_factor: must be <= 100.0, got 1e+300",
         ),
-        # ac-sense phases that overflow: echo amplitude, AC phase at the longest tau
-        (("ac-sense", "--set", "ac.amplitude=1e305"), "echo amplitude 4*|gamma|*A/f = inf"),
+        # ac-sense phases that overflowed: echo amplitude, AC phase at the longest tau
+        (("ac-sense", "--set", "ac.amplitude=1e305"), "ac.amplitude: must be <= 100000.0"),
         (
             ("ac-sense", "--set", "ac.frequency=1e300", "--set", "grid.values=[1e10]"),
-            "phase 2*pi*f*tau up to inf",
+            "ac.frequency: must be <= 1000000000.0, got 1e+300",
         ),
-        # MHz values whose value in Hz leaves the float range, caught at parse time
-        (("rabi", "--set", "pulse.rabi=1e305"), "pulse.rabi: must be finite in SI units"),
+        # MHz values whose value in Hz left the float range
+        (("rabi", "--set", "pulse.rabi=1e305"), "pulse.rabi: must be <= 1000000000.0"),
         (
             ("deer-rabi", "--set", "dark.drive_rabi=1e305"),
-            "dark.drive_rabi: must be finite in SI units",
+            "dark.drive_rabi: must be <= 1000000000.0",
         ),
-        (("rabi", "--set", "pulse.detuning=1e305"), "pulse.detuning: must be finite in SI units"),
+        (("rabi", "--set", "pulse.detuning=1e305"), "pulse.detuning: must be <= 1000000000.0"),
         (
             ("deer", "--set", "field.magnitude=190", "--set", "grid.values=[1e305]"),
-            "grid: must be finite in SI units (x 1e+06), got 1e+305",
+            "grid.values[0]: must be <= 1000000000.0, got 1e+305",
         ),
-        # SI values that a physics object refuses: named by the section it is built from
-        (("echo", "--set", "coherence.t2=1e-320"), "coherence: T2 must be > 0, got 0.0"),
+        # SI values that a physics object refused, named by its section
+        (("echo", "--set", "coherence.t2=1e-320"), "coherence.t2: must be >= 1e-09, got 1e-320"),
         (
             ("t1", "--set", "kinetics.s1_lifetime=1e-305"),
-            "kinetics: S1 decay rate must be > 0, got inf",
+            "kinetics.s1_lifetime: must be >= 1e-09, got 1e-305",
         ),
+        # values 1e305 whose SI value left the float range: the SI factor exceeds 1
         *_si_overflow_cases(),
         # a DEER coupling phase 2*pi*mean*t_fix past the float range, with or without a spread
         *(
             (
                 (experiment, *field, "--set", "dark.coupling_mean=1e300",
                  "--set", "dark.t_fix=1e300", *spread),
-                f"dark.coupling_mean, dark.t_fix: {experiment} needs finite phases; "
-                "got coupling phase 2*pi*mean*t_fix = inf",
+                "dark.coupling_mean: must be <= 1000000000.0, got 1e+300",
             )
             for experiment, field, spread in (
                 ("deer", ("--set", "field.magnitude=190"), ()),
@@ -709,50 +747,56 @@ def _si_overflow_cases():
                 ("deer", ("--set", "field.magnitude=190"), ("--set", "dark.coupling_spread=0")),
             )
         ),
-        # spectrum fields beyond 100 T, like every other field
-        *(
-            (("spectrum", "--set", f"grid.values=[{given}]"),
-             f"grid: spectrum needs fields of magnitude <= 100000 mT; got {shown}")
-            for given, shown in (("1e305", "1e+305"), ("1e10", "1e+10"))
-        ),
+        # spectrum fields beyond 100 T, like every other field: past the bound of every
+        # grid value, or inside it and past the bound of spectrum's fields
+        (("spectrum", "--set", "grid.values=[1e305]"), "grid.values[0]: must be <= 1000000000.0"),
+        (("spectrum", "--set", "grid.values=[1e6]"), "grid: spectrum needs fields <= 100000 mT"),
         # a Rabi detuning spread or nutation phase past the float range
-        (
-            ("rabi", "--set", "pulse.t2_star=1e-305"),
-            "pulse.t2_star: rabi needs a finite detuning spread sqrt(2)/(2*pi*T2*); "
-            "got T2* = 1e-305 us",
-        ),
+        (("rabi", "--set", "pulse.t2_star=1e-305"), "pulse.t2_star: must be >= 1e-09, got 1e-305"),
         (
             ("rabi", "--set", "pulse.t2_star=1e-300", "--set", "grid.values=[1e7]"),
-            "pulse, grid: rabi needs finite phases; got nutation phase 2*pi*W*t up to inf",
+            "pulse.t2_star: must be >= 1e-09, got 1e-300",
         ),
-        # an ODMR probe whose detuning phase over a pi pulse overflows
-        (
-            ("odmr", "--set", "pulse.rabi=1e-305"),
-            "pulse.rabi, grid: odmr needs finite phases; "
-            "got detuning phase 2*pi*|detuning|*t_pi up to inf",
-        ),
+        # an ODMR probe whose detuning phase over a pi pulse overflowed
+        (("odmr", "--set", "pulse.rabi=1e-305"), "pulse.rabi: must be >= 1e-09, got 1e-305"),
         # a dark-spin nutation phase past the float range: by the drive, the detuning
         # spread or the detuning
         *(
-            (("deer-rabi", *args),
-             "dark, grid: deer-rabi needs finite phases; got nutation phase pi*W*t up to inf")
-            for args in (
-                ("--set", "grid.values=[1e300]", "--set", "dark.drive_rabi=1e10"),
-                ("--set", "grid.values=[1e290]", "--set", "dark.linewidth=1e20"),
-                ("--set", "dark.detuning=1e300", "--set", "grid.values=[1e10]"),
+            (("deer-rabi", *args), f"{key}: must be <= 1000000000.0")
+            for args, key in (
+                (("--set", "grid.values=[1e300]", "--set", "dark.drive_rabi=1e10"),
+                 "dark.drive_rabi"),
+                (("--set", "grid.values=[1e290]", "--set", "dark.linewidth=1e20"),
+                 "dark.linewidth"),
+                (("--set", "dark.detuning=1e300", "--set", "grid.values=[1e10]"), "dark.detuning"),
             )
         ),
         # an ESEEM modulation phase past the float range
         (
             ("echo", "--set", "coherence.eseem.frequency=1e290", "--set", "grid.values=[1e20]"),
-            "coherence.eseem.frequency, grid: echo needs finite phases; "
-            "got ESEEM phase pi*f*t/2 up to inf",
+            "coherence.eseem.frequency: must be <= 1000000000.0, got 1e+290",
         ),
+        # populations whose quotients by the longest lifetimes would underflow to 0
+        (
+            ("t1", "--set", "kinetics.populations=[5e-324,0,0]",
+             "--set", "kinetics.lifetimes=[1e9,1,1]"),
+            "kinetics.populations: must be nonnegative with a sum of at least 1e-09",
+        ),
+        # a pump rate of 0: the readouts of odmr and field-odmr collect no light
+        *(
+            ((experiment, "--set", "kinetics.pump_rate=0"),
+             "kinetics.pump_rate: must be >= 1e-09, got 0.0")
+            for experiment in ("odmr", "field-odmr")
+        ),
+        *_bound_cases(),
     ],
 )
 def test_boundary_inputs_are_config_errors(args, needle):
-    err = assert_one_json_error(run_cli(*args), 1, "config")
-    assert needle in err["message"]
+    # in process: each case is one config line, and a numpy warning fails it
+    code, out, text = run_main(list(args))
+    assert (code, out, len(text.splitlines())) == (1, b"", 1), text
+    err = json.loads(text)
+    assert err["error"] == "config" and needle in err["message"], err
     # a rule of the experiment's physics (its message names the experiment after the keys,
     # and refuses no key) names only keys and sections the experiment reads
     keys, _, rule = err["message"].partition(": ")
@@ -855,6 +899,16 @@ def test_digest_commands_give_the_recorded_bytes(tmp_path, monkeypatch):
     assert len(expected) == len(tool.COMMANDS), "tests/data/trace_digest.txt is not the tool's"
     changed = [argv for argv, line, want in zip(tool.COMMANDS, lines, expected) if line != want]
     assert not changed, f"commands whose bytes changed: {changed}"
+
+
+def test_the_digest_writes_cells_that_emit_leaves_to_repr():
+    # its echo at both ends of the allowed times: exponent notation below 1e-4, and 0.0
+    argv = ("echo", "--set", "grid.values=[1e-05,0.5,1e9]")
+    assert argv in _digest_tool().COMMANDS
+    code, out, err = run_main(list(argv))
+    assert code == 0, err
+    first, _, last = out.decode().splitlines()[-3:]
+    assert first.startswith("1e-05,") and last == "1000000000.0,0.0"
 
 
 def test_fits_of_a_long_trace_read_from_either_format_agree(tmp_path, monkeypatch):
@@ -964,7 +1018,8 @@ def test_each_experiment_reads_exactly_the_keys_of_its_table_entry(tmp_path, mon
 @pytest.mark.parametrize("optimize", [(), ("-O",)])
 @pytest.mark.parametrize("experiment", ["t1", "odmr", "field-odmr"])
 def test_pump_rate_times_intensity_past_the_float_range_is_a_config_error(experiment, optimize):
-    # an exception, not an assert, so that `python -O` keeps the check
+    # the intensity's bound keeps the product finite; an exception, not an assert, so
+    # that `python -O` keeps the check
     proc = subprocess.run(
         [sys.executable, *optimize, "-m", "tripletsim", experiment, "--set", "init.intensity=1e305"],
         capture_output=True,
@@ -972,37 +1027,27 @@ def test_pump_rate_times_intensity_past_the_float_range_is_a_config_error(experi
         timeout=120,
     )
     err = assert_one_json_error(proc, 1, "config")
-    assert err["message"] == (
-        f"kinetics.pump_rate, init.intensity: {experiment} needs a finite pump rate "
-        "kinetics.pump_rate x init.intensity; got 100 MHz x 1e+305"
-    )
-
-
-def test_readout_window_too_long_for_the_propagator_is_one_runtime_line():
-    # exp(G * 1e299 s) is no propagator at all; the message reports scalars, not the array
-    code, out, err = run_main(["odmr", "--set", "readout.duration=1e305"])
-    assert (code, out, len(err.splitlines())) == (2, b"", 1)
-    assert json.loads(err)["message"] == (
-        "propagation lost population conservation: largest |sum - 1| = 1, lowest population = 0"
-    )
+    assert err["message"] == "init.intensity: must be <= 1000000000.0, got 1e+305"
 
 
 @pytest.mark.parametrize(
-    "experiment, duration, code",
-    [("odmr", "1e-160", 2), ("field-odmr", "1e-160", 2), ("odmr", "1e-150", 0)],
+    "argv, message",
+    [
+        # exp(G * 1e299 s) is no propagator at all
+        *(((experiment, "--set", f"{key}=1e305"), f"{key}: must be <= 1000000000.0, got 1e+305")
+          for experiment in ("odmr", "field-odmr")
+          for key in ("init.duration", "readout.duration")),
+        # after the dark delay S1 is empty, so the emission grows as the window squared and
+        # would underflow
+        *(((experiment, "--set", f"readout.duration={duration}"),
+           f"readout.duration: must be >= 1e-09, got {duration}")
+          for experiment, duration in (("odmr", "1e-160"), ("field-odmr", "1e-160"),
+                                       ("odmr", "1e-150"))),
+    ],
 )
-def test_readout_window_too_short_to_collect_light_is_a_runtime_error(
-    experiment, duration, code, tmp_path
-):
-    # after the dark delay S1 is empty, so the emission grows as the window squared
-    # and underflows; no parse-time bound can be stated without running the kinetics
-    out = str(tmp_path / "out.csv")
-    proc = run_cli(experiment, "--set", f"readout.duration={duration}", "--out", out)
-    if code == 0:
-        assert proc.returncode == 0 and proc.stderr == b""
-    else:
-        err = assert_one_json_error(proc, code, "runtime")
-        assert err["message"].startswith("reference emission vanished in")
+def test_light_windows_outside_the_time_bound_are_config_errors(argv, message):
+    code, out, err = run_main(list(argv))
+    assert (code, out, json.loads(err)["message"]) == (1, b"", message)
 
 
 @pytest.mark.parametrize("optimize", [(), ("-O",)])
@@ -1016,8 +1061,8 @@ def test_readout_window_too_short_to_collect_light_is_a_runtime_error(
     ids=["lifetimes-and-populations", "lifetimes"],
 )
 def test_triplet_lifetime_whose_decay_rate_overflows_is_a_config_error(kinetics, optimize):
-    # 1e-305 us is 1e-311 s: its reciprocal overflows, which is refused before any
-    # division (no numpy warning) and by an exception, which `python -O` keeps
+    # 1e-305 us is 1e-311 s: its reciprocal would overflow, which the lifetimes' bound
+    # refuses before any division (no numpy warning), by an exception that `python -O` keeps
     sets = [arg for assignment in kinetics for arg in ("--set", assignment)]
     proc = subprocess.run(
         [sys.executable, *optimize, "-m", "tripletsim", "t1", *sets],
@@ -1026,7 +1071,7 @@ def test_triplet_lifetime_whose_decay_rate_overflows_is_a_config_error(kinetics,
         timeout=120,
     )
     err = assert_one_json_error(proc, 1, "config")
-    assert err["message"] == "kinetics: triplet decay rate 1/lifetime must be finite, got inf"
+    assert err["message"] == "kinetics.lifetimes[0]: must be >= 1e-09, got 1e-305"
 
 
 @pytest.mark.parametrize("carrier", ["5318.5731", "5318.5734"])
@@ -1240,6 +1285,60 @@ def _schema_paths(schema, prefix=""):
             yield from _schema_paths(spec["nested"], f"{prefix}{key}.")
 
 
+#: The runtime degeneracy that a run with every key within its bound may end in (exit 2):
+#: a reference readout that collects no light leaves nothing to normalize by.
+_DEGENERACIES = ("reference emission vanished",)
+
+
+def _message_keys(message):
+    """The keys an error message names before its first ': ', without list indices."""
+    head = message.partition(": ")[0].removeprefix("--set ")
+    return {key.split("[")[0] for key in re.split(r", | x ", head)}
+
+
+def _assert_contract(code, out, err, named):
+    """Exit 0 with finite data and no warning line but the rotating-wave strain; exit 1
+    with one config line whose keys pass `named`; or exit 2 with one line of a listed
+    runtime degeneracy."""
+    assert "Traceback" not in err and b"Traceback" not in out
+    if code == 0:
+        assert all("rotating-wave" in line for line in err.splitlines()), err
+        if out:
+            assert np.all(np.isfinite(parse_trace(out).data))
+        return
+    assert out == b"" and len(err.splitlines()) == 1, err
+    doc = json.loads(err)
+    if code == 1:
+        assert doc["error"] == "config" and named(_message_keys(doc["message"])), doc
+    else:
+        assert (code, doc["error"]) == (2, "runtime") and doc["message"].startswith(_DEGENERACIES)
+
+
+def _corner_cases():
+    """(experiment, key, value): each float key an experiment reads at each end of its bound,
+    with every entry of a list there; a grid is given by its values, at each end of its
+    domain."""
+    ranges = ("grid.start", "grid.stop", "field_grid.start", "field_grid.stop")
+    for name, spec in config.EXPERIMENTS.items():
+        for path, entry in _float_keys():
+            if path in _reads(name) and path not in ranges:
+                key = config._SPECS[path]
+                entry = spec["domain"][2] if path == "grid.values" else entry
+                for end in _ends(entry):
+                    yield name, path, [end] * key.get("length", 1) if "element" in key else end
+
+
+@pytest.mark.parametrize("experiment, path, value", list(_corner_cases()))
+def test_every_key_at_each_end_of_its_bound_runs_or_is_refused_by_name(experiment, path, value):
+    argv = [experiment, "--set", f"{path}={json.dumps(value)}"]
+    if config.EXPERIMENTS[experiment].get("needs_field") and not path.startswith("field."):
+        argv += ["--set", "field.magnitude=190"]
+    code, out, err = run_main(argv)
+    _assert_contract(code, out, err, lambda keys: any(
+        path == key or path.startswith(f"{key}.") for key in keys
+    ))
+
+
 # JSON texts and bare strings: plausible values, edge values and hostile
 # ones; the large integers sit just past the caps on counts and fields, and
 # every other integer is small so that no draw can ask for a huge grid
@@ -1248,6 +1347,9 @@ _FUZZ_VALUES = (
     "1e999", "NaN", "Infinity", "-Infinity", "null", "true", "false", "abc", '"log"',
     "4K", "295K", "[]", "[1]", "[0, 2.5, 3]", '["a"]', "[NaN]", "{}", '{"a": 1}',
     '{"preset": null}', "100001", "1000001",
+    # magnitudes at the ends of the float range, of either sign
+    *(f"{sign}1e{exponent}" for sign in ("", "-") for exponent in (*range(301, 309),
+                                                                   *range(-308, -300))),
 )
 
 
@@ -1291,14 +1393,9 @@ def test_fuzz_overrides_keep_the_error_contract(experiment, assignments, tmp_pat
     for path, value in assignments:
         argv += ["--set", f"{path}={value}"]
     code, out, err = run_main(argv)
-    assert code in (0, 1, 2)
-    assert "Traceback" not in err and b"Traceback" not in out
-    if code == 0:
-        if out:
-            parse_trace(out)
-    else:
-        assert out == b""
-        lines = err.splitlines()
-        assert len(lines) == 1, lines
-        # "internal" would mean an input slipped past both validation layers
-        assert json.loads(lines[0])["error"] in ("config", "runtime"), lines[0]
+    # an error names keys of the schema, or unknown paths given or below one given
+    given = tuple(path for path, _ in assignments)
+    _assert_contract(code, out, err, lambda keys: all(
+        key in config._SPECS or key in given or key.startswith(tuple(f"{p}." for p in given))
+        for key in keys
+    ))

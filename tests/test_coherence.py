@@ -5,11 +5,9 @@ import pytest
 
 from oracles import gaussian_coupling_deficit, phase_averaged_ac_contrast
 from tripletsim.coherence import (
-    DARK_DETUNING_NODES,
     DEUTERON,
     FREE_ELECTRON_HZ_PER_T,
     PROTON,
-    RABI_DETUNING_NODES,
     AcSignal,
     CoherenceModel,
     CouplingDistribution,
@@ -25,9 +23,7 @@ from tripletsim.coherence import (
     deer_rabi,
     deer_spectrum,
     echo_envelope,
-    _gauss_nodes,
     eseem_minimum_times,
-    gauss_reach,
     nmr_frequency,
 )
 from tripletsim.errors import InvalidParameterError
@@ -318,13 +314,6 @@ def test_deer_off_resonance_shallow():
     trace = deer_spectrum(dark, 0.19, np.array([center, center + 100 * dark.linewidth]))
     on, off = 1 - trace[0], 1 - trace[1]
     assert off < 1e-3 * on
-
-
-@pytest.mark.parametrize("n", [DARK_DETUNING_NODES, RABI_DETUNING_NODES])
-def test_gauss_nodes_lie_within_their_reach(n):
-    for mean, sigma in ((0.0, 1.0), (3.0e6, 2.0e6), (-1.0, 1.0e-9)):
-        nodes, _ = _gauss_nodes(mean, sigma, n)
-        assert np.all(np.abs(nodes - mean) <= gauss_reach(sigma, n))
 
 
 def test_deer_rabi_oscillation():

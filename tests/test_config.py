@@ -1,10 +1,19 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
 from tripletsim.config import (
+    _SPECS,
+    DEGREE,
     EXPERIMENTS,
+    MAX_VALUE,
+    MHZ,
+    MHZ_PER_MT,
+    MT,
+    US,
     apply_overrides,
     load_config_file,
     parse_config,
@@ -127,8 +136,10 @@ def test_integers_coerce_to_floats():
 def test_range_errors():
     with pytest.raises(ConfigError, match="must be >= 0"):
         parse({"seed": -1})
-    with pytest.raises(ConfigError, match="must be > 0"):
+    with pytest.raises(ConfigError, match="must be >= 1e-09"):
         parse({"pulse": {"rabi": 0.0}})
+    with pytest.raises(ConfigError, match="must be > 0"):
+        parse({"coherence": {"nu": 0.0}}, experiment="echo")
     with pytest.raises(ConfigError, match="must be <= 4"):
         parse({"coherence": {"nu": 4.5}})
     with pytest.raises(ConfigError, match="must be <= 1"):
@@ -194,10 +205,11 @@ def test_physics_consistency_checks():
     [
         ("rabi", {"grid": {"spacing": "log"}}, "grid.spacing: log spacing needs start > 0"),
         ("dd-scaling", {"grid": {"spacing": "linear"}}, "dd-scaling has a default list of values"),
+        # the proton's Larmor period at the least field nmr-correlation takes is 2.3e10 us
         (
-            "deer",
-            {"field": {"magnitude": 1e5}, "dark": {"g_factor": 1e300}},
-            "deer needs a dark-spin resonance g*mu_B*B/h that is finite and > 0",
+            "nmr-correlation",
+            {"field": {"magnitude": 1e-9}},
+            "grid: nmr-correlation needs storage times <= 1e+09 us; got",
         ),
     ],
 )
@@ -213,15 +225,14 @@ def test_default_grids_are_resolved_and_checked_by_parse_config(experiment, raw,
      ("field-odmr", "readout")],
 )
 def test_pump_rate_times_intensity_must_be_finite_in_si(experiment, light):
-    # the product the kinetics form, in 1/s; each factor alone is finite
-    with pytest.raises(ConfigError) as info:
+    # the product the kinetics form, in 1/s, is finite at the bounds of both factors
+    with pytest.raises(ConfigError, match=f"{light}.intensity: must be <="):
         parse({light: {"intensity": 1e305}}, experiment=experiment)
-    assert str(info.value).startswith(f"kinetics.pump_rate, {light}.intensity: {experiment} ")
-    fast_pump = {"pump_rate": 1e300}  # MHz
-    with pytest.raises(ConfigError, match=f"kinetics.pump_rate, {light}.intensity"):
-        parse({"kinetics": fast_pump, light: {"intensity": 1e10}}, experiment=experiment)
-    cfg = parse({"kinetics": fast_pump, light: {"intensity": 1e2}}, experiment=experiment)
-    assert cfg.inputs[f"{light}.intensity"] == 1e2
+    with pytest.raises(ConfigError, match="kinetics.pump_rate: must be <="):
+        parse({"kinetics": {"pump_rate": 1e300}}, experiment=experiment)
+    largest = {"kinetics": {"pump_rate": MAX_VALUE}, light: {"intensity": MAX_VALUE}}
+    cfg = parse(largest, experiment=experiment)
+    assert math.isfinite(cfg.inputs["kinetics.pump_rate"] * cfg.inputs[f"{light}.intensity"])
 
 
 def test_grids_hold_one_array_per_grid_read():
@@ -369,9 +380,9 @@ def test_preset_must_be_a_name():
     "raw, message",
     [
         ({"kinetics": {"lifetimes": [1.0, -2.0, 3.0]}},
-         "kinetics.lifetimes[1]: must be > 0.0, got -2.0"),
+         "kinetics.lifetimes[1]: must be >= 1e-09, got -2.0"),
         ({"kinetics": {"lifetimes": [0.0, 2.0, 3.0]}},
-         "kinetics.lifetimes[0]: must be > 0.0, got 0.0"),
+         "kinetics.lifetimes[0]: must be >= 1e-09, got 0.0"),
         (
             {"kinetics": {"populations": [1.0, 2.0, -3.0]}},
             "kinetics.populations[2]: must be >= 0.0, got -3.0",
@@ -405,3 +416,66 @@ def test_entry_rules_hold_for_their_key_only():
     assert cfg["kinetics"]["populations"] == [0.0, 1.0, 0.0]
     with pytest.raises(ConfigError, match="kinetics.populations: must be nonnegative"):
         parse({"kinetics": {"populations": [0.0, 0.0, 0.0]}}, experiment="t1")
+
+
+def _readme_table(header):
+    """The cells of each row of the README table under `header`."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = text[text.index(header):].splitlines()[2:]  # below the header and its rule
+    rows = []
+    for line in lines:
+        if not line.startswith("|"):
+            return rows
+        rows.append([cell.strip() for cell in line.strip("|").split("|")])
+    return rows
+
+
+def _bounds(spec):
+    return {key: spec[key] for key in ("min", "min_exclusive", "max") if key in spec}
+
+
+def _unit(path, spec):
+    """A key's factor to SI; a grid key's is its experiments' grid unit, where one."""
+    grid = path.partition(".")[0]
+    if grid in ("grid", "field_grid"):
+        units = {spec[grid].get("unit") for spec in EXPERIMENTS.values() if grid in spec}
+        return units.pop() if len(units) == 1 else None
+    return spec.get("si")
+
+
+def test_every_float_key_has_a_finite_bound_at_each_end():
+    # fit.initial_guess holds parameters of a fit model, which its domains check
+    for path, spec in _SPECS.items():
+        entry = spec.get("element", spec)
+        if entry.get("type") is float and path != "fit.initial_guess":
+            bounds = _bounds(entry)
+            assert "max" in bounds and len(bounds) == 2, path
+            assert all(math.isfinite(bound) for bound in bounds.values()), path
+
+
+def test_the_readme_bound_table_states_the_schema():
+    units = {"us": US, "MHz": MHZ, "mT": MT, "MHz/mT": MHZ_PER_MT, "degrees": DEGREE}
+    stated = {}
+    for keys, unit, lower, upper in _readme_table("| Keys | Unit | Lower | Upper |"):
+        low = {"min_exclusive": 0.0} if lower == "> 0" else {"min": float(lower)}
+        for key in re.findall(r"`([\w.]+)`", keys):
+            assert key not in stated, key
+            stated[key] = (units.get(unit), {**low, "max": float(upper)})
+    schema = {}
+    for path, spec in _SPECS.items():
+        entry = spec.get("element", spec)
+        if entry.get("type") is float and "max" in entry:
+            schema[path] = (_unit(path, entry), _bounds(entry))
+    assert stated == schema
+
+
+def test_the_readme_experiment_table_states_each_grid_domain():
+    header = "| Experiment | Keys read | Default grid | Grid values |"
+    for name, *_, values in _readme_table(header):
+        spec = EXPERIMENTS[name.strip("`")]
+        if "domain" not in spec:
+            assert values == "", name
+            continue
+        bracket, low, high = re.fullmatch(r"([\[(])(\S+), (\S+)\]", values).groups()
+        key = "min" if bracket == "[" else "min_exclusive"
+        assert spec["domain"][2] == {key: float(low), "max": float(high)}, name

@@ -151,7 +151,8 @@ COMMANDS: tuple[tuple[str, ...], ...] = (
     # spectrum fields beyond 100 T
     ("spectrum", "--set", "grid.values=[1e305]"),
     ("spectrum", "--set", "grid.values=[1e10]"),
-    # overflows whose limit is the exact answer: an envelope, a Lorentzian or a T2 of 0
+    # overflows whose limit was the exact answer (an envelope, a Lorentzian or a T2 of 0):
+    # now each is past the bound of one key
     ("echo", "--set", "coherence.t2=1e-305"),
     ("echo", "--set", "grid.values=[1e305]"),
     ("rabi", "--set", "grid.values=[1e305]"),
@@ -160,13 +161,14 @@ COMMANDS: tuple[tuple[str, ...], ...] = (
     ("field-odmr", "--set", "odmr.linewidth=1e-305"),
     # a drive that strains the rotating-wave treatment: three warning lines
     ("odmr", "--set", "pulse.rabi=400"),
-    # a pump rate x intensity past the float range: a config error
+    # a pump rate x intensity past the float range: the intensity is past its bound
     ("t1", "--set", "init.intensity=1e305"),
     ("odmr", "--set", "init.intensity=1e305"),
     ("odmr", "--set", "readout.intensity=1e305"),
     ("field-odmr", "--set", "init.intensity=1e305"),
     ("field-odmr", "--set", "readout.intensity=1e305"),
-    # cells outside [1e-4, 1e16), which emit leaves to repr: 0.0 and exponent notation
+    # an echo time past the bound of every grid value (the in-range cells that emit
+    # leaves to repr are the last command's)
     ("echo", "--set", "grid.values=[1e-05,0.5,2e16]"),
     # a Rabi detuning spread and an ODMR detuning phase past the float range: config errors
     ("rabi", "--set", "pulse.t2_star=1e-305"),
@@ -194,6 +196,16 @@ COMMANDS: tuple[tuple[str, ...], ...] = (
     # starting points that overflow the model: one error line, and no numpy warning
     _fit("t1.csv", "stretched_exp", "delay", "triplet", "--set", "fit.initial_guess=[1e-300,4,1e300]"),
     _fit("t1.csv", "linear", "delay", "triplet", "--set", "fit.initial_guess=[1e308,1e308]"),
+    # lit windows of 300 s and more, whose squarings lost population conservation
+    ("field-odmr", "--set", "init.duration=3e8"),
+    ("field-odmr", "--set", "readout.duration=3e8"),
+    ("odmr", "--set", "init.duration=1e9", "--set", "field.magnitude=50"),
+    # each window of field-odmr at the upper bound of every time
+    ("field-odmr", "--set", "init.duration=1e9"),
+    ("field-odmr", "--set", "readout.duration=1e9"),
+    ("field-odmr", "--set", "readout.delay=1e9"),
+    # cells outside [1e-4, 1e16), which emit leaves to repr: 0.0 and exponent notation
+    ("echo", "--set", "grid.values=[1e-05,0.5,1e9]"),
 )
 
 
