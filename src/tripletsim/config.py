@@ -66,9 +66,10 @@ _FIELD_RANGE = {"min": -MAX_FIELD_MT, "max": MAX_FIELD_MT}
 #: "reads" names the keys it reads (a section stands for all its keys);
 #: "objects" the keys `_build` makes physics objects of for it;
 #: "grid" and "field_grid" give its default grid in CLI units (only the
-#: count where the physics sets the range, see `runner.PHYSICS`) and
-#: its "unit", the factor to SI; every grid value, given or default, must
-#: lie in "domain" (what the values are, their unit name, their bounds);
+#: count where the physics sets the range, see `runner.PHYSICS`, and in
+#: "range_from" the keys it sets the range from) and its "unit", the
+#: factor to SI; every grid value, given or default, must lie in
+#: "domain" (what the values are, their unit name, their bounds);
 #: "needs_field" asks for a static field of at least MIN_VALUE mT, "cells" names the sizes
 #: MAX_GRID_CELLS bounds together, "sweeps" the grid of swept fields (mT),
 #: and "required" the keys it cannot run without.
@@ -137,7 +138,7 @@ EXPERIMENTS: dict[str, dict[str, Any]] = {
         "description": "Correlation signal oscillating at the nuclear Larmor frequency",
         "reads": "gamma field nuclear ac.phase_samples grid",
         "objects": "field nuclear",
-        "grid": {"count": 1501, "unit": US},
+        "grid": {"count": 1501, "unit": US, "range_from": ("field.magnitude", "nuclear.gamma")},
         "domain": ("storage times", "us", _NONNEGATIVE),
         "needs_field": True,
         "cells": ("grid", "ac.phase_samples"),
@@ -147,7 +148,7 @@ EXPERIMENTS: dict[str, dict[str, Any]] = {
         "reads": "field dark.g_factor dark.coupling_mean dark.coupling_spread dark.linewidth "
         "dark.t_fix grid",
         "objects": "field dark",
-        "grid": {"count": 501, "unit": MHZ},
+        "grid": {"count": 501, "unit": MHZ, "range_from": ("field.magnitude", "dark.g_factor")},
         "domain": ("carrier frequencies", "MHz", _CARRIER),
         "needs_field": True,
     },
@@ -738,7 +739,15 @@ def _grids(name: str, sections: dict, si: dict[str, Any]) -> dict[str, Any]:
             bad = grid[fails(grid, bounds[key])] if key in bounds else ()
             if len(bad):
                 limit = f"{bounds[key]:g} {unit}".rstrip()
-                raise ConfigError(f"grid: {name} needs {what} {rule} {limit}; got {bad[0]:g}")
+                need = f"grid: {name} needs {what} {rule} {limit}"
+                given = (sections["grid"][k] for k in ("values", "start", "stop", "count"))
+                if derived and all(value is None for value in given):
+                    keys = " and ".join(spec["grid"]["range_from"])
+                    raise ConfigError(
+                        f"{need}; its default range, derived from {keys}, reaches {bad[0]:g}; "
+                        "change those keys or give the grid"
+                    )
+                raise ConfigError(f"{need}; got {bad[0]:g}")
     cells = spec.get("cells", ())
     if cells and not _unread(sections, _reads(name)).keys() & set(cells):
         n_rows, n_cols = (grids[k].size if k in grids else _lookup(sections, k) for k in cells)

@@ -16,12 +16,15 @@ A document is formatted and encoded block by block (:func:`emit_chunks`),
 and :func:`write_atomic` writes each chunk as it comes, so a writer holds
 one block of rows as text, never the whole document.
 
-A trace is read back as a stream of lines (:func:`parse_trace`,
-:func:`read_trace`). The body of a CSV table goes to numpy's C reader,
-which is correctly rounded like `float` and fills one float64 array with
+A trace is read back as a stream (:func:`parse_trace`, :func:`read_trace`),
+so a reader holds the float64 array of its rows and a bounded window of
+text, never the whole document. The body of a CSV table goes to numpy's C
+reader, which is correctly rounded like `float` and fills the array with
 no Python object per cell; it accepts the number forms `float` accepts
 except '_' separators and non-ASCII digits, which JSON refuses too. A JSON
-document is read whole by `json.loads` and its rows copied into the array.
+document is walked member by member with json's own scanner, and its data
+array a block of rows at a time (:class:`_JsonText`): it reads, and fails
+with the message, line and column, as `json.loads` of the whole text would.
 """
 
 from __future__ import annotations
@@ -349,20 +352,20 @@ def emit(record: TraceRecord, fmt: str = "csv") -> bytes:
 def parse_trace(payload: bytes | str) -> TraceRecord:
     """Re-ingest a trace emitted by :func:`emit` (either format).
 
-    The payload is read as a stream of lines (:func:`_read_stream`), so the
-    decoded text of a CSV table is never held whole. A JSON `str` is
-    decoded as it is; a CSV `str` is encoded first, which holds one byte
-    per ASCII character where an `io.StringIO` would copy it at four.
+    The payload is read as a stream (:func:`_read_stream`), so the decoded
+    text of a table is never held whole. A JSON `str` is read in place; a
+    CSV `str` is encoded first, which holds one byte per ASCII character
+    where an `io.StringIO` would copy it at four.
     """
     if isinstance(payload, str):
         if _JSON_START.match(payload):
-            return _record(*_decode_json(payload), _json_data)
+            return _record(*_decode_json(_JsonText(payload)), _Rows.array)
         payload = payload.encode("utf-8", "surrogatepass")
     return _read_stream(io.TextIOWrapper(io.BytesIO(payload), encoding="utf-8", newline="\n"))
 
 
 def read_trace(path: str) -> TraceRecord:
-    """Re-ingest the trace file at `path`, read line by line as it is decoded."""
+    """Re-ingest the trace file at `path`, read as it is decoded."""
     with open(path, encoding="utf-8", newline="\n") as fh:
         return _read_stream(fh)
 
@@ -375,29 +378,30 @@ def _read_stream(stream: io.TextIOBase) -> TraceRecord:
     """Decode a text stream of either format into a checked record.
 
     A document whose first non-blank line starts with '{' is JSON, read
-    whole by `json.loads`. A CSV table goes to numpy's C reader line by
-    line (:func:`_csv_data`), so a byte that is not UTF-8 may come up
-    while the table is read.
+    a window of text at a time (:class:`_JsonText`). A CSV table goes to
+    numpy's C reader line by line (:func:`_csv_data`). Either way a byte
+    that is not UTF-8 may come up while the table is read.
     """
     try:
         lines = iter(stream)
-        first = line = next(lines, "")
+        blank = []
+        line = next(lines, "")
         while line.isspace():
+            blank.append(line)
             line = next(lines, "")
         if _JSON_START.match(line):
             if stream.seekable():  # read from the top: the text is decoded once, not copied
                 stream.seek(0)
-                line = ""
-            return _record(*_decode_json(line + stream.read()), _json_data)
+                line, blank = "", []
+            return _record(*_decode_json(_JsonText("".join(blank) + line, stream)), _Rows.array)
         # '#' metadata lines count only at the very top of a CSV table
-        head = [first, line] if first.isspace() else [line]
-        return _record(*_decode_csv(itertools.chain(head, lines)), _csv_data)
+        return _record(*_decode_csv(itertools.chain(blank[:1], [line], lines)), _csv_data)
     except UnicodeDecodeError as exc:
         raise ConfigError(f"trace is not UTF-8 text: {exc}") from exc
 
 
 def _record(
-    metadata: dict, headers: list, body: Iterable, table: Callable[[Iterable, int], np.ndarray]
+    metadata: dict, headers: list, body: Iterable | _Rows, table: Callable[..., np.ndarray]
 ) -> TraceRecord:
     """Both formats' table rules: valid columns, rows of one number per column
     (`table` reads `body` into an array of that width), finite data."""
@@ -410,23 +414,6 @@ def _record(
         return TraceRecord(columns=columns, data=data, metadata=metadata)
     except InvalidParameterError as exc:
         raise ConfigError(f"trace data: {exc}") from exc
-
-
-def _json_data(rows: list, width: int) -> np.ndarray:
-    """The rows of a JSON data list as an (n, width) array: each row a list of
-    `width` numbers, int or float, checked over iterators without a flat copy."""
-    if set(map(type, rows)) - {list} or set(map(len, rows)) - {width}:
-        k, row = next((k, r) for k, r in enumerate(rows) if type(r) is not list or len(r) != width)
-        raise ConfigError(f"data row {k} is not a row of {width} numbers: {row!r}")
-    types = set(map(type, itertools.chain.from_iterable(rows)))
-    other = sorted(t.__name__ for t in types - {int, float})
-    if other:
-        raise ConfigError(f"trace data: every cell must be a number, got {', '.join(other)}")
-    try:
-        cells = np.fromiter(itertools.chain.from_iterable(rows), float, len(rows) * width)
-    except OverflowError as exc:
-        raise ConfigError(f"trace data: {exc}") from exc
-    return cells.reshape(len(rows), width)
 
 
 def _csv_data(lines: Iterator[str], width: int) -> np.ndarray:
@@ -472,26 +459,233 @@ def _checked_blocks(lines: Iterator[str], width: int) -> Iterator[list[str]]:
         yield block
 
 
-def _decode_json(text: str) -> tuple[dict, list, list]:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"trace is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("format") != _MAGIC:
+#: Characters of JSON text read at a time: a reader holds about two such
+#: windows and one block of rows as Python objects.
+_READ_CHARS = 1 << 16
+#: How far past a value json's scanner may look: a value or an error this
+#: near the end of the window is scanned again with more text.
+_LOOKAHEAD = 16
+_JSON_SPACE = re.compile(r"[ \t\n\r]*")
+_scan_value = json.scanner.make_scanner(json.JSONDecoder())
+
+
+def _scan_key(text: str, pos: int) -> tuple[str, int]:
+    return json.decoder.scanstring(text, pos + 1)
+
+
+class _JsonText:
+    """JSON text read a window at a time from `stream`, or all of `text` if
+    there is no stream. `text[pos:]` is the part not yet read; errors carry
+    the line, column and character json gives them in the whole text."""
+
+    def __init__(self, text: str, stream: io.TextIOBase | None = None):
+        self.text, self.stream, self.pos = text, stream, 0
+        self.dropped = self.lines = 0  # characters and newlines dropped before text[0]
+        self.last_newline = -1  # the position in the whole text of the last one dropped
+
+    def more(self) -> bool:
+        """Drop the text before `pos` and read at least as much again as is
+        left, at least `_READ_CHARS`; False if the stream has ended."""
+        chunk = self.stream.read(max(_READ_CHARS, len(self.text) - self.pos)) if self.stream else ""
+        if not chunk:
+            self.stream = None
+            return False
+        newline = self.text.rfind("\n", 0, self.pos)
+        if newline >= 0:
+            self.last_newline = self.dropped + newline
+        self.lines += self.text.count("\n", 0, self.pos)
+        self.dropped += self.pos
+        self.text, self.pos = self.text[self.pos :] + chunk, 0
+        return True
+
+    def skip(self) -> str:
+        """Skip JSON whitespace; the character after it, or "" at the end of the text."""
+        while True:
+            self.pos = _JSON_SPACE.match(self.text, self.pos).end()
+            if self.pos < len(self.text):
+                return self.text[self.pos]
+            if not self.more():
+                return ""
+
+    def error(self, msg: str, pos: int) -> ConfigError:
+        """json's error `msg` at `text[pos]`, placed in the whole text.
+
+        The rest of the stream is decoded first, so a byte that is not UTF-8
+        is reported before it, as when the whole text is decoded at once.
+        """
+        newline = self.text.rfind("\n", 0, pos)
+        line = self.lines + self.text.count("\n", 0, pos) + 1
+        column = pos - newline if newline >= 0 else self.dropped + pos - self.last_newline
+        where = f"line {line} column {column} (char {self.dropped + pos})"
+        while self.stream and self.stream.read(_READ_CHARS):
+            pass
+        return ConfigError(f"trace is not valid JSON: {msg}: {where}")
+
+    def scan(self, scanner: Callable[[str, int], tuple] = _scan_value):
+        """The value `scanner` reads at `pos`, as it reads it in the whole text."""
+        while True:
+            try:
+                value, end = scanner(self.text, self.pos)
+            except StopIteration as exc:
+                msg, at = "Expecting value", exc.value
+            except json.JSONDecodeError as exc:
+                msg, at = exc.msg, exc.pos
+            else:
+                if end + _LOOKAHEAD < len(self.text) or not self.more():
+                    self.pos = end
+                    return value
+                continue
+            cut_short = at + _LOOKAHEAD >= len(self.text) or msg.startswith("Unterminated")
+            if not (cut_short and self.more()):
+                raise self.error(msg, at)
+
+    def block(self) -> list | None:
+        """The rows up to the last '],' in the next `_READ_CHARS` characters, if
+        they decode as a list of values; None if no such cut decodes.
+
+        A cut inside a row or a string leaves a bracket or a string open, and
+        a cut after the array's own ']' leaves one ']' too many, so a block
+        that decodes holds exactly whole rows, read as json reads them.
+        """
+        end = self.pos + _READ_CHARS
+        while (cut := self.text.rfind("],", self.pos, end)) >= 0:
+            try:
+                rows = json.loads("[" + self.text[self.pos : cut + 1] + "]")
+            except json.JSONDecodeError as exc:
+                end = min(self.pos + exc.pos, cut + 1)  # try a cut before the fault
+                continue
+            self.pos = cut + 1
+            return rows
+        return None
+
+    def rows(self, table: _Rows) -> None:
+        """Read the array at `pos` into `table`, a block of rows at a time."""
+        self.pos += 1
+        if self.skip() == "]":
+            self.pos += 1
+            return
+        while True:
+            if len(self.text) - self.pos < _READ_CHARS:
+                self.more()
+            table.add(self.block() or [self.scan()])
+            delimiter = self.skip()
+            self.pos += 1
+            if delimiter == "]":
+                return
+            if delimiter != ",":
+                raise self.error("Expecting ',' delimiter", self.pos - 1)
+            self.skip()
+
+
+class _Rows:
+    """The rows of a JSON data array, checked and copied block by block into
+    one float64 array as wide as the first row, which grows in place.
+
+    The faults the whole table is checked for are kept, so that :meth:`array`
+    names the first of them as if the table were checked at once: a row
+    that is not a list of `width` numbers, then the types of the cells that
+    are not numbers, then an integer too large for a float.
+    """
+
+    def __init__(self) -> None:
+        self.count, self.width = 0, -1
+        self.data: np.ndarray | None = np.empty((0, 0))
+        self.first = self.bad_row = self.overflow = None
+        self.cell_types: set[type] = set()
+
+    def add(self, rows: list) -> None:
+        start, self.count = self.count, self.count + len(rows)
+        if self.bad_row is not None:
+            return
+        if self.first is None:
+            self.first = rows[0]
+            self.width = len(rows[0]) if type(rows[0]) is list else -1
+        width = self.width
+        if set(map(type, rows)) - {list} or set(map(len, rows)) - {width}:
+            k = next(k for k, r in enumerate(rows) if type(r) is not list or len(r) != width)
+            self.bad_row, self.data = (start + k, rows[k]), None
+            return
+        self.cell_types |= set(map(type, itertools.chain.from_iterable(rows))) - {int, float}
+        if self.data is None or self.cell_types:
+            self.data = None
+            return
+        if len(self.data) < self.count:  # no view of the array exists
+            self.data.resize((max(self.count, len(self.data) * 5 // 4), width), refcheck=False)
+        try:
+            cells = np.fromiter(itertools.chain.from_iterable(rows), float, len(rows) * width)
+        except OverflowError as exc:
+            self.overflow, self.data = exc, None
+            return
+        self.data[start : self.count] = cells.reshape(len(rows), width)
+
+    def array(self, width: int) -> np.ndarray:
+        """The rows as an (n, width) array, or the first fault of the table."""
+        bad_row = (0, self.first) if self.count and self.width != width else self.bad_row
+        if bad_row is not None:
+            k, row = bad_row
+            raise ConfigError(f"data row {k} is not a row of {width} numbers: {row!r}")
+        if self.cell_types:
+            other = sorted(t.__name__ for t in self.cell_types)
+            raise ConfigError(f"trace data: every cell must be a number, got {', '.join(other)}")
+        if self.overflow is not None:
+            raise ConfigError(f"trace data: {self.overflow}") from self.overflow
+        if not self.count:
+            return np.empty((0, width))
+        self.data.resize((self.count, width), refcheck=False)
+        return self.data
+
+
+def _decode_json(text: _JsonText) -> tuple[dict, list, _Rows]:
+    """The metadata, headers and data rows of a JSON document.
+
+    The top-level object is walked as json walks it, one member at a time;
+    every value but the `data` array is read by json's scanner, and the
+    array is read into :class:`_Rows` a block at a time. As in a dict, the
+    last of two members with one key wins.
+    """
+    members: dict = {}
+    if text.skip() != "{":
+        raise text.error("Expecting value", text.pos)
+    text.pos += 1
+    if text.skip() != "}":
+        while True:
+            if text.skip() != '"':
+                raise text.error("Expecting property name enclosed in double quotes", text.pos)
+            key = text.scan(_scan_key)
+            if text.skip() != ":":
+                raise text.error("Expecting ':' delimiter", text.pos)
+            text.pos += 1
+            members.pop(key, None)  # an earlier value of the key goes before the next is read
+            if text.skip() == "[" and key == "data":
+                members[key] = _Rows()
+                text.rows(members[key])
+            else:
+                members[key] = text.scan()
+            delimiter = text.skip()
+            if delimiter == "}":
+                break
+            if delimiter != ",":
+                raise text.error("Expecting ',' delimiter", text.pos)
+            text.pos += 1
+    text.pos += 1
+    if text.skip():
+        raise text.error("Extra data", text.pos)
+    if members.get("format") != _MAGIC:
         raise ConfigError("not a trace document (missing format marker)")
-    if not isinstance(doc.get("columns"), list):
+    columns = members.get("columns")
+    if not isinstance(columns, list):
         raise ConfigError("trace document has no 'columns' list")
     if not all(
         isinstance(c, dict) and isinstance(c.get("name"), str) and isinstance(c.get("unit", ""), str)
-        for c in doc["columns"]
+        for c in columns
     ):
         raise ConfigError("every trace column needs a 'name' string and a string 'unit', if any")
-    if not isinstance(doc.get("data"), list):
+    if not isinstance(members.get("data"), _Rows):
         raise ConfigError("trace document has no 'data' list")
-    metadata = doc.get("metadata", {})
+    metadata = members.get("metadata", {})
     if not isinstance(metadata, dict):
         raise ConfigError("trace metadata must be a JSON object")
-    return metadata, [(c["name"], c.get("unit", "1")) for c in doc["columns"]], doc["data"]
+    return metadata, [(c["name"], c.get("unit", "1")) for c in columns], members["data"]
 
 
 def _decode_csv(stream: Iterable[str]) -> tuple[dict, list, Iterator[str]]:

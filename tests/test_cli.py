@@ -151,6 +151,21 @@ def test_fit_input_that_turns_invalid_utf8_mid_stream_is_a_config_error(tmp_path
     assert err["message"].startswith("trace is not UTF-8 text: ")
 
 
+def test_fit_input_of_truncated_json_is_one_config_line(tmp_path):
+    # the JSON reader meets the cut past its first window of text and names
+    # it as json names it in the whole text
+    x = np.arange(20_000.0)
+    record = trace.TraceRecord((trace.Column("x"), trace.Column("y")), np.column_stack([x, 2 * x]), {})
+    text = trace.emit(record, "json")[:300_000].decode()
+    with pytest.raises(json.JSONDecodeError) as whole:
+        json.loads(text)
+    bad = tmp_path / "cut.json"
+    bad.write_text(text)
+    args = ("fit", "--set", "fit.model=linear", "--set", f"fit.input={bad}")
+    err = assert_one_json_error(run_cli(*args), 1, "config")
+    assert err["message"] == f"trace is not valid JSON: {whole.value}"
+
+
 @pytest.mark.parametrize(
     "model, guess, message",
     [

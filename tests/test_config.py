@@ -9,6 +9,7 @@ from tripletsim.config import (
     _SPECS,
     DEGREE,
     EXPERIMENTS,
+    MAX_FIELD_MT,
     MAX_VALUE,
     MHZ,
     MHZ_PER_MT,
@@ -205,18 +206,51 @@ def test_physics_consistency_checks():
     [
         ("rabi", {"grid": {"spacing": "log"}}, "grid.spacing: log spacing needs start > 0"),
         ("dd-scaling", {"grid": {"spacing": "linear"}}, "dd-scaling has a default list of values"),
-        # the proton's Larmor period at the least field nmr-correlation takes is 2.3e10 us
-        (
-            "nmr-correlation",
-            {"field": {"magnitude": 1e-9}},
-            "grid: nmr-correlation needs storage times <= 1e+09 us; got",
-        ),
     ],
 )
 def test_default_grids_are_resolved_and_checked_by_parse_config(experiment, raw, message):
     with pytest.raises(ConfigError) as info:
         parse_config(raw, experiment=experiment)
     assert message in str(info.value)
+
+
+_DERIVED = (
+    "grid: nmr-correlation needs storage times <= 1e+09 us; its default range, derived from "
+    "field.magnitude and nuclear.gamma, reaches 1.40911e+09; change those keys or give the grid"
+)
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        # the proton's Larmor period at the least field nmr-correlation takes is 2.3e10 us
+        ({"field": {"magnitude": 1e-9}}, _DERIVED),
+        ({"field": {"magnitude": 1e-9}, "grid": {"spacing": "linear"}}, _DERIVED),
+        # a grid given out of its domain is named as given, whatever the default range
+        (
+            {"field": {"magnitude": 1e-9}, "grid": {"start": -1.0, "stop": 10.0, "count": 3}},
+            "grid: nmr-correlation needs storage times >= 0 us; got -1",
+        ),
+        (
+            {"field": {"magnitude": 1e-9}, "grid": {"values": [-1.0]}},
+            "grid: nmr-correlation needs storage times >= 0 us; got -1",
+        ),
+    ],
+    ids=["derived", "derived-with-spacing", "given-range", "given-values"],
+)
+def test_a_default_range_out_of_its_domain_names_the_keys_it_is_derived_from(raw, message):
+    with pytest.raises(ConfigError) as info:
+        parse_config(raw, experiment="nmr-correlation")
+    assert str(info.value) == message
+
+
+def test_the_default_deer_range_stays_in_its_domain_at_the_bounds_of_its_keys():
+    # the resonance at the largest field and g-factor is 1.4e8 MHz, inside (0, 1e9]
+    cfg = parse_config(
+        {"field": {"magnitude": MAX_FIELD_MT}, "dark": {"g_factor": 100.0}}, experiment="deer"
+    )
+    assert 0.0 < cfg.grids["grid"].min() and cfg.grids["grid"].max() <= MAX_VALUE
+    assert EXPERIMENTS["deer"]["grid"]["range_from"] == ("field.magnitude", "dark.g_factor")
 
 
 @pytest.mark.parametrize(

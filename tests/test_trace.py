@@ -1,6 +1,8 @@
+import functools
 import io
 import json
 import os
+import random
 import tracemalloc
 import warnings
 from decimal import Decimal
@@ -234,27 +236,244 @@ def test_an_empty_csv_table_reads_without_a_warning(body):
     assert record.data.shape == (0, 2)
 
 
+class _Pipe(io.BytesIO):
+    """Bytes that cannot be sought, as from a pipe."""
+
+    def seekable(self):
+        return False
+
+
+def _read(text, how):
+    """parse_trace of `text` as bytes or as str, or the stream reader over a pipe of it."""
+    if how == "str":
+        return parse_trace(text)
+    payload = text.encode("utf-8", "surrogatepass")
+    if how == "bytes":
+        return parse_trace(payload)
+    return trace._read_stream(io.TextIOWrapper(_Pipe(payload), encoding="utf-8", newline="\n"))
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_a_stream_that_cannot_seek_reads_as_a_file_does(fmt):
     # a JSON document is read from the top again where the stream can seek;
     # a pipe cannot, so the lines already read are kept instead
-    class Pipe(io.BytesIO):
-        def seekable(self):
-            return False
-
     payload = emit(sample_record(), fmt)
-    back = trace._read_stream(io.TextIOWrapper(Pipe(payload), encoding="utf-8", newline="\n"))
+    back = trace._read_stream(io.TextIOWrapper(_Pipe(payload), encoding="utf-8", newline="\n"))
     assert emit(back, fmt) == emit(parse_trace(payload), fmt) == emit(sample_record(), fmt)
 
 
+def _json_doc(record):
+    return {
+        "format": "tripletsim-trace",
+        "version": 1,
+        "metadata": record.metadata,
+        "columns": [{"name": c.name, "unit": c.unit} for c in record.columns],
+        "data": record.data.tolist(),
+    }
+
+
+_LAYOUTS = {
+    "indent-none": lambda doc: json.dumps(doc),
+    "indent-0": lambda doc: json.dumps(doc, indent=0),
+    "indent-1": lambda doc: json.dumps(doc, indent=1),
+    "indent-4": lambda doc: json.dumps(doc, indent=4),
+    "compact": lambda doc: json.dumps(doc, separators=(",", ":")),
+    "crlf": lambda doc: json.dumps(doc, indent=1).replace("\n", "\r\n"),
+    "leading-blank-lines": lambda doc: "\n \r\n\t\n" + json.dumps(doc, indent=1) + "\n",
+}
+
+
+@pytest.mark.parametrize("how", ["bytes", "str", "pipe"])
+@pytest.mark.parametrize("layout", list(_LAYOUTS))
+@pytest.mark.parametrize("window", [7, 64, 1 << 16])
+def test_json_layouts_read_alike_in_any_window(layout, how, window):
+    """Windows of 7 characters end inside numbers, strings and keys and between
+    rows; windows of 64 hold a few rows, read as blocks; one window of 64 KB
+    holds the whole document."""
+    record = _field_map(6, 35, seed=32)
+    record.metadata = {"note": 'a "data": [[1.0], [2.0]] string, with ],[ in it', "n": [1, 2.5]}
+    text = _LAYOUTS[layout](_json_doc(record))
+    with mock.patch.object(trace, "_READ_CHARS", window):
+        back = _read(text, how)
+    assert (back.columns, back.metadata) == (record.columns, record.metadata)
+    assert np.array_equal(back.data.view(np.int64), record.data.view(np.int64))
+
+
+@pytest.mark.parametrize("how", ["bytes", "str", "pipe"])
+def test_json_members_read_in_any_order_and_the_last_of_a_key_wins(how):
+    columns = '"columns": [{"name": "a"}, {"name": "b"}]'
+    head = f'{{"format": "tripletsim-trace", {columns}'
+    # the data before the columns
+    text = f'{{"data": [[1, 2], [3, 4.5]], {columns}, "format": "tripletsim-trace"}}'
+    assert _read(text, how).data.tolist() == [[1.0, 2.0], [3.0, 4.5]]
+    # a ragged first data member is replaced by the second
+    text = f'{head}, "data": [[1, 2], [3]], "data": [[5, 6]]}}'
+    assert _read(text, how).data.tolist() == [[5.0, 6.0]]
+    # and a good one by a ragged one, named by its own rows
+    with pytest.raises(ConfigError, match=r"^data row 1 is not a row of 2 numbers: \[7\]$"):
+        _read(f'{head}, "data": [[5, 6]], "data": [[1, 2], [7]]}}', how)
+    with pytest.raises(ConfigError, match="no 'data' list"):
+        _read(f'{head}, "data": [[5, 6]], "data": {{}}}}', how)
+    # rows read before the columns that turn out wider or narrower
+    for data, row in (("[[1, 2, 3], [4, 5, 6]]", "[1, 2, 3]"), ("[[1], [2, 3]]", "[1]")):
+        with pytest.raises(ConfigError) as info:
+            _read(f'{{"data": {data}, {columns}, "format": "tripletsim-trace"}}', how)
+        assert str(info.value) == f"data row 0 is not a row of 2 numbers: {row}"
+
+
 @pytest.mark.parametrize("fmt, shown", [("csv", "'3.0'"), ("json", "[3.0]")])
-@pytest.mark.parametrize("k", [0, 1, 1500])  # 1500: past the CSV reader's first block of lines
+# 1500: past the CSV reader's first block of lines; 15000: past the JSON
+# reader's first window of text, at 12 characters a row
+@pytest.mark.parametrize("k", [0, 1, 1500, 15000])
 def test_a_ragged_row_is_named_by_its_row(k, fmt, shown):
-    rows = [["1.0", "2.0"]] * 2000
+    rows = [["1.0", "2.0"]] * 20_000
     rows[k] = ["3.0"]
     with pytest.raises(ConfigError) as info:
         parse_trace(_table(fmt, [("a", "1"), ("b", "1")], rows))
     assert str(info.value) == f"data row {k} is not a row of 2 numbers: {shown}"
+
+
+@functools.cache
+def _long_json():
+    """A 10,000-row field map as :func:`emit` writes it: 60 characters a row,
+    ten windows of the JSON reader."""
+    return emit(_field_map(100, 100, seed=32), "json").decode()
+
+
+def _after_row(text, k):
+    """The position of the delimiter after data row `k` of :func:`_long_json`."""
+    at = -1
+    for _ in range(k + 1):
+        at = text.index("\n  ],", at + 1)
+    return at + len("\n  ]")
+
+
+def _splice(text, at, new, drop=0):
+    return text[:at] + new + text[at + drop :]
+
+
+_CORRUPTIONS = {
+    "truncated-at-10": lambda t: t[:10],
+    "truncated-at-1000": lambda t: t[:1000],
+    "truncated-past-the-first-window": lambda t: t[:70_000],
+    "truncated-in-a-number": lambda t: t[: t.index("0.99", 300_000) + 3],
+    "truncated-before-the-last-brace": lambda t: t[:-3],
+    "bad-delimiter-after-row-5000": lambda t: _splice(t, _after_row(t, 5000), ";", drop=1),
+    "trailing-garbage": lambda t: t + "x",
+    "trailing-object": lambda t: t + " {}",
+    # the string runs on to the quote of the next key, past the data array
+    "open-string-with-brackets-in-row-3000": lambda t: _splice(t, _after_row(t, 2999) + 9, '"a],[b'),
+    "missing-comma-between-members": lambda t: t.replace('],\n "format"', ']\n "format"'),
+}
+
+
+@pytest.mark.parametrize("how", ["bytes", "str", "pipe"])
+@pytest.mark.parametrize("corrupt", list(_CORRUPTIONS))
+def test_json_errors_keep_jsons_message(corrupt, how):
+    """The reader reports json's own message for the whole text: its line, column and character."""
+    text = _CORRUPTIONS[corrupt](_long_json())
+    with pytest.raises(json.JSONDecodeError) as whole:
+        json.loads(text)
+    with pytest.raises(ConfigError) as info:
+        _read(text, how)
+    assert str(info.value) == f"trace is not valid JSON: {whole.value}"
+
+
+def test_a_byte_that_is_not_utf8_is_reported_before_a_json_error_ahead_of_it():
+    # as when the whole text is decoded before json reads it
+    payload = b'{"format" x\n' + b" \n" * 100_000 + b"\xff}"
+    with pytest.raises(ConfigError, match="^trace is not UTF-8 text: "):
+        parse_trace(payload)
+
+
+def _whole_document(text):
+    """What reading `text` whole with `json.loads` gives: the metadata, headers and
+    rows, or the message of the first fault, checked in the reader's order."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        return f"trace is not valid JSON: {exc}"
+    if doc.get("format") != "tripletsim-trace":
+        return "not a trace document (missing format marker)"
+    columns, rows = doc.get("columns"), doc.get("data")
+    if not isinstance(columns, list):
+        return "trace document has no 'columns' list"
+    if not all(
+        isinstance(c, dict) and isinstance(c.get("name"), str) and isinstance(c.get("unit", ""), str)
+        for c in columns
+    ):
+        return "every trace column needs a 'name' string and a string 'unit', if any"
+    if not isinstance(rows, list):
+        return "trace document has no 'data' list"
+    if not isinstance(doc.get("metadata", {}), dict):
+        return "trace metadata must be a JSON object"
+    for k, row in enumerate(rows):
+        if type(row) is not list or len(row) != len(columns):
+            return f"data row {k} is not a row of {len(columns)} numbers: {row!r}"
+    other = sorted({type(c).__name__ for row in rows for c in row} - {"int", "float"})
+    if other:
+        return f"trace data: every cell must be a number, got {', '.join(other)}"
+    try:
+        data = np.array([[float(c) for c in row] for row in rows]).reshape(len(rows), len(columns))
+    except OverflowError as exc:
+        return f"trace data: {exc}"
+    return doc.get("metadata", {}), [(c["name"], c.get("unit", "1")) for c in columns], data
+
+
+def _streamed(text, how):
+    stream = None
+    if how == "pipe":
+        payload = _Pipe(text.encode("utf-8", "surrogatepass"))
+        stream = io.TextIOWrapper(payload, encoding="utf-8", newline="\n")
+        text = ""
+    try:
+        metadata, headers, rows = trace._decode_json(trace._JsonText(text, stream))
+        return metadata, headers, rows.array(len(headers))
+    except ConfigError as exc:
+        return str(exc)
+
+
+def _mutants(rng, n):
+    """JSON traces in every layout of `_LAYOUTS`, each with a few random edits."""
+    pieces = list('[]{},:" \n\r\t0123456789.eE-+\\x') + [
+        "],[", '"data"', '"columns"', "NaN", "Infinity", "1e999", "1" * 30, "true", "null"
+    ]
+    for _ in range(n):
+        width, count = rng.choice([1, 2, 3]), rng.choice([0, 1, 2, 5, 40])
+        cells = [0.5, -1e-300, 1, 123456789.125, 2.5e17, -0.0, "],["]
+        doc = {
+            "format": "tripletsim-trace",
+            "metadata": {"k": rng.choice(["x", "],[", [1, 2]])},
+            "columns": [{"name": f"c{i}"} for i in range(width)],
+            "data": [[rng.choice(cells) for _ in range(width)] for _ in range(count)],
+        }
+        text = _LAYOUTS[rng.choice(list(_LAYOUTS))](doc)
+        for _ in range(rng.choice([0, 1, 1, 2, 3])):
+            at, edit = rng.randrange(len(text) + 1), rng.random()
+            if edit < 0.3:
+                text = text[:at] + rng.choice(pieces) + text[at:]
+            elif edit < 0.6:
+                text = text[:at] + text[at + rng.randint(1, 3) :]
+            elif edit < 0.75:
+                text = text[:at]
+            else:
+                text = text[:at] + rng.choice(pieces) + text[at + 1 :]
+        if trace._JSON_START.match(text):
+            yield text
+
+
+@pytest.mark.parametrize("how", ["str", "pipe"])
+@pytest.mark.parametrize("window", [3, 16, 1 << 16])
+def test_the_streamed_json_reader_reads_as_the_whole_document_is_read(window, how):
+    """Valid and corrupt documents give the rows, or the message, of reading them whole."""
+    with mock.patch.object(trace, "_READ_CHARS", window):
+        for text in _mutants(random.Random(32 + window), 300):
+            want, got = _whole_document(text), _streamed(text, how)
+            if isinstance(want, str):
+                assert got == want, text
+            else:
+                assert got[:2] == want[:2], text
+                assert np.array_equal(got[2].view(np.int64), want[2].view(np.int64)), text
 
 
 @pytest.mark.parametrize(
@@ -373,18 +592,18 @@ def test_streamed_write_holds_less_than_half_the_payload(fmt, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "fmt, text, bound", [("csv", False, 1.0), ("json", False, 4.0), ("csv", True, 2.0), ("json", True, 4.0)]
+    "fmt, text, bound", [("csv", False, 1.0), ("json", False, 1.0), ("csv", True, 2.0), ("json", True, 2.0)]
 )
 def test_parse_holds_a_bounded_multiple_of_the_payload(fmt, text, bound):
-    """A CSV table streams into one float64 array: the read holds less than the
-    payload, and a `str` payload adds its one-byte-per-character encoding. A
-    JSON document is read whole, but its rows are checked and copied without
-    a flat list of cells.
+    """Both formats stream into one float64 array: the read holds less than the
+    payload. A CSV `str` payload adds its one-byte-per-character encoding; a
+    JSON `str` is read in place, a window at a time.
 
     A 50,610-row field map, 241 fields by 210 frequencies. A reader that
     holds the decoded text and a Python float per cell peaks at about 7x
-    the CSV payload and 4.5x the JSON payload; an `io.StringIO` of a `str`
-    holds four bytes per character.
+    the CSV payload and 4.5x the JSON payload; one that decodes the whole
+    JSON document before copying its rows out, at 3.7x; an `io.StringIO`
+    of a `str` holds four bytes per character.
     """
     record = _field_map(241, 210, seed=29)
     payload = emit(record, fmt)
