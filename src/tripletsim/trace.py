@@ -18,13 +18,16 @@ one block of rows as text, never the whole document.
 
 A trace is read back as a stream (:func:`parse_trace`, :func:`read_trace`),
 so a reader holds the float64 array of its rows and a bounded window of
-text, never the whole document. The body of a CSV table goes to numpy's C
-reader, which is correctly rounded like `float` and fills the array with
-no Python object per cell; it accepts the number forms `float` accepts
-except '_' separators and non-ASCII digits, which JSON refuses too. A JSON
-document is walked member by member with json's own scanner, and its data
-array a block of rows at a time (:class:`_JsonText`): it reads, and fails
-with the message, line and column, as `json.loads` of the whole text would.
+text, never the whole document. Files, bytes and pipes are read by one
+path, once, from the top: the leading lines a window at a time, so a JSON
+document on one line is no more held whole than an indented one. The body
+of a CSV table goes to numpy's C reader, which is correctly rounded like
+`float` and fills the array with no Python object per cell; it accepts the
+number forms `float` accepts except '_' separators and non-ASCII digits,
+which JSON refuses too. A JSON document is walked member by member with
+json's own scanner, and its data array a block of rows at a time
+(:class:`_JsonText`): it reads, and fails with the message, line and
+column, as `json.loads` of the whole text would.
 """
 
 from __future__ import annotations
@@ -377,25 +380,23 @@ _JSON_START = re.compile(r"\s*\{")
 def _read_stream(stream: io.TextIOBase) -> TraceRecord:
     """Decode a text stream of either format into a checked record.
 
-    A document whose first non-blank line starts with '{' is JSON, read
-    a window of text at a time (:class:`_JsonText`). A CSV table goes to
-    numpy's C reader line by line (:func:`_csv_data`). Either way a byte
-    that is not UTF-8 may come up while the table is read.
+    Leading lines are read at most a window (`_READ_CHARS`) at a time. If the
+    first non-blank text starts with '{', JSON is read on from it a window at
+    a time (:class:`_JsonText`); a CSV table goes to numpy's C reader line by
+    line (:func:`_csv_data`). A byte that is not UTF-8 may come up in either.
     """
     try:
-        lines = iter(stream)
         blank = []
-        line = next(lines, "")
+        line = stream.readline(_READ_CHARS)
         while line.isspace():
             blank.append(line)
-            line = next(lines, "")
+            line = stream.readline(_READ_CHARS)
         if _JSON_START.match(line):
-            if stream.seekable():  # read from the top: the text is decoded once, not copied
-                stream.seek(0)
-                line, blank = "", []
             return _record(*_decode_json(_JsonText("".join(blank) + line, stream)), _Rows.array)
+        if not line.endswith("\n"):
+            line += stream.readline()
         # '#' metadata lines count only at the very top of a CSV table
-        return _record(*_decode_csv(itertools.chain(blank[:1], [line], lines)), _csv_data)
+        return _record(*_decode_csv(itertools.chain(blank[:1], [line], stream)), _csv_data)
     except UnicodeDecodeError as exc:
         raise ConfigError(f"trace is not UTF-8 text: {exc}") from exc
 
@@ -507,19 +508,21 @@ class _JsonText:
             if not self.more():
                 return ""
 
-    def error(self, msg: str, pos: int) -> ConfigError:
-        """json's error `msg` at `text[pos]`, placed in the whole text.
+    def error(self, msg: str, pos: int | None) -> ConfigError:
+        """json's error `msg` at `text[pos]`, placed in the whole text; an
+        integer of too many digits for `int` has no place (`pos` is None).
 
         The rest of the stream is decoded first, so a byte that is not UTF-8
         is reported before it, as when the whole text is decoded at once.
         """
-        newline = self.text.rfind("\n", 0, pos)
-        line = self.lines + self.text.count("\n", 0, pos) + 1
-        column = pos - newline if newline >= 0 else self.dropped + pos - self.last_newline
-        where = f"line {line} column {column} (char {self.dropped + pos})"
+        if pos is not None:
+            newline = self.text.rfind("\n", 0, pos)
+            line = self.lines + self.text.count("\n", 0, pos) + 1
+            column = pos - newline if newline >= 0 else self.dropped + pos - self.last_newline
+            msg = f"{msg}: line {line} column {column} (char {self.dropped + pos})"
         while self.stream and self.stream.read(_READ_CHARS):
             pass
-        return ConfigError(f"trace is not valid JSON: {msg}: {where}")
+        return ConfigError(f"trace is not valid JSON: {msg}")
 
     def scan(self, scanner: Callable[[str, int], tuple] = _scan_value):
         """The value `scanner` reads at `pos`, as it reads it in the whole text."""
@@ -530,12 +533,17 @@ class _JsonText:
                 msg, at = "Expecting value", exc.value
             except json.JSONDecodeError as exc:
                 msg, at = exc.msg, exc.pos
+            except ValueError as exc:  # too many digits for int, which json places nowhere
+                msg, at = str(exc), None
             else:
                 if end + _LOOKAHEAD < len(self.text) or not self.more():
                     self.pos = end
                     return value
                 continue
-            cut_short = at + _LOOKAHEAD >= len(self.text) or msg.startswith("Unterminated")
+            if at is None:  # if the text ends in a number, more of it may make the number a float
+                cut_short = self.text[-1] in "0123456789.eE+-"
+            else:
+                cut_short = at + _LOOKAHEAD >= len(self.text) or msg.startswith("Unterminated")
             if not (cut_short and self.more()):
                 raise self.error(msg, at)
 
@@ -554,6 +562,8 @@ class _JsonText:
             except json.JSONDecodeError as exc:
                 end = min(self.pos + exc.pos, cut + 1)  # try a cut before the fault
                 continue
+            except ValueError as exc:  # too many digits for int: a number the cut left whole
+                raise self.error(str(exc), None) from exc
             self.pos = cut + 1
             return rows
         return None
@@ -706,7 +716,7 @@ def _decode_csv(stream: Iterable[str]) -> tuple[dict, list, Iterator[str]]:
         raise ConfigError("trace has no header row")
     try:
         metadata = json.loads(meta) if meta is not None else {}
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer of too many digits for int
         raise ConfigError(f"trace metadata line is not valid JSON: {exc}") from exc
     header = line.rstrip("\n")
     headers = [_HEADER_RE.match(cell.strip()) for cell in header.split(",")]

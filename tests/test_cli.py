@@ -31,9 +31,11 @@ def _env(extra=None):
     return {key: value for key, value in env.items() if value is not None}
 
 
-def run_cli(*args, env_extra=None, cwd=None):
+def run_cli(*args, env_extra=None, cwd=None, stdin=None):
+    """Run `sim` in a fresh interpreter; `stdin` bytes, if given, come through a pipe."""
     return subprocess.run(
         [sys.executable, "-m", "tripletsim", *args],
+        input=stdin,
         capture_output=True,
         env=_env(env_extra),
         cwd=cwd,
@@ -164,6 +166,42 @@ def test_fit_input_of_truncated_json_is_one_config_line(tmp_path):
     args = ("fit", "--set", "fit.model=linear", "--set", f"fit.input={bad}")
     err = assert_one_json_error(run_cli(*args), 1, "config")
     assert err["message"] == f"trace is not valid JSON: {whole.value}"
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("cell.json", '{"format": "tripletsim-trace", "columns": [{"name": "x"}, {"name": "y"}], '
+                      f'"data": [[0, 1], [1, {"1" * 5000}], [2, 3]]}}'),
+        ("metadata.json", '{"format": "tripletsim-trace", "columns": [{"name": "x"}, {"name": "y"}], '
+                          f'"metadata": {{"n": {"1" * 5000}}}, "data": [[0, 1], [1, 2], [2, 3]]}}'),
+        ("metadata.csv", f'# tripletsim-trace 1\n# {{"n": {"1" * 5000}}}\nx[1],y[1]\n0,1\n1,2\n2,3\n'),
+    ],
+)
+def test_fit_input_with_an_integer_of_too_many_digits_is_one_config_line(name, text, tmp_path):
+    # int() refuses more than 4,300 digits; the reader names Python's refusal
+    bad = tmp_path / name
+    bad.write_text(text)
+    args = ("fit", "--set", "fit.model=linear", "--set", f"fit.input={bad}")
+    err = assert_one_json_error(run_cli(*args), 1, "config")
+    assert "for integer string conversion" in err["message"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_fit_of_a_piped_trace_is_the_fit_of_its_file(fmt, tmp_path):
+    # /dev/stdin is a pipe that cannot seek: the reader reads it once, as it reads a file
+    path = tmp_path / f"t1.{fmt}"
+    assert run_cli("t1", "--format", fmt, "--out", str(path)).returncode == 0
+    args = ("fit", "--set", "fit.model=triple_exponential", "--set", "fit.y_column=triplet")
+    from_file = run_cli(*args, "--set", f"fit.input={path}")
+    piped = run_cli(*args, "--set", "fit.input=/dev/stdin", stdin=path.read_bytes())
+    assert from_file.returncode == piped.returncode == 0, piped.stderr
+    want, got = parse_trace(from_file.stdout), parse_trace(piped.stdout)
+    assert got.columns == want.columns
+    assert np.array_equal(got.data.view(np.int64), want.data.view(np.int64))
+    assert got.metadata["config"]["fit"].pop("input") == "/dev/stdin"
+    assert want.metadata["config"]["fit"].pop("input") == str(path)
+    assert got.metadata == want.metadata
 
 
 @pytest.mark.parametrize(

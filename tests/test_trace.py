@@ -255,11 +255,47 @@ def _read(text, how):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_a_stream_that_cannot_seek_reads_as_a_file_does(fmt):
-    # a JSON document is read from the top again where the stream can seek;
-    # a pipe cannot, so the lines already read are kept instead
+    # every stream is read once, from the top: the lines read to tell the
+    # formats apart are kept, so a pipe reads as a file, which is never sought
     payload = emit(sample_record(), fmt)
     back = trace._read_stream(io.TextIOWrapper(_Pipe(payload), encoding="utf-8", newline="\n"))
     assert emit(back, fmt) == emit(parse_trace(payload), fmt) == emit(sample_record(), fmt)
+
+
+@pytest.mark.parametrize("how", ["bytes", "str", "pipe"])
+@pytest.mark.parametrize(
+    "head",
+    [
+        pytest.param("# tripletsim-trace 1\n# {meta}\n", id="magic-line-first"),
+        pytest.param("# {meta}\n# tripletsim-trace 1\n", id="metadata-line-first"),
+        pytest.param("", id="header-row-first"),
+        pytest.param(" \t \t \t \n# {meta}\n", id="blank-line-first"),
+    ],
+)
+def test_a_first_line_longer_than_the_window_reads_as_it_does_whole(head, how):
+    """The leading lines are read a window at a time; a CSV table's first line
+    cut by the window is finished first, and its '#' lines still count only
+    at the very top of the table."""
+    record = _field_map(3, 4, seed=33)
+    record.metadata = {"note": "longer than the window"} if "{meta}" in head else {}
+    body = emit(record, "csv").decode().split("\n", 2)[2]
+    text = head.format(meta=json.dumps(record.metadata)) + body
+    want = _outcome(text, "str")
+    with mock.patch.object(trace, "_READ_CHARS", 7):
+        assert _outcome(text, how) == want
+    if not head.startswith(" "):
+        assert want == (record.columns, record.metadata, record.data.tolist())
+    else:  # the '#' line after a blank one is read as the header row
+        assert want.startswith("malformed header row '# {\"note\": ")
+
+
+def _outcome(text, how):
+    """The columns, metadata and rows `_read` gives `text`, or its error message."""
+    try:
+        back = _read(text, how)
+    except ConfigError as exc:
+        return str(exc)
+    return back.columns, back.metadata, back.data.tolist()
 
 
 def _json_doc(record):
@@ -382,6 +418,71 @@ def test_json_errors_keep_jsons_message(corrupt, how):
 def test_a_byte_that_is_not_utf8_is_reported_before_a_json_error_ahead_of_it():
     # as when the whole text is decoded before json reads it
     payload = b'{"format" x\n' + b" \n" * 100_000 + b"\xff}"
+    with pytest.raises(ConfigError, match="^trace is not UTF-8 text: "):
+        parse_trace(payload)
+
+
+#: an integer of more digits than `int` converts from text (4,300 by default)
+_LONG_INTEGER = "1" * 5000
+_JSON_HEAD = '{"format": "tripletsim-trace", "columns": [{"name": "a"}], '
+_LONG_INTEGER_SITES = {
+    # a block of rows holds it: the rows before and after close with '],'
+    "json-cell-in-a-block": _JSON_HEAD + f'"data": [[1], [{_LONG_INTEGER}], [2]]}}',
+    # no '],' follows: the scanner reads the row
+    "json-cell-in-a-row": _JSON_HEAD + f'"data": [[1], [{_LONG_INTEGER}]]}}',
+    "json-member": _JSON_HEAD + f'"metadata": {{"n": {_LONG_INTEGER}}}, "data": [[1]]}}',
+    "csv-metadata-line": f'# tripletsim-trace 1\n# {{"n": {_LONG_INTEGER}}}\na[1]\n1\n',
+}
+
+
+@pytest.mark.parametrize("how", ["bytes", "str", "pipe"])
+@pytest.mark.parametrize("site", list(_LONG_INTEGER_SITES))
+def test_an_integer_of_too_many_digits_is_a_config_error_with_pythons_text(site, how):
+    text = _LONG_INTEGER_SITES[site]
+    json_text, what = text, "trace"
+    if site == "csv-metadata-line":
+        json_text, what = text.split("\n")[1][2:], "trace metadata line"
+    with pytest.raises(ValueError) as whole:
+        json.loads(json_text)
+    with pytest.raises(ConfigError) as info:
+        _read(text, how)
+    assert str(info.value) == f"{what} is not valid JSON: {whole.value}"
+
+
+@pytest.mark.parametrize("how", ["bytes", "str", "pipe"])
+@pytest.mark.parametrize("window", [7, 64, 1 << 16])
+def test_a_long_integer_that_more_text_makes_a_float_reads_as_a_float(window, how):
+    # the window may end inside the digits: the float's '.5' is still to come
+    number = _LONG_INTEGER + ".5"
+    member = _JSON_HEAD + f'"metadata": {{"n": {number}}}, "data": [[1]]}}'
+    cell = _JSON_HEAD + f'"data": [[1], [{number}]]}}'
+    with mock.patch.object(trace, "_READ_CHARS", window):
+        assert _read(member, how).metadata == {"n": float("inf")}
+        with pytest.raises(ConfigError, match="^trace data: trace data must be finite$"):
+            _read(cell, how)
+
+
+@pytest.mark.parametrize("how", ["bytes", "pipe"])
+def test_a_long_integer_before_the_data_is_refused_with_a_window_of_text(how):
+    # more text is read only while the window ends inside a number, so the
+    # data array after the member is not held whole to refuse it
+    doc = _json_doc(_field_map(241, 210, seed=29))
+    doc["metadata"] = {"n": 0}
+    payload = json.dumps(doc).replace('{"n": 0}', f'{{"n": {_LONG_INTEGER}}}').encode()
+    pipe = io.TextIOWrapper(_Pipe(payload), encoding="utf-8", newline="\n") if how == "pipe" else None
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="^trace is not valid JSON: Exceeds the limit"):
+            trace._read_stream(pipe) if pipe else parse_trace(payload)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(payload) / 4, f"peak {peak} bytes for a {len(payload)}-byte trace"
+
+
+@pytest.mark.parametrize("site", ["json-cell-in-a-block", "json-cell-in-a-row", "json-member"])
+def test_a_byte_that_is_not_utf8_is_reported_before_a_long_integer_ahead_of_it(site):
+    payload = _LONG_INTEGER_SITES[site][:-1].encode() + b" \n" * 100_000 + b"\xff}"
     with pytest.raises(ConfigError, match="^trace is not UTF-8 text: "):
         parse_trace(payload)
 
@@ -592,26 +693,32 @@ def test_streamed_write_holds_less_than_half_the_payload(fmt, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "fmt, text, bound", [("csv", False, 1.0), ("json", False, 1.0), ("csv", True, 2.0), ("json", True, 2.0)]
+    "fmt, text, bound",
+    [("csv", False, 1.0), ("json", False, 1.0), ("csv", True, 2.0), ("json", True, 2.0)]
+    + [(layout, how, 1.0) for layout in ("indent-none", "compact") for how in (False, "pipe")],
 )
 def test_parse_holds_a_bounded_multiple_of_the_payload(fmt, text, bound):
     """Both formats stream into one float64 array: the read holds less than the
     payload. A CSV `str` payload adds its one-byte-per-character encoding; a
-    JSON `str` is read in place, a window at a time.
+    JSON `str` is read in place, a window at a time. A JSON document on one
+    line, as `json.dumps` writes it by default, is read a window at a time
+    too, from bytes or from a pipe (`text` is "pipe").
 
     A 50,610-row field map, 241 fields by 210 frequencies. A reader that
     holds the decoded text and a Python float per cell peaks at about 7x
     the CSV payload and 4.5x the JSON payload; one that decodes the whole
-    JSON document before copying its rows out, at 3.7x; an `io.StringIO`
-    of a `str` holds four bytes per character.
+    JSON document before copying its rows out, at 3.7x; one that holds a
+    one-line document whole as its first line, at 2x; an `io.StringIO` of
+    a `str` holds four bytes per character.
     """
     record = _field_map(241, 210, seed=29)
-    payload = emit(record, fmt)
-    if text:
+    payload = emit(record, fmt) if fmt in ("csv", "json") else _LAYOUTS[fmt](_json_doc(record)).encode()
+    if text is True:
         payload = payload.decode()
+    pipe = io.TextIOWrapper(_Pipe(payload), encoding="utf-8", newline="\n") if text == "pipe" else None
     tracemalloc.start()
     try:
-        back = parse_trace(payload)
+        back = trace._read_stream(pipe) if pipe else parse_trace(payload)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
