@@ -16,7 +16,8 @@ warning; any other value means warning).
 The trace is written chunk by chunk as it is formatted: with `--out`, to
 a temporary file that replaces PATH once the trace is complete, so a
 failure leaves PATH as it was; without it, to stdout, which then already
-holds the chunks written before a failure.
+holds the chunks written before a failure. A reader that closes stdout
+early ends the run: it exits 0 and writes nothing to stderr.
 
 A `sim` process runs numpy's BLAS on one thread: before numpy loads,
 `main` sets OMP_NUM_THREADS=1 unless it is already set. A thread count
@@ -121,8 +122,6 @@ def entry() -> int:
 def _main(argv: list[str] | None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.experiment is None:
-            raise ConfigError(f"experiment: required; choose one of {list(EXPERIMENTS)}")
         raw = load_config_file(args.config) if args.config else {}
         raw = apply_overrides(raw, args.overrides)
         cfg = parse_config(
@@ -138,9 +137,16 @@ def _main(argv: list[str] | None) -> int:
             size = write_atomic(cfg.out, chunks)
             _log("info", f"wrote {size} bytes to {cfg.out}")
         else:
-            for chunk in chunks:
-                sys.stdout.buffer.write(chunk)
-            sys.stdout.buffer.flush()
+            try:
+                for chunk in chunks:
+                    sys.stdout.buffer.write(chunk)
+                sys.stdout.buffer.flush()
+            except BrokenPipeError:
+                # the reader stopped early, which is no failure; what is still
+                # buffered goes to os.devnull when the interpreter flushes at exit
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, sys.stdout.fileno())
+                os.close(devnull)
     except ConfigError as exc:
         _report_error("config", exc)
         return 1

@@ -64,7 +64,7 @@ _FIELD_RANGE = {"min": -MAX_FIELD_MT, "max": MAX_FIELD_MT}
 
 #: One entry per experiment, the single statement of its contract:
 #: "reads" names the keys it reads (a section stands for all its keys);
-#: "objects" the keys `_build` makes physics objects of for it;
+#: "objects" the keys `_build` makes objects of for it;
 #: "grid" and "field_grid" give its default grid in CLI units (only the
 #: count where the physics sets the range, see `runner.PHYSICS`, and in
 #: "range_from" the keys it sets the range from) and its "unit", the
@@ -162,6 +162,7 @@ EXPERIMENTS: dict[str, dict[str, Any]] = {
     "fit": {
         "description": "Fit a registered model to a previously emitted trace",
         "reads": "fit",
+        "objects": "fit.model fit.initial_guess",
         "required": ("fit.model", "fit.input"),
     },
 }
@@ -494,19 +495,19 @@ def _validate_nested(raw: Any, nested: dict, path: str) -> dict:
     return out
 
 
-def _expand_preset(section: Any, presets: dict, default_preset: Any, path: str) -> Any:
+def _expand_preset(section: Any, presets: dict, default_preset: Any) -> Any:
     """Overlay a named preset under any explicitly given keys.
 
     Sections that do not mention "preset" get the schema default preset;
-    an explicit "preset": null opts out entirely.
+    an explicit "preset": null opts out entirely. A section that is not a
+    mapping, or names no known preset, is left as it is, for
+    `_validate_nested` to refuse by the schema.
     """
     if not isinstance(section, dict):
         return section
     name = section.get("preset", default_preset)
-    if name is None:
-        return section
     if not isinstance(name, str) or name not in presets:
-        raise ConfigError(f"{path}.preset: {name!r} is not one of {sorted(presets)}")
+        return section
     merged = {k: list(v) if isinstance(v, list) else v for k, v in presets[name].items()}
     merged.update({k: v for k, v in section.items() if k != "preset"})
     merged["preset"] = name
@@ -639,7 +640,11 @@ def _inputs(name: str, sections: dict) -> dict[str, Any]:
 
 
 def _build(name: str, si: dict[str, Any]) -> Any:
-    """The physics object of key `name`, an EXPERIMENTS "objects" entry, from the SI inputs."""
+    """The object of key `name`, an EXPERIMENTS "objects" entry, from the SI inputs.
+
+    Physics objects, and for a fit its model and the initial guess as the
+    model checks it (None when no guess is given).
+    """
     if name in ("gamma", "zfs", "field"):
         from .spin_model import FieldVector, GyroRatio, ZfsParams
 
@@ -661,6 +666,13 @@ def _build(name: str, si: dict[str, Any]) -> Any:
             s1_decay_rate=1.0 / si["kinetics.s1_lifetime"],
             isc_yield=si["kinetics.isc_yield"],
         )
+    if name.startswith("fit."):
+        from .fitting import get_model
+
+        if name == "fit.model":
+            return get_model(si["fit.model"])
+        guess = si["fit.initial_guess"]
+        return None if guess is None else get_model(si["fit.model"]).validate(guess)
     if name in ("init", "readout"):
         from .pulse_engine import LaserPulse, ReadoutPulse
 
@@ -812,7 +824,7 @@ def parse_config(
     for key, spec in _SCHEMA.items():
         if "preset" in spec:
             default_preset = spec["nested"]["preset"].get("default")
-            merged[key] = _expand_preset(merged.get(key, {}), spec["preset"], default_preset, key)
+            merged[key] = _expand_preset(merged.get(key, {}), spec["preset"], default_preset)
     sections = _validate_nested(merged, _SCHEMA, "")
     if sections["experiment"] is None:
         raise ConfigError(f"experiment: required; choose one of {list(EXPERIMENTS)}")
@@ -828,18 +840,6 @@ def parse_config(
         except InvalidParameterError as exc:
             raise ConfigError(f"{key}: {exc}") from None
     grids = _grids(name, sections, si)
-    model, guess = sections["fit"]["model"], sections["fit"]["initial_guess"]
-    if model is not None:
-        from .fitting import get_model
-
-        key = "fit.model"
-        try:
-            model = get_model(model)
-            key = "fit.initial_guess"
-            if guess is not None:
-                model.validate(guess)
-        except InvalidParameterError as exc:
-            raise ConfigError(f"{key}: {exc}") from None
     return ExperimentConfig(
         experiment=sections.pop("experiment"),
         seed=sections.pop("seed"),

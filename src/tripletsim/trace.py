@@ -302,25 +302,17 @@ def _shortest_text(values: np.ndarray) -> np.ndarray:
     return text
 
 
-def _json_member(key: str, value) -> str:
-    """One top-level member of the indent=1 JSON document.
-
-    The value is dumped on its own and shifted one level in; encoded
-    strings never hold a raw newline, so every newline is indentation.
-    """
-    return f" {json.dumps(key)}: " + json.dumps(value, sort_keys=True, indent=1).replace(
-        "\n", "\n "
-    )
-
-
 def emit_chunks(record: TraceRecord, fmt: str = "csv") -> Iterator[bytes]:
     """Serialize a trace record to CSV or JSON, as UTF-8 chunks (LF line endings).
 
     The chunks are the document's head, one chunk per block of
     `_BLOCK_ROWS` rows, then its tail, so a writer holds one block's text
     at a time. The JSON form is exactly ``json.dumps(doc, sort_keys=True,
-    indent=1)`` of the document; its data block is written directly, since
-    the encoder's pure-Python path is slow for long tables.
+    indent=1)`` of the document: its head and tail are that dump with an
+    empty data array, cut at ``'\\n "data": []'``, which it holds once (a
+    nested key sits deeper, and the encoder escapes every newline inside
+    a string); the rows between them are written directly, since the
+    encoder's pure-Python path is slow for long tables.
     """
     if fmt not in ("csv", "json"):
         raise ConfigError(f"unknown output format {fmt!r}; use 'csv' or 'json'")
@@ -332,19 +324,21 @@ def emit_chunks(record: TraceRecord, fmt: str = "csv") -> Iterator[bytes]:
         for rows in blocks:
             yield ("\n".join(map(",".join, rows)) + "\n").encode("utf-8")
         return
-    columns = _json_member("columns", [{"name": c.name, "unit": c.unit} for c in record.columns])
-    yield f'{{\n{columns},\n "data": ['.encode("utf-8")
+    doc = {
+        "columns": [{"name": c.name, "unit": c.unit} for c in record.columns],
+        "data": [],
+        "format": _MAGIC,
+        "metadata": record.metadata,
+        "version": _FORMAT_VERSION,
+    }
+    head, tail = json.dumps(doc, sort_keys=True, indent=1).split('\n "data": []')
+    yield f'{head}\n "data": ['.encode("utf-8")
     close = "]"
     for k, rows in enumerate(blocks):
         block = "\n  ],\n  [\n   ".join(map(",\n   ".join, rows))
         yield f"{',' if k else ''}\n  [\n   {block}\n  ]".encode("utf-8")
         close = "\n ]"
-    members = (
-        _json_member("format", _MAGIC),
-        _json_member("metadata", record.metadata),
-        _json_member("version", _FORMAT_VERSION),
-    )
-    yield (close + ",\n" + ",\n".join(members) + "\n}\n").encode("utf-8")
+    yield f"{close}{tail}\n".encode("utf-8")
 
 
 def emit(record: TraceRecord, fmt: str = "csv") -> bytes:

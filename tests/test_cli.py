@@ -74,6 +74,46 @@ def test_config_file_is_loaded(tmp_path):
     )
 
 
+def test_the_experiment_may_come_from_the_config_file_or_set(tmp_path):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"experiment": "t1"}))
+    t1, echo = run_main(["t1"]), run_main(["echo"])
+    assert t1[0] == 0 and echo[0] == 0
+    assert run_main(["--config", str(conf)]) == t1
+    assert run_main(["--set", "experiment=t1"]) == t1
+    # a positional experiment wins over the file's, as a direct flag does
+    assert run_main(["echo", "--config", str(conf)]) == echo
+
+
+@pytest.mark.parametrize("section, experiment", [
+    ("kinetics", "t1"), ("coherence", "echo"), ("dd", "dd-scaling"),
+])
+@pytest.mark.parametrize("value, message", [
+    ('"5K"', "is not one of"), ('["4K"]', "expected str, got list"),
+])
+def test_a_preset_that_names_no_preset_exits_1(section, experiment, value, message):
+    code, out, err = run_main([experiment, "--set", f"{section}.preset={value}"])
+    assert (code, out) == (1, b"")
+    text = json.loads(err)["message"]
+    assert text.startswith(f"{section}.preset: ") and message in text
+
+
+def test_a_reader_that_closes_stdout_early_is_no_failure():
+    # two megabytes of trace, far more than a pipe holds
+    argv = ["t1", "--set", "grid.start=0.5", "--set", "grid.stop=2000", "--set", "grid.count=50000"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tripletsim", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_env(),
+    )
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0
+    assert err == b""
+
+
 def test_out_writes_file_atomically(tmp_path):
     out = tmp_path / "trace.csv"
     proc = run_cli("spectrum", "--out", str(out))
@@ -549,6 +589,15 @@ def test_console_scripts_start_at_the_entry():
     section = text.split("[project.scripts]\n")[1].split("\n\n")[0]
     scripts = dict(line.replace(" ", "").split("=") for line in section.splitlines())
     assert scripts == {"sim": '"tripletsim.cli:entry"', "tripletsim": '"tripletsim.cli:entry"'}
+
+
+def test_the_version_is_stated_once():
+    text = (SRC.parent / "pyproject.toml").read_text()
+    project = text.split("[project]\n")[1].split("\n\n")[0]
+    assert 'dynamic = ["version"]' in project.splitlines()
+    assert not [line for line in project.splitlines() if line.startswith("version")]
+    dynamic = text.split("[tool.setuptools.dynamic]\n")[1].split("\n\n")[0]
+    assert dynamic == 'version = {attr = "tripletsim._version.__version__"}'
 
 
 def assert_one_json_error(proc, code, kind):

@@ -777,7 +777,9 @@ def _records(draw):
         st.dictionaries(
             st.sampled_from(["data", "columns", "version", "z", "\u00e9"]) | st.text(max_size=5),
             st.one_of(
-                st.sampled_from(['"data": []', '"data": [\n', "\n ]", "[[1.0]]", ""]),
+                st.sampled_from(
+                    ['"data": []', '\n "data": []', '"data": [\n', "\n ]", "[[1.0]]", ""]
+                ),
                 st.text(max_size=8),
                 st.integers(),
                 st.floats(allow_nan=False),
