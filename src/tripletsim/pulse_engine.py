@@ -296,8 +296,8 @@ def _over_reference(signal: np.ndarray, reference: np.ndarray, protocol: str) ->
 
 # --- canned experiment protocols --------------------------------------------
 
-#: Laser initialization time used by the canned protocols, seconds.
-DEFAULT_INIT_DURATION = 15.0e-6
+#: Laser initialization time of the canned protocols, seconds: 15 us, scaled as `sim` scales it.
+DEFAULT_INIT_DURATION = 15.0 * 1e-6
 #: Pair whose populations the multilevel ODMR protocol swaps around its probe.
 ODMR_PREP_PAIR = ("y", "z")
 
@@ -351,7 +351,7 @@ def simulate_pulsed_odmr(
 
 @dataclass(frozen=True)
 class FieldOdmrMap:
-    """Contrast map over (field, frequency) with the tracked line centers."""
+    """Contrast map over (field, frequency) with each field's line centers."""
 
     field: np.ndarray
     frequency: np.ndarray
@@ -373,14 +373,14 @@ def simulate_field_odmr(
 ) -> FieldOdmrMap:
     """ODMR contrast map versus field magnitude along one molecular axis.
 
-    Line positions come from the eigenvector-tracked transition branches.
+    Line positions are the branches of :func:`field_sweep_spectrum`.
     Line amplitudes use a swap protocol, run for all fields at once: each
     field's state is initialized by a laser pulse and branched into the
     unrotated reference (member 0) and one member per pair whose
     populations an ideal pi rotation swaps. After the relaxation delay,
     each member's readout over the reference's gives the line's contrast
     amplitude. The kinetics at each field are the sublevel rates mixed
-    into its eigenstates, labeled by zero-field character as in
+    into the eigenstates its branches read, as in
     :attr:`QubitSystem.effective_rates`. Each line is painted with a
     unit-peak Lorentzian of HWHM `linewidth`; amplitudes from the three
     lines add. A vanishing reference readout raises DegenerateReadoutError.

@@ -131,8 +131,8 @@ class SweepSpectrum:
     """Transition frequencies along a field sweep, one branch per pair.
 
     `states` holds each field's eigenvectors as columns in zero-field label
-    order, labeled as :func:`eigensystem` labels them; near an avoided
-    crossing those labels can differ from the tracked branches.
+    order, the columns the branches read. They match :func:`eigensystem`'s
+    labels wherever zero-field character is resolvable.
     """
 
     field: np.ndarray
@@ -239,15 +239,13 @@ def field_sweep_spectrum(
     b_values: np.ndarray,
     gamma: GyroRatio = GyroRatio(),
 ) -> SweepSpectrum:
-    """Track the three transition branches along a field sweep.
+    """The three transition branches along a field sweep, each field labeled alone.
 
-    All Hamiltonians of the sweep are diagonalized in one stacked call,
-    and labeled as one stack: one greedy assignment gives every field's
-    zero-field columns, a second every step's column-to-column map.
-    Branch identity is carried from point to point by maximum squared
-    eigenvector overlap with the previous point, so labels stay attached
-    to adiabatic branches through avoided crossings. The first point is
-    labeled by zero-field character.
+    All Hamiltonians of the sweep are diagonalized and labeled by zero-field
+    character in one stacked call. A field along axis a leaves T_a an exact
+    eigenstate (S_a T_a = 0), in its zero-field column. The other two levels
+    are coupled and never cross: the higher zero-field level's state is the
+    higher column left, the lower label's on a tie. Each row reads its own field.
 
     Parameters
     ----------
@@ -268,19 +266,19 @@ def field_sweep_spectrum(
     if axis not in ZERO_FIELD_LABELS:
         raise InvalidParameterError(f"axis must be one of {ZERO_FIELD_LABELS}, got {axis!r}")
     check_finite("field component", *b_values.tolist())
-    spin = (SPIN_X, SPIN_Y, SPIN_Z)[ZERO_FIELD_LABELS.index(axis)]
-    h = build_hamiltonian(zfs) + (gamma.gamma * b_values)[:, None, None] * spin
+    held = ZERO_FIELD_LABELS.index(axis)
+    h0 = build_hamiltonian(zfs)
+    h = h0 + (gamma.gamma * b_values)[:, None, None] * (SPIN_X, SPIN_Y, SPIN_Z)[held]
     energies, vecs, zero_field = _diagonalize(h)
-    # the column each previous column's branch moves to, for every step at once
-    steps = _assign_columns(np.abs(np.conj(vecs[:-1]).swapaxes(-1, -2) @ vecs[1:]) ** 2)
-    # column holding each tracked branch label (x, y, z) at each field
-    tracked = zero_field[:1].tolist()
-    for step in steps.tolist():
-        tracked.append([step[k] for k in tracked[-1]])
-    by_label = np.take_along_axis(energies, np.array(tracked, dtype=int).reshape(-1, 3), axis=1)
+    # the mixed pair, lower zero-field level first (a tie keeps label order), takes
+    # the two columns T_axis leaves, in eigh's ascending order
+    pair = sorted((k for k in range(3) if k != held), key=lambda k: h0[k, k].real)
+    columns = zero_field.copy()
+    columns[:, pair] = np.array([[1, 2], [0, 2], [0, 1]])[zero_field[:, held]]
+    by_label = np.take_along_axis(energies, columns, axis=1)
     index = {lab: k for k, lab in enumerate(ZERO_FIELD_LABELS)}
     branches = {
         (a, c): np.abs(by_label[:, index[a]] - by_label[:, index[c]]) for a, c in TRANSITION_PAIRS
     }
-    states = np.take_along_axis(vecs, zero_field[:, None, :], axis=-1)
+    states = np.take_along_axis(vecs, columns[:, None, :], axis=-1)
     return SweepSpectrum(field=b_values, branches=branches, states=states)

@@ -124,6 +124,33 @@ def greedy_label_columns(overlap_sq):
     return columns
 
 
+
+def walked_branches(d, e, axis, b_values, gamma):
+    """Transition branches of an axis field sweep, carried from field to field.
+
+    The sweep is built in the angular-momentum basis. The first field's
+    states take the labels of the zero-field states T_a, each the null
+    vector of S_a, they overlap most; every later field's states take the
+    labels of the previous field's states they overlap most, one step at a
+    time in grid order, both by `greedy_label_columns`. The walk follows the
+    adiabatic branches on a grid fine enough that starts at B = 0 and does
+    not step over it. Returns {(a, c): |E_a - E_c|} over the canonical pairs.
+    """
+    spins = {"x": SX_ZEEMAN, "y": SY_ZEEMAN, "z": SZ_ZEEMAN}
+    # S_a^2 has eigenvalues 0, 1, 1: its first eigenvector spans the kernel of S_a
+    zero_field = np.stack([np.linalg.eigh(s @ s)[1][:, 0] for s in spins.values()], axis=-1)
+    h0 = zeeman_basis_hamiltonian(d, e, (0.0, 0.0, 0.0), gamma)
+    h = h0 + gamma * np.asarray(b_values, dtype=float)[:, None, None] * spins[axis]
+    energies, vecs = np.linalg.eigh(h)
+    columns = [greedy_label_columns(np.abs(zero_field.conj().T @ vecs[0]) ** 2)]
+    for previous, current in zip(vecs[:-1], vecs[1:]):
+        step = greedy_label_columns(np.abs(previous.conj().T @ current) ** 2)
+        columns.append(step[columns[-1]])
+    by_label = np.take_along_axis(energies, np.array(columns), axis=1)
+    pairs = (("x", "y"), ("x", "z"), ("y", "z"))
+    return {(a, c): np.abs(by_label[:, "xyz".index(a)] - by_label[:, "xyz".index(c)])
+            for a, c in pairs}
+
 def gaussian_coupling_deficit(mean, spread, t):
     """<(1 - cos(2*pi*d*t))/2> over d ~ N(mean, spread^2) by QUADPACK.
 

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from oracles import rate_ode_emission, rate_ode_solution, two_level_rotation
-from tripletsim import photokinetics, pulse_engine
+from tripletsim import config, photokinetics, pulse_engine
 from tripletsim.coherence import simulate_rabi
 from tripletsim.errors import (
     DegenerateReadoutError,
@@ -441,7 +441,7 @@ def test_swept_pulsed_odmr_equals_carriers_run_one_at_a_time(b, multilevel):
 
 def test_field_odmr_matches_ode_oracle():
     # every step of the swap protocol through the independent solve_ivp
-    # route; line positions are the tracked branches, tested in spin_model
+    # route; line positions are the sweep branches, tested in spin_model
     b_values = np.array([0.0, 40e-3, 110e-3])
     f_grid = np.linspace(0.6e9, 3.0e9, 97)
     result = simulate_field_odmr(ZFS, RATES_4K, "x", b_values, f_grid)
@@ -584,17 +584,24 @@ def test_default_readout_delay_is_three_shortest_lifetimes():
 
 def test_default_readout_delay_follows_an_x_y_relabel():
     # E -> -E with the x and y lifetimes and populations swapped is the same molecule
-    # under other labels: a field along x then reads as the same field along y
+    # under other labels: a field along x then reads as the same field along y, in
+    # the map and in its spectrum, whose x-z and y-z lines trade names
     def field_map(e, axis, order):
         lifetimes = tuple(LIFETIMES_4K[k] for k in order)
         populations = tuple((0.263, 0.538, 0.199)[k] for k in order)
         rates = KineticRates.from_steady_state(populations, lifetimes)
-        b, f = np.linspace(0.0, 120e-3, 13), np.linspace(0.6e9, 3.0e9, 49)
-        return simulate_field_odmr(ZfsParams(d=ZFS.d, e=e), rates, axis, b, f).contrast
+        b, f = np.linspace(-120e-3, 120e-3, 25), np.linspace(0.6e9, 3.0e9, 49)
+        return simulate_field_odmr(ZfsParams(d=ZFS.d, e=e), rates, axis, b, f)
 
-    along_x = field_map(ZFS.e, "x", (0, 1, 2))
-    np.testing.assert_allclose(field_map(-ZFS.e, "y", (1, 0, 2)), along_x, rtol=0.0, atol=1e-12)
+    along_x, along_y = field_map(ZFS.e, "x", (0, 1, 2)), field_map(-ZFS.e, "y", (1, 0, 2))
+    np.testing.assert_allclose(along_y.contrast, along_x.contrast, rtol=0.0, atol=1e-12)
+    relabel = {("x", "y"): ("x", "y"), ("x", "z"): ("y", "z"), ("y", "z"): ("x", "z")}
+    for pair, image in relabel.items():
+        np.testing.assert_allclose(
+            along_y.spectrum.branches[image], along_x.spectrum.branches[pair], rtol=1e-12
+        )
 
 
 def test_init_duration_constant():
-    assert DEFAULT_INIT_DURATION == pytest.approx(15e-6)
+    # the `sim` default, scaled as the CLI scales it: a library call pumps alike
+    assert DEFAULT_INIT_DURATION == config._SPECS["init.duration"]["default"] * config.US

@@ -3,8 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from oracles import greedy_label_columns, zeeman_basis_hamiltonian
-from tripletsim import config, spin_model
+from oracles import greedy_label_columns, walked_branches, zeeman_basis_hamiltonian
+from tripletsim import spin_model
+from tripletsim.config import MAX_FIELD_MT, MT
 from tripletsim.errors import InvalidParameterError
 from tripletsim.spin_model import (
     GAMMA_ELECTRON_HZ_PER_T,
@@ -162,6 +163,15 @@ def test_zeeman_term_shifts_lines():
     assert freqs1 != freqs0
 
 
+#: (E, axis) of sweeps near a degeneracy of the two levels the field mixes
+NEAR_DEGENERATE = (
+    (ZFS.e, "z"),
+    (0.0, "z"), (1e-6, "z"), (-1e-6, "z"), (1e-3, "z"), (-1e-3, "z"),
+    (ZFS.d, "y"), (ZFS.d - 1e-6, "y"),
+    (-ZFS.d, "x"), (-ZFS.d + 1e-6, "x"),
+)
+
+
 def test_field_sweep_branches_continuous():
     b = np.linspace(0.0, 0.3, 121)
     sweep = field_sweep_spectrum(ZFS, "z", b)
@@ -174,6 +184,15 @@ def test_field_sweep_branches_continuous():
     assert sweep.branches[("x", "y")][0] == pytest.approx(0.950e9, rel=1e-9)
     assert sweep.branches[("y", "z")][0] == pytest.approx(1.430e9, rel=1e-9)
     assert sweep.branches[("x", "z")][0] == pytest.approx(2.380e9, rel=1e-9)
+    # across +-100 T on a log grid through 0, near a degeneracy too: a level moves
+    # at most |gamma| per tesla, so a line moves at most 2*|gamma|*dB per step
+    ray = np.logspace(-6.0, 2.0, 3000)
+    b = np.concatenate((-ray[::-1], [0.0], ray))
+    bound = 2.0 * abs(GAMMA_ELECTRON_HZ_PER_T) * np.diff(b) + 1e3
+    for e, axis in NEAR_DEGENERATE:
+        sweep = field_sweep_spectrum(ZfsParams(d=ZFS.d, e=e), axis, b)
+        for pair, vals in sweep.branches.items():
+            assert np.all(np.abs(np.diff(vals)) <= bound), (e, axis, pair)
 
 
 def test_field_sweep_high_field_zeeman_limit():
@@ -200,28 +219,41 @@ def test_label_assignment_keeps_the_tie_rule():
     assert spin_model._assign_columns(np.empty((0, 3, 3))).shape == (0, 3)
 
 
-def test_degenerate_sweep_labels_match_the_greedy_walk():
-    # E = 0 leaves Tx and Ty degenerate at zero field, and a z field mixes them
-    # at once: the tracked branches and the zero-field labels part at every field
-    # but the first
-    raw = config.apply_overrides({}, ["zfs.e=0", "field.axis=z"])
-    si = config.parse_config(raw, "field-odmr").inputs
-    sweep = field_sweep_spectrum(si["zfs"], "z", si["field_grid"], si["gamma"])
-    zeeman = si["gamma"].gamma * si["field_grid"]
-    h = build_hamiltonian(si["zfs"]) + zeeman[:, None, None] * SPIN_Z
-    energies, vecs, zero_field = spin_model._diagonalize(h)
-    assert np.array_equal(zero_field, greedy_label_columns(np.abs(vecs) ** 2))
-    steps = greedy_label_columns(np.abs(vecs[:-1].conj().swapaxes(-1, -2) @ vecs[1:]) ** 2)
-    tracked = [zero_field[0]]
-    for step in steps:
-        tracked.append(step[tracked[-1]])
-    tracked = np.array(tracked)
-    assert np.sum(np.any(tracked != zero_field, axis=1)) == 60 == len(zero_field) - 1
-    by_label = np.take_along_axis(energies, tracked, axis=1)
+@pytest.mark.parametrize("b", [np.linspace(0.0, 0.3, 61), np.linspace(-0.3, 0.3, 61)])
+@pytest.mark.parametrize("e", [0.0, 1e-6, -1e-6])
+def test_degenerate_sweep_branches_and_states_read_the_same_columns(e, b):
+    # E near 0 leaves Tx and Ty (nearly) degenerate at zero field, and a z field
+    # mixes them at once: zero-field character cannot tell them apart at B != 0,
+    # zero-field energy can
+    zfs = ZfsParams(d=ZFS.d, e=e)
+    sweep = field_sweep_spectrum(zfs, "z", b)
+    h = build_hamiltonian(zfs) + (GAMMA_ELECTRON_HZ_PER_T * b)[:, None, None] * SPIN_Z
+    # the energy of each labeled state, read from the state itself
+    energy = np.einsum("nik,nij,njk->nk", sweep.states.conj(), h, sweep.states).real
     for a, c in TRANSITION_PAIRS:
-        want = np.abs(by_label[:, "xyz".index(a)] - by_label[:, "xyz".index(c)])
-        assert np.array_equal(sweep.branches[a, c], want)
-    assert np.array_equal(sweep.states, np.take_along_axis(vecs, zero_field[:, None, :], axis=-1))
+        want = np.abs(energy[:, "xyz".index(a)] - energy[:, "xyz".index(c)])
+        np.testing.assert_allclose(sweep.branches[a, c], want, rtol=1e-12, atol=1e-3)
+    # the pair keeps its zero-field order at every field: x below y unless E < 0
+    low, high = (1, 0) if e < 0 else (0, 1)
+    assert np.all(energy[:, low] <= energy[:, high] + 1e-3)
+    assert np.all(energy[b != 0.0, low] < energy[b != 0.0, high] - 1e3)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("axis", ZERO_FIELD_LABELS)
+def test_sweep_branches_match_the_walk_from_zero_field(seed, axis):
+    # each field labeled alone gives the branches a step-by-step walk carries out
+    # from B = 0 along either ray, on a fine log grid up to the largest field
+    rng = np.random.default_rng(seed)
+    d = rng.uniform(0.1e9, 3.0e9) * rng.choice([-1.0, 1.0])
+    zfs = ZfsParams(d=d, e=rng.uniform(-1.0, 1.0) * abs(d))
+    ray = np.concatenate(([0.0], np.logspace(-6.0, np.log10(MAX_FIELD_MT * MT), 1500)))
+    for sign in (1.0, -1.0):
+        sweep = field_sweep_spectrum(zfs, axis, sign * ray)
+        walk = walked_branches(zfs.d, zfs.e, axis, sign * ray, GAMMA_ELECTRON_HZ_PER_T)
+        scale = abs(zfs.d) + abs(GAMMA_ELECTRON_HZ_PER_T) * ray
+        for pair in TRANSITION_PAIRS:
+            assert np.all(np.abs(sweep.branches[pair] - walk[pair]) <= 1e-9 * scale), pair
 
 
 def test_sweep_states_are_the_eigensystem_states_in_label_order():
@@ -234,7 +266,7 @@ def test_sweep_states_are_the_eigensystem_states_in_label_order():
 
 
 @pytest.mark.parametrize("n_fields", [0, 1, 2, 61, 1000])
-def test_a_sweep_calls_the_label_assignment_twice(monkeypatch, n_fields):
+def test_a_sweep_calls_the_label_assignment_once(monkeypatch, n_fields):
     calls, original = [], spin_model._assign_columns
 
     def counting(overlap_sq):
@@ -243,6 +275,6 @@ def test_a_sweep_calls_the_label_assignment_twice(monkeypatch, n_fields):
 
     monkeypatch.setattr(spin_model, "_assign_columns", counting)
     sweep = field_sweep_spectrum(ZFS, "z", np.linspace(0.0, 0.3, n_fields))
-    # the zero-field columns of every field, then every tracking step
-    assert calls == [(n_fields, 3, 3), (max(n_fields - 1, 0), 3, 3)]
+    # the zero-field columns of every field; each field's labels follow from its own
+    assert calls == [(n_fields, 3, 3)]
     assert sweep.states.shape == (n_fields, 3, 3)

@@ -206,6 +206,12 @@ COMMANDS: tuple[tuple[str, ...], ...] = (
     ("field-odmr", "--set", "readout.delay=1e9"),
     # cells outside [1e-4, 1e16), which emit leaves to repr: 0.0 and exponent notation
     ("echo", "--set", "grid.values=[1e-05,0.5,1e9]"),
+    # field sweeps across B = 0, each row labeled by its own field: the rows of
+    # `[50]` at +50 mT, and a degenerate pair (E = D) mixed along y on both sides
+    ("spectrum", "--set", "field.axis=x", "--set", "grid.values=[-50,50]"),
+    ("field-odmr", "--set", "field.axis=y", "--set", "field_grid.values=[-50,50]"),
+    ("spectrum", "--set", "zfs.e=1905", "--set", "field.axis=y", "--set", "grid.start=-300",
+     "--set", "grid.stop=300", "--set", "grid.count=61"),
 )
 
 
